@@ -47,12 +47,11 @@ int64_t ArenaAllocCount() {
       ->value();
 }
 
-// Every matmul-family benchmark carries a backend arg (0=scalar, 1=blocked,
-// 2=simd; tensor/kernel_backend.h) so BENCH_substrate.json records all
-// three side by side and perfdiff can print the cross-backend speedups.
+// Every matmul-family benchmark carries a backend arg (0=scalar, 1=blocked;
+// tensor/kernel_backend.h) so BENCH_substrate.json records both side by
+// side and perfdiff can print the blocked-vs-scalar speedups.
 // items_per_second at the 256/512 square shapes is the per-backend GFLOP/s
-// figure the README table and the >= 2x blocked-vs-scalar acceptance
-// criterion read off.
+// figure.
 void BM_MatMul(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   ScopedKernelBackend backend(
@@ -67,7 +66,7 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)
     ->ArgNames({"n", "backend"})
-    ->ArgsProduct({{50, 100, 200, 256, 512}, {0, 1, 2}});
+    ->ArgsProduct({{50, 100, 200, 256, 512}, {0, 1}});
 
 void BM_MatMulTransposeB(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -83,14 +82,11 @@ void BM_MatMulTransposeB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTransposeB)
     ->ArgNames({"n", "backend"})
-    ->ArgsProduct({{50, 100, 256}, {0, 1, 2}});
+    ->ArgsProduct({{50, 100, 256}, {0, 1}});
 
-// Fused LSTM elementwise gate kernels at the paper's batch/hidden scale.
-// scalar and blocked share a body (nothing to block elementwise), so the
-// interesting delta is scalar vs simd.
+// Fused LSTM elementwise gate kernels at the paper's batch/hidden scale
+// (one body; there is nothing to tile in an elementwise kernel).
 void BM_LstmGatesForward(benchmark::State& state) {
-  ScopedKernelBackend backend(
-      static_cast<KernelBackend>(state.range(0)));
   Rng rng(1);
   Matrix pre = Matrix::Randn(100, 4 * 50, 1.0f, &rng);
   Matrix hc_prev = Matrix::Randn(100, 2 * 50, 1.0f, &rng);
@@ -100,11 +96,9 @@ void BM_LstmGatesForward(benchmark::State& state) {
     benchmark::DoNotOptimize(hc);
   }
 }
-BENCHMARK(BM_LstmGatesForward)->ArgName("backend")->Arg(0)->Arg(2);
+BENCHMARK(BM_LstmGatesForward);
 
 void BM_LstmGatesBackward(benchmark::State& state) {
-  ScopedKernelBackend backend(
-      static_cast<KernelBackend>(state.range(0)));
   Rng rng(1);
   Matrix pre = Matrix::Randn(100, 4 * 50, 1.0f, &rng);
   Matrix hc_prev = Matrix::Randn(100, 2 * 50, 1.0f, &rng);
@@ -118,7 +112,7 @@ void BM_LstmGatesBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(dpre);
   }
 }
-BENCHMARK(BM_LstmGatesBackward)->ArgName("backend")->Arg(0)->Arg(2);
+BENCHMARK(BM_LstmGatesBackward);
 
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(1);
@@ -402,18 +396,17 @@ void BM_CorrectorE2E(benchmark::State& state) {
 }
 // The legacy/heap corner stays on the scalar backend (its original
 // baseline); the fused/arena configuration additionally runs on blocked
-// and simd for the end-to-end per-backend picture. The plan axis pairs
-// {1,0,0}/{1,0,1} (scalar) and {1,2,0}/{1,2,1} (simd) so perfdiff can
-// report the plan-vs-dynamic end-to-end speedup (>= 1.2x acceptance) at
-// both ends of the kernel spectrum.
+// for the end-to-end per-backend picture. The plan axis pairs
+// {1,0,0}/{1,0,1} (scalar) and {1,1,0}/{1,1,1} (blocked) so perfdiff can
+// report the plan-vs-dynamic end-to-end speedup at both ends of the
+// kernel spectrum.
 BENCHMARK(BM_CorrectorE2E)
     ->ArgNames({"fused_arena", "backend", "plan"})
     ->Args({0, 0, 0})
     ->Args({1, 0, 0})
     ->Args({1, 0, 1})
+    ->Args({1, 1, 0})
     ->Args({1, 1, 1})
-    ->Args({1, 2, 0})
-    ->Args({1, 2, 1})
     ->Unit(benchmark::kMillisecond);
 
 // Same corrector experiment with crash-consistent checkpointing armed at

@@ -57,39 +57,6 @@ GradCheckResult CheckGradients(
   return result;
 }
 
-GradCheckResult CheckGradientsBothKernelPaths(
-    const std::function<Var(const std::vector<Var>&)>& build_loss,
-    const std::vector<Var>& params, float epsilon) {
-  GradCheckResult serial, parallel_result;
-  std::vector<Matrix> serial_grads;
-  {
-    ScopedMatmulParallelThreshold force_serial(
-        std::numeric_limits<int64_t>::max());
-    serial = CheckGradients(build_loss, params, epsilon);
-    for (const Var& p : params) serial_grads.push_back(p.grad());
-  }
-  {
-    // Widen the pool so the zero threshold genuinely dispatches (a 1-wide
-    // pool would short-circuit back to the serial path).
-    int saved_threads = parallel::GlobalThreadCount();
-    parallel::SetGlobalThreads(std::max(saved_threads, 4));
-    ScopedMatmulParallelThreshold force_parallel(0);
-    parallel_result = CheckGradients(build_loss, params, epsilon);
-    parallel::SetGlobalThreads(saved_threads);
-  }
-  GradCheckResult result;
-  result.max_abs_error =
-      std::max(serial.max_abs_error, parallel_result.max_abs_error);
-  result.max_rel_error =
-      std::max(serial.max_rel_error, parallel_result.max_rel_error);
-  for (size_t i = 0; i < params.size(); ++i) {
-    result.serial_parallel_grad_diff =
-        std::max(result.serial_parallel_grad_diff,
-                 MaxAbsDiff(serial_grads[i], params[i].grad()));
-  }
-  return result;
-}
-
 GradCheckResult CheckGradientsAllBackends(
     const std::function<Var(const std::vector<Var>&)>& build_loss,
     const std::vector<Var>& params, float epsilon) {

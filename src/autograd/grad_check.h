@@ -12,12 +12,11 @@ namespace ag {
 struct GradCheckResult {
   float max_abs_error = 0.0f;   // max |analytic - numeric| over all entries
   float max_rel_error = 0.0f;   // relative version with an absolute floor
-  // Max |reference - variant| over the analytic gradients when multiple
-  // kernel configurations were exercised: serial vs parallel for
-  // CheckGradientsBothKernelPaths, and every backend x {serial, parallel}
-  // combination against the scalar-serial reference for
-  // CheckGradientsAllBackends. All configurations are bitwise-
-  // interchangeable by construction, so any nonzero value is a bug.
+  // Max |reference - variant| over the analytic gradients when
+  // CheckGradientsAllBackends exercised every backend x {serial, parallel}
+  // combination against the scalar-serial reference. All configurations
+  // are bitwise-interchangeable by construction, so any nonzero value is a
+  // bug.
   float serial_parallel_grad_diff = 0.0f;
   bool ok(float tol = 2e-2f) const {
     return (max_abs_error < tol || max_rel_error < tol) &&
@@ -37,27 +36,17 @@ GradCheckResult CheckGradients(
     const std::function<Var(const std::vector<Var>&)>& build_loss,
     const std::vector<Var>& params, float epsilon = 1e-3f);
 
-// Runs the finite-difference check twice — once with the matmul parallel
-// threshold forced up (every kernel serial) and once with it forced to zero
-// (every eligible kernel row-parallel) — and additionally compares the two
-// analytic gradient sets bitwise (serial_parallel_grad_diff). This is how
-// properties_test.cc extends gradient coverage to the parallel kernel path.
-GradCheckResult CheckGradientsBothKernelPaths(
-    const std::function<Var(const std::vector<Var>&)>& build_loss,
-    const std::vector<Var>& params, float epsilon = 1e-3f);
-
-// The full cross-product extension of the check above: runs the finite-
+// The cross-configuration extension of the check above: runs the finite-
 // difference verification once on the scalar backend with every kernel
 // serial (the oracle configuration), then recomputes the analytic
 // gradients under every kernel backend (tensor/kernel_backend.h) x
 // {serial, row-parallel} combination and folds the bitwise max deviation
 // from the oracle gradients into serial_parallel_grad_diff. The re-runs
-// skip the numeric differencing — backend invariance is a bitwise claim
-// about the analytic pass, so one oracle-vs-numeric comparison plus six
-// backward passes buys the same coverage at a fraction of the cost. This
-// is how the grad-check suites extend their coverage to the blocked/simd
-// kernel bodies; a new backend added to AllKernelBackends() is swept
-// automatically.
+// skip the numeric differencing — backend and parallel-path invariance is
+// a bitwise claim about the analytic pass, so one oracle-vs-numeric
+// comparison plus three backward passes buys the same coverage at a
+// fraction of the cost. This is how the grad-check suites extend their
+// coverage to the parallel kernel path and the blocked kernel bodies.
 GradCheckResult CheckGradientsAllBackends(
     const std::function<Var(const std::vector<Var>&)>& build_loss,
     const std::vector<Var>& params, float epsilon = 1e-3f);

@@ -2,19 +2,18 @@
 
 #include <atomic>
 
-#include "common/env.h"
-#include "obs/log.h"
 #include "obs/prof.h"
 
 namespace clfd {
 
 namespace {
 
-// -1 = read CLFD_KERNEL_BACKEND on first use. Deliberate mutable global: a
-// dispatch *selector*, not numeric state — every backend produces bitwise-
-// identical results (tests/kernel_backend_test.cc), so its value can never
-// change what is computed, only which compiled body computes it. Same
-// idiom as g_matmul_threshold in matrix.cc.
+// -1 = not yet read; the first read installs the blocked default and
+// stamps the report annotation. Deliberate mutable global: a dispatch
+// *selector*, not numeric state — every backend produces bitwise-identical
+// results (tests/kernel_backend_test.cc), so its value can never change
+// what is computed, only which compiled body computes it. Same idiom as
+// g_matmul_threshold in matrix.cc.
 // clfd-lint: allow(concurrency-mutable-global) clfd-analyze: allow(semantic-mutable-global)
 std::atomic<int> g_kernel_backend{-1};
 
@@ -28,39 +27,22 @@ const char* KernelBackendName(KernelBackend backend) {
   switch (backend) {
     case KernelBackend::kScalar: return "scalar";
     case KernelBackend::kBlocked: return "blocked";
-    case KernelBackend::kSimd: return "simd";
   }
   return "scalar";
 }
 
-bool ParseKernelBackend(const std::string& name, KernelBackend* out) {
-  for (KernelBackend b : AllKernelBackends()) {
-    if (name == KernelBackendName(b)) {
-      *out = b;
-      return true;
-    }
-  }
-  return false;
-}
-
-const std::array<KernelBackend, 3>& AllKernelBackends() {
-  static const std::array<KernelBackend, 3> all = {
-      KernelBackend::kScalar, KernelBackend::kBlocked, KernelBackend::kSimd};
+const std::array<KernelBackend, 2>& AllKernelBackends() {
+  static const std::array<KernelBackend, 2> all = {KernelBackend::kScalar,
+                                                   KernelBackend::kBlocked};
   return all;
 }
 
 KernelBackend CurrentKernelBackend() {
   int v = g_kernel_backend.load(std::memory_order_relaxed);
   if (v < 0) {
-    KernelBackend b = KernelBackend::kScalar;
-    const std::string name = GetEnvString("CLFD_KERNEL_BACKEND", "scalar");
-    if (!ParseKernelBackend(name, &b)) {
-      CLFD_LOG(WARN) << "unrecognized CLFD_KERNEL_BACKEND, using scalar"
-                     << obs::Kv("value", name);
-    }
-    v = static_cast<int>(b);
+    v = static_cast<int>(KernelBackend::kBlocked);
     g_kernel_backend.store(v, std::memory_order_relaxed);
-    Annotate(b);
+    Annotate(KernelBackend::kBlocked);
   }
   return static_cast<KernelBackend>(v);
 }

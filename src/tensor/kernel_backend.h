@@ -1,51 +1,43 @@
 #pragma once
 
 #include <array>
-#include <string>
 
 namespace clfd {
 
-// Which compiled bodies the dense kernels in matrix.cc dispatch to. All
-// three backends are bitwise-interchangeable: every output element is
+// Which compiled bodies the MatMul-family kernels in matrix.cc dispatch to.
+// Both backends are bitwise-interchangeable: every output element is
 // accumulated over k in the same ascending order with one rounded add per
 // term (and the same zero-skip control flow), so switching backends — like
 // switching thread widths — can never change a single result bit. The
 // equivalence suite in tests/kernel_backend_test.cc enforces this against
-// the scalar oracle for every kernel; DESIGN.md §12 gives the argument.
+// the scalar oracle for every kernel and pins the output bits to committed
+// hashes; DESIGN.md §12 gives the argument.
 //
-//   scalar   the original per-row loops (the oracle; also the fallback for
-//            tile remainders inside the other two backends)
-//   blocked  register-tiled (4x8 output tile) + L1-blocked over k
-//   simd     the blocked tiling with fixed trip counts and __restrict
-//            qualified pointers, written so the compiler's portable
-//            auto-vectorizer emits packed arithmetic (no intrinsics)
+//   scalar   the original per-row loops (the test oracle; also the
+//            fallback for tile remainders inside the blocked bodies)
+//   blocked  register-tiled (4x8 output tile) + L1-blocked over k; the
+//            process default
 enum class KernelBackend : int {
   kScalar = 0,
   kBlocked = 1,
-  kSimd = 2,
 };
 
-// Active backend. Reads CLFD_KERNEL_BACKEND (scalar|blocked|simd, default
-// scalar) on first use; an unrecognized value falls back to scalar with a
-// warning. One relaxed atomic load on the hot path, same idiom as
+// Active backend: blocked unless a ScopedKernelBackend overrides it. One
+// relaxed atomic load on the hot path, same idiom as
 // MatmulParallelThreshold.
 KernelBackend CurrentKernelBackend();
 
-// Process-wide override (the CLI --kernel-backend flag lands here). Also
+// Process-wide override, the primitive under ScopedKernelBackend. Also
 // stamps the obs report annotation so profiles and rooflines are
 // attributed to the backend that produced them.
 void SetKernelBackend(KernelBackend backend);
 
-// "scalar" / "blocked" / "simd".
+// "scalar" / "blocked".
 const char* KernelBackendName(KernelBackend backend);
 
-// Parses a backend name; returns false (and leaves *out alone) on an
-// unrecognized string.
-bool ParseKernelBackend(const std::string& name, KernelBackend* out);
-
-// All backends, scalar first — test sweeps iterate this so a new backend
-// is picked up by every equivalence/grad-check suite automatically.
-const std::array<KernelBackend, 3>& AllKernelBackends();
+// All backends, scalar first — test sweeps iterate this so every
+// equivalence/grad-check suite compares the tiled bodies to the oracle.
+const std::array<KernelBackend, 2>& AllKernelBackends();
 
 // Test helper: force a backend for a lexical scope, restoring the previous
 // selection on exit. Not thread-safe (flips the process-wide selector);

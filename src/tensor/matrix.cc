@@ -249,19 +249,20 @@ void MatMulTransposeBRows(const Matrix& a, const Matrix& b, Matrix* c, int r0,
 }
 
 // ---------------------------------------------------------------------------
-// Blocked / simd backend bodies (selected by CurrentKernelBackend()).
+// Blocked backend bodies (the default; the scalar oracle above runs only
+// when a ScopedKernelBackend selects it, and for row remainders).
 //
-// Determinism contract (DESIGN.md §12): every backend accumulates each
+// Determinism contract (DESIGN.md §12): the tiled bodies accumulate each
 // output element over k in the same ascending order as the scalar oracle
 // above, with one rounded add per term and the oracle's zero-skip control
 // flow replicated per row. Register tiles regroup *independent* per-element
 // chains for ILP/vectorization — they never re-associate within a chain —
-// so every backend is bitwise-equal to scalar on all inputs, including
-// signed zeros, denormals, and Infs (tests/kernel_backend_test.cc sweeps
-// exactly these). The one exception is NaN *payload* bits: x86 add/mul
-// keep one operand's NaN and the compiler may commute FP operands, so
-// which payload survives a chain is codegen-dependent — the contract (and
-// the test) pins down NaN-ness per element, not NaN bits.
+// so they are bitwise-equal to scalar on all inputs, including signed
+// zeros, denormals, and Infs (tests/kernel_backend_test.cc sweeps exactly
+// these). The one exception is NaN *payload* bits: x86 add/mul keep one
+// operand's NaN and the compiler may commute FP operands, so which
+// payload survives a chain is codegen-dependent — the contract (and the
+// test) pins down NaN-ness per element, not NaN bits.
 //
 // Layout: a kRowTile x kColTile register tile of accumulators per output
 // block; the k loop streams A values and one B row slab per iteration. The
@@ -279,7 +280,7 @@ constexpr int kRowTile = 4;
 // Accumulator tile width: 4 SSE vectors per row, 8 xmm registers total for
 // the tile — half the register file, leaving room for the A/B operands.
 constexpr int kColTile = 8;
-// k-panel length for the blocked backend: one j-tile's B panel
+// k-panel length: one j-tile's B panel
 // (kKBlock x kColTile floats = 8 KB) stays L1-resident across the tile.
 // The panel split spills accumulators to C between panels — a memory
 // round-trip per element, which preserves float bits exactly.
@@ -366,79 +367,6 @@ void MatMulRowsBlocked(const Matrix& a, const Matrix& b, Matrix* c, int r0,
   if (i < r1) MatMulRows(a, b, c, i, r1);
 }
 
-// Rows [r0, r1) of C = A * B, simd backend: the register tiling above with
-// __restrict-qualified pointers and fixed trip counts, which is what lets
-// the autovectorizer emit packed arithmetic without intrinsics. No k-panel
-// split: accumulators live in registers for the whole k sweep (one chain
-// per element, same bits).
-void MatMulRowsSimd(const Matrix& a, const Matrix& b, Matrix* c, int r0,
-                    int r1) {
-  const int kt = a.cols();
-  const int n = b.cols();
-  int i = r0;
-  for (; i + kRowTile <= r1; i += kRowTile) {
-    const float* __restrict a0 = a.row(i);
-    const float* __restrict a1 = a.row(i + 1);
-    const float* __restrict a2 = a.row(i + 2);
-    const float* __restrict a3 = a.row(i + 3);
-    int jj = 0;
-    for (; jj + kColTile <= n; jj += kColTile) {
-      // Chains start at +0.0f exactly like the oracle's zero-fresh C row.
-      float acc0[kColTile] = {0.0f};
-      float acc1[kColTile] = {0.0f};
-      float acc2[kColTile] = {0.0f};
-      float acc3[kColTile] = {0.0f};
-      for (int k = 0; k < kt; ++k) {
-        const float* __restrict brow = b.row(k) + jj;
-        const float v0 = a0[k], v1 = a1[k], v2 = a2[k], v3 = a3[k];
-        if (v0 != 0.0f && v1 != 0.0f && v2 != 0.0f && v3 != 0.0f) {
-          for (int t = 0; t < kColTile; ++t) {
-            const float bv = brow[t];
-            acc0[t] += v0 * bv;
-            acc1[t] += v1 * bv;
-            acc2[t] += v2 * bv;
-            acc3[t] += v3 * bv;
-          }
-        } else {
-          if (v0 != 0.0f) {
-            for (int t = 0; t < kColTile; ++t) acc0[t] += v0 * brow[t];
-          }
-          if (v1 != 0.0f) {
-            for (int t = 0; t < kColTile; ++t) acc1[t] += v1 * brow[t];
-          }
-          if (v2 != 0.0f) {
-            for (int t = 0; t < kColTile; ++t) acc2[t] += v2 * brow[t];
-          }
-          if (v3 != 0.0f) {
-            for (int t = 0; t < kColTile; ++t) acc3[t] += v3 * brow[t];
-          }
-        }
-      }
-      float* __restrict c0 = c->row(i) + jj;
-      float* __restrict c1 = c->row(i + 1) + jj;
-      float* __restrict c2 = c->row(i + 2) + jj;
-      float* __restrict c3 = c->row(i + 3) + jj;
-      for (int t = 0; t < kColTile; ++t) {
-        c0[t] = acc0[t];
-        c1[t] = acc1[t];
-        c2[t] = acc2[t];
-        c3[t] = acc3[t];
-      }
-    }
-    for (int rr = 0; jj < n && rr < kRowTile; ++rr) {
-      const float* arow = a.row(i + rr);
-      float* crow = c->row(i + rr);
-      for (int k = 0; k < kt; ++k) {
-        const float aik = arow[k];
-        if (aik == 0.0f) continue;
-        const float* brow = b.row(k);
-        for (int j = jj; j < n; ++j) crow[j] += aik * brow[j];
-      }
-    }
-  }
-  if (i < r1) MatMulRows(a, b, c, i, r1);
-}
-
 // Rows [r0, r1) of C = A^T * B, blocked backend. Same tiling as MatMul;
 // the tile's four A values per k are a.at(k, i..i+3) — contiguous in row k.
 void MatMulTransposeARowsBlocked(const Matrix& a, const Matrix& b, Matrix* c,
@@ -510,79 +438,14 @@ void MatMulTransposeARowsBlocked(const Matrix& a, const Matrix& b, Matrix* c,
   if (i < r1) MatMulTransposeARows(a, b, c, i, r1);
 }
 
-// Rows [r0, r1) of C = A^T * B, simd backend.
-void MatMulTransposeARowsSimd(const Matrix& a, const Matrix& b, Matrix* c,
-                              int r0, int r1) {
-  const int kt = a.rows();
-  const int n = b.cols();
-  int i = r0;
-  for (; i + kRowTile <= r1; i += kRowTile) {
-    int jj = 0;
-    for (; jj + kColTile <= n; jj += kColTile) {
-      float acc0[kColTile] = {0.0f};
-      float acc1[kColTile] = {0.0f};
-      float acc2[kColTile] = {0.0f};
-      float acc3[kColTile] = {0.0f};
-      for (int k = 0; k < kt; ++k) {
-        const float* __restrict ak = a.row(k) + i;
-        const float* __restrict brow = b.row(k) + jj;
-        const float v0 = ak[0], v1 = ak[1], v2 = ak[2], v3 = ak[3];
-        if (v0 != 0.0f && v1 != 0.0f && v2 != 0.0f && v3 != 0.0f) {
-          for (int t = 0; t < kColTile; ++t) {
-            const float bv = brow[t];
-            acc0[t] += v0 * bv;
-            acc1[t] += v1 * bv;
-            acc2[t] += v2 * bv;
-            acc3[t] += v3 * bv;
-          }
-        } else {
-          if (v0 != 0.0f) {
-            for (int t = 0; t < kColTile; ++t) acc0[t] += v0 * brow[t];
-          }
-          if (v1 != 0.0f) {
-            for (int t = 0; t < kColTile; ++t) acc1[t] += v1 * brow[t];
-          }
-          if (v2 != 0.0f) {
-            for (int t = 0; t < kColTile; ++t) acc2[t] += v2 * brow[t];
-          }
-          if (v3 != 0.0f) {
-            for (int t = 0; t < kColTile; ++t) acc3[t] += v3 * brow[t];
-          }
-        }
-      }
-      float* __restrict c0 = c->row(i) + jj;
-      float* __restrict c1 = c->row(i + 1) + jj;
-      float* __restrict c2 = c->row(i + 2) + jj;
-      float* __restrict c3 = c->row(i + 3) + jj;
-      for (int t = 0; t < kColTile; ++t) {
-        c0[t] = acc0[t];
-        c1[t] = acc1[t];
-        c2[t] = acc2[t];
-        c3[t] = acc3[t];
-      }
-    }
-    for (int rr = 0; jj < n && rr < kRowTile; ++rr) {
-      float* crow = c->row(i + rr);
-      for (int k = 0; k < kt; ++k) {
-        const float aki = a.at(k, i + rr);
-        if (aki == 0.0f) continue;
-        const float* brow = b.row(k);
-        for (int j = jj; j < n; ++j) crow[j] += aki * brow[j];
-      }
-    }
-  }
-  if (i < r1) MatMulTransposeARows(a, b, c, i, r1);
-}
-
 // A*B^T is a dot-product kernel: each element is one k-ascending reduction
 // chain that cannot be vectorized across k without re-association. The
 // tile is therefore kDotTile x kDotTile *independent* chains advanced in
 // lockstep — an ILP transform, not a reduction reorder.
 constexpr int kDotTile = 4;
 
-// Rows [r0, r1) of C = A * B^T, shared tiled body for blocked and simd
-// (the dot tile keeps all state in scalar registers either way; restrict
-// adds nothing because every loop already carries a serial dependence).
+// Rows [r0, r1) of C = A * B^T, blocked backend (the dot tile keeps all
+// state in scalar registers).
 void MatMulTransposeBRowsTiled(const Matrix& a, const Matrix& b, Matrix* c,
                                int r0, int r1) {
   const int kt = a.cols();
@@ -650,8 +513,8 @@ void MatMulTransposeBRowsTiled(const Matrix& a, const Matrix& b, Matrix* c,
 // Chunks are kRowTile rows (a pure function of the row count, so the
 // width-independence above still holds, and backend-independent so the
 // deterministic report is also identical across kernel backends): the
-// blocked/simd bodies then form full register tiles inside every chunk but
-// the last. Which rows share a tile never affects results — a tile groups
+// blocked bodies then form full register tiles inside every chunk but the
+// last. Which rows share a tile never affects results — a tile groups
 // independent per-row chains, it does not mix them.
 template <typename Body>
 void DispatchRowRange(int rows, int64_t flops, Body body) {
@@ -664,6 +527,13 @@ void DispatchRowRange(int rows, int64_t flops, Body body) {
   } else {
     body(0, rows);
   }
+}
+
+// The active backend's row body: the scalar oracle or its tiled
+// counterpart.
+template <typename Fn>
+Fn* ForBackend(Fn* scalar, Fn* blocked) {
+  return CurrentKernelBackend() == KernelBackend::kScalar ? scalar : blocked;
 }
 
 // Matmul-shaped convenience wrapper over DispatchRowRange.
@@ -707,17 +577,7 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   // The row bodies accumulate into C, so a reused buffer must restart at
   // zero — the state a freshly constructed result had.
   EnsureShape(c, a.rows(), b.cols(), /*zeroed=*/true);
-  switch (CurrentKernelBackend()) {
-    case KernelBackend::kScalar:
-      DispatchRows(a, b, c, flops, MatMulRows);
-      break;
-    case KernelBackend::kBlocked:
-      DispatchRows(a, b, c, flops, MatMulRowsBlocked);
-      break;
-    case KernelBackend::kSimd:
-      DispatchRows(a, b, c, flops, MatMulRowsSimd);
-      break;
-  }
+  DispatchRows(a, b, c, flops, ForBackend(MatMulRows, MatMulRowsBlocked));
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -737,17 +597,8 @@ void MatMulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* c) {
   obs::prof::AddBytes(int64_t{4} *
                       (a.size() + b.size() + int64_t{a.cols()} * b.cols()));
   EnsureShape(c, a.cols(), b.cols(), /*zeroed=*/true);
-  switch (CurrentKernelBackend()) {
-    case KernelBackend::kScalar:
-      DispatchRows(a, b, c, flops, MatMulTransposeARows);
-      break;
-    case KernelBackend::kBlocked:
-      DispatchRows(a, b, c, flops, MatMulTransposeARowsBlocked);
-      break;
-    case KernelBackend::kSimd:
-      DispatchRows(a, b, c, flops, MatMulTransposeARowsSimd);
-      break;
-  }
+  DispatchRows(a, b, c, flops,
+               ForBackend(MatMulTransposeARows, MatMulTransposeARowsBlocked));
 }
 
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
@@ -770,11 +621,8 @@ void MatMulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c) {
   // tiled) assigns each output element from a fresh dot accumulator, so a
   // reused buffer needs no re-zeroing.
   EnsureShape(c, a.rows(), b.rows(), /*zeroed=*/false);
-  if (CurrentKernelBackend() == KernelBackend::kScalar) {
-    DispatchRows(a, b, c, flops, MatMulTransposeBRows);
-  } else {
-    DispatchRows(a, b, c, flops, MatMulTransposeBRowsTiled);
-  }
+  DispatchRows(a, b, c, flops,
+               ForBackend(MatMulTransposeBRows, MatMulTransposeBRowsTiled));
 }
 
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {
@@ -794,40 +642,20 @@ Matrix Transpose(const Matrix& a) {
 
 namespace {
 
-// Elementwise kernels have no cross-element arithmetic, so backends may
-// only differ in how the compiler schedules the identical per-element
-// expression — the simd variants below just hand it __restrict pointers
-// and a hoisted bound. Bitwise equality across backends is structural.
-
 template <typename Fn>
 void BinaryInto(const Matrix& a, const Matrix& b, Matrix* c, Fn fn) {
   CheckShape(a.SameShape(b), "Matrix elementwise op", a, b);
   assert(a.SameShape(b));
   CLFD_METRIC_COUNT("tensor.elementwise.calls", 1);
   EnsureShape(c, a.rows(), a.cols(), /*zeroed=*/false);
-  if (CurrentKernelBackend() == KernelBackend::kSimd && a.size() > 0) {
-    const float* __restrict pa = a.data();
-    const float* __restrict pb = b.data();
-    float* __restrict pc = c->data();
-    const int n = a.size();
-    for (int i = 0; i < n; ++i) pc[i] = fn(pa[i], pb[i]);
-  } else {
-    for (int i = 0; i < a.size(); ++i) (*c)[i] = fn(a[i], b[i]);
-  }
+  for (int i = 0; i < a.size(); ++i) (*c)[i] = fn(a[i], b[i]);
 }
 
 template <typename Fn>
 void UnaryInto(const Matrix& a, Matrix* c, Fn fn) {
   CLFD_METRIC_COUNT("tensor.elementwise.calls", 1);
   EnsureShape(c, a.rows(), a.cols(), /*zeroed=*/false);
-  if (CurrentKernelBackend() == KernelBackend::kSimd && a.size() > 0) {
-    const float* __restrict pa = a.data();
-    float* __restrict pc = c->data();
-    const int n = a.size();
-    for (int i = 0; i < n; ++i) pc[i] = fn(pa[i]);
-  } else {
-    for (int i = 0; i < a.size(); ++i) (*c)[i] = fn(a[i]);
-  }
+  for (int i = 0; i < a.size(); ++i) (*c)[i] = fn(a[i]);
 }
 
 template <typename Fn>
@@ -983,27 +811,6 @@ void SoftmaxRowsInto(const Matrix& a, Matrix* out) {
   obs::prof::AddFlops(int64_t{4} * a.size());
   obs::prof::AddBytes(int64_t{8} * a.size());
   EnsureShape(out, a.rows(), a.cols(), /*zeroed=*/false);
-  if (CurrentKernelBackend() == KernelBackend::kSimd) {
-    // Same per-row ops in the same order (the max and denom reductions
-    // stay ascending-c scalar chains — reordering those would change
-    // bits); __restrict lets the exp and divide passes vectorize.
-    const int cols = a.cols();
-    for (int r = 0; r < a.rows(); ++r) {
-      const float* __restrict arow = a.row(r);
-      float* __restrict orow = out->row(r);
-      float mx = -std::numeric_limits<float>::infinity();
-      for (int c = 0; c < cols; ++c) mx = std::max(mx, arow[c]);
-      double denom = 0.0;
-      for (int c = 0; c < cols; ++c) {
-        orow[c] = std::exp(arow[c] - mx);
-        denom += orow[c];
-      }
-      for (int c = 0; c < cols; ++c) {
-        orow[c] = static_cast<float>(orow[c] / denom);
-      }
-    }
-    return;
-  }
   for (int r = 0; r < a.rows(); ++r) {
     const float* arow = a.row(r);
     float* orow = out->row(r);
@@ -1260,71 +1067,6 @@ void MatMulTransposeATimeBlockedRows(const Matrix& x, const Matrix& g,
   }
 }
 
-// ---- Backend variants of the fused LSTM bodies (DESIGN.md §12). The
-// elementwise gate bodies differ from scalar only by __restrict (per-
-// element math is identical, so bitwise equality is structural); the two
-// AddInto matmuls get the same register tiling as the standalone kernels,
-// with the oracle's per-block fresh-partial-then-add order preserved per
-// element. ----
-
-void LstmGatesForwardRowsSimd(const Matrix& pre, const Matrix& hc_prev,
-                              Matrix* hc, Matrix* acts, int r0, int r1) {
-  const int h = pre.cols() / 4;
-  for (int r = r0; r < r1; ++r) {
-    const float* __restrict p = pre.row(r);
-    const float* __restrict hcp = hc_prev.row(r);
-    float* __restrict out = hc->row(r);
-    float* __restrict act = acts->row(r);
-    for (int j = 0; j < h; ++j) {
-      float iv = 1.0f / (1.0f + std::exp(-p[j]));
-      float fv = 1.0f / (1.0f + std::exp(-p[h + j]));
-      float gv = std::tanh(p[2 * h + j]);
-      float ov = 1.0f / (1.0f + std::exp(-p[3 * h + j]));
-      float t1 = fv * hcp[h + j];
-      float t2 = iv * gv;
-      float cv = t1 + t2;
-      float tc = std::tanh(cv);
-      out[j] = ov * tc;
-      out[h + j] = cv;
-      act[j] = iv;
-      act[h + j] = fv;
-      act[2 * h + j] = gv;
-      act[3 * h + j] = ov;
-      act[4 * h + j] = tc;
-    }
-  }
-}
-
-void LstmGatesBackwardRowsSimd(const Matrix& gout, const Matrix& acts,
-                               const Matrix& hc_prev, Matrix* dpre,
-                               Matrix* dhc_prev, int r0, int r1) {
-  const int h = dpre->cols() / 4;
-  for (int r = r0; r < r1; ++r) {
-    const float* __restrict g = gout.row(r);
-    const float* __restrict act = acts.row(r);
-    const float* __restrict hcp = hc_prev.row(r);
-    float* __restrict dp = dpre->row(r);
-    float* __restrict dhp = dhc_prev != nullptr ? dhc_prev->row(r) : nullptr;
-    for (int j = 0; j < h; ++j) {
-      float iv = act[j], fv = act[h + j], gv = act[2 * h + j];
-      float ov = act[3 * h + j], tc = act[4 * h + j];
-      float dh = g[j];
-      float dc_ext = g[h + j];
-      float dov = dh * tc;
-      float dtc = dh * ov;
-      float dc = dc_ext + dtc * (1.0f - tc * tc);
-      float div_ = dc * gv;
-      float dgv = dc * iv;
-      float dfv = dc * hcp[h + j];
-      if (dhp != nullptr) dhp[h + j] += dc * fv;
-      dp[j] += div_ * iv * (1.0f - iv);
-      dp[h + j] += dfv * fv * (1.0f - fv);
-      dp[2 * h + j] += dgv * (1.0f - gv * gv);
-      dp[3 * h + j] += dov * ov * (1.0f - ov);
-    }
-  }
-}
-
 // Tiled acc += g * w^T per gate block: a kDotTile x kDotTile tile of
 // independent fresh-partial chains (ascending k within the block), each
 // finished by the oracle's single rounded add into acc.
@@ -1494,15 +1236,8 @@ void LstmGatesForward(const Matrix& pre, const Matrix& hc_prev, Matrix* hc,
   // Both row bodies assign every hc/acts element, so reuse needs no zeroing.
   EnsureShape(hc, pre.rows(), 2 * h, /*zeroed=*/false);
   EnsureShape(acts, pre.rows(), 5 * h, /*zeroed=*/false);
-  // scalar and blocked share the scalar body (there is nothing to block in
-  // an elementwise kernel); simd gets the __restrict variant.
-  const bool simd = CurrentKernelBackend() == KernelBackend::kSimd;
   DispatchRowRange(pre.rows(), flops, [&](int lo, int hi) {
-    if (simd) {
-      LstmGatesForwardRowsSimd(pre, hc_prev, hc, acts, lo, hi);
-    } else {
-      LstmGatesForwardRows(pre, hc_prev, hc, acts, lo, hi);
-    }
+    LstmGatesForwardRows(pre, hc_prev, hc, acts, lo, hi);
   });
 }
 
@@ -1525,13 +1260,8 @@ void LstmGatesBackward(const Matrix& gout, const Matrix& acts,
   // and optionally dhc_prev [Bx2H].
   obs::prof::AddBytes(int64_t{4} * gout.rows() *
                       ((13 + (dhc_prev != nullptr ? 2 : 0)) * h));
-  const bool simd = CurrentKernelBackend() == KernelBackend::kSimd;
   DispatchRowRange(gout.rows(), flops, [&](int lo, int hi) {
-    if (simd) {
-      LstmGatesBackwardRowsSimd(gout, acts, hc_prev, dpre, dhc_prev, lo, hi);
-    } else {
-      LstmGatesBackwardRows(gout, acts, hc_prev, dpre, dhc_prev, lo, hi);
-    }
+    LstmGatesBackwardRows(gout, acts, hc_prev, dpre, dhc_prev, lo, hi);
   });
 }
 
@@ -1547,16 +1277,10 @@ void MatMulTransposeBGateBlockedAddInto(const Matrix& g, const Matrix& w,
   CLFD_PROF_SCOPE("MatMulTBBlocked");
   obs::prof::AddFlops(flops);
   obs::prof::AddBytes(int64_t{4} * (g.size() + w.size() + acc->size()));
-  // The dot tile keeps its chains in scalar registers, so blocked and simd
-  // share the tiled body (like MatMulTransposeB).
-  const bool tiled = CurrentKernelBackend() != KernelBackend::kScalar;
-  DispatchRowRange(g.rows(), flops, [&](int lo, int hi) {
-    if (tiled) {
-      MatMulTransposeBGateBlockedRowsTiled(g, w, acc, lo, hi);
-    } else {
-      MatMulTransposeBGateBlockedRows(g, w, acc, lo, hi);
-    }
-  });
+  auto* rows = ForBackend(MatMulTransposeBGateBlockedRows,
+                          MatMulTransposeBGateBlockedRowsTiled);
+  DispatchRowRange(g.rows(), flops,
+                   [&](int lo, int hi) { rows(g, w, acc, lo, hi); });
 }
 
 void MatMulTransposeATimeBlockedAddInto(const Matrix& x, const Matrix& g,
@@ -1571,13 +1295,10 @@ void MatMulTransposeATimeBlockedAddInto(const Matrix& x, const Matrix& g,
   CLFD_PROF_SCOPE("MatMulTABlocked");
   obs::prof::AddFlops(flops);
   obs::prof::AddBytes(int64_t{4} * (x.size() + g.size() + acc->size()));
-  const bool tiled = CurrentKernelBackend() != KernelBackend::kScalar;
+  auto* rows = ForBackend(MatMulTransposeATimeBlockedRows,
+                          MatMulTransposeATimeBlockedRowsTiled);
   DispatchRowRange(acc->rows(), flops, [&](int lo, int hi) {
-    if (tiled) {
-      MatMulTransposeATimeBlockedRowsTiled(x, g, block_rows, acc, lo, hi);
-    } else {
-      MatMulTransposeATimeBlockedRows(x, g, block_rows, acc, lo, hi);
-    }
+    rows(x, g, block_rows, acc, lo, hi);
   });
 }
 

@@ -123,7 +123,7 @@ TEST(BackendInvarianceTest, RunMetricsBitwiseIdenticalAcrossBackends) {
   // interchangeable, so the full pipeline — SimCLR pretrain, corrector,
   // SupCon detector, classifier — must produce identical RunMetrics under
   // every backend at every thread width. The scalar run at width 1 is the
-  // oracle; all eight other (backend, width) combinations must match it.
+  // oracle; all five other (backend, width) combinations must match it.
   SplitSpec split{40, 6, 20, 4};
   ClfdConfig config = TinyConfig();
   RunMetrics oracle;
@@ -163,6 +163,7 @@ TEST(PlanInvarianceTest, RunMetricsBitwiseIdenticalWithPlansOnAndOff) {
   RunMetrics oracle;
   {
     plan::ScopedEnabled off(false);
+    ScopedKernelBackend scalar(KernelBackend::kScalar);
     parallel::SetGlobalThreads(1);
     ExperimentContext context(DatasetKind::kWiki, split,
                               NoiseSpec::Uniform(0.3), config.emb_dim, 21);

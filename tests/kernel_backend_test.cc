@@ -1,14 +1,16 @@
 // Scalar-oracle equivalence suite for the kernel backends
 // (src/tensor/kernel_backend.h). The repo invariant under test: the
-// blocked and simd backends are *bitwise* interchangeable with the scalar
-// bodies for every kernel, every shape — including tile-boundary
-// remainders, degenerate dims, signed zeros, denormals, and Inf inputs —
-// at every thread width. Each case computes the oracle result on the
-// scalar backend with kernels forced serial, then recomputes under every
-// backend x {serial, parallel width 2, parallel width 4} and
+// blocked backend (the process default) is *bitwise* interchangeable with
+// the scalar bodies for every kernel, every shape — including
+// tile-boundary remainders, degenerate dims, signed zeros, denormals, and
+// Inf inputs — at every thread width. Each case computes the oracle result
+// on the scalar backend with kernels forced serial, then recomputes under
+// every backend x {serial, parallel width 2, parallel width 4} and
 // memcmp-compares the raw float bits. The single carve-out is NaN
 // *payload* bits (EqualModuloNanPayload below): NaN-ness itself is still
-// exact per element.
+// exact per element. KernelFingerprint additionally pins the MatMul
+// family's output bits to committed hashes, so the oracle itself cannot
+// drift unnoticed.
 
 #include "tensor/kernel_backend.h"
 
@@ -133,29 +135,32 @@ void ExpectAllBackendsBitwiseEqual(
 
 // ---- Selector plumbing ----
 
-TEST(KernelBackendSelector, NamesParseRoundTrip) {
-  for (KernelBackend b : AllKernelBackends()) {
-    KernelBackend parsed = KernelBackend::kScalar;
-    EXPECT_TRUE(ParseKernelBackend(KernelBackendName(b), &parsed));
-    EXPECT_EQ(parsed, b);
-  }
-  KernelBackend parsed = KernelBackend::kBlocked;
-  EXPECT_FALSE(ParseKernelBackend("avx512", &parsed));
-  EXPECT_FALSE(ParseKernelBackend("", &parsed));
-  EXPECT_FALSE(ParseKernelBackend("Scalar", &parsed));
-  EXPECT_EQ(parsed, KernelBackend::kBlocked);  // untouched on failure
+// Every test that overrides the backend does so through a scope, so
+// outside one the process default is what production runs.
+TEST(KernelBackendSelector, DefaultIsBlocked) {
+  EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kBlocked);
+  EXPECT_STREQ(KernelBackendName(CurrentKernelBackend()), "blocked");
+}
+
+TEST(KernelBackendSelector, AllBackendsAreScalarThenBlocked) {
+  const auto& all = AllKernelBackends();
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0], KernelBackend::kScalar);
+  EXPECT_EQ(all[1], KernelBackend::kBlocked);
+  EXPECT_STREQ(KernelBackendName(all[0]), "scalar");
+  EXPECT_STREQ(KernelBackendName(all[1]), "blocked");
 }
 
 TEST(KernelBackendSelector, ScopedOverrideRestores) {
   const KernelBackend before = CurrentKernelBackend();
   {
-    ScopedKernelBackend use(KernelBackend::kSimd);
-    EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kSimd);
+    ScopedKernelBackend use(KernelBackend::kScalar);
+    EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kScalar);
     {
       ScopedKernelBackend inner(KernelBackend::kBlocked);
       EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kBlocked);
     }
-    EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kSimd);
+    EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kScalar);
   }
   EXPECT_EQ(CurrentKernelBackend(), before);
 }
@@ -168,10 +173,10 @@ TEST(KernelBackendSelector, SelectionStampsReportAnnotation) {
     return "";
   };
   {
-    ScopedKernelBackend use(KernelBackend::kBlocked);
-    EXPECT_EQ(annotation(), "blocked");
+    ScopedKernelBackend use(KernelBackend::kScalar);
+    EXPECT_EQ(annotation(), "scalar");
   }
-  EXPECT_EQ(annotation(), KernelBackendName(CurrentKernelBackend()));
+  EXPECT_EQ(annotation(), "blocked");
 }
 
 // ---- MatMul family over adversarial shapes ----
@@ -404,29 +409,166 @@ TEST(KernelBackendFuzz, ThousandRandomShapesBitwiseIdentical) {
       ew = Mul(Sigmoid(a), e);
       sm = SoftmaxRows(a);
     }
-    for (KernelBackend backend :
-         {KernelBackend::kBlocked, KernelBackend::kSimd}) {
-      ScopedKernelBackend use(backend);
-      ASSERT_TRUE(BitwiseEqual(mm, MatMul(a, b)))
-          << "MatMul " << m << "x" << k << "x" << n << " backend "
-          << KernelBackendName(backend) << " iter " << iter;
-      ASSERT_TRUE(BitwiseEqual(ta, MatMulTransposeA(at, b)))
-          << "MatMulTransposeA " << m << "x" << k << "x" << n << " backend "
-          << KernelBackendName(backend) << " iter " << iter;
-      ASSERT_TRUE(BitwiseEqual(tb, MatMulTransposeB(a, bt)))
-          << "MatMulTransposeB " << m << "x" << k << "x" << n << " backend "
-          << KernelBackendName(backend) << " iter " << iter;
-      ASSERT_TRUE(BitwiseEqual(ew, Mul(Sigmoid(a), e)))
-          << "elementwise " << m << "x" << k << " backend "
-          << KernelBackendName(backend) << " iter " << iter;
-      ASSERT_TRUE(BitwiseEqual(sm, SoftmaxRows(a)))
-          << "softmax " << m << "x" << k << " backend "
-          << KernelBackendName(backend) << " iter " << iter;
-    }
+    ScopedKernelBackend blocked(KernelBackend::kBlocked);
+    ASSERT_TRUE(BitwiseEqual(mm, MatMul(a, b)))
+        << "MatMul " << m << "x" << k << "x" << n << " iter " << iter;
+    ASSERT_TRUE(BitwiseEqual(ta, MatMulTransposeA(at, b)))
+        << "MatMulTransposeA " << m << "x" << k << "x" << n << " iter "
+        << iter;
+    ASSERT_TRUE(BitwiseEqual(tb, MatMulTransposeB(a, bt)))
+        << "MatMulTransposeB " << m << "x" << k << "x" << n << " iter "
+        << iter;
+    ASSERT_TRUE(BitwiseEqual(ew, Mul(Sigmoid(a), e)))
+        << "elementwise " << m << "x" << k << " iter " << iter;
+    ASSERT_TRUE(BitwiseEqual(sm, SoftmaxRows(a)))
+        << "softmax " << m << "x" << k << " iter " << iter;
   }
   // The 50/50 dispatch split actually exercised both paths.
   EXPECT_GT(parallel_runs, 300);
   EXPECT_LT(parallel_runs, 700);
+}
+
+// ---- Committed output fingerprint ----
+
+// A float with at most 20 significant bits in [-2, 2), or an exact +0.0f
+// or -0.0f one draw in sixteen each, so the oracle's zero-skip branches
+// run. A product of two such values needs up to 40 bits and rounds to 24,
+// so any reordering of a k-sum changes the hash. Built from
+// Rng::UniformInt alone: mt19937_64's output is fixed by the C++ standard,
+// while std::normal_distribution and libm differ between toolchains.
+float FingerprintValue(Rng* rng) {
+  const int kind = rng->UniformInt(16);
+  if (kind == 0) return 0.0f;
+  if (kind == 1) return -0.0f;
+  return static_cast<float>(rng->UniformInt(1 << 20) - (1 << 19)) /
+         static_cast<float>(1 << 18);
+}
+
+Matrix FingerprintMatrix(int rows, int cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (int i = 0; i < m.size(); ++i) m[i] = FingerprintValue(rng);
+  return m;
+}
+
+// FNV-1a over the shape and the raw float bits, byte order fixed.
+void HashInto(const Matrix& m, uint64_t* h) {
+  const auto mix = [h](uint32_t v) {
+    for (int byte = 0; byte < 4; ++byte) {
+      *h ^= (v >> (8 * byte)) & 0xffu;
+      *h *= 1099511628211ull;
+    }
+  };
+  mix(static_cast<uint32_t>(m.rows()));
+  mix(static_cast<uint32_t>(m.cols()));
+  for (int i = 0; i < m.size(); ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, m.data() + i, sizeof(bits));
+    mix(bits);
+  }
+}
+
+constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+
+enum FingerprintKernel {
+  kFpMatMul,
+  kFpMatMulTransposeA,
+  kFpMatMulTransposeB,
+  kFpGateBlockedAddInto,
+  kFpTimeBlockedAddInto,
+  kFpKernelCount,
+};
+
+const char* const kFingerprintKernelNames[kFpKernelCount] = {
+    "MatMul", "MatMulTransposeA", "MatMulTransposeB",
+    "MatMulTransposeBGateBlockedAddInto",
+    "MatMulTransposeATimeBlockedAddInto"};
+
+// One hash per MatMul-family kernel over a fixed shape list: register-tile
+// edges and their ±1 neighbours (kRowTile/kDotTile 4, kColTile 8, the
+// 256-wide k-panel), primes, and zero extents. Inputs are regenerated from
+// fixed seeds on every call, so the result depends only on the kernels
+// and the active backend, width and parallel threshold.
+std::vector<uint64_t> MatMulFamilyFingerprints() {
+  std::vector<uint64_t> hashes(kFpKernelCount, kFnvOffset);
+  const Shape3 shapes[] = {
+      {1, 1, 1},    {2, 3, 5},    {3, 7, 9},   {4, 8, 8},    {5, 9, 7},
+      {7, 4, 15},   {8, 16, 17},  {11, 13, 23}, {12, 31, 16}, {13, 29, 37},
+      {9, 255, 7},  {4, 256, 8},  {5, 257, 9}, {17, 513, 3}, {41, 5, 33},
+      {0, 3, 4},    {4, 0, 3},    {4, 3, 0},
+  };
+  Rng rng(20261016);
+  for (const Shape3& s : shapes) {
+    const Matrix a = FingerprintMatrix(s.m, s.k, &rng);
+    const Matrix b = FingerprintMatrix(s.k, s.n, &rng);
+    const Matrix at = FingerprintMatrix(s.k, s.m, &rng);
+    const Matrix bt = FingerprintMatrix(s.n, s.k, &rng);
+    HashInto(MatMul(a, b), &hashes[kFpMatMul]);
+    HashInto(MatMulTransposeA(at, b), &hashes[kFpMatMulTransposeA]);
+    HashInto(MatMulTransposeB(a, bt), &hashes[kFpMatMulTransposeB]);
+  }
+  struct GateShape {
+    int rows, cols, h;
+  };
+  for (const GateShape& s :
+       {GateShape{1, 1, 1}, GateShape{3, 5, 2}, GateShape{4, 4, 4},
+        GateShape{5, 9, 3}, GateShape{8, 7, 8}, GateShape{13, 17, 5},
+        GateShape{9, 16, 12}, GateShape{0, 3, 2}, GateShape{3, 0, 2},
+        GateShape{4, 5, 0}}) {
+    const Matrix g = FingerprintMatrix(s.rows, 4 * s.h, &rng);
+    const Matrix w = FingerprintMatrix(s.cols, 4 * s.h, &rng);
+    Matrix acc = FingerprintMatrix(s.rows, s.cols, &rng);
+    MatMulTransposeBGateBlockedAddInto(g, w, &acc);
+    HashInto(acc, &hashes[kFpGateBlockedAddInto]);
+  }
+  struct TimeShape {
+    int t, b, k, n;
+  };
+  for (const TimeShape& s :
+       {TimeShape{1, 1, 1, 1}, TimeShape{3, 2, 5, 7}, TimeShape{4, 4, 8, 8},
+        TimeShape{5, 3, 9, 17}, TimeShape{2, 8, 13, 9},
+        TimeShape{6, 5, 12, 33}, TimeShape{7, 3, 4, 8},
+        TimeShape{0, 3, 4, 5}, TimeShape{3, 4, 0, 5},
+        TimeShape{3, 4, 5, 0}}) {
+    const Matrix x = FingerprintMatrix(s.t * s.b, s.k, &rng);
+    const Matrix g = FingerprintMatrix(s.t * s.b, s.n, &rng);
+    Matrix acc = FingerprintMatrix(s.k, s.n, &rng);
+    MatMulTransposeATimeBlockedAddInto(x, g, s.b, &acc);
+    HashInto(acc, &hashes[kFpTimeBlockedAddInto]);
+  }
+  return hashes;
+}
+
+// The committed hashes were generated once by the scalar backend with
+// every kernel serial. They hold only for builds that neither re-associate
+// nor contract float arithmetic (no -ffast-math, no FMA contraction;
+// DESIGN.md §12). A change to them is a deliberate, reviewed event: the
+// failure message prints the new value.
+TEST(KernelFingerprint, MatMulFamilyMatchesCommittedHashes) {
+  const uint64_t kExpected[kFpKernelCount] = {
+      0xa28ae2e8f6b792adull,  // MatMul
+      0x29717fa67482346aull,  // MatMulTransposeA
+      0x880a1679a7e87fa1ull,  // MatMulTransposeB
+      0x34c3526f8a7acfabull,  // MatMulTransposeBGateBlockedAddInto
+      0x8d88c250e2405eb1ull,  // MatMulTransposeATimeBlockedAddInto
+  };
+  for (KernelBackend backend : AllKernelBackends()) {
+    ScopedKernelBackend use(backend);
+    for (int width : {1, 2, 4}) {
+      ScopedThreads threads(width);
+      for (bool parallel_path : {false, true}) {
+        ScopedMatmulParallelThreshold threshold(
+            parallel_path ? 0 : std::numeric_limits<int64_t>::max());
+        const std::vector<uint64_t> got = MatMulFamilyFingerprints();
+        for (int i = 0; i < kFpKernelCount; ++i) {
+          EXPECT_EQ(got[i], kExpected[i])
+              << kFingerprintKernelNames[i] << " backend "
+              << KernelBackendName(backend) << " width " << width
+              << (parallel_path ? " row-parallel" : " serial") << ": got 0x"
+              << std::hex << got[i];
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

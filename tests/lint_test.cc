@@ -426,7 +426,7 @@ TEST(LintKernelBackendConfinement, FlagsBackendSelectionOutsideTensor) {
   EXPECT_EQ(CountRule(
                 LintSource(kModelPath,
                            Lines({"if (CurrentKernelBackend() == "
-                                  "KernelBackend::kSimd) {"})),
+                                  "KernelBackend::kBlocked) {"})),
                 kRuleKernelBackendConfinement),
             1);
   EXPECT_EQ(CountRule(LintSource(kModelPath,

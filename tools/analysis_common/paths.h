@@ -24,8 +24,8 @@ bool IsInfraAllowlisted(const std::string& path);
 // (tensor/kernel_backend.h): the tensor layer itself, where the backend
 // dispatch lives, and the gradient checker, whose whole job is sweeping
 // backends. Everything else — autograd ops, layers, losses, training —
-// must stay backend-agnostic: selection is process-global (env / CLI / a
-// scoped override in tests), never a per-call-site decision, or the
+// must stay backend-agnostic: selection is process-global (the default,
+// or a scoped override in tests), never a per-call-site decision, or the
 // bitwise interchangeability guarantee fragments into per-op special
 // cases.
 bool IsKernelBackendAllowlisted(const std::string& path);

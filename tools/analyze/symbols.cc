@@ -183,8 +183,8 @@ bool IsAtomicDecl(const std::vector<Token>& stmt) {
 }
 
 const char* const kKernelBackendTokens[] = {
-    "KernelBackend",      "CurrentKernelBackend", "ScopedKernelBackend",
-    "SetKernelBackend",   "ParseKernelBackend",   "AllKernelBackends",
+    "KernelBackend",    "CurrentKernelBackend", "ScopedKernelBackend",
+    "SetKernelBackend", "AllKernelBackends",
 };
 
 // The tape-interception protocol (autograd/tape_hooks.h) and the plan
@@ -438,7 +438,7 @@ void CheckSymbols(const ParsedFile& file, Reporter* reporter) {
               "kernel-backend selection ('" + t.text + "') outside "
               "src/tensor (and the grad checker); ops and layers must stay "
               "backend-agnostic — dispatch lives inside the tensor "
-              "kernels, selection is global (env/CLI) or a test-scoped "
+              "kernels, selection is the process default or a test-scoped "
               "ScopedKernelBackend");
           break;
         }

@@ -58,27 +58,14 @@ for preset in "${presets[@]}"; do
   cmake --build --preset "${preset}" -j "${jobs}"
   echo "==== [${preset}] test"
   ctest --preset "${preset}" -j "${jobs}"
-  # Kernel-backend dimension: the equivalence suite sweeps every backend
-  # internally, but the ambient default (CLFD_KERNEL_BACKEND) decides which
-  # bodies the rest of the pipeline executes — so rerun the scalar-oracle
-  # suite and the end-to-end invariance test with each non-scalar backend
-  # as the process default. Under asan/ubsan/tsan this is what puts the
-  # blocked/simd tile loops in front of the sanitizers.
-  build_dir="build"
-  [[ "${preset}" != "default" ]] && build_dir="build-${preset}"
-  for backend in blocked simd; do
-    echo "==== [${preset}] kernel backend dimension: ${backend}"
-    CLFD_KERNEL_BACKEND="${backend}" \
-        "./${build_dir}/tests/kernel_backend_test"
-    CLFD_KERNEL_BACKEND="${backend}" "./${build_dir}/tests/eval_test" \
-        --gtest_filter='BackendInvarianceTest.*'
-  done
   # Execution-plan dimension: the ctest run already covers the ambient
   # default (plans on), so rerun the plan suite and the full-pipeline
   # invariance test with each CLFD_PLAN value pinned. Under asan/ubsan/
   # tsan this puts the capture/replay machinery — persistent node buffers
   # reused across thousands of steps — in front of the sanitizers in both
   # modes.
+  build_dir="build"
+  [[ "${preset}" != "default" ]] && build_dir="build-${preset}"
   for plan in 0 1; do
     echo "==== [${preset}] execution plan dimension: CLFD_PLAN=${plan}"
     CLFD_PLAN="${plan}" "./${build_dir}/tests/plan_test"

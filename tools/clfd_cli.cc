@@ -21,9 +21,6 @@
 //   --log-level=LVL     debug|info|warn|error|off (default: CLFD_LOG_LEVEL)
 //   --threads=N         parallel width (default: CLFD_THREADS env, else all
 //                       hardware threads); results are identical for any N
-//   --kernel-backend=B  scalar|blocked|simd kernel bodies (default:
-//                       CLFD_KERNEL_BACKEND env, else scalar); every
-//                       backend is bitwise-identical, only speed differs
 //   --no-plan           disable static execution plans and rebuild the
 //                       autograd tape every step (default: CLFD_PLAN env,
 //                       else plans on); bitwise-identical results
@@ -61,7 +58,6 @@
 #include "parallel/thread_pool.h"
 #include "plan/plan.h"
 #include "recovery/fault_plan.h"
-#include "tensor/kernel_backend.h"
 #include "recovery/run_checkpointer.h"
 #include "recovery/watchdog.h"
 
@@ -128,9 +124,6 @@ int Usage() {
       "execution (any subcommand):\n"
       "  --threads=N   thread-pool width (default CLFD_THREADS or all\n"
       "                cores; never changes results, only speed)\n"
-      "  --kernel-backend=scalar|blocked|simd\n"
-      "                kernel implementation (default CLFD_KERNEL_BACKEND\n"
-      "                or scalar; bitwise-identical results, only speed)\n"
       "  --no-plan     rebuild the autograd tape every step instead of\n"
       "                replaying captured execution plans (default\n"
       "                CLFD_PLAN or on; bitwise-identical results)\n"
@@ -368,18 +361,6 @@ int Main(int argc, char** argv) {
 
   int threads = args.GetInt("threads", 0);
   if (threads > 0) parallel::SetGlobalThreads(threads);
-
-  std::string backend_name = args.Get("kernel-backend", "");
-  if (!backend_name.empty()) {
-    KernelBackend backend;
-    if (!ParseKernelBackend(backend_name, &backend)) {
-      std::fprintf(stderr,
-                   "bad --kernel-backend '%s' (want scalar|blocked|simd)\n",
-                   backend_name.c_str());
-      return 2;
-    }
-    SetKernelBackend(backend);
-  }
 
   // Execution plans default on (CLFD_PLAN env); --no-plan forces the
   // dynamic tape. Bitwise-identical results either way, only speed differs.

@@ -267,13 +267,13 @@ std::vector<Violation> LintSource(const std::string& rel_path,
         // #include "tensor/kernel_backend.h") are blanked by pass 1.
         for (const char* tok :
              {"KernelBackend", "CurrentKernelBackend", "ScopedKernelBackend",
-              "SetKernelBackend", "ParseKernelBackend", "AllKernelBackends"}) {
+              "SetKernelBackend", "AllKernelBackends"}) {
           if (HasToken(code, tok)) {
             report(i, kRuleKernelBackendConfinement,
                    "kernel-backend selection outside src/tensor (and the "
                    "grad checker); ops and layers must stay backend-"
                    "agnostic — dispatch lives inside the tensor kernels, "
-                   "selection is global (env/CLI) or a test-scoped "
+                   "selection is the process default or a test-scoped "
                    "ScopedKernelBackend");
             break;
           }
