@@ -82,6 +82,8 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
   int aux = minority_pool.empty()
                 ? 0
                 : std::max(1, config.batch_size / 5);
+  // Mixup partner candidates: the whole training table, grouped by label.
+  const MixupPartners partners(labels);
 
 #if !defined(CLFD_OBS_FORCE_OFF)
   obs::Series* loss_series = obs::MetricsRegistry::Get().GetSeries(
@@ -137,7 +139,7 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
           // reduced data scales); the mixed term supplies the label-
           // memorization protection the paper credits mixup with.
           MixupBatch mixed =
-              MakeMixupBatch(batch_features, batch_labels, features, labels,
+              MakeMixupBatch(batch_features, batch_labels, features, partners,
                              config.mixup_beta, rng);
           ag::Var mixed_probs =
               classifier->ForwardProbs(ag::Constant(mixed.features));
@@ -164,7 +166,7 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
         case ClassifierLoss::kMixupMae: {
           // Future-work extension: mixup unhinged/MAE (GCE at q = 1).
           MixupBatch mixed =
-              MakeMixupBatch(batch_features, batch_labels, features, labels,
+              MakeMixupBatch(batch_features, batch_labels, features, partners,
                              config.mixup_beta, rng);
           ag::Var mixed_probs =
               classifier->ForwardProbs(ag::Constant(mixed.features));
@@ -179,7 +181,7 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
         case ClassifierLoss::kMixupSce: {
           // Future-work extension: mixup Symmetric Cross Entropy.
           MixupBatch mixed =
-              MakeMixupBatch(batch_features, batch_labels, features, labels,
+              MakeMixupBatch(batch_features, batch_labels, features, partners,
                              config.mixup_beta, rng);
           ag::Var mixed_probs =
               classifier->ForwardProbs(ag::Constant(mixed.features));

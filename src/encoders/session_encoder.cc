@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "obs/prof.h"
 #include "parallel/thread_pool.h"
@@ -13,7 +14,9 @@ PaddedBatch BuildPaddedBatch(const std::vector<const Session*>& sessions,
                              const Matrix& embeddings) {
   int batch = static_cast<int>(sessions.size());
   int emb_dim = embeddings.cols();
-  int max_len = 0;
+  // At least one step: an all-empty batch then runs the same zero step with
+  // a zero mask that an empty session sees inside a mixed batch.
+  int max_len = 1;
   for (const Session* s : sessions) max_len = std::max(max_len, s->length());
 
   PaddedBatch out;
@@ -78,26 +81,35 @@ Matrix SessionEncoder::EncodeDataset(const SessionDataset& dataset,
                                      const Matrix& embeddings,
                                      int chunk) const {
   CLFD_PROF_SCOPE("encode.dataset");
-  Matrix out(dataset.size(), hidden_dim());
-  if (dataset.size() == 0) return out;
+  const int n = dataset.size();
+  Matrix out(n, hidden_dim());
+  if (n == 0) return out;
+  // Chunks take sessions in stable length order, so each pads to little
+  // more than its own sessions' lengths. A row's encoding does not depend
+  // on its batch-mates (kernels treat rows independently and the mean is
+  // masked), so the order changes no output bit.
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
+    return dataset.sessions[x].session.length() <
+           dataset.sessions[y].session.length();
+  });
   // Forward-only: concurrent EncodeBatch calls read the shared parameter
   // values but never touch gradients, and each chunk writes its own rows.
-  parallel::ParallelFor(0, dataset.size(), chunk, [&](int64_t lo,
-                                                      int64_t hi) {
+  parallel::ParallelFor(0, n, chunk, [&](int64_t lo, int64_t hi) {
     // Per-chunk bump arena for the forward tape; `out` was allocated
     // before the loop so it stays heap-backed. The encoded rows are
     // copied out before the arena dies with the chunk.
     arena::Arena chunk_arena;
     arena::ScopedArena scope(&chunk_arena);
-    int start = static_cast<int>(lo), end = static_cast<int>(hi);
     std::vector<const Session*> batch;
-    batch.reserve(end - start);
-    for (int i = start; i < end; ++i) {
-      batch.push_back(&dataset.sessions[i].session);
+    batch.reserve(hi - lo);
+    for (int64_t p = lo; p < hi; ++p) {
+      batch.push_back(&dataset.sessions[order[p]].session);
     }
     Matrix encoded = EncodeBatch(batch, embeddings).value();
-    for (int i = start; i < end; ++i) {
-      out.CopyRowFrom(encoded, i - start, i);
+    for (int64_t p = lo; p < hi; ++p) {
+      out.CopyRowFrom(encoded, static_cast<int>(p - lo), order[p]);
     }
   });
   return out;

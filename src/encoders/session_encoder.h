@@ -20,8 +20,8 @@ namespace clfd {
 // the mean input embedding (a randomly initialized deep LSTM otherwise
 // attenuates the linearly separable content signal that the paper's
 // training scales preserve — see DESIGN.md, "encoder residual"). Batches
-// are padded to the longest session; padded positions are excluded from the
-// averages and therefore contribute no gradient.
+// are padded to the longest session (at least one step); padded positions
+// are excluded from the averages and therefore contribute no gradient.
 class SessionEncoder : public nn::Module {
  public:
   SessionEncoder(int emb_dim, int hidden_dim, int num_layers, Rng* rng);
@@ -31,11 +31,13 @@ class SessionEncoder : public nn::Module {
   ag::Var EncodeBatch(const std::vector<const Session*>& sessions,
                       const Matrix& embeddings) const;
 
-  // Inference helper: encodes every session of `dataset` in chunks of
-  // `chunk` and returns the [N x hidden] value matrix (no graph retained).
-  // Chunks run in parallel on the global pool; chunk boundaries depend only
-  // on `chunk`, and chunks write disjoint output rows, so the result is
-  // identical at any thread count.
+  // Inference helper: encodes every session of `dataset` and returns the
+  // [N x hidden] value matrix in dataset order (no graph retained). Chunks
+  // of `chunk` sessions follow a stable length-sorted order, so each chunk
+  // pads to about its own sessions' length; a session's row is bitwise the
+  // same as encoding it alone. Chunks run in parallel on the global pool
+  // and write disjoint output rows, so the result is identical at any
+  // thread count.
   Matrix EncodeDataset(const SessionDataset& dataset, const Matrix& embeddings,
                        int chunk = 128) const;
 
@@ -69,6 +71,7 @@ class ProjectionHead : public nn::Module {
 // step t is a [B x emb_dim] matrix whose row i holds the embedding of
 // session i's t-th activity (zero when t >= length_i). Also returns the
 // per-timestep averaging masks (row i of mask t = 1/length_i when valid).
+// There is at least one step, all zero when every session is empty.
 struct PaddedBatch {
   std::vector<Matrix> steps;
   std::vector<Matrix> mean_masks;  // [B x 1] per step

@@ -16,21 +16,23 @@ Matrix OneHot(const std::vector<int>& labels, int num_classes) {
   return out;
 }
 
+MixupPartners::MixupPartners(const std::vector<int>& pool_labels) {
+  for (int i = 0; i < static_cast<int>(pool_labels.size()); ++i) {
+    by_class[pool_labels[i] == 1 ? 1 : 0].push_back(i);
+  }
+}
+
 MixupBatch MakeMixupBatch(const Matrix& features,
                           const std::vector<int>& labels,
                           const Matrix& pool_features,
-                          const std::vector<int>& pool_labels, double beta,
+                          const MixupPartners& partners, double beta,
                           Rng* rng) {
   assert(features.rows() == static_cast<int>(labels.size()));
-  assert(pool_features.rows() == static_cast<int>(pool_labels.size()));
+  assert(pool_features.rows() ==
+         static_cast<int>(partners.by_class[0].size() +
+                          partners.by_class[1].size()));
   int batch = features.rows();
   int dim = features.cols();
-
-  // Partner candidates per class.
-  std::vector<int> by_class[2];
-  for (int i = 0; i < pool_features.rows(); ++i) {
-    by_class[pool_labels[i] == 1 ? 1 : 0].push_back(i);
-  }
 
   MixupBatch out;
   out.features = Matrix(batch, dim);
@@ -38,8 +40,8 @@ MixupBatch MakeMixupBatch(const Matrix& features,
   out.lambdas.resize(batch);
   for (int i = 0; i < batch; ++i) {
     int yi = labels[i] == 1 ? 1 : 0;
-    const std::vector<int>& opposite = by_class[1 - yi];
-    const std::vector<int>& same = by_class[yi];
+    const std::vector<int>& opposite = partners.by_class[1 - yi];
+    const std::vector<int>& same = partners.by_class[yi];
     int j;
     int yj;
     if (!opposite.empty()) {

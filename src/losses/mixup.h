@@ -22,15 +22,23 @@ struct MixupBatch {
   std::vector<double> lambdas;  // per-row interpolation coefficient
 };
 
+// The partner candidates of a pool: its row indices grouped by binary
+// label. Built once per pool, not once per batch.
+struct MixupPartners {
+  explicit MixupPartners(const std::vector<int>& pool_labels);
+  std::vector<int> by_class[2];
+};
+
 // Builds a mixup batch for the given feature rows and binary labels.
-// `pool_features`/`pool_labels` provide the candidates partners are drawn
-// from (typically the full training representation table so every batch can
-// find opposite-class partners even under extreme imbalance). Falls back to
-// a same-class partner when the opposite class is absent from the pool.
+// `pool_features` rows, grouped by `partners`, are the candidates partners
+// are drawn from (typically the full training representation table so every
+// batch can find opposite-class partners even under extreme imbalance).
+// Falls back to a same-class partner when the opposite class is absent from
+// the pool.
 MixupBatch MakeMixupBatch(const Matrix& features,
                           const std::vector<int>& labels,
                           const Matrix& pool_features,
-                          const std::vector<int>& pool_labels, double beta,
+                          const MixupPartners& partners, double beta,
                           Rng* rng);
 
 // One-hot encodes binary labels into [B x 2].

@@ -14,7 +14,8 @@ namespace clfd {
 // hashes; DESIGN.md §12 gives the argument.
 //
 //   scalar   the original per-row loops (the test oracle; also the
-//            fallback for tile remainders inside the blocked bodies)
+//            fallback for row remainders inside the blocked bodies, except
+//            MatMul's, which run a one-row tile)
 //   blocked  register-tiled (4x8 output tile) + L1-blocked over k; the
 //            process default
 enum class KernelBackend : int {

@@ -250,7 +250,8 @@ void MatMulTransposeBRows(const Matrix& a, const Matrix& b, Matrix* c, int r0,
 
 // ---------------------------------------------------------------------------
 // Blocked backend bodies (the default; the scalar oracle above runs only
-// when a ScopedKernelBackend selects it, and for row remainders).
+// when a ScopedKernelBackend selects it, and for the row remainders of the
+// kernels other than MatMul).
 //
 // Determinism contract (DESIGN.md §12): the tiled bodies accumulate each
 // output element over k in the same ascending order as the scalar oracle
@@ -265,20 +266,22 @@ void MatMulTransposeBRows(const Matrix& a, const Matrix& b, Matrix* c, int r0,
 // test) pins down NaN-ness per element, not NaN bits.
 //
 // Layout: a kRowTile x kColTile register tile of accumulators per output
-// block; the k loop streams A values and one B row slab per iteration. The
-// all-rows-nonzero fast path fuses the four row updates into one pass over
-// the B slab; when any tile row hits the oracle's zero-skip, the slow path
-// applies the skip row by row (same adds, different grouping). Column
-// remainders run the oracle's per-row loops over the leftover columns; row
-// remainders fall back to the oracle body wholesale.
+// block; the k loop streams A values and one B row slab per iteration.
+// MatMul applies the oracle's zero-skip row by row inside the tile and runs
+// its 1-3 leftover rows through the same body at one row per tile.
+// MatMulTransposeA's all-rows-nonzero fast path fuses the four row updates
+// into one pass over the B slab; when any tile row hits the zero-skip, its
+// slow path applies the skip row by row (same adds, different grouping),
+// and its row remainders fall back to the oracle body wholesale. Column
+// remainders run the oracle's per-row loops over the leftover columns.
 // ---------------------------------------------------------------------------
 
 // Tile height. DispatchRowRange chunks rows at this grain so full tiles
 // form inside every parallel chunk, keeping chunk boundaries a pure
 // function of the row count (width- and backend-independent).
 constexpr int kRowTile = 4;
-// Accumulator tile width: 4 SSE vectors per row, 8 xmm registers total for
-// the tile — half the register file, leaving room for the A/B operands.
+// Accumulator tile width: 2 SSE vectors per row, 8 xmm registers total for
+// a 4-row tile — half the register file, leaving room for the A/B operands.
 constexpr int kColTile = 8;
 // k-panel length: one j-tile's B panel
 // (kKBlock x kColTile floats = 8 KB) stays L1-resident across the tile.
@@ -286,85 +289,68 @@ constexpr int kColTile = 8;
 // round-trip per element, which preserves float bits exactly.
 constexpr int kKBlock = 256;
 
-// Rows [r0, r1) of C = A * B, blocked backend.
-void MatMulRowsBlocked(const Matrix& a, const Matrix& b, Matrix* c, int r0,
-                       int r1) {
+// Rows [i, i + R) of C = A * B as one register tile per kColTile columns:
+// R = kRowTile for full tiles, R = 1 for the 1-3 leftover rows (a
+// single-session scoring request multiplies one row at a time).
+template <int R>
+void MatMulTileRows(const Matrix& a, const Matrix& b, Matrix* c, int i) {
   const int kt = a.cols();
   const int n = b.cols();
-  int i = r0;
-  for (; i + kRowTile <= r1; i += kRowTile) {
-    const float* a0 = a.row(i);
-    const float* a1 = a.row(i + 1);
-    const float* a2 = a.row(i + 2);
-    const float* a3 = a.row(i + 3);
-    float* c0 = c->row(i);
-    float* c1 = c->row(i + 1);
-    float* c2 = c->row(i + 2);
-    float* c3 = c->row(i + 3);
-    int jj = 0;
-    for (; jj + kColTile <= n; jj += kColTile) {
-      for (int kk = 0; kk < kt; kk += kKBlock) {
-        const int kend = std::min(kt, kk + kKBlock);
-        // Accumulators resume from C (zero-fresh on the first panel), and
-        // the final store is an assignment, not an extra add — each
-        // element sees exactly one ascending-k chain.
-        float acc0[kColTile], acc1[kColTile], acc2[kColTile], acc3[kColTile];
-        for (int t = 0; t < kColTile; ++t) {
-          acc0[t] = c0[jj + t];
-          acc1[t] = c1[jj + t];
-          acc2[t] = c2[jj + t];
-          acc3[t] = c3[jj + t];
-        }
-        for (int k = kk; k < kend; ++k) {
-          const float* brow = b.row(k) + jj;
-          const float v0 = a0[k], v1 = a1[k], v2 = a2[k], v3 = a3[k];
-          if (v0 != 0.0f && v1 != 0.0f && v2 != 0.0f && v3 != 0.0f) {
-            for (int t = 0; t < kColTile; ++t) {
-              const float bv = brow[t];
-              acc0[t] += v0 * bv;
-              acc1[t] += v1 * bv;
-              acc2[t] += v2 * bv;
-              acc3[t] += v3 * bv;
-            }
-          } else {
-            // Oracle zero-skip per row: a skipped term is no operation at
-            // all, not an add of ±0 (which would flush -0 partials and
-            // turn 0*Inf into NaN).
-            if (v0 != 0.0f) {
-              for (int t = 0; t < kColTile; ++t) acc0[t] += v0 * brow[t];
-            }
-            if (v1 != 0.0f) {
-              for (int t = 0; t < kColTile; ++t) acc1[t] += v1 * brow[t];
-            }
-            if (v2 != 0.0f) {
-              for (int t = 0; t < kColTile; ++t) acc2[t] += v2 * brow[t];
-            }
-            if (v3 != 0.0f) {
-              for (int t = 0; t < kColTile; ++t) acc3[t] += v3 * brow[t];
-            }
+  const float* arow[R];
+  float* crow[R];
+  for (int r = 0; r < R; ++r) {
+    arow[r] = a.row(i + r);
+    crow[r] = c->row(i + r);
+  }
+  int jj = 0;
+  for (; jj + kColTile <= n; jj += kColTile) {
+    for (int kk = 0; kk < kt; kk += kKBlock) {
+      const int kend = std::min(kt, kk + kKBlock);
+      // Accumulators resume from C (zero-fresh on the first panel), and
+      // the final store is an assignment, not an extra add — each element
+      // sees exactly one ascending-k chain.
+      float acc[R][kColTile];
+      for (int r = 0; r < R; ++r) {
+        for (int t = 0; t < kColTile; ++t) acc[r][t] = crow[r][jj + t];
+      }
+      for (int k = kk; k < kend; ++k) {
+        const float* brow = b.row(k) + jj;
+        // Oracle zero-skip per row: a skipped term is no operation at all,
+        // not an add of ±0 (which would flush -0 partials and turn 0*Inf
+        // into NaN). -O2 alone leaves this loop rolled, which makes the
+        // 4-row tile about a third slower.
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+          const float v = arow[r][k];
+          if (v != 0.0f) {
+            for (int t = 0; t < kColTile; ++t) acc[r][t] += v * brow[t];
           }
         }
-        for (int t = 0; t < kColTile; ++t) {
-          c0[jj + t] = acc0[t];
-          c1[jj + t] = acc1[t];
-          c2[jj + t] = acc2[t];
-          c3[jj + t] = acc3[t];
-        }
       }
-    }
-    // Column remainder: the oracle's per-row loops over [jj, n).
-    for (int rr = 0; jj < n && rr < kRowTile; ++rr) {
-      const float* arow = a.row(i + rr);
-      float* crow = c->row(i + rr);
-      for (int k = 0; k < kt; ++k) {
-        const float aik = arow[k];
-        if (aik == 0.0f) continue;
-        const float* brow = b.row(k);
-        for (int j = jj; j < n; ++j) crow[j] += aik * brow[j];
+      for (int r = 0; r < R; ++r) {
+        for (int t = 0; t < kColTile; ++t) crow[r][jj + t] = acc[r][t];
       }
     }
   }
-  if (i < r1) MatMulRows(a, b, c, i, r1);
+  // Column remainder: the oracle's per-row loops over [jj, n).
+  for (int r = 0; jj < n && r < R; ++r) {
+    for (int k = 0; k < kt; ++k) {
+      const float aik = arow[r][k];
+      if (aik == 0.0f) continue;
+      const float* brow = b.row(k);
+      for (int j = jj; j < n; ++j) crow[r][j] += aik * brow[j];
+    }
+  }
+}
+
+// Rows [r0, r1) of C = A * B, blocked backend.
+void MatMulRowsBlocked(const Matrix& a, const Matrix& b, Matrix* c, int r0,
+                       int r1) {
+  int i = r0;
+  for (; i + kRowTile <= r1; i += kRowTile) {
+    MatMulTileRows<kRowTile>(a, b, c, i);
+  }
+  for (; i < r1; ++i) MatMulTileRows<1>(a, b, c, i);
 }
 
 // Rows [r0, r1) of C = A^T * B, blocked backend. Same tiling as MatMul;

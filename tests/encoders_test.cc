@@ -1,8 +1,11 @@
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "autograd/grad_check.h"
-#include "data/simulators.h"
 #include "encoders/session_encoder.h"
+#include "parallel/thread_pool.h"
+#include "tensor/kernel_backend.h"
 
 namespace clfd {
 namespace {
@@ -45,18 +48,72 @@ TEST(SessionEncoderTest, PaddingInvariance) {
   EXPECT_LT(MaxAbsDiff(solo, SliceRows(padded, 0, 1)), 1e-5f);
 }
 
+bool RowBitsEqual(const Matrix& a, int ra, const Matrix& b, int rb) {
+  return a.cols() == b.cols() &&
+         std::memcmp(a.row(ra), b.row(rb), sizeof(float) * a.cols()) == 0;
+}
+
+// Every row of EncodeDataset must be bitwise the row a solo EncodeBatch of
+// that session gives, whatever the chunking, width and backend: chunks run
+// in length order and pad to their longest session, so this is what keeps
+// the reordering and the padding unobservable.
 TEST(SessionEncoderTest, EncodeDatasetMatchesBatch) {
   Rng rng(3);
-  SimulatedData data =
-      MakeCertDataset(PaperSplit(DatasetKind::kCert).Scaled(0.003), &rng);
-  Matrix emb = Matrix::Randn(data.train.vocab_size(), 5, 1.0f, &rng);
+  const int vocab = 12;
+  SessionDataset data;
+  data.vocab.resize(vocab);
+  for (int i = 0; i < 150; ++i) {
+    const int length = i % 5 == 0   ? 0
+                       : i % 5 == 1 ? 1
+                                    : 2 + rng.UniformInt(60);
+    std::vector<int> acts(length);
+    for (int& a : acts) a = rng.UniformInt(vocab);
+    data.sessions.push_back({MakeSession(std::move(acts))});
+  }
+  Matrix emb = Matrix::Randn(vocab, 5, 1.0f, &rng);
   SessionEncoder enc(5, 6, 2, &rng);
-  Matrix all = enc.EncodeDataset(data.train, emb, /*chunk=*/7);
-  EXPECT_EQ(all.rows(), data.train.size());
-  // Spot-check one row against a direct single encode.
-  Matrix solo =
-      enc.EncodeBatch({&data.train.sessions[3].session}, emb).value();
-  EXPECT_LT(MaxAbsDiff(solo, SliceRows(all, 3, 4)), 1e-5f);
+  for (KernelBackend backend : AllKernelBackends()) {
+    ScopedKernelBackend use(backend);
+    std::vector<Matrix> solo;
+    for (const LabeledSession& ls : data.sessions) {
+      solo.push_back(enc.EncodeBatch({&ls.session}, emb).value());
+    }
+    for (int width : {1, 2, 4}) {
+      parallel::SetGlobalThreads(width);
+      for (int chunk : {1, 7, 128}) {
+        Matrix all = enc.EncodeDataset(data, emb, chunk);
+        ASSERT_EQ(all.rows(), data.size());
+        for (int i = 0; i < data.size(); ++i) {
+          EXPECT_TRUE(RowBitsEqual(all, i, solo[i], 0))
+              << "row " << i << " length " << data.sessions[i].session.length()
+              << " backend " << KernelBackendName(backend) << " width "
+              << width << " chunk " << chunk;
+        }
+      }
+    }
+  }
+  parallel::SetGlobalThreads(0);
+}
+
+// A batch of only empty sessions still runs one zero step, and encodes to
+// the row an empty session gets inside a mixed batch.
+TEST(SessionEncoderTest, AllEmptyBatchMatchesEmptyRowOfMixedBatch) {
+  Rng rng(6);
+  Matrix emb = Matrix::Randn(10, 5, 1.0f, &rng);
+  SessionEncoder enc(5, 6, 2, &rng);
+  Session empty;
+  Session other = MakeSession({1, 2, 3});
+  Matrix mixed = enc.EncodeBatch({&other, &empty}, emb).value();
+  Matrix alone = enc.EncodeBatch({&empty, &empty}, emb).value();
+  ASSERT_EQ(alone.rows(), 2);
+  EXPECT_TRUE(RowBitsEqual(alone, 0, mixed, 1));
+  EXPECT_TRUE(RowBitsEqual(alone, 1, mixed, 1));
+
+  SessionDataset data;
+  data.sessions.resize(3);
+  Matrix all = enc.EncodeDataset(data, emb);
+  ASSERT_EQ(all.rows(), 3);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(RowBitsEqual(all, i, mixed, 1));
 }
 
 TEST(SessionEncoderTest, GradCheckThroughMaskedMean) {

@@ -186,15 +186,17 @@ struct Shape3 {
 };
 
 // 1x1, primes, exact register-tile multiples and their ±1 neighbours
-// (kRowTile=4, kColTile=8, kDotTile=4 in matrix.cc), tall/skinny, and
-// zero-extent degenerates.
+// (kRowTile=4, kColTile=8, kDotTile=4 in matrix.cc), tall/skinny,
+// zero-extent degenerates, and the 1-3 row LSTM gate projections of
+// single-session scoring (paper dimensions: 50 -> 4 x 50).
 const Shape3 kAdversarialShapes[] = {
     {1, 1, 1},   {1, 1, 8},   {8, 1, 1},   {1, 8, 1},   {2, 3, 5},
     {3, 5, 7},   {7, 7, 7},   {11, 13, 17}, {4, 4, 4},  {4, 8, 8},
     {8, 8, 8},   {3, 8, 8},   {5, 8, 8},   {4, 8, 7},   {4, 8, 9},
     {12, 16, 24}, {13, 17, 15}, {9, 9, 9},  {16, 4, 32}, {17, 5, 33},
     {64, 3, 5},  {3, 64, 5},  {31, 1, 33}, {1, 64, 1},  {5, 300, 9},
-    {0, 3, 4},   {4, 0, 3},   {4, 3, 0},
+    {0, 3, 4},   {4, 0, 3},   {4, 3, 0},   {1, 50, 200}, {2, 50, 200},
+    {3, 50, 200},
 };
 
 TEST(KernelBackendEquivalence, MatMulAdversarialShapes) {
@@ -259,6 +261,43 @@ TEST(KernelBackendEquivalence, NonFinitePropagationBitwise) {
     ExpectAllBackendsBitwiseEqual(
         [&]() { return std::vector<Matrix>{MatMulTransposeB(a, bt)}; },
         "MatMulTransposeB non-finite", /*nan_payload_tolerant=*/true);
+  }
+}
+
+// The zero-skip in every tile height, row remainders included: an exact
+// ±0 A value facing an Inf row of B is skipped, so the oracle's result stays
+// finite where an unskipped 0 * Inf would write NaN. (The sprinkled test
+// above turns every remainder row NaN through its own Inf/NaN A values, so
+// it cannot see a missing skip there.)
+TEST(KernelBackendEquivalence, ZeroSkipFacingInfRows) {
+  Rng rng(109);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const Shape3& s : {Shape3{1, 50, 200}, Shape3{2, 50, 200},
+                          Shape3{3, 50, 200}, Shape3{5, 9, 17},
+                          Shape3{7, 13, 9}}) {
+    Matrix a = AdversarialRandn(s.m, s.k, &rng);
+    Matrix b = AdversarialRandn(s.k, s.n, &rng);
+    for (int i = 0; i < s.m; ++i) {
+      a.at(i, 0) = 0.0f;
+      a.at(i, s.k - 1) = -0.0f;
+    }
+    for (int j = 0; j < s.n; ++j) {
+      b.at(0, j) = inf;
+      b.at(s.k - 1, j) = -inf;
+    }
+    const Matrix at = Transpose(a);
+    const std::string dims = std::to_string(s.m) + "x" +
+                             std::to_string(s.k) + "x" + std::to_string(s.n);
+    ExpectAllBackendsBitwiseEqual(
+        [&]() { return std::vector<Matrix>{MatMul(a, b)}; },
+        "MatMul zero-skip " + dims);
+    ExpectAllBackendsBitwiseEqual(
+        [&]() { return std::vector<Matrix>{MatMulTransposeA(at, b)}; },
+        "MatMulTransposeA zero-skip " + dims);
+    const Matrix c = MatMul(a, b);
+    for (int i = 0; i < c.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(c[i])) << dims << " element " << i;
+    }
   }
 }
 

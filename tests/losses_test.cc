@@ -132,7 +132,8 @@ TEST(MixupTest, PartnersFromOppositeClass) {
     for (int d = 0; d < 3; ++d) features.at(i, d) = 1.0f;
   }
   MixupBatch batch =
-      MakeMixupBatch(features, labels, features, labels, 16.0, &rng);
+      MakeMixupBatch(features, labels, features, MixupPartners(labels),
+                     16.0, &rng);
   EXPECT_EQ(batch.features.rows(), 6);
   for (int i = 0; i < 6; ++i) {
     float lambda = static_cast<float>(batch.lambdas[i]);
@@ -152,7 +153,8 @@ TEST(MixupTest, FallbackWhenNoOppositeClass) {
   Matrix features(3, 2, 1.0f);
   std::vector<int> labels = {0, 0, 0};
   MixupBatch batch =
-      MakeMixupBatch(features, labels, features, labels, 16.0, &rng);
+      MakeMixupBatch(features, labels, features, MixupPartners(labels),
+                     16.0, &rng);
   for (int i = 0; i < 3; ++i) {
     EXPECT_NEAR(batch.targets.at(i, 0), 1.0f, 1e-5f);
     EXPECT_NEAR(batch.features.at(i, 0), 1.0f, 1e-5f);

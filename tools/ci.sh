@@ -16,8 +16,11 @@
 # on) and runs the fault-injection + watchdog suite, where injected NaNs
 # must surface as check::InvariantError at the op boundary.
 #
-# When the default preset is in the run, the substrate micro-benchmarks
-# also run in smoke mode (short min-time) and emit BENCH_substrate.json:
+# When the default preset is in the run, the end-to-end benchmark's own
+# tests run too (e2ebench/test_benchlib.py: its metric logic, plus a smoke
+# run of every workload, which fails when a single-session score is not
+# bitwise the score the full-pool pass gave that session), and the
+# substrate micro-benchmarks run in smoke mode (short min-time) and emit BENCH_substrate.json:
 # kernel FLOP/s, matmul invocations and allocations per training step,
 # wall-clock per phase (forward, forward+backward, optimizer, corrector
 # end-to-end), and the execution-plan rows (corrector E2E with plans on
@@ -91,6 +94,8 @@ done
 
 for preset in "${presets[@]}"; do
   if [[ "${preset}" == "default" ]]; then
+    echo "==== [default] e2ebench self-tests (logic + smoke runs)"
+    python3 e2ebench/test_benchlib.py
     echo "==== [default] substrate micro-bench (smoke)"
     bench_out="$(mktemp "${TMPDIR:-/tmp}/clfd_bench.XXXXXX.json")"
     ./build/bench/bench_micro_substrate \
