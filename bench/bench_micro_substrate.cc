@@ -25,9 +25,9 @@
 namespace clfd {
 namespace {
 
-// Sums every matmul-family kernel invocation counter: the fused-LSTM
-// acceptance number is "matmul kernel invocations per training step", and
-// the fused path must win even counting its blocked backward kernels.
+// Sums every matmul-family kernel invocation counter, so the LSTM
+// training-step rows report matmul kernel invocations per step including
+// the packed-gate backward kernels.
 int64_t MatMulKernelCalls() {
   auto& reg = obs::MetricsRegistry::Get();
   return reg.GetCounter("tensor.matmul.calls")->value() +
@@ -176,13 +176,12 @@ void BM_AdamStep(benchmark::State& state) {
 BENCHMARK(BM_AdamStep);
 
 // A full LSTM training step — forward over T timesteps, masked-sum loss,
-// backward, Adam — at the paper's dimensions, across the four corners of
-// {legacy, fused} x {heap, arena}. The per-step counters are the
-// acceptance numbers: fused must cut matmul kernel invocations >= 2x, the
-// arena must cut heap allocations >= 5x.
+// backward, Adam — at the paper's dimensions, with every tensor on the
+// heap (arena:0) or each step's tape in a recycled ScopedArena (arena:1).
+// The per-step counters are the acceptance numbers: the arena must cut
+// heap allocations >= 5x.
 void BM_LstmTrainStep(benchmark::State& state) {
-  nn::ScopedLstmFused fused(state.range(0) != 0);
-  arena::ScopedEnabled arena_on(state.range(1) != 0);
+  const bool arena_on = state.range(0) != 0;
   const int t_len = 20;
   Rng rng(8);
   nn::Lstm lstm(50, 50, 2, &rng);
@@ -194,7 +193,7 @@ void BM_LstmTrainStep(benchmark::State& state) {
   arena::Arena step_arena;
   auto step = [&]() {
     step_arena.Reset();
-    arena::ScopedArena scope(&step_arena);
+    arena::ScopedArena scope(arena_on ? &step_arena : nullptr);
     std::vector<ag::Var> steps;
     for (const Matrix& m : inputs) steps.push_back(ag::Constant(m));
     auto hs = lstm.Forward(steps);
@@ -224,23 +223,18 @@ void BM_LstmTrainStep(benchmark::State& state) {
       static_cast<double>(ArenaAllocCount() - arena0) / iters;
 }
 BENCHMARK(BM_LstmTrainStep)
-    ->ArgNames({"fused", "arena"})
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1})
+    ->ArgName("arena")
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// One LSTM training step under a plan cache (src/plan): arg plan=0 runs
-// the dynamic tape, plan=1 replays the captured execution plan. Identical
-// numerics; the counters are the acceptance numbers — replay must drive
-// tape nodes created per step to zero while matmul kernel calls stay
-// unchanged (same math, no graph construction).
+// One LSTM training step: arg plan=0 runs the body on the dynamic tape
+// without a Planner, plan=1 replays the captured execution plan
+// (src/plan). Identical numerics; the counters are the acceptance numbers
+// — replay must drive tape nodes created per step to zero while matmul
+// kernel calls stay unchanged (same math, no graph construction).
 void BM_PlanReplay(benchmark::State& state) {
   const bool planned = state.range(0) != 0;
-  plan::ScopedEnabled plans(planned);
-  nn::ScopedLstmFused fused(true);
-  arena::ScopedEnabled arena_on(true);
   const int t_len = 20;
   Rng rng(8);
   nn::Lstm lstm(50, 50, 2, &rng);
@@ -251,21 +245,26 @@ void BM_PlanReplay(benchmark::State& state) {
   }
   arena::Arena step_arena;
   plan::Planner planner;
+  auto body = [&]() -> float {
+    step_arena.Reset();
+    arena::ScopedArena scope(&step_arena);
+    std::vector<ag::Var> steps;
+    for (const Matrix& m : inputs) steps.push_back(ag::Constant(m));
+    auto hs = lstm.Forward(steps);
+    ag::Var loss = ag::SumAll(ag::Mul(hs[0], hs[0]));
+    for (size_t t = 1; t < hs.size(); ++t) {
+      loss = ag::Add(loss, ag::SumAll(ag::Mul(hs[t], hs[t])));
+    }
+    ag::Backward(loss);
+    opt.Step();
+    return loss.value()[0];
+  };
   auto step = [&]() {
-    planner.Step(plan::MakeKey(100, t_len), nullptr, [&]() -> float {
-      step_arena.Reset();
-      arena::ScopedArena scope(&step_arena);
-      std::vector<ag::Var> steps;
-      for (const Matrix& m : inputs) steps.push_back(ag::Constant(m));
-      auto hs = lstm.Forward(steps);
-      ag::Var loss = ag::SumAll(ag::Mul(hs[0], hs[0]));
-      for (size_t t = 1; t < hs.size(); ++t) {
-        loss = ag::Add(loss, ag::SumAll(ag::Mul(hs[t], hs[t])));
-      }
-      ag::Backward(loss);
-      opt.Step();
-      return loss.value()[0];
-    });
+    if (planned) {
+      planner.Step(plan::MakeKey(100, t_len), nullptr, body);
+    } else {
+      body();
+    }
   };
   // Two warm-up steps outside the timed region: the first captures the
   // plan, the second sizes the arena/heap recycling at replay steady state.
@@ -301,9 +300,6 @@ BENCHMARK(BM_PlanReplay)
 // thousands of replays per training phase, so capture time only has to be
 // "a step, roughly" — compare against the BM_PlanReplay/plan:0 row.
 void BM_PlanCapture(benchmark::State& state) {
-  plan::ScopedEnabled plans(true);
-  nn::ScopedLstmFused fused(true);
-  arena::ScopedEnabled arena_on(true);
   const int t_len = 20;
   Rng rng(8);
   nn::Lstm lstm(50, 50, 2, &rng);
@@ -337,35 +333,25 @@ void BM_PlanCapture(benchmark::State& state) {
 BENCHMARK(BM_PlanCapture)->Unit(benchmark::kMillisecond);
 
 // End-to-end corrector pipeline (SimCLR pretrain + corrector classifier +
-// correction sweep) at a reduced split and the paper's epoch budget,
-// seed-for-seed identical numbers in every mode. Dataset synthesis and
-// word2vec embedding pretraining are hoisted out of the timed loop: they
-// are identical across all arg combinations, so timing them would only
-// dilute the fused/arena (>= 1.3x vs legacy/heap, width 1) and plan-replay
-// (>= 1.2x vs dynamic tape) comparisons this benchmark exists to gate.
-// The paper budget (not TrainingBudget::Fast) is deliberate for the plan
-// axis: a production corrector run captures each distinct step shape once
-// and replays it for hundreds of epochs, so a truncated budget would
-// overweight the one-time capture cost and misstate the steady-state
-// replay win. Each iteration still constructs a fresh LabelCorrector, so
-// the plan:1 rows pay every cold capture before any step replays — the
-// measured speedup is cold-start end-to-end, not a warm-cache best case.
+// correction sweep) at a reduced split and the paper's epoch budget, per
+// kernel backend (arg backend: 0=scalar, 1=blocked), seed-for-seed
+// identical numbers on both. Dataset synthesis and word2vec embedding
+// pretraining are hoisted out of the timed loop: they are identical across
+// both rows, so timing them would only dilute the comparison. The paper
+// budget (not TrainingBudget::Fast) is deliberate: a production corrector
+// run captures each distinct step shape once and replays it for hundreds
+// of epochs, so a truncated budget would overweight the one-time capture
+// cost. Each iteration still constructs a fresh LabelCorrector, so every
+// row pays every cold capture before any step replays; the plan counters
+// report how many.
 //
-// Model scale (emb/hidden 8, batch 8): the tape-overhead fraction of a
-// step shrinks as per-op kernel time grows, so this benchmark runs at the
-// compact end of the corrector's range — the regime the plan axis exists
-// for (the aux classifier loop trains at aux_batch_size=4, so tiny-batch
-// steps are a first-class part of this pipeline, not a synthetic corner).
-// At hidden 16 / batch 24 the same pipeline is ~90% kernel time and plan
-// replay measures ~1.05-1.1x end-to-end (see ROADMAP #2 closing notes);
-// here graph construction is a measurable share and both acceptance gates
-// stay honest: fused/arena >= 1.3x and plan replay >= 1.2x.
+// Model scale (emb/hidden 8, batch 8): the compact end of the corrector's
+// range, where graph construction is a measurable share of a step (the
+// aux classifier loop trains at aux_batch_size=4, so tiny-batch steps are
+// a first-class part of this pipeline, not a synthetic corner).
 void BM_CorrectorE2E(benchmark::State& state) {
-  nn::ScopedLstmFused fused(state.range(0) != 0);
-  arena::ScopedEnabled arena_on(state.range(0) != 0);
   ScopedKernelBackend backend(
-      static_cast<KernelBackend>(state.range(1)));
-  plan::ScopedEnabled plans(state.range(2) != 0);
+      static_cast<KernelBackend>(state.range(0)));
   SplitSpec split{60, 6, 30, 6};
   ClfdConfig config = ClfdConfig::Fast();
   config.budget = TrainingBudget::Paper();
@@ -394,19 +380,10 @@ void BM_CorrectorE2E(benchmark::State& state) {
   state.counters["plan_invalidations_per_iter"] = benchmark::Counter(
       double(invalidations->value() - invalidations0) / state.iterations());
 }
-// The legacy/heap corner stays on the scalar backend (its original
-// baseline); the fused/arena configuration additionally runs on blocked
-// for the end-to-end per-backend picture. The plan axis pairs
-// {1,0,0}/{1,0,1} (scalar) and {1,1,0}/{1,1,1} (blocked) so perfdiff can
-// report the plan-vs-dynamic end-to-end speedup at both ends of the
-// kernel spectrum.
 BENCHMARK(BM_CorrectorE2E)
-    ->ArgNames({"fused_arena", "backend", "plan"})
-    ->Args({0, 0, 0})
-    ->Args({1, 0, 0})
-    ->Args({1, 0, 1})
-    ->Args({1, 1, 0})
-    ->Args({1, 1, 1})
+    ->ArgName("backend")
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // Same corrector experiment with crash-consistent checkpointing armed at
@@ -415,8 +392,6 @@ BENCHMARK(BM_CorrectorE2E)
 // full snapshot-encode + fsync cost; the acceptance target is <= 5%
 // wall-clock overhead at the default interval (5 epochs) versus arg 0.
 void BM_CorrectorE2ECheckpointed(benchmark::State& state) {
-  nn::ScopedLstmFused fused(true);
-  arena::ScopedEnabled arena_on(true);
   SplitSpec split{60, 6, 30, 6};
   ClfdConfig config = ClfdConfig::Fast();
   config.emb_dim = 16;
@@ -556,8 +531,6 @@ BENCHMARK(BM_ProfScopeNested);
 
 void BM_ProfCorrectorE2E(benchmark::State& state) {
   obs::prof::ScopedEnabled prof(state.range(0) != 0);
-  nn::ScopedLstmFused fused(true);
-  arena::ScopedEnabled arena_on(true);
   SplitSpec split{60, 6, 30, 6};
   ClfdConfig config = ClfdConfig::Fast();
   config.emb_dim = 16;

@@ -1,35 +1,7 @@
 #include "nn/lstm.h"
 
-#include <atomic>
-
-#include "common/env.h"
-
 namespace clfd {
 namespace nn {
-
-namespace {
-
-// -1 = read CLFD_LSTM_FUSED on first use (default on). Like the matmul
-// parallel threshold, this selects between two bitwise-identical
-// implementations — it can change speed, never values (locked by the
-// fused-vs-legacy equality tests).
-// clfd-lint: allow(concurrency-mutable-global) clfd-analyze: allow(semantic-mutable-global)
-std::atomic<int> g_lstm_fused{-1};
-
-}  // namespace
-
-bool LstmFusedEnabled() {
-  int v = g_lstm_fused.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = GetEnvBool("CLFD_LSTM_FUSED", true) ? 1 : 0;
-    g_lstm_fused.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void SetLstmFusedEnabled(bool on) {
-  g_lstm_fused.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 LstmCell::LstmCell(int in_dim, int hidden_dim, Rng* rng) {
   for (int g = 0; g < 4; ++g) {
@@ -39,25 +11,6 @@ LstmCell::LstmCell(int in_dim, int hidden_dim, Rng* rng) {
     if (g == 1) bias.Fill(1.0f);  // forget gate bias = 1
     b_[g] = ag::Param(bias);
   }
-}
-
-LstmCell::State LstmCell::InitialState(int batch) const {
-  return {ag::Constant(Matrix(batch, hidden_dim())),
-          ag::Constant(Matrix(batch, hidden_dim()))};
-}
-
-LstmCell::State LstmCell::Step(const ag::Var& x_t, const State& prev) const {
-  auto gate = [&](int g) {
-    return ag::AddRowBroadcast(
-        ag::Add(ag::MatMul(x_t, wx_[g]), ag::MatMul(prev.h, wh_[g])), b_[g]);
-  };
-  ag::Var i = ag::Sigmoid(gate(0));
-  ag::Var f = ag::Sigmoid(gate(1));
-  ag::Var g = ag::Tanh(gate(2));
-  ag::Var o = ag::Sigmoid(gate(3));
-  ag::Var c = ag::Add(ag::Mul(f, prev.c), ag::Mul(i, g));
-  ag::Var h = ag::Mul(o, ag::Tanh(c));
-  return {h, c};
 }
 
 LstmCell::Packed LstmCell::Pack() const {
@@ -85,31 +38,14 @@ Lstm::Lstm(int in_dim, int hidden_dim, int num_layers, Rng* rng) {
 
 std::vector<ag::Var> Lstm::Forward(const std::vector<ag::Var>& steps) const {
   if (steps.empty()) return {};
-  if (!LstmFusedEnabled()) {
-    // Legacy oracle: the original per-gate unrolled tape.
-    std::vector<ag::Var> current = steps;
-    int batch = steps[0].rows();
-    for (const LstmCell& layer : layers_) {
-      LstmCell::State state = layer.InitialState(batch);
-      std::vector<ag::Var> next;
-      next.reserve(current.size());
-      for (const ag::Var& x_t : current) {
-        state = layer.Step(x_t, state);
-        next.push_back(state.h);
-      }
-      current = std::move(next);
-    }
-    return current;
-  }
-
-  // Fused path. Per layer: pack the gate weights once, project all T
-  // input steps with a single [T*B x 4H] matmul when the inputs carry no
-  // gradient (layer 0's constant embeddings — big enough to clear the
-  // parallel-dispatch threshold), then run one recurrent matmul plus one
-  // fused gate op per step. State threads through as one [B x 2H] = [h|c]
-  // Var; the h read for step t+1 and for the layer output is the same
-  // SliceCols node, which keeps the gradient accumulation order identical
-  // to the legacy tape (recurrent contributions first, then consumers).
+  // Per layer: pack the gate weights once, project all T input steps with
+  // a single [T*B x 4H] matmul when the inputs carry no gradient (layer
+  // 0's constant embeddings — big enough to clear the parallel-dispatch
+  // threshold), then run one recurrent matmul plus one fused gate op per
+  // step. State threads through as one [B x 2H] = [h|c] Var; the h read
+  // for step t+1 and for the layer output is the same SliceCols node,
+  // which keeps the gradient accumulation order identical to the per-gate
+  // tape (recurrent contributions first, then consumers).
   const int batch = steps[0].rows();
   const int T = static_cast<int>(steps.size());
   std::vector<ag::Var> current = steps;

@@ -9,37 +9,9 @@
 namespace clfd {
 namespace nn {
 
-// Selects the LSTM forward implementation (reads CLFD_LSTM_FUSED on first
-// use, default on). Fused = packed-gate kernels + the ag::LstmGates op
-// (1-2 matmuls per step); legacy = the original per-gate tape (~8 matmuls
-// and ~12 elementwise nodes per step), kept compiled as the equivalence
-// oracle. The two paths are bitwise identical — forward values, gradients
-// and downstream RunMetrics — locked by tests/nn_test.cc and
-// tests/eval_test.cc, so this switch trades speed only.
-//
-// Scope of the gradient guarantee: forward values are bitwise identical
-// for any graph. Gradients are bitwise identical for graphs that consume
-// every timestep's output (as every encoder here does, via the masked
-// mean). A loss reaching the unroll only through the final h makes the
-// legacy tape accumulate the o-gate's dWx in the opposite time order from
-// the other gates — an asymmetry no packed accumulator can mirror — so
-// such graphs may differ in dWx by summation order (one ulp); see
-// LstmTest.FusedMatchesLegacyBitwiseWithInputGrads.
-bool LstmFusedEnabled();
-void SetLstmFusedEnabled(bool on);
-
-class ScopedLstmFused {
- public:
-  explicit ScopedLstmFused(bool on) : saved_(LstmFusedEnabled()) {
-    SetLstmFusedEnabled(on);
-  }
-  ~ScopedLstmFused() { SetLstmFusedEnabled(saved_); }
-  ScopedLstmFused(const ScopedLstmFused&) = delete;
-  ScopedLstmFused& operator=(const ScopedLstmFused&) = delete;
-
- private:
-  bool saved_;
-};
+// Always true: Lstm::Forward has one implementation, the packed-gate
+// kernels. Kept only for the end-to-end benchmark's settings record.
+inline bool LstmFusedEnabled() { return true; }
 
 // A single LSTM layer with per-gate weight matrices.
 //
@@ -50,25 +22,12 @@ class LstmCell : public Module {
  public:
   LstmCell(int in_dim, int hidden_dim, Rng* rng);
 
-  struct State {
-    ag::Var h;  // [B x hidden]
-    ag::Var c;  // [B x hidden]
-  };
-
-  // Zero state for a batch of the given size.
-  State InitialState(int batch) const;
-
-  // One timestep: consumes x_t [B x in] and the previous state. This is
-  // the legacy unfused tape; Lstm::Forward uses it when fused mode is off.
-  State Step(const ag::Var& x_t, const State& prev) const;
-
-  // Column-packed views of the gate parameters for the fused path:
-  // wx [in x 4H], wh [H x 4H], b [1 x 4H], gate blocks in index order
-  // (i, f, g, o). Built per forward pass via ag::ConcatCols, so the
-  // per-gate matrices remain the canonical parameters — Parameters()
-  // order, optimizer state, gradient clipping and serialization are
-  // untouched by fusion — and the packed gradient flows back into the
-  // per-gate gradients exactly.
+  // Column-packed views of the gate parameters: wx [in x 4H], wh [H x 4H],
+  // b [1 x 4H], gate blocks in index order (i, f, g, o). Built per forward
+  // pass via ag::ConcatCols, so the per-gate matrices remain the canonical
+  // parameters — Parameters() order, optimizer state, gradient clipping
+  // and serialization are untouched by packing — and the packed gradient
+  // flows back into the per-gate gradients exactly.
   struct Packed {
     ag::Var wx;
     ag::Var wh;
@@ -100,6 +59,17 @@ class Lstm : public Module {
 
   // steps: time-major inputs, each [B x in]. Returns the final layer's
   // hidden state at each timestep, each [B x hidden].
+  //
+  // Runs the packed-gate kernels: 1-2 matmuls and one ag::LstmGates op per
+  // step, where the textbook per-gate tape takes ~8 matmuls and ~12
+  // elementwise nodes. Forward values match that per-gate unroll bit for
+  // bit, and so do gradients for graphs that consume every timestep's
+  // output (as every encoder here does, via the masked mean). A loss that
+  // reaches the unroll only through the final h makes the per-gate tape
+  // accumulate the o-gate's dWx in the opposite time order from the other
+  // gates, so such graphs may differ from it in dWx by one ulp. The
+  // reference unroll and the tests that compare against it live in
+  // tests/nn_test.cc (LstmTest.FusedMatchesLegacyBitwise*).
   std::vector<ag::Var> Forward(const std::vector<ag::Var>& steps) const;
 
   std::vector<ag::Var> Parameters() const override;

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <limits>
 
-#include "common/env.h"
 #include "common/fault.h"
 #include "obs/metrics.h"
 #include "tensor/arena.h"
@@ -12,31 +11,6 @@
 
 namespace clfd {
 namespace plan {
-
-namespace {
-
-// -1 = unread; lazily initialized from CLFD_PLAN (default on). Same idiom
-// as the fused-LSTM and kernel-backend switches: a process-wide mode knob
-// resolved once, overridable by tests through SetEnabled/ScopedEnabled.
-// clfd-lint: allow(concurrency-mutable-global) clfd-analyze: allow(semantic-mutable-global)
-std::atomic<int> g_plan_enabled{-1};
-
-}  // namespace
-
-bool Enabled() {
-  int v = g_plan_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = GetEnvBool("CLFD_PLAN", true) ? 1 : 0;
-    g_plan_enabled.store(v, std::memory_order_relaxed);
-    obs::prof::SetReportAnnotation("plan", v != 0 ? "on" : "off");
-  }
-  return v != 0;
-}
-
-void SetEnabled(bool on) {
-  g_plan_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-  obs::prof::SetReportAnnotation("plan", on ? "on" : "off");
-}
 
 namespace detail {
 

@@ -1,12 +1,10 @@
 #include "tensor/arena.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <new>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/fault.h"
 
 namespace clfd {
@@ -19,12 +17,6 @@ constexpr size_t kBlockFloats = 16;  // 64-byte granularity
 size_t RoundUp(size_t n) {
   return (n + kBlockFloats - 1) / kBlockFloats * kBlockFloats;
 }
-
-// -1 = read CLFD_ARENA on first use (default on). A dispatch switch like
-// the matmul parallel threshold: it decides where Matrix storage lives,
-// never what is computed — arena on/off equality is locked by test.
-// clfd-lint: allow(concurrency-mutable-global)
-std::atomic<int> g_enabled{-1};
 
 // The active arena of *this* thread. Thread-local by design: the sharded
 // trainer opens a different shard's arena on every worker, and a worker
@@ -83,20 +75,7 @@ size_t Arena::floats_reserved() const {
   return total;
 }
 
-bool Enabled() {
-  int v = g_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = GetEnvBool("CLFD_ARENA", true) ? 1 : 0;
-    g_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void SetEnabled(bool on) {
-  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-Arena* Current() { return Enabled() ? t_current : nullptr; }
+Arena* Current() { return t_current; }
 
 ScopedArena::ScopedArena(Arena* a) : saved_(t_current) { t_current = a; }
 

@@ -88,28 +88,15 @@ class Arena {
   size_t next_capacity_;
 };
 
-// Global on/off switch for arena-backed Matrix storage (reads CLFD_ARENA on
-// first use, default on). With the switch off, ScopedArena regions are
-// inert and every Matrix lives on the heap — the pre-arena behavior. Tests
-// use ScopedEnabled to pin either mode.
-bool Enabled();
-void SetEnabled(bool on);
-
-class ScopedEnabled {
- public:
-  explicit ScopedEnabled(bool on) : saved_(Enabled()) { SetEnabled(on); }
-  ~ScopedEnabled() { SetEnabled(saved_); }
-  ScopedEnabled(const ScopedEnabled&) = delete;
-  ScopedEnabled& operator=(const ScopedEnabled&) = delete;
-
- private:
-  bool saved_;
-};
+// Always true: Matrix storage comes from the innermost ScopedArena, and
+// from the heap outside one. Kept only for the end-to-end benchmark's
+// settings record.
+inline bool Enabled() { return true; }
 
 // The arena newly constructed Matrix storage is served from, if any.
 // Thread-local: each worker thread (and the main thread) sees only the
-// scope it opened. Returns nullptr when no scope is active or the global
-// switch is off — callers fall back to the heap.
+// scope it opened. Returns nullptr when no scope is active — callers fall
+// back to the heap.
 Arena* Current();
 
 // Routes Matrix storage allocated on this thread to `a` for the lifetime

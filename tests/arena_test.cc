@@ -45,7 +45,6 @@ TEST(ArenaTest, GrowsNewChunksWhenFull) {
 }
 
 TEST(ArenaTest, ScopedArenaRoutesMatrixStorage) {
-  arena::ScopedEnabled on(true);
   arena::Arena a;
   {
     arena::ScopedArena scope(&a);
@@ -58,16 +57,6 @@ TEST(ArenaTest, ScopedArenaRoutesMatrixStorage) {
   Matrix heap_backed(8, 8, 1.0f);
   EXPECT_EQ(a.floats_in_use(), used);
   EXPECT_EQ(heap_backed[0], 1.0f);
-}
-
-TEST(ArenaTest, DisabledGlobalSwitchFallsBackToHeap) {
-  arena::ScopedEnabled off(false);
-  arena::Arena a;
-  arena::ScopedArena scope(&a);
-  EXPECT_EQ(arena::Current(), nullptr);
-  Matrix m(4, 4, 3.0f);
-  EXPECT_EQ(a.floats_in_use(), 0u);
-  EXPECT_EQ(m[0], 3.0f);
 }
 
 TEST(ArenaTest, ResetPoisonsRecycledMemoryUnderChecks) {
@@ -84,7 +73,6 @@ TEST(ArenaTest, ResetPoisonsRecycledMemoryUnderChecks) {
 }
 
 TEST(ArenaTest, MatrixCopyAndMoveAcrossBackings) {
-  arena::ScopedEnabled on(true);
   arena::Arena a;
   Matrix heap_m(3, 3, 4.0f);
   {
@@ -107,8 +95,8 @@ TEST(ArenaTest, MatrixCopyAndMoveAcrossBackings) {
   EXPECT_EQ(back.at(1, 1), 7.0f);
 }
 
-// Five optimizer steps of a 2-layer LSTM, once with the arena disabled
-// (every tensor on the heap) and once with every step's tape on a recycled
+// Five optimizer steps of a 2-layer LSTM, once with every tensor on the
+// heap (a null ScopedArena) and once with every step's tape on a recycled
 // arena. The resulting parameters must agree to the last bit: the arena
 // only changes *where* the bytes live, never what they hold.
 std::vector<Matrix> TrainSmallLstm(bool arena_on,
@@ -116,7 +104,6 @@ std::vector<Matrix> TrainSmallLstm(bool arena_on,
                                        data,
                                    arena::Arena* probe_reserved_after2,
                                    size_t* reserved_after2) {
-  arena::ScopedEnabled toggle(arena_on);
   Rng rng(7);
   nn::Lstm lstm(4, 5, 2, &rng);
   // Constructed outside any scope: parameter values, gradients and moment
@@ -127,7 +114,7 @@ std::vector<Matrix> TrainSmallLstm(bool arena_on,
       probe_reserved_after2 != nullptr ? probe_reserved_after2 : &fallback;
   for (size_t step = 0; step < data.size(); ++step) {
     step_arena->Reset();
-    arena::ScopedArena scope(step_arena);
+    arena::ScopedArena scope(arena_on ? step_arena : nullptr);
     std::vector<ag::Var> steps;
     for (const Matrix& m : data[step]) steps.push_back(ag::Constant(m));
     auto hs = lstm.Forward(steps);

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
 #include "core/clfd.h"
 #include "eval/experiment.h"
-#include "nn/lstm.h"
 #include "parallel/thread_pool.h"
-#include "plan/plan.h"
 #include "tensor/kernel_backend.h"
 
 namespace clfd {
@@ -60,74 +60,52 @@ TEST(RunExperimentTest, AggregatesAcrossSeeds) {
   EXPECT_GT(m.train_seconds.mean(), 0.0);
 }
 
-TEST(ThreadInvarianceTest, SingleRunMetricsBitwiseIdentical) {
+// FNV-1a over the low `bytes` bytes of `v`, byte order fixed, as
+// KernelFingerprint (kernel_backend_test.cc) hashes float bits.
+void MixInto(uint64_t v, int bytes, uint64_t* h) {
+  for (int byte = 0; byte < bytes; ++byte) {
+    *h ^= (v >> (8 * byte)) & 0xffu;
+    *h *= 1099511628211ull;
+  }
+}
+
+void MixDouble(double d, uint64_t* h) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  MixInto(bits, 8, h);
+}
+
+// Everything a run decides: the RunMetrics bits, every test-session score
+// and the corrector's label and confidence for every training session.
+// Correction fields are mixed one at a time so struct padding stays out.
+uint64_t RunFingerprint(const ClfdModel& model,
+                        const ExperimentContext& context,
+                        const RunMetrics& run) {
+  uint64_t h = 14695981039346656037ull;
+  MixDouble(run.f1, &h);
+  MixDouble(run.fpr, &h);
+  MixDouble(run.auc, &h);
+  for (double score : model.Score(context.test())) MixDouble(score, &h);
+  for (const Correction& c : model.CorrectLabels(context.train())) {
+    MixInto(static_cast<uint32_t>(c.label), 4, &h);
+    MixDouble(c.confidence, &h);
+  }
+  return h;
+}
+
+TEST(BackendInvarianceTest, RunFingerprintMatchesCommittedHash) {
   // The full CLFD pipeline — SimCLR pretrain, corrector, SupCon detector,
-  // classifier — must produce the same numbers to the last bit at any
-  // thread count. Only the wall-clock fields may differ.
+  // classifier, all stepping through execution plans on arena-backed
+  // tapes — must produce the same bits under every kernel backend at
+  // every thread width. F1 and AUC alone saturate at 100 on this tiny
+  // config, so the hash also covers every score and every corrected
+  // label. The committed value was generated at the commit before the
+  // plan/arena/fused-LSTM switches were removed, where each switch off
+  // (and all three off) gave the same value. A change to it is a
+  // deliberate, reviewed event: the failure message prints the new value.
+  constexpr uint64_t kExpected = 0x14285d8585513b82ull;
   SplitSpec split{40, 6, 20, 4};
   ClfdConfig config = TinyConfig();
-  RunMetrics runs[2];
-  int widths[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    parallel::SetGlobalThreads(widths[i]);
-    ExperimentContext context(DatasetKind::kWiki, split,
-                              NoiseSpec::Uniform(0.3), config.emb_dim, 21);
-    ClfdModel model(config, 21);
-    runs[i] = TrainAndEvaluate(&model, context);
-  }
-  parallel::SetGlobalThreads(0);
-  EXPECT_EQ(runs[0].f1, runs[1].f1);
-  EXPECT_EQ(runs[0].fpr, runs[1].fpr);
-  EXPECT_EQ(runs[0].auc, runs[1].auc);
-}
-
-TEST(ThreadInvarianceTest, FusedLstmMatchesLegacyRunMetrics) {
-  // End-to-end oracle for the fused LSTM path: an identical full pipeline
-  // run (same seed, same data) must produce bitwise-identical RunMetrics
-  // with the fused kernels on and off, at every thread width. Combined
-  // with the width loop this also re-checks thread invariance of the
-  // fused kernels themselves.
-  SplitSpec split{40, 6, 20, 4};
-  ClfdConfig config = TinyConfig();
-  int widths[3] = {1, 2, 4};
-  RunMetrics legacy[3], fused[3];
-  for (int i = 0; i < 3; ++i) {
-    parallel::SetGlobalThreads(widths[i]);
-    {
-      nn::ScopedLstmFused off(false);
-      ExperimentContext context(DatasetKind::kWiki, split,
-                                NoiseSpec::Uniform(0.3), config.emb_dim, 33);
-      ClfdModel model(config, 33);
-      legacy[i] = TrainAndEvaluate(&model, context);
-    }
-    {
-      nn::ScopedLstmFused on(true);
-      ExperimentContext context(DatasetKind::kWiki, split,
-                                NoiseSpec::Uniform(0.3), config.emb_dim, 33);
-      ClfdModel model(config, 33);
-      fused[i] = TrainAndEvaluate(&model, context);
-    }
-  }
-  parallel::SetGlobalThreads(0);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(legacy[i].f1, fused[i].f1) << "threads=" << widths[i];
-    EXPECT_EQ(legacy[i].fpr, fused[i].fpr) << "threads=" << widths[i];
-    EXPECT_EQ(legacy[i].auc, fused[i].auc) << "threads=" << widths[i];
-    EXPECT_EQ(fused[i].f1, fused[0].f1) << "threads=" << widths[i];
-    EXPECT_EQ(fused[i].auc, fused[0].auc) << "threads=" << widths[i];
-  }
-}
-
-TEST(BackendInvarianceTest, RunMetricsBitwiseIdenticalAcrossBackends) {
-  // The kernel backends (tensor/kernel_backend.h) are bitwise-
-  // interchangeable, so the full pipeline — SimCLR pretrain, corrector,
-  // SupCon detector, classifier — must produce identical RunMetrics under
-  // every backend at every thread width. The scalar run at width 1 is the
-  // oracle; all five other (backend, width) combinations must match it.
-  SplitSpec split{40, 6, 20, 4};
-  ClfdConfig config = TinyConfig();
-  RunMetrics oracle;
-  bool have_oracle = false;
   for (KernelBackend backend : AllKernelBackends()) {
     ScopedKernelBackend use(backend);
     for (int width : {1, 2, 4}) {
@@ -136,55 +114,10 @@ TEST(BackendInvarianceTest, RunMetricsBitwiseIdenticalAcrossBackends) {
                                 NoiseSpec::Uniform(0.3), config.emb_dim, 21);
       ClfdModel model(config, 21);
       RunMetrics run = TrainAndEvaluate(&model, context);
-      if (!have_oracle) {
-        oracle = run;
-        have_oracle = true;
-        continue;
-      }
-      EXPECT_EQ(oracle.f1, run.f1)
-          << "backend=" << KernelBackendName(backend) << " threads=" << width;
-      EXPECT_EQ(oracle.fpr, run.fpr)
-          << "backend=" << KernelBackendName(backend) << " threads=" << width;
-      EXPECT_EQ(oracle.auc, run.auc)
-          << "backend=" << KernelBackendName(backend) << " threads=" << width;
-    }
-  }
-  parallel::SetGlobalThreads(0);
-}
-
-TEST(PlanInvarianceTest, RunMetricsBitwiseIdenticalWithPlansOnAndOff) {
-  // Execution plans (src/plan) replay each training step's captured tape
-  // instead of rebuilding it; the contract is bitwise-identical RunMetrics
-  // either way. The dynamic tape at scalar/width-1 is the oracle; every
-  // (backend, width) combination with plans ON must match it (the dynamic
-  // tape's own backend/width invariance is locked down separately above).
-  SplitSpec split{40, 6, 20, 4};
-  ClfdConfig config = TinyConfig();
-  RunMetrics oracle;
-  {
-    plan::ScopedEnabled off(false);
-    ScopedKernelBackend scalar(KernelBackend::kScalar);
-    parallel::SetGlobalThreads(1);
-    ExperimentContext context(DatasetKind::kWiki, split,
-                              NoiseSpec::Uniform(0.3), config.emb_dim, 21);
-    ClfdModel model(config, 21);
-    oracle = TrainAndEvaluate(&model, context);
-  }
-  plan::ScopedEnabled on(true);
-  for (KernelBackend backend : AllKernelBackends()) {
-    ScopedKernelBackend use(backend);
-    for (int width : {1, 2, 4}) {
-      parallel::SetGlobalThreads(width);
-      ExperimentContext context(DatasetKind::kWiki, split,
-                                NoiseSpec::Uniform(0.3), config.emb_dim, 21);
-      ClfdModel model(config, 21);
-      RunMetrics run = TrainAndEvaluate(&model, context);
-      EXPECT_EQ(oracle.f1, run.f1)
-          << "backend=" << KernelBackendName(backend) << " threads=" << width;
-      EXPECT_EQ(oracle.fpr, run.fpr)
-          << "backend=" << KernelBackendName(backend) << " threads=" << width;
-      EXPECT_EQ(oracle.auc, run.auc)
-          << "backend=" << KernelBackendName(backend) << " threads=" << width;
+      const uint64_t got = RunFingerprint(model, context, run);
+      EXPECT_EQ(got, kExpected)
+          << "backend=" << KernelBackendName(backend) << " threads=" << width
+          << ": got 0x" << std::hex << got;
     }
   }
   parallel::SetGlobalThreads(0);

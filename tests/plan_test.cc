@@ -79,16 +79,10 @@ TEST(PlanTest, ClassifierStepsBitwiseIdenticalToDynamic) {
   nn::FeedForwardClassifier dynamic_model(5, 8, 2, &init_b);
 
   plan::Planner planner;
-  std::vector<float> planned_losses;
-  {
-    plan::ScopedEnabled on(true);
-    planned_losses = TrainClassifier(&planned_model, true, 5, &planner);
-  }
-  std::vector<float> dynamic_losses;
-  {
-    plan::ScopedEnabled off(false);
-    dynamic_losses = TrainClassifier(&dynamic_model, false, 5, nullptr);
-  }
+  std::vector<float> planned_losses =
+      TrainClassifier(&planned_model, true, 5, &planner);
+  std::vector<float> dynamic_losses =
+      TrainClassifier(&dynamic_model, false, 5, nullptr);
 
   EXPECT_EQ(planner.captures(), 1);
   EXPECT_EQ(planner.replays(), 4);
@@ -121,16 +115,12 @@ TEST(PlanTest, AdamStateBitwiseIdenticalAfterFiveSteps) {
     Matrix fb = RandomMatrix(6, 4, &data_rng_b);
     Matrix targets(6, 2);
     for (int r = 0; r < 6; ++r) targets.at(r, r % 2) = 1.0f;
+    planner.Step(plan::MakeKey(6), nullptr, [&]() -> float {
+      arena_a.Reset();
+      arena::ScopedArena scope(&arena_a);
+      return ClassifierStep(&planned_model, &planned_opt, fa, targets);
+    });
     {
-      plan::ScopedEnabled on(true);
-      planner.Step(plan::MakeKey(6), nullptr, [&]() -> float {
-        arena_a.Reset();
-        arena::ScopedArena scope(&arena_a);
-        return ClassifierStep(&planned_model, &planned_opt, fa, targets);
-      });
-    }
-    {
-      plan::ScopedEnabled off(false);
       arena_b.Reset();
       arena::ScopedArena scope(&arena_b);
       ClassifierStep(&dynamic_model, &dynamic_opt, fb, targets);
@@ -186,15 +176,8 @@ TEST(PlanTest, ContrastiveLossesReplayBitwise) {
     };
 
     plan::Planner planner;
-    std::vector<float> planned_losses, dynamic_losses;
-    {
-      plan::ScopedEnabled on(true);
-      planned_losses = run(&head_a, true, &planner);
-    }
-    {
-      plan::ScopedEnabled off(false);
-      dynamic_losses = run(&head_b, false, nullptr);
-    }
+    std::vector<float> planned_losses = run(&head_a, true, &planner);
+    std::vector<float> dynamic_losses = run(&head_b, false, nullptr);
     EXPECT_EQ(planner.replays(), 3) << "variant " << variant;
     for (size_t i = 0; i < planned_losses.size(); ++i) {
       EXPECT_EQ(planned_losses[i], dynamic_losses[i])
@@ -214,7 +197,6 @@ TEST(PlanTest, ReplayBuildsZeroTapeNodes) {
   Matrix targets(5, 2);
   for (int r = 0; r < 5; ++r) targets.at(r, r % 2) = 1.0f;
 
-  plan::ScopedEnabled on(true);
   plan::Planner planner;
   arena::Arena step_arena;
   obs::Counter* nodes =
@@ -243,7 +225,6 @@ TEST(PlanTest, ShapeChangeInvalidatesFallsBackThenBlacklists) {
   nn::FeedForwardClassifier model(4, 6, 2, &init);
   nn::Adam optimizer(model.Parameters(), 0.01f);
   Rng data_rng(19);
-  plan::ScopedEnabled on(true);
   plan::Planner planner;
   arena::Arena step_arena;
 
@@ -272,7 +253,6 @@ TEST(PlanTest, ShapeChangeInvalidatesFallsBackThenBlacklists) {
   nn::FeedForwardClassifier twin(4, 6, 2, &init2);
   nn::Adam twin_opt(twin.Parameters(), 0.01f);
   Rng twin_rng(19);
-  plan::ScopedEnabled off(false);
   arena::Arena twin_arena;
   std::vector<float> twin_losses;
   for (int rows : rows_per_step) {
@@ -292,7 +272,6 @@ TEST(PlanTest, RngRestoredOnFallbackRerun) {
   // A body that draws from the RNG before mismatching must see the same
   // draws again on the dynamic rerun, or batch composition would silently
   // change on invalidation.
-  plan::ScopedEnabled on(true);
   plan::Planner planner;
   Rng rng(23);
   arena::Arena step_arena;
@@ -322,7 +301,6 @@ TEST(PlanTest, RngRestoredOnFallbackRerun) {
 
 TEST(PlanTest, ReplayStepsAllocateNothingForTheTape) {
   Rng data_rng(31);
-  plan::ScopedEnabled on(true);
   // Checks stay on: the arena NaN-poisons recycled storage under checks, so
   // a replay that dangled into the previous step's arena data would trip
   // the CheckFinite every replayed op runs.
@@ -411,34 +389,14 @@ TEST(PlanTest, SplitForwardBackwardMatchesDynamic) {
   };
 
   plan::Planner planner;
-  {
-    plan::ScopedEnabled on(true);
-    run(&head_a, &planner);
-  }
-  {
-    plan::ScopedEnabled off(false);
-    run(&head_b, nullptr);
-  }
+  run(&head_a, &planner);
+  run(&head_b, nullptr);
   EXPECT_EQ(planner.captures(), 1);
   EXPECT_EQ(planner.replays(), 2);
   ExpectBitwiseEqual(head_a.Parameters()[0].grad(),
                      head_b.Parameters()[0].grad(), "split weight grad");
   ExpectBitwiseEqual(head_a.Parameters()[1].grad(),
                      head_b.Parameters()[1].grad(), "split bias grad");
-}
-
-TEST(PlanTest, DisabledPlannerStaysDynamic) {
-  plan::ScopedEnabled off(false);
-  plan::Planner planner;
-  float loss = planner.Step(plan::MakeKey(1), nullptr, [&]() -> float {
-    ag::Var x = ag::Param(Matrix::FromRows({{2.0f}}));
-    ag::Var l = ag::SumAll(ag::Mul(x, x));
-    ag::Backward(l);
-    return l.value()[0];
-  });
-  EXPECT_EQ(loss, 4.0f);
-  EXPECT_EQ(planner.captures(), 0);
-  EXPECT_EQ(planner.replays(), 0);
 }
 
 }  // namespace

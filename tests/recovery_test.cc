@@ -20,7 +20,6 @@
 #include "eval/experiment.h"
 #include "nn/optimizer.h"
 #include "parallel/thread_pool.h"
-#include "plan/plan.h"
 #include "recovery/checkpoint.h"
 #include "recovery/fault_plan.h"
 #include "recovery/run_checkpointer.h"
@@ -446,16 +445,11 @@ TEST(CrashResumeTest, KillAndResumeBitwiseIdenticalAtEveryWidth) {
 TEST(CrashResumeTest, ResumeRecapturesExecutionPlansBitwiseIdentical) {
   // Execution plans are derived state — never serialized into checkpoints —
   // so a resumed process starts with empty plan caches and re-captures from
-  // its first step. Killing a plans-on run at an epoch boundary and
-  // resuming must land on the same bits as an uninterrupted run on the
-  // plain dynamic tape.
-  RunMetrics baseline;
-  {
-    plan::ScopedEnabled off(false);
-    baseline = RunOne(recovery::RecoveryOptions{});
-  }
+  // its first step. Killing a run at an epoch boundary and resuming must
+  // land on the same bits as an uninterrupted run, whose plans were
+  // captured once at the start.
+  RunMetrics baseline = RunOne(recovery::RecoveryOptions{});
 
-  plan::ScopedEnabled on(true);
   recovery::RecoveryOptions options;
   options.dir = ScratchDir("plan_resume");
   options.interval_epochs = 4;

@@ -41,7 +41,7 @@ bool IsScopedStateClass(const std::string& s) {
       "ScopedArena",        "ScopedKernelBackend",
       "ScopedEnable",       "ScopedEnabled",
       "ScopedFaultPlan",    "ScopedMatmulParallelThreshold",
-      "ScopedLstmFused",    "ScopedContext",
+      "ScopedContext",
   };
   return names->count(s) != 0;
 }

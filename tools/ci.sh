@@ -20,18 +20,18 @@
 # tests run too (e2ebench/test_benchlib.py: its metric logic, plus a smoke
 # run of every workload, which fails when a single-session score is not
 # bitwise the score the full-pool pass gave that session), and the
-# substrate micro-benchmarks run in smoke mode (short min-time) and emit BENCH_substrate.json:
-# kernel FLOP/s, matmul invocations and allocations per training step,
+# substrate micro-benchmarks run in smoke mode (short min-time): kernel
+# FLOP/s, matmul invocations and allocations per training step,
 # wall-clock per phase (forward, forward+backward, optimizer, corrector
-# end-to-end), and the execution-plan rows (corrector E2E with plans on
-# vs off plus the BM_PlanCapture/BM_PlanReplay pair with its capture/
-# replay counters). Before the fresh numbers replace the committed baseline,
-# tools/perfdiff/perf_diff runs as a gate: any benchmark that regressed
-# past the threshold (default +50%, override with
+# end-to-end), and the BM_PlanCapture/BM_PlanReplay pair with its
+# capture/replay counters. tools/perfdiff/perf_diff gates the smoke
+# numbers against the committed BENCH_substrate.json: any benchmark that
+# regressed past the threshold (default +50%, override with
 # CLFD_PERF_GATE_THRESHOLD) fails the run with a ranked delta table. The
-# arena itself is exercised under ASan/UBSan/TSan by the ctest suite of
-# those presets (arena_test plus every eval test runs with CLFD_ARENA on
-# by default).
+# smoke output stays in a temporary file; the committed baseline is never
+# overwritten by a CI pass. Execution plans and the tensor arena are
+# exercised under ASan/UBSan/TSan by the ctest suite of those presets
+# (every training loop steps through a plan on an arena-backed tape).
 #
 # Every preset builds with -Werror (CLFD_WERROR defaults to ON) and runs
 # the whole ctest suite, which includes `lint.repo` and `analyze.repo`;
@@ -61,20 +61,6 @@ for preset in "${presets[@]}"; do
   cmake --build --preset "${preset}" -j "${jobs}"
   echo "==== [${preset}] test"
   ctest --preset "${preset}" -j "${jobs}"
-  # Execution-plan dimension: the ctest run already covers the ambient
-  # default (plans on), so rerun the plan suite and the full-pipeline
-  # invariance test with each CLFD_PLAN value pinned. Under asan/ubsan/
-  # tsan this puts the capture/replay machinery — persistent node buffers
-  # reused across thousands of steps — in front of the sanitizers in both
-  # modes.
-  build_dir="build"
-  [[ "${preset}" != "default" ]] && build_dir="build-${preset}"
-  for plan in 0 1; do
-    echo "==== [${preset}] execution plan dimension: CLFD_PLAN=${plan}"
-    CLFD_PLAN="${plan}" "./${build_dir}/tests/plan_test"
-    CLFD_PLAN="${plan}" "./${build_dir}/tests/eval_test" \
-        --gtest_filter='PlanInvarianceTest.*'
-  done
 done
 
 for preset in "${presets[@]}"; do
@@ -105,7 +91,7 @@ for preset in "${presets[@]}"; do
     echo "==== [default] perf_diff gate vs committed BENCH_substrate.json"
     ./build/tools/perfdiff/perf_diff --gate \
         BENCH_substrate.json "${bench_out}"
-    mv "${bench_out}" BENCH_substrate.json
+    echo "==== [default] smoke bench output left in ${bench_out}"
   fi
 done
 

@@ -21,9 +21,6 @@
 //   --log-level=LVL     debug|info|warn|error|off (default: CLFD_LOG_LEVEL)
 //   --threads=N         parallel width (default: CLFD_THREADS env, else all
 //                       hardware threads); results are identical for any N
-//   --no-plan           disable static execution plans and rebuild the
-//                       autograd tape every step (default: CLFD_PLAN env,
-//                       else plans on); bitwise-identical results
 //
 // Fault-tolerance flags:
 //   --checkpoint-dir=DIR      (run) checkpoint/resume training under DIR
@@ -56,7 +53,6 @@
 #include "obs/prof.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
-#include "plan/plan.h"
 #include "recovery/fault_plan.h"
 #include "recovery/run_checkpointer.h"
 #include "recovery/watchdog.h"
@@ -124,9 +120,6 @@ int Usage() {
       "execution (any subcommand):\n"
       "  --threads=N   thread-pool width (default CLFD_THREADS or all\n"
       "                cores; never changes results, only speed)\n"
-      "  --no-plan     rebuild the autograd tape every step instead of\n"
-      "                replaying captured execution plans (default\n"
-      "                CLFD_PLAN or on; bitwise-identical results)\n"
       "fault tolerance (run):\n"
       "  --checkpoint-dir=DIR --checkpoint-interval=N --no-resume\n"
       "  --watchdog    divergence watchdog with rollback + bounded retry\n"
@@ -361,10 +354,6 @@ int Main(int argc, char** argv) {
 
   int threads = args.GetInt("threads", 0);
   if (threads > 0) parallel::SetGlobalThreads(threads);
-
-  // Execution plans default on (CLFD_PLAN env); --no-plan forces the
-  // dynamic tape. Bitwise-identical results either way, only speed differs.
-  if (args.values.count("no-plan") > 0) plan::SetEnabled(false);
 
   // Deterministic fault injection: same (spec, seed) -> same fault
   // sequence, so a crash/resume transcript is reproducible.
