@@ -16,7 +16,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/trace.h"
 #include "plan/plan.h"
 #include "tensor/arena.h"
 #include "tensor/kernel_backend.h"
@@ -460,10 +459,9 @@ BENCHMARK(BM_NtXentLoss)->Arg(50)->Arg(100);
 // ---- Observability overhead (Sec. "zero overhead when disabled"). ----
 // With logging/tracing off (the default) these measure the cost the
 // instrumentation adds to hot paths: a disabled CLFD_LOG is one relaxed
-// atomic load, a disabled TraceSpan one load and no clock read, a counter
-// add one relaxed fetch_add. Under -DCLFD_OBS_FORCE_OFF the macros compile
-// out entirely, so comparing the two builds quantifies "no measurable
-// overhead".
+// atomic load, a span that nothing wants (profiler off, no trace, no
+// PhaseCapture) three flag reads and no clock read, a counter add one
+// relaxed fetch_add.
 
 void BM_ObsDisabledLog(benchmark::State& state) {
   obs::SetLogLevel(obs::LogLevel::kOff);
@@ -476,8 +474,9 @@ void BM_ObsDisabledLog(benchmark::State& state) {
 BENCHMARK(BM_ObsDisabledLog);
 
 void BM_ObsDisabledSpan(benchmark::State& state) {
+  obs::prof::ScopedEnabled prof(false);
   for (auto _ : state) {
-    CLFD_TRACE_SPAN("bench.noop");
+    CLFD_PROF_SPAN("bench.noop");
     benchmark::ClobberMemory();
   }
 }
@@ -497,9 +496,7 @@ BENCHMARK(BM_ObsCounterAdd);
 // cursor moves; disabled it is a single relaxed load. BM_ProfCorrectorE2E
 // is the budget's end-to-end form — the BM_CorrectorE2E workload with the
 // profiler on (the default) vs. off; the delta between the two rows is the
-// price every user pays, and must stay <= 2%. Building with
-// -DCLFD_OBS_FORCE_OFF compiles the scope objects away entirely and gives
-// the third point of the on / off / compiled-out comparison.
+// price every user pays, and must stay <= 2%.
 
 void BM_ProfScope(benchmark::State& state) {
   obs::prof::ScopedEnabled prof(state.range(0) != 0);

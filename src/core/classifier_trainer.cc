@@ -9,7 +9,7 @@
 #include "nn/optimizer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/prof.h"
 #include "plan/plan.h"
 #include "recovery/checkpoint.h"
 #include "tensor/arena.h"
@@ -85,16 +85,13 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
   // Mixup partner candidates: the whole training table, grouped by label.
   const MixupPartners partners(labels);
 
-#if !defined(CLFD_OBS_FORCE_OFF)
   obs::Series* loss_series = obs::MetricsRegistry::Get().GetSeries(
       std::string(metric_scope) + ".loss");
-#endif
 
   const int start_epoch = hooks != nullptr ? hooks->start_epoch : 0;
   for (int epoch = start_epoch; epoch < config.budget.classifier_epochs;
        ++epoch) {
-    obs::TraceSpan epoch_span(metric_scope);
-    CLFD_PROF_SCOPE("classifier.epoch");
+    obs::prof::Scope epoch_span(obs::prof::kSpan, "classifier.epoch");
     double loss_sum = 0.0;
     int batches = 0;
     rng->Shuffle(&order);
@@ -206,9 +203,7 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
     double epoch_loss = batches > 0 ? loss_sum / batches : 0.0;
     epoch_span.Arg("epoch", epoch);
     epoch_span.Arg("loss", epoch_loss);
-#if !defined(CLFD_OBS_FORCE_OFF)
     loss_series->Append(epoch, epoch_loss);
-#endif
     CLFD_LOG(DEBUG) << "classifier epoch done"
                     << obs::Kv("scope", metric_scope)
                     << obs::Kv("epoch", epoch)

@@ -23,7 +23,8 @@ namespace clfd {
 //
 // `metric_scope` names this training loop in the observability layer (a
 // string literal): per-epoch loss lands in the "<metric_scope>.loss"
-// series and epoch trace spans carry the scope name.
+// series and the loop's log lines carry the scope name. Each epoch is a
+// "classifier.epoch" span under the enclosing phase.
 //
 // `hooks` (optional) is the recovery surface. The loop's only persistent
 // state beyond params/optimizer/rng is the shuffle `order` vector, which

@@ -4,7 +4,7 @@
 
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/prof.h"
 #include "recovery/run_checkpointer.h"
 
 namespace clfd {
@@ -27,7 +27,7 @@ void ClfdModel::Train(const SessionDataset& train, const Matrix& embeddings) {
 void ClfdModel::TrainWithRecovery(const SessionDataset& train,
                                   const Matrix& embeddings,
                                   recovery::RunCheckpointer* rc) {
-  CLFD_TRACE_SPAN("clfd.train");
+  CLFD_PROF_SPAN("clfd.train");
   std::vector<Correction> corrections;
   if (rc != nullptr) {
     if (corrector_) corrector_->RegisterState(rc);

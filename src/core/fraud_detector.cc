@@ -11,7 +11,7 @@
 #include "nn/optimizer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/prof.h"
 #include "recovery/run_checkpointer.h"
 
 namespace clfd {
@@ -39,7 +39,7 @@ void FraudDetector::TrainWithRecovery(
     const Matrix& embeddings, recovery::RunCheckpointer* rc) {
   embeddings_ = embeddings;
   {
-    obs::PhaseSpan phase("detector");
+    CLFD_PROF_SPAN("detector");
     recovery::PhaseHooks hooks;
     if (rc != nullptr) {
       hooks = rc->HooksFor(recovery::kPhaseDetector, "detector",
@@ -49,7 +49,7 @@ void FraudDetector::TrainWithRecovery(
                        rc != nullptr ? &hooks : nullptr);
   }
 
-  obs::PhaseSpan phase("classifier");
+  CLFD_PROF_SPAN("classifier");
   // Frozen representations for stage 2 and for centroid inference. Always
   // recomputed (even on resume): they are a pure deterministic function of
   // the restored encoder parameters.
@@ -105,16 +105,13 @@ void FraudDetector::SupervisedPretrain(
     if (corrections[i].label == kMalicious) corrected_malicious.push_back(i);
   }
 
-#if !defined(CLFD_OBS_FORCE_OFF)
   obs::Series* loss_series =
       obs::MetricsRegistry::Get().GetSeries("detector.supcon.loss");
-#endif
 
   const int start_epoch = hooks != nullptr ? hooks->start_epoch : 0;
   for (int epoch = start_epoch; epoch < config_.budget.contrastive_epochs;
        ++epoch) {
-    obs::TraceSpan epoch_span("detector.supcon");
-    CLFD_PROF_SCOPE("supcon.epoch");
+    obs::prof::Scope epoch_span(obs::prof::kSpan, "supcon.epoch");
     double loss_sum = 0.0;
     int batches = 0;
     for (const auto& batch : train.MakeBatches(config_.batch_size, &rng_)) {
@@ -161,9 +158,7 @@ void FraudDetector::SupervisedPretrain(
     double epoch_loss = batches > 0 ? loss_sum / batches : 0.0;
     epoch_span.Arg("epoch", epoch);
     epoch_span.Arg("loss", epoch_loss);
-#if !defined(CLFD_OBS_FORCE_OFF)
     loss_series->Append(epoch, epoch_loss);
-#endif
     CLFD_LOG(DEBUG) << "supcon epoch done" << obs::Kv("epoch", epoch)
                     << obs::Kv("loss", epoch_loss);
     // No loop-local state beyond params/optimizer/rng: batches and aux

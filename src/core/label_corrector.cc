@@ -5,7 +5,7 @@
 #include "core/classifier_trainer.h"
 #include "encoders/simclr.h"
 #include "obs/log.h"
-#include "obs/trace.h"
+#include "obs/prof.h"
 #include "recovery/run_checkpointer.h"
 
 namespace clfd {
@@ -34,7 +34,7 @@ void LabelCorrector::TrainWithRecovery(const SessionDataset& train,
                                        recovery::RunCheckpointer* rc) {
   embeddings_ = embeddings;
   {
-    obs::PhaseSpan phase("pretrain");
+    CLFD_PROF_SPAN("pretrain");
     SelfSupervisedPretrain(train, embeddings, rc);
   }
 
@@ -42,7 +42,7 @@ void LabelCorrector::TrainWithRecovery(const SessionDataset& train,
   // labels with the configured noise-robust loss. The features are
   // recomputed even on resume — a pure deterministic function of the
   // restored encoder parameters.
-  obs::PhaseSpan phase("corrector");
+  CLFD_PROF_SPAN("corrector");
   Matrix features = encoder_.EncodeDataset(train, embeddings_);
   std::vector<int> noisy_labels(train.size());
   for (int i = 0; i < train.size(); ++i) {

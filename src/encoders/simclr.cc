@@ -8,7 +8,7 @@
 #include "nn/optimizer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/prof.h"
 #include "parallel/thread_pool.h"
 
 namespace clfd {
@@ -21,18 +21,15 @@ void SimclrPretrain(SessionEncoder* encoder, ProjectionHead* projection,
   params.insert(params.end(), proj_params.begin(), proj_params.end());
   nn::Adam optimizer(params, options.learning_rate);
 
-#if !defined(CLFD_OBS_FORCE_OFF)
   obs::Series* loss_series = obs::MetricsRegistry::Get().GetSeries(
       std::string(options.metric_scope) + ".loss");
-#endif
 
   ShardedEncoderTrainer trainer(encoder);
   recovery::PhaseBegin(options.hooks, &optimizer);
   const int start_epoch =
       options.hooks != nullptr ? options.hooks->start_epoch : 0;
   for (int epoch = start_epoch; epoch < options.epochs; ++epoch) {
-    obs::TraceSpan epoch_span(options.metric_scope);
-    CLFD_PROF_SCOPE("simclr.epoch");
+    obs::prof::Scope epoch_span(obs::prof::kSpan, "simclr.epoch");
     double loss_sum = 0.0;
     int batches = 0;
     for (const auto& batch : train.MakeBatches(options.batch_size, rng)) {
@@ -79,9 +76,7 @@ void SimclrPretrain(SessionEncoder* encoder, ProjectionHead* projection,
     double epoch_loss = batches > 0 ? loss_sum / batches : 0.0;
     epoch_span.Arg("epoch", epoch);
     epoch_span.Arg("loss", epoch_loss);
-#if !defined(CLFD_OBS_FORCE_OFF)
     loss_series->Append(epoch, epoch_loss);
-#endif
     CLFD_LOG(DEBUG) << "simclr epoch done"
                     << obs::Kv("scope", options.metric_scope)
                     << obs::Kv("epoch", epoch)

@@ -17,8 +17,9 @@ struct SimclrOptions {
   float grad_clip = 5.0f;
   int reorder_sub_len = 3;
   // Prefix for the observability layer: per-epoch NT-Xent loss lands in the
-  // "<metric_scope>.loss" series and epoch trace spans carry this name.
-  // Must be a string literal (stored, not copied).
+  // "<metric_scope>.loss" series and log lines carry this name (each epoch
+  // is a "simclr.epoch" span). Must be a string literal (stored, not
+  // copied).
   const char* metric_scope = "simclr";
   // Recovery surface (checkpoint/resume + watchdog); null = plain run.
   const recovery::PhaseHooks* hooks = nullptr;

@@ -12,6 +12,7 @@
 #include "metrics/metrics.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/prof.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
 #include "recovery/fault_plan.h"
@@ -169,13 +170,12 @@ RunMetrics TrainAndEvaluate(DetectorModel* model,
   RunMetrics metrics;
   const int64_t start_us = obs::UptimeMicros();
   {
-    // Per-run, per-thread phase accounting: the PhaseSpan sites in core/
-    // report into this capture, so runs executing concurrently on different
-    // seed workers never see each other's time (the process-global
-    // "phase.*.micros" counters still accumulate for the metrics dump).
+    // Per-run, per-thread phase accounting: the phase spans in core/ report
+    // into this capture, so runs executing concurrently on different seed
+    // workers never see each other's time.
     obs::PhaseCapture capture;
     {
-      CLFD_TRACE_SPAN("train");
+      CLFD_PROF_SPAN("train");
       if (rc != nullptr && rc->active()) {
         model->TrainWithRecovery(context.train(), context.embeddings(), rc);
       } else {
@@ -196,7 +196,7 @@ RunMetrics TrainAndEvaluate(DetectorModel* model,
                  << obs::Kv("classifier_s",
                             metrics.phases.classifier_seconds);
 
-  CLFD_TRACE_SPAN("evaluate");
+  CLFD_PROF_SPAN("evaluate");
   std::vector<int> truths = TrueLabels(context.test());
   std::vector<double> scores = model->Score(context.test());
   std::vector<int> preds = model->Predict(context.test());

@@ -15,10 +15,10 @@
 namespace clfd {
 
 // Where the training wall-clock of one run went, in seconds. Fed by the
-// observability layer's phase counters (obs::PhaseSpan sites in core/):
-// SimCLR pre-training, corrector classifier, SupCon detector pre-training
-// and the final FCNN classifier. Baselines without phase instrumentation
-// report all zeros. With CLFD_OBS_FORCE_OFF builds the breakdown is zero.
+// four phase spans in core/ through the run's obs::PhaseCapture, with or
+// without the profiler: SimCLR pre-training, corrector classifier, SupCon
+// detector pre-training and the final FCNN classifier. Baselines without
+// phase spans report all zeros.
 struct PhaseBreakdown {
   double pretrain_seconds = 0.0;    // corrector SimCLR pre-training
   double corrector_seconds = 0.0;   // corrector classifier (mixup-GCE)

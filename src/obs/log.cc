@@ -1,10 +1,10 @@
 #include "obs/log.h"
 
-#include <chrono>
 #include <cstdio>
 #include <mutex>
 
 #include "common/env.h"
+#include "obs/prof.h"
 
 namespace clfd {
 namespace obs {
@@ -68,12 +68,7 @@ void SetLogLevel(LogLevel level) {
   g_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-double UptimeSeconds() {
-  static const auto start = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+double UptimeSeconds() { return static_cast<double>(prof::NowNs()) / 1e9; }
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line) {
   char header[96];

@@ -15,9 +15,6 @@
 // default warn) and can be overridden programmatically with SetLogLevel.
 // Lines are assembled in a private buffer and written with a single
 // locked fwrite, so concurrent threads never interleave characters.
-//
-// Building with -DCLFD_OBS_FORCE_OFF compiles every CLFD_LOG statement
-// out entirely (the stream expression lands in a discarded `else` branch).
 
 #include <atomic>
 #include <sstream>
@@ -80,8 +77,8 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
-// Seconds of process uptime (steady clock); shared with the tracer so log
-// timestamps line up with trace-event timestamps.
+// Seconds of process uptime on the obs clock (prof::NowNs); shared with the
+// tracer so log timestamps line up with trace-event timestamps.
 double UptimeSeconds();
 
 // Severity tokens for the CLFD_LOG(severity) macro, glog-style.
@@ -95,21 +92,10 @@ inline constexpr LogLevel ERROR = LogLevel::kError;
 }  // namespace obs
 }  // namespace clfd
 
-#if defined(CLFD_OBS_FORCE_OFF)
-// `if (true); else ...` discards the statement but still type-checks it and
-// marks the streamed variables as used, keeping -Wall -Wextra quiet.
-#define CLFD_LOG(severity) \
-  if (true)                \
-    ;                      \
-  else                     \
-    ::clfd::obs::LogMessage(::clfd::obs::log_severity::severity,  \
-                            __FILE__, __LINE__)
-#else
 #define CLFD_LOG(severity)                                              \
   if (!::clfd::obs::LogEnabled(::clfd::obs::log_severity::severity))    \
     ;                                                                   \
   else                                                                  \
     ::clfd::obs::LogMessage(::clfd::obs::log_severity::severity,        \
                             __FILE__, __LINE__)
-#endif
 

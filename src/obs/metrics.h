@@ -8,9 +8,6 @@
 // per event. Pointers returned by the registry are stable for the process
 // lifetime: ResetForTest() zeroes values but never frees instruments, so
 // cached pointers stay valid.
-//
-// Building with -DCLFD_OBS_FORCE_OFF compiles the CLFD_METRIC_* macros out
-// to nothing; the classes themselves keep working (tests use them direct).
 
 #include <atomic>
 #include <cstdint>
@@ -138,30 +135,6 @@ class MetricsRegistry {
 }  // namespace obs
 }  // namespace clfd
 
-#if defined(CLFD_OBS_FORCE_OFF)
-#define CLFD_METRIC_COUNT(name, delta) \
-  do {                                 \
-    if (false) {                       \
-      (void)(name);                    \
-      (void)(delta);                   \
-    }                                  \
-  } while (0)
-#define CLFD_METRIC_GAUGE_SET(name, value) \
-  do {                                     \
-    if (false) {                           \
-      (void)(name);                        \
-      (void)(value);                       \
-    }                                      \
-  } while (0)
-#define CLFD_METRIC_HIST_RECORD(name, bounds, value) \
-  do {                                               \
-    if (false) {                                     \
-      (void)(name);                                  \
-      (void)(bounds);                                \
-      (void)(value);                                 \
-    }                                                \
-  } while (0)
-#else
 // Static-local pointer caching: the registry lock is taken once per site
 // per process, after which each hit is a relaxed atomic add.
 #define CLFD_METRIC_COUNT(name, delta)                          \
@@ -185,5 +158,3 @@ class MetricsRegistry {
                                                          (bounds));  \
     clfd_obs_hist_->Record(value);                                   \
   } while (0)
-#endif
-

@@ -12,6 +12,7 @@
 
 #include "common/env.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace clfd {
 namespace obs {
@@ -36,15 +37,17 @@ int64_t ReportNode::TotalBytes() const {
   return total;
 }
 
-#if !defined(CLFD_OBS_FORCE_OFF)
-
 namespace {
 
-int64_t NowNs() {
+int64_t SteadyNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+// Origin of the obs clock, taken during static initialisation so that
+// NowNs() is one clock read and one subtraction, with no first-use guard.
+const int64_t g_origin_ns = SteadyNs();
 
 // One scope-tree node of one thread. Totals are written only by the owning
 // thread; cross-thread visibility for Snapshot/Reset is provided by the
@@ -78,13 +81,11 @@ struct Node {
 
 // Per-thread scope tree; registered once and kept for the process lifetime
 // so profiles of finished pool workers survive into the merged snapshot.
+// `current` is the thread's one scope stack: the innermost open node.
 struct ThreadProfile {
   Node root{"root", nullptr};
   Node* current = &root;
 };
-
-std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_enabled_init{false};
 
 std::mutex& RegistryMutex() {
   static std::mutex* m = new std::mutex();
@@ -99,9 +100,32 @@ std::vector<std::unique_ptr<ThreadProfile>>& Registry() {
 
 thread_local ThreadProfile* tls_profile = nullptr;
 
-// Writes the env-selected reports at process exit (registered on first
-// enable); keeps one-shot tools and benches zero-ceremony.
+// Innermost open PhaseCapture of the current thread (null when none).
+thread_local PhaseCapture* tls_capture = nullptr;
+
+// Writes the env-selected reports at process exit (registered when the
+// enable flag is first read); keeps one-shot tools and benches
+// zero-ceremony.
 void WriteExitReports();
+
+// The profiler switch: 1 on, 0 off, -1 until the first read takes CLFD_PROF
+// (log.cc keeps its level the same way). Read on every scope entry, so
+// after that first read Enabled() is this one relaxed load.
+constexpr int kUninitialized = -1;
+std::atomic<int> g_enabled{kUninitialized};
+
+// Cold path of the first read: takes CLFD_PROF and registers the exit
+// reports. The first thread to publish a value wins; the others return it.
+int InitEnabled() {
+  int expected = kUninitialized;
+  const int from_env = GetEnvBool("CLFD_PROF", true) ? 1 : 0;
+  if (g_enabled.compare_exchange_strong(expected, from_env,
+                                        std::memory_order_relaxed)) {
+    std::atexit(WriteExitReports);
+    return from_env;
+  }
+  return expected;
+}
 
 ThreadProfile* CurrentThreadProfile() {
   if (tls_profile == nullptr) {
@@ -113,14 +137,19 @@ ThreadProfile* CurrentThreadProfile() {
   return tls_profile;
 }
 
-void InitEnabledOnce() {
-  bool expected = false;
-  if (!g_enabled_init.compare_exchange_strong(expected, true,
-                                              std::memory_order_acq_rel)) {
-    return;
-  }
-  g_enabled.store(GetEnvBool("CLFD_PROF", true), std::memory_order_relaxed);
-  std::atexit(WriteExitReports);
+// Opens `name` under the thread's innermost node and makes it innermost.
+Node* PushNode(const char* name) {
+  ThreadProfile* tp = CurrentThreadProfile();
+  Node* node = tp->current->FindOrAddChild(name);
+  tp->current = node;
+  return node;
+}
+
+// Closes `node`, the thread's innermost node, after `ns` nanoseconds.
+void PopNode(Node* node, int64_t ns) {
+  node->ns += ns;
+  node->count += 1;
+  tls_profile->current = node->parent;
 }
 
 void MergeInto(ReportNode* dst, const Node& src) {
@@ -155,14 +184,19 @@ void SortByName(ReportNode* node) {
 }  // namespace
 
 bool Enabled() {
-  InitEnabledOnce();
-  return g_enabled.load(std::memory_order_relaxed);
+  int on = g_enabled.load(std::memory_order_relaxed);
+  if (on == kUninitialized) on = InitEnabled();
+  return on != 0;
 }
 
 void SetEnabled(bool on) {
-  InitEnabledOnce();
-  g_enabled.store(on, std::memory_order_relaxed);
+  if (g_enabled.load(std::memory_order_relaxed) == kUninitialized) {
+    InitEnabled();
+  }
+  g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
 }
+
+int64_t NowNs() { return SteadyNs() - g_origin_ns; }
 
 void AddFlops(int64_t flops) {
   if (!Enabled()) return;
@@ -210,34 +244,71 @@ void Reset() {
 
 Scope::Scope(const char* name) {
   if (!Enabled()) return;
-  ThreadProfile* tp = CurrentThreadProfile();
-  Node* node = tp->current->FindOrAddChild(name);
-  tp->current = node;
-  node_ = node;
+  node_ = PushNode(name);
   start_ns_ = NowNs();
 }
 
-Scope::~Scope() {
-  if (node_ == nullptr) return;
-  Node* node = static_cast<Node*>(node_);
-  node->ns += NowNs() - start_ns_;
-  node->count += 1;
-  tls_profile->current = node->parent;
+Scope::Scope(SpanTag, const char* name) {
+  const bool tree = Enabled();
+  if (!tree && !TraceRecorder::Get().enabled() && tls_capture == nullptr) {
+    return;
+  }
+  span_ = name;
+  if (tree) node_ = PushNode(name);
+  start_ns_ = NowNs();
+}
+
+void Scope::CloseNode() {
+  PopNode(static_cast<Node*>(node_), NowNs() - start_ns_);
+}
+
+void Scope::Arg(const char* key, double value) {
+  if (span_ == nullptr || num_args_ == kMaxArgs) return;
+  arg_keys_[num_args_] = key;
+  arg_values_[num_args_] = value;
+  ++num_args_;
+}
+
+// Captures and spans nest lexically, so the thread's innermost capture is
+// the same at close as it was at open.
+void Scope::CloseSpan() {
+  const int64_t end_ns = NowNs();
+  const int64_t ns = end_ns - start_ns_;
+  if (node_ != nullptr) PopNode(static_cast<Node*>(node_), ns);
+  if (tls_capture != nullptr) tls_capture->ns_[span_] += ns;
+  if (!TraceRecorder::Get().enabled()) return;
+  std::string args;
+  for (int i = 0; i < num_args_; ++i) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%s\"%s\":%.12g", i > 0 ? "," : "",
+                  arg_keys_[i], arg_values_[i]);
+    args += buf;
+  }
+  TraceRecorder::Get().RecordComplete(span_, start_ns_, end_ns, args);
 }
 
 ScopedContext::ScopedContext(const std::vector<const char*>& path) {
-  if (path.empty() || !Enabled()) return;
+  if (path.empty()) return;
   ThreadProfile* tp = CurrentThreadProfile();
   saved_ = tp->current;
   for (const char* name : path) {
     tp->current = tp->current->FindOrAddChild(name);
   }
-  active_ = true;
+  path_ = &path;
+  if (TraceRecorder::Get().enabled()) start_ns_ = NowNs();
 }
 
 ScopedContext::~ScopedContext() {
-  if (!active_) return;
+  if (path_ == nullptr) return;
   tls_profile->current = static_cast<Node*>(saved_);
+  if (start_ns_ < 0) return;
+  std::string ctx = "\"ctx\":\"";
+  for (size_t i = 0; i < path_->size(); ++i) {
+    if (i > 0) ctx += ";";
+    ctx += (*path_)[i];
+  }
+  ctx += "\"";
+  TraceRecorder::Get().RecordComplete(path_->back(), start_ns_, NowNs(), ctx);
 }
 
 namespace {
@@ -281,9 +352,7 @@ void WriteExitReports() {
 
 }  // namespace
 
-#endif  // !CLFD_OBS_FORCE_OFF
-
-// ---- Rendering (build-independent: operates on ReportNode values) ----
+// ---- Rendering (operate on ReportNode values) ----
 
 namespace {
 
@@ -508,8 +577,9 @@ std::string RooflineReport(const ReportNode& root, double peak_gflops) {
   os << buf;
 
   os << "\nphase tree (inclusive time, unattributed = node minus children):\n";
-  // Two levels are enough to read phase structure; deeper levels belong to
-  // the JSON/flamegraph forms.
+  // Three levels reach the phases under the run spans (train, clfd.train)
+  // and the epochs under a phase; deeper levels belong to the
+  // JSON/flamegraph forms.
   std::snprintf(buf, sizeof(buf), "  %-28s %10s %7s %12s\n", "scope",
                 "time_ms", "%wall", "unattr_ms");
   os << buf;
@@ -518,12 +588,14 @@ std::string RooflineReport(const ReportNode& root, double peak_gflops) {
     const ReportNode* node;
   };
   std::vector<Row> rows;
-  for (const ReportNode& c : root.children) {
-    rows.push_back({c.name, &c});
-    for (const ReportNode& g : c.children) {
-      rows.push_back({"  " + g.name, &g});
+  auto add_rows = [&rows](const ReportNode& node, const std::string& indent,
+                          int depth, auto& self) -> void {
+    for (const ReportNode& c : node.children) {
+      rows.push_back({indent + c.name, &c});
+      if (depth > 1) self(c, indent + "  ", depth - 1, self);
     }
-  }
+  };
+  add_rows(root, "", 3, add_rows);
   for (const Row& row : rows) {
     int64_t child_ns = 0;
     for (const ReportNode& c : row.node->children) child_ns += c.ns;
@@ -577,5 +649,17 @@ std::string RooflineReport(const ReportNode& root, double peak_gflops) {
 }
 
 }  // namespace prof
+
+PhaseCapture::PhaseCapture() : prev_(prof::tls_capture) {
+  prof::tls_capture = this;
+}
+
+PhaseCapture::~PhaseCapture() { prof::tls_capture = prev_; }
+
+int64_t PhaseCapture::Micros(const char* name) const {
+  auto it = ns_.find(name);
+  return it == ns_.end() ? 0 : it->second / 1000;
+}
+
 }  // namespace obs
 }  // namespace clfd

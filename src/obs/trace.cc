@@ -1,11 +1,10 @@
 #include "obs/trace.h"
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 
 #include "common/env.h"
-#include "obs/log.h"
+#include "obs/prof.h"
 
 namespace clfd {
 namespace obs {
@@ -22,23 +21,18 @@ uint32_t CurrentThreadId() {
 
 }  // namespace
 
-int64_t UptimeMicros() {
-  return static_cast<int64_t>(UptimeSeconds() * 1e6);
-}
+int64_t UptimeMicros() { return prof::NowNs() / 1000; }
 
-TraceRecorder& TraceRecorder::Get() {
-  static TraceRecorder* recorder = [] {
-    auto* r = new TraceRecorder();
-    std::string path = GetEnvString("CLFD_TRACE", "");
-    if (!path.empty()) {
-      r->Start(path);
-      // Processes that never call Stop() (benches, one-shot tools) still
-      // get their trace written.
-      std::atexit([] { TraceRecorder::Get().Stop(); });
-    }
-    return r;
-  }();
-  return *recorder;
+TraceRecorder* TraceRecorder::Create() {
+  auto* r = new TraceRecorder();
+  std::string path = GetEnvString("CLFD_TRACE", "");
+  if (!path.empty()) {
+    r->Start(path);
+    // Processes that never call Stop() (benches, one-shot tools) still get
+    // their trace written.
+    std::atexit([] { TraceRecorder::Get().Stop(); });
+  }
+  return r;
 }
 
 void TraceRecorder::Start(const std::string& path) {
@@ -87,107 +81,17 @@ size_t TraceRecorder::EventCount() const {
   return events_.size();
 }
 
-void TraceRecorder::RecordComplete(const std::string& name, int64_t ts_us,
-                                   int64_t dur_us,
+void TraceRecorder::RecordComplete(const char* name, int64_t start_ns,
+                                   int64_t end_ns,
                                    const std::string& args_json) {
   uint32_t tid = CurrentThreadId();
   std::lock_guard<std::mutex> lock(mutex_);
   if (!enabled_.load(std::memory_order_relaxed)) return;
-  events_.push_back(Event{name, ts_us, dur_us, tid, args_json});
+  // Both ends rounded down to whole microseconds, so an event nested in
+  // another by the clock stays nested in the file.
+  const int64_t ts_us = start_ns / 1000;
+  events_.push_back(Event{name, ts_us, end_ns / 1000 - ts_us, tid, args_json});
 }
-
-#if !defined(CLFD_OBS_FORCE_OFF)
-
-namespace {
-
-// Innermost active capture of the current thread (null when none).
-thread_local PhaseCapture* tls_phase_capture = nullptr;
-
-// Active span names of the current thread, outermost first. Maintained by
-// TraceSpan only while recording is enabled, so the common disabled path
-// stays a single relaxed load.
-thread_local std::vector<const char*> tls_span_stack;
-
-}  // namespace
-
-namespace internal {
-
-void PushSpan(const char* name) { tls_span_stack.push_back(name); }
-
-void PopSpan() { tls_span_stack.pop_back(); }
-
-}  // namespace internal
-
-std::vector<const char*> CurrentSpanPath() { return tls_span_stack; }
-
-ScopedSpanContext::ScopedSpanContext(const std::vector<const char*>& path) {
-  if (path.empty() || !TraceRecorder::Get().enabled()) return;
-  name_ = path.back();
-  for (const char* entry : path) {
-    if (!ctx_.empty()) ctx_ += ";";
-    ctx_ += entry;
-  }
-  start_us_ = UptimeMicros();
-}
-
-ScopedSpanContext::~ScopedSpanContext() {
-  if (start_us_ < 0) return;
-  int64_t end_us = UptimeMicros();
-  TraceRecorder::Get().RecordComplete(
-      name_, start_us_, end_us - start_us_,
-      std::string("\"ctx\":\"") + ctx_ + "\"");
-}
-
-PhaseCapture::PhaseCapture() : prev_(tls_phase_capture) {
-  tls_phase_capture = this;
-}
-
-PhaseCapture::~PhaseCapture() { tls_phase_capture = prev_; }
-
-int64_t PhaseCapture::Micros(const char* phase) const {
-  auto it = micros_.find(phase);
-  return it == micros_.end() ? 0 : it->second;
-}
-
-void PhaseCapture::Add(const char* phase, int64_t micros) {
-  micros_[phase] += micros;
-}
-
-PhaseSpan::~PhaseSpan() {
-  int64_t elapsed = UptimeMicros() - start_us_;
-  counter_->Add(elapsed);
-  if (tls_phase_capture != nullptr) {
-    tls_phase_capture->Add(phase_, elapsed);
-  }
-}
-
-void TraceSpan::Arg(const char* key, double value) {
-  if (start_us_ < 0) return;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s\"%s\":%.12g",
-                args_json_.empty() ? "" : ",", key, value);
-  args_json_ += buf;
-}
-
-void TraceSpan::ArgStr(const char* key, const char* value) {
-  if (start_us_ < 0) return;
-  if (!args_json_.empty()) args_json_ += ",";
-  args_json_ += std::string("\"") + key + "\":\"";
-  for (const char* p = value; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') args_json_ += '\\';
-    args_json_ += *p;
-  }
-  args_json_ += "\"";
-}
-
-void TraceSpan::Finish() {
-  internal::PopSpan();
-  int64_t end_us = UptimeMicros();
-  TraceRecorder::Get().RecordComplete(name_, start_us_, end_us - start_us_,
-                                      args_json_);
-}
-
-#endif  // !CLFD_OBS_FORCE_OFF
 
 }  // namespace obs
 }  // namespace clfd

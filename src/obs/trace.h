@@ -1,50 +1,43 @@
 #pragma once
 
-// RAII tracing for chrome://tracing (or https://ui.perfetto.dev).
+// Chrome trace recorder (chrome://tracing or https://ui.perfetto.dev). The
+// events come from spans — obs::prof::Scope objects opened with the kSpan
+// tag (obs/prof.h) — and from the thread pool's worker context events:
 //
 //   void Train(...) {
-//     CLFD_TRACE_SPAN("detector.supcon");   // whole-function span
+//     CLFD_PROF_SPAN("detector");           // whole-block span
 //     for (int epoch = ...) {
-//       obs::TraceSpan span("detector.epoch");
-//       span.Arg("epoch", epoch);
+//       obs::prof::Scope span(obs::prof::kSpan, "supcon.epoch");
 //       ...
+//       span.Arg("epoch", epoch);
 //     }
 //   }
 //
 // Spans record Chrome trace-event "complete" (ph:"X") events; nesting is
 // inferred by the viewer from timestamp containment per thread. Recording
 // is off until TraceRecorder::Get().Start(path) is called — or
-// automatically when the CLFD_TRACE=<path> environment variable is set —
-// and a disabled span costs one relaxed atomic load, no clock read.
-//
-// ScopedTimer is the tracer's metrics-side sibling: it accumulates its
-// lifetime into a Counter of microseconds (and optionally a Histogram),
-// which is how the per-phase breakdown in eval/experiment.h is fed.
-// PhaseSpan bundles both: a trace span plus a "phase.<name>.micros"
-// counter.
-//
-// Building with -DCLFD_OBS_FORCE_OFF turns all three classes into empty
-// shells that the optimizer deletes.
+// automatically when the CLFD_TRACE=<path> environment variable is set.
 
+#include <atomic>
 #include <cstdint>
-#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
-
-#include "obs/metrics.h"
-#include "obs/prof.h"
 
 namespace clfd {
 namespace obs {
 
-// Microseconds since process start on the steady clock; the `ts` axis of
-// every trace event (matches log.h's UptimeSeconds()).
+// Microseconds since process start on the obs clock (prof::NowNs); the
+// `ts` axis of every trace event (matches log.h's UptimeSeconds()).
 int64_t UptimeMicros();
 
 class TraceRecorder {
  public:
   // Auto-starts from CLFD_TRACE on first access.
-  static TraceRecorder& Get();
+  static TraceRecorder& Get() {
+    static TraceRecorder* recorder = Create();
+    return *recorder;
+  }
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
@@ -59,13 +52,15 @@ class TraceRecorder {
   // Number of buffered events (test hook).
   size_t EventCount() const;
 
-  // Records one complete event. `args_json` is either empty or a JSON
+  // Records one complete event on the calling thread's lane, from two obs
+  // clock readings (prof::NowNs). `args_json` is either empty or a JSON
   // object body without braces, e.g. "\"epoch\":3".
-  void RecordComplete(const std::string& name, int64_t ts_us, int64_t dur_us,
+  void RecordComplete(const char* name, int64_t start_ns, int64_t end_ns,
                       const std::string& args_json);
 
  private:
   TraceRecorder() = default;
+  static TraceRecorder* Create();
 
   struct Event {
     std::string name;
@@ -81,196 +76,5 @@ class TraceRecorder {
   std::vector<Event> events_;
 };
 
-#if defined(CLFD_OBS_FORCE_OFF)
-
-inline std::vector<const char*> CurrentSpanPath() { return {}; }
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name) { (void)name; }
-  void Arg(const char* key, double value) {
-    (void)key;
-    (void)value;
-  }
-  void ArgStr(const char* key, const char* value) {
-    (void)key;
-    (void)value;
-  }
-};
-
-class ScopedSpanContext {
- public:
-  explicit ScopedSpanContext(const std::vector<const char*>& path) {
-    (void)path;
-  }
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Counter* micros, Histogram* hist = nullptr) {
-    (void)micros;
-    (void)hist;
-  }
-};
-
-class PhaseSpan {
- public:
-  explicit PhaseSpan(const char* phase) { (void)phase; }
-};
-
-class PhaseCapture {
- public:
-  PhaseCapture() = default;
-  int64_t Micros(const char* phase) const {
-    (void)phase;
-    return 0;
-  }
-};
-
-#else
-
-namespace internal {
-// Span-stack bookkeeping used by CurrentSpanPath (trace.cc owns the
-// thread_local stack; TraceSpan's inline ctor/dtor call through).
-void PushSpan(const char* name);
-void PopSpan();
-}  // namespace internal
-
-// Names of the trace spans currently open on this thread, outermost first.
-// parallel::ParallelFor captures this at the submit site and re-applies it
-// on workers via ScopedSpanContext. Empty while recording is disabled.
-std::vector<const char*> CurrentSpanPath();
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name) {
-    if (TraceRecorder::Get().enabled()) {
-      name_ = name;
-      start_us_ = UptimeMicros();
-      internal::PushSpan(name);
-    }
-  }
-  ~TraceSpan() {
-    if (start_us_ >= 0) Finish();
-  }
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  // Attaches a numeric argument shown in the viewer's detail pane.
-  void Arg(const char* key, double value);
-  // String-valued argument (escaped as needed).
-  void ArgStr(const char* key, const char* value);
-
- private:
-  void Finish();
-
-  const char* name_ = nullptr;
-  int64_t start_us_ = -1;
-  std::string args_json_;
-};
-
-// Cross-thread nesting bridge: the Chrome viewer nests events per thread by
-// timestamp containment, so a worker's spans cannot sit under a span opened
-// on the submitting thread. The pool opens one of these per worker per job
-// with the submitter's CurrentSpanPath(): it emits a synthetic enclosing
-// event on the worker's own lane, named after the innermost captured span
-// and carrying the full path as a "ctx" arg, covering the worker's
-// participation — the worker's real spans then nest under it naturally.
-class ScopedSpanContext {
- public:
-  explicit ScopedSpanContext(const std::vector<const char*>& path);
-  ~ScopedSpanContext();
-  ScopedSpanContext(const ScopedSpanContext&) = delete;
-  ScopedSpanContext& operator=(const ScopedSpanContext&) = delete;
-
- private:
-  const char* name_ = nullptr;
-  int64_t start_us_ = -1;
-  std::string ctx_;
-};
-
-// Adds its lifetime in microseconds to `micros` (and, when given, records
-// the duration into `hist` — bounds chosen by the call site).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Counter* micros, Histogram* hist = nullptr)
-      : micros_(micros), hist_(hist), start_us_(UptimeMicros()) {}
-  ~ScopedTimer() {
-    int64_t elapsed = UptimeMicros() - start_us_;
-    micros_->Add(elapsed);
-    if (hist_ != nullptr) hist_->Record(static_cast<double>(elapsed));
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Counter* micros_;
-  Histogram* hist_;
-  int64_t start_us_;
-};
-
-// Accumulates the durations of PhaseSpans that close on the *current
-// thread* while this capture is the innermost one (captures nest; the
-// inner one shadows the outer for its lifetime). eval/experiment.cc opens
-// one capture per run, which stays correct when several runs execute
-// concurrently on different workers — unlike diffing the process-global
-// "phase.*.micros" counters, which would attribute every concurrent run's
-// time to whichever run diffed last.
-class PhaseCapture {
- public:
-  PhaseCapture();
-  ~PhaseCapture();
-  PhaseCapture(const PhaseCapture&) = delete;
-  PhaseCapture& operator=(const PhaseCapture&) = delete;
-
-  // Total microseconds recorded for `phase` so far (0 when never seen).
-  int64_t Micros(const char* phase) const;
-
-  // Called by ~PhaseSpan on the owning thread; not thread-safe by design
-  // (a capture belongs to exactly one thread).
-  void Add(const char* phase, int64_t micros);
-
- private:
-  std::map<std::string, int64_t> micros_;
-  PhaseCapture* prev_;  // restored on destruction (nesting)
-};
-
-// One training phase: a trace span named after the phase, a
-// "phase.<name>.micros" counter (cumulative, process-wide), and — when the
-// calling thread has an active PhaseCapture — a per-capture entry that
-// eval/experiment.cc reads to build the per-run time breakdown. `phase`
-// must be a string literal (the counter pointer is resolved per call,
-// phases fire a handful of times per run).
-class PhaseSpan {
- public:
-  explicit PhaseSpan(const char* phase)
-      : prof_scope_(phase),
-        phase_(phase),
-        span_(phase),
-        counter_(MetricsRegistry::Get().GetCounter(
-            std::string("phase.") + phase + ".micros")),
-        start_us_(UptimeMicros()) {}
-  ~PhaseSpan();
-  PhaseSpan(const PhaseSpan&) = delete;
-  PhaseSpan& operator=(const PhaseSpan&) = delete;
-
- private:
-  // Phases double as the top-level nodes of the profiler's scope tree.
-  prof::Scope prof_scope_;
-  const char* phase_;
-  TraceSpan span_;
-  Counter* counter_;
-  int64_t start_us_;
-};
-
-#endif  // CLFD_OBS_FORCE_OFF
-
 }  // namespace obs
 }  // namespace clfd
-
-#define CLFD_OBS_CONCAT_INNER_(a, b) a##b
-#define CLFD_OBS_CONCAT_(a, b) CLFD_OBS_CONCAT_INNER_(a, b)
-// Scoped span covering the rest of the enclosing block.
-#define CLFD_TRACE_SPAN(name) \
-  ::clfd::obs::TraceSpan CLFD_OBS_CONCAT_(clfd_trace_span_, __LINE__)(name)
-

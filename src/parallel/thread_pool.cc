@@ -1,13 +1,11 @@
 #include "parallel/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 
 #include "common/env.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/trace.h"
 
 namespace clfd {
 namespace parallel {
@@ -23,12 +21,6 @@ struct DepthGuard {
   ~DepthGuard() { --tls_parallel_depth; }
 };
 
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace
 
 // One ParallelFor invocation. Chunks are claimed with an atomic counter;
@@ -41,12 +33,11 @@ struct ThreadPool::Job {
   int64_t num_chunks = 0;
   const std::function<void(int64_t, int64_t)>* body = nullptr;
 
-  // Observability context captured on the submitting thread: workers
-  // re-root their profiler scopes / trace events under these paths so
+  // Scope path captured on the submitting thread: workers re-root their
+  // profiler scopes under it, and mark their trace lanes with it, so
   // worker-side work nests beneath the issuing phase (empty when the
-  // respective subsystem is off, making the re-root a no-op).
-  std::vector<const char*> prof_path;
-  std::vector<const char*> span_path;
+  // profiler is off, making the worker context a no-op).
+  std::vector<const char*> path;
   // Per-chunk wall time for shard-imbalance stats. Slots are disjoint and
   // each is written before that chunk's done_chunks increment (acq_rel), so
   // the submitting thread reads them race-free after the join. Empty when
@@ -59,7 +50,7 @@ struct ThreadPool::Job {
 
   // Context-teardown handshake. A worker that picks the job up but claims
   // zero chunks still mutates its profiler tree (ScopedContext re-root) and
-  // trace buffers, which the done_chunks join alone does not order before
+  // trace buffer, which the done_chunks join alone does not order before
   // the submitter. `entered` counts pickups (guarded by the pool's
   // wake_mutex_), `exited` counts workers whose obs contexts have been
   // destroyed (guarded by done_mutex); the submitter waits for
@@ -102,7 +93,7 @@ void ThreadPool::RunChunks(Job* job) {
     if (!job->failed.load(std::memory_order_relaxed)) {
       int64_t lo = job->begin + chunk * job->grain;
       int64_t hi = std::min(lo + job->grain, job->end);
-      int64_t t0 = timed ? NowNs() : 0;
+      int64_t t0 = timed ? obs::prof::NowNs() : 0;
       try {
         // Chunk boundaries are a pure function of (begin, end, grain), so
         // the merged count of this scope is identical at every pool width.
@@ -115,7 +106,9 @@ void ThreadPool::RunChunks(Job* job) {
           job->failed.store(true, std::memory_order_relaxed);
         }
       }
-      if (timed) job->chunk_ns[static_cast<size_t>(chunk)] = NowNs() - t0;
+      if (timed) {
+        job->chunk_ns[static_cast<size_t>(chunk)] = obs::prof::NowNs() - t0;
+      }
     }
     // acq_rel: makes this chunk's writes visible to whoever observes the
     // final count and wakes the submitter after the last chunk.
@@ -148,15 +141,14 @@ void ThreadPool::WorkerLoop(int worker_index) {
     }
     if (job) {
       {
-        // Re-root this worker's profiler scopes and trace events under the
-        // context captured at the submit site, so worker-side work nests
-        // beneath the issuing phase rather than dangling at top level.
-        obs::prof::ScopedContext prof_ctx(job->prof_path);
-        obs::ScopedSpanContext span_ctx(job->span_path);
-        obs::TraceSpan shard_span("parallel.shard");
-        int64_t t0 = NowNs();
+        // Re-root this worker's profiler scopes (and, while a trace is
+        // recording, open its lane's context event) under the path captured
+        // at the submit site, so worker-side work nests beneath the issuing
+        // phase rather than dangling at top level.
+        obs::prof::ScopedContext context(job->path);
+        int64_t t0 = obs::prof::NowNs();
         RunChunks(job.get());
-        busy->Add((NowNs() - t0) / 1000);
+        busy->Add((obs::prof::NowNs() - t0) / 1000);
       }
       // Publish context teardown: the submitter's exited == entered wait
       // orders the re-root/teardown writes above even when this worker
@@ -201,10 +193,9 @@ void ThreadPool::ParallelFor(
   job->num_chunks = num_chunks;
   job->body = &body;
   if (obs::prof::Enabled()) {
-    job->prof_path = obs::prof::CurrentPath();
+    job->path = obs::prof::CurrentPath();
     job->chunk_ns.assign(static_cast<size_t>(num_chunks), 0);
   }
-  job->span_path = obs::CurrentSpanPath();
   {
     std::lock_guard<std::mutex> lock(wake_mutex_);
     current_job_ = job;

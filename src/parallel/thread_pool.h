@@ -32,12 +32,13 @@
 // unstarted chunks are skipped, and the exception is rethrown on the
 // calling thread once all in-flight chunks have drained.
 //
-// Observability context from src/obs — the profiler scope path and the
-// trace span path of the submitting thread — is captured per call and
-// re-applied on each worker, so worker-side scopes and spans nest under the
-// issuing phase instead of dangling at top level. When the profiler is
-// enabled, per-chunk wall times additionally feed the parallel.* metrics
-// (per-worker busy time, slowest-shard skew).
+// Observability context from src/obs — the profiler scope path of the
+// submitting thread — is captured per call and re-applied on each worker
+// (one obs::prof::ScopedContext per worker per job), so worker-side scopes
+// nest under the issuing phase instead of dangling at top level, and a
+// recording trace shows one enclosing context event per worker lane. When
+// the profiler is enabled, per-chunk wall times additionally feed the
+// parallel.* metrics (per-worker busy time, slowest-shard skew).
 
 #include <atomic>
 #include <condition_variable>

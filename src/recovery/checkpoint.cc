@@ -12,7 +12,6 @@
 
 #include "common/fault.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace clfd {
 namespace recovery {
@@ -284,7 +283,6 @@ void EnsureDirs(const std::string& dir) {
 }
 
 void WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  obs::TraceSpan span("recovery.checkpoint.write");
   if (fault::At("ckpt.io")) {
     Fail(CheckpointStatus::kIoError, "injected IO failure for '" + path + "'");
   }

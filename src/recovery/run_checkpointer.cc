@@ -6,7 +6,7 @@
 #include "common/fault.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "obs/prof.h"
 #include "recovery/fault_plan.h"
 
 namespace clfd {
@@ -55,6 +55,11 @@ void RunCheckpointer::DrainCommits() {
                   [this] { return !pending_bytes_.has_value() && !committing_; });
 }
 
+// No obs::prof::Scope here or in WriteFileAtomic: this raw thread is not a
+// pool lane, so nothing orders its scope tree against prof::Snapshot() and
+// prof::Reset(), which read and prune every thread's tree from the
+// training thread while commits may still be in flight. Commits are
+// counted in the recovery.ckpt.* metrics instead.
 void RunCheckpointer::CommitterLoop() {
   std::unique_lock<std::mutex> lock(commit_mu_);
   for (;;) {
@@ -124,7 +129,7 @@ bool RunCheckpointer::LoadSnapshot() {
 
 void RunCheckpointer::RestoreRegistered() {
   if (!has_snapshot_) return;
-  obs::TraceSpan span("recovery.restore");
+  CLFD_PROF_SPAN("recovery.restore");
 
   // Stage 1: decode and validate every section against the registered
   // model before touching any of it, so a defective checkpoint can never
@@ -252,7 +257,7 @@ void RunCheckpointer::MarkTrainingComplete() {
 void RunCheckpointer::Snapshot(int phase, int next_epoch, bool complete,
                                nn::Adam* optimizer,
                                const std::string& local) {
-  obs::TraceSpan span("recovery.snapshot");
+  CLFD_PROF_SPAN("recovery.snapshot");
   Checkpoint ckpt;
   {
     ByteWriter meta;

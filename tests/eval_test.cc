@@ -6,6 +6,7 @@
 
 #include "core/clfd.h"
 #include "eval/experiment.h"
+#include "obs/prof.h"
 #include "parallel/thread_pool.h"
 #include "tensor/kernel_backend.h"
 
@@ -145,7 +146,6 @@ TEST(ThreadInvarianceTest, SeedParallelAggregateBitwiseIdentical) {
     EXPECT_EQ(per_width[i].auc.values(), per_width[0].auc.values())
         << "threads=" << widths[i];
   }
-#if !defined(CLFD_OBS_FORCE_OFF)
   // Phase accounting stays per-run even when seeds train concurrently: the
   // per-seed breakdown must never exceed that seed's own wall-clock.
   const AggregatedMetrics& wide = per_width[2];
@@ -157,7 +157,6 @@ TEST(ThreadInvarianceTest, SeedParallelAggregateBitwiseIdentical) {
     EXPECT_GT(phase_total, 0.0);
     EXPECT_LE(phase_total, wide.train_seconds.values()[s] * 1.001);
   }
-#endif  // !CLFD_OBS_FORCE_OFF
 }
 
 TEST(RunCorrectorExperimentTest, ProducesTprTnr) {
@@ -172,30 +171,39 @@ TEST(RunCorrectorExperimentTest, ProducesTprTnr) {
   EXPECT_GT(m.tnr.mean(), 50.0);
 }
 
-#if !defined(CLFD_OBS_FORCE_OFF)
 TEST(TrainAndEvaluateTest, PhaseTimingsSumToTrainSeconds) {
   SplitSpec split{60, 8, 30, 6};
   ClfdConfig config = TinyConfig();
   ExperimentContext context(DatasetKind::kCert, split,
                             NoiseSpec::Uniform(0.2), config.emb_dim, 11);
-  ClfdModel model(config, 11);
-  RunMetrics m = TrainAndEvaluate(&model, context);
+  // The phase spans feed the run's capture whether or not the profiler
+  // builds its tree.
+  for (bool profiler : {true, false}) {
+    SCOPED_TRACE(profiler ? "profiler on" : "profiler off");
+    obs::prof::ScopedEnabled prof(profiler);
+    obs::prof::Reset();
+    ClfdModel model(config, 11);
+    RunMetrics m = TrainAndEvaluate(&model, context);
 
-  // The full CLFD pipeline runs all four phases...
-  EXPECT_GT(m.phases.pretrain_seconds, 0.0);
-  EXPECT_GT(m.phases.corrector_seconds, 0.0);
-  EXPECT_GT(m.phases.detector_seconds, 0.0);
-  EXPECT_GT(m.phases.classifier_seconds, 0.0);
-  // ...the phases partition Train() up to glue code (correction inference
-  // between phases), so their sum approximates the total without ever
-  // exceeding it.
-  EXPECT_LE(m.phases.TotalSeconds(), m.train_seconds * 1.001);
-  EXPECT_GE(m.phases.TotalSeconds(), m.train_seconds * 0.5);
+    // The full CLFD pipeline runs all four phases...
+    EXPECT_GT(m.phases.pretrain_seconds, 0.0);
+    EXPECT_GT(m.phases.corrector_seconds, 0.0);
+    EXPECT_GT(m.phases.detector_seconds, 0.0);
+    EXPECT_GT(m.phases.classifier_seconds, 0.0);
+    // ...the phases partition Train() up to glue code (correction
+    // inference between phases), so their sum approximates the total
+    // without ever exceeding it.
+    EXPECT_LE(m.phases.TotalSeconds(), m.train_seconds * 1.001);
+    EXPECT_GE(m.phases.TotalSeconds(), m.train_seconds * 0.5);
+    if (!profiler) {
+      EXPECT_TRUE(obs::prof::Snapshot().children.empty());
+    }
+  }
 }
 
 TEST(TrainAndEvaluateTest, PhaseBreakdownIsPerRun) {
-  // Phase counters are cumulative process-wide; the per-run breakdown must
-  // diff them, not report totals from earlier runs in the same process.
+  // Each run reads its breakdown from its own capture, never totals that
+  // include earlier runs in the same process.
   SplitSpec split{40, 6, 20, 4};
   ClfdConfig config = TinyConfig();
   ExperimentContext context(DatasetKind::kWiki, split,
@@ -209,7 +217,6 @@ TEST(TrainAndEvaluateTest, PhaseBreakdownIsPerRun) {
   EXPECT_LT(b.phases.TotalSeconds(), 2.0 * a.phases.TotalSeconds());
   EXPECT_LE(b.phases.TotalSeconds(), b.train_seconds * 1.001);
 }
-#endif  // !CLFD_OBS_FORCE_OFF
 
 TEST(BenchScaleTest, EnvOverrides) {
   unsetenv("CLFD_SCALE");

@@ -10,6 +10,7 @@
 
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/prof.h"
 #include "obs/trace.h"
 
 namespace clfd {
@@ -42,7 +43,6 @@ TEST(LogTest, LevelFiltering) {
   SetLogLevel(LogLevel::kWarn);
 }
 
-#if !defined(CLFD_OBS_FORCE_OFF)
 TEST(LogTest, FilteredStatementEmitsNothing) {
   SetLogLevel(LogLevel::kError);
   testing::internal::CaptureStderr();
@@ -65,7 +65,6 @@ TEST(LogTest, EmittedLineHasLevelLocationAndFields) {
   EXPECT_EQ(captured.back(), '\n');
   SetLogLevel(LogLevel::kWarn);
 }
-#endif  // !CLFD_OBS_FORCE_OFF
 
 // ---- Counters / gauges ----
 
@@ -276,8 +275,6 @@ TEST(MetricsRegistryTest, ConcurrentRegistrationAndExportAreWellFormed) {
 
 // ---- Tracing ----
 
-#if !defined(CLFD_OBS_FORCE_OFF)
-
 struct ParsedEvent {
   std::string name;
   long long ts = 0;
@@ -308,10 +305,10 @@ TEST(TraceTest, NestedSpansProduceContainedEvents) {
   auto& recorder = TraceRecorder::Get();
   recorder.Start(path);
   {
-    TraceSpan outer("outer");
+    prof::Scope outer(prof::kSpan, "outer");
     outer.Arg("epoch", 1);
     {
-      TraceSpan inner("inner");
+      prof::Scope inner(prof::kSpan, "inner");
       // Ensure measurable, strictly nested durations.
       volatile double sink = 0;
       for (int i = 0; i < 100000; ++i) sink = sink + i * 0.5;
@@ -352,33 +349,44 @@ TEST(TraceTest, DisabledRecorderBuffersNothing) {
   auto& recorder = TraceRecorder::Get();
   ASSERT_TRUE(recorder.Stop());  // make sure recording is off
   {
-    TraceSpan span("ignored");
+    prof::Scope span(prof::kSpan, "ignored");
   }
   EXPECT_EQ(recorder.EventCount(), 0u);
 }
 
-TEST(TraceTest, ScopedTimerAccumulatesMicros) {
-  auto& registry = MetricsRegistry::Get();
-  Counter* micros = registry.GetCounter("test.scoped_timer.micros");
-  micros->Reset();
+// A span with all three sinks on takes one measurement: the tree node, the
+// trace event and the capture entry share its name and its duration.
+TEST(TraceTest, SpanFeedsTreeTraceAndCaptureFromOneMeasurement) {
+  prof::ScopedEnabled on(true);
+  prof::Reset();
+  const char* path = "obs_test_trace_one_span.json";
+  auto& recorder = TraceRecorder::Get();
+  recorder.Start(path);
+  PhaseCapture capture;
   {
-    ScopedTimer timer(micros);
+    prof::Scope span(prof::kSpan, "test.one_span");
     volatile double sink = 0;
-    for (int i = 0; i < 100000; ++i) sink = sink + i * 0.5;
+    for (int i = 0; i < 200000; ++i) sink = sink + i * 0.5;
   }
-  EXPECT_GT(micros->value(), 0);
-}
+  ASSERT_TRUE(recorder.Stop());
 
-TEST(TraceTest, PhaseSpanFeedsPhaseCounter) {
-  auto& registry = MetricsRegistry::Get();
-  Counter* counter = registry.GetCounter("phase.test_phase.micros");
-  counter->Reset();
-  {
-    PhaseSpan phase("test_phase");
-    volatile double sink = 0;
-    for (int i = 0; i < 100000; ++i) sink = sink + i * 0.5;
-  }
-  EXPECT_GT(counter->value(), 0);
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  std::remove(path);
+  auto events = ParseEvents(buffer.str());
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "test.one_span");
+
+  const prof::ReportNode root = prof::Snapshot();
+  const prof::ReportNode* node = root.Child("test.one_span");
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->count, 1);
+  const int64_t tree_us = node->ns / 1000;
+  EXPECT_GT(tree_us, 0);
+  EXPECT_NEAR(capture.Micros("test.one_span"), tree_us, 1);
+  EXPECT_NEAR(events[0].dur, tree_us, 1);
 }
 
 TEST(TraceTest, ConcurrentSpansAllRecordedAndJsonWellFormed) {
@@ -391,7 +399,7 @@ TEST(TraceTest, ConcurrentSpansAllRecordedAndJsonWellFormed) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t] {
       for (int i = 0; i < kSpans; ++i) {
-        TraceSpan span("mt_span");
+        prof::Scope span(prof::kSpan, "mt_span");
         span.Arg("thread", t);
       }
     });
@@ -420,18 +428,20 @@ TEST(TraceTest, ConcurrentSpansAllRecordedAndJsonWellFormed) {
 }
 
 TEST(PhaseCaptureTest, CapturesOnlyTheOwningThread) {
-  // Two threads run PhaseSpans of the same phase concurrently; each
+  // Several threads run spans of the same phase concurrently; each
   // thread's capture must account only its own spans — this is what keeps
   // per-run phase breakdowns honest when seeds train in parallel.
   constexpr int kThreads = 4;
-  MetricsRegistry::Get().GetCounter("phase.mt_phase.micros")->Reset();
+  constexpr int kSpans = 20;
+  prof::ScopedEnabled on(true);
+  prof::Reset();
   int64_t captured[kThreads] = {0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       PhaseCapture capture;
-      for (int i = 0; i < 20; ++i) {
-        PhaseSpan span("mt_phase");
+      for (int i = 0; i < kSpans; ++i) {
+        prof::Scope span(prof::kSpan, "mt_phase");
         volatile double sink = 0;
         for (int j = 0; j < 20000; ++j) sink = sink + j * 0.5;
       }
@@ -439,23 +449,26 @@ TEST(PhaseCaptureTest, CapturesOnlyTheOwningThread) {
     });
   }
   for (auto& thread : threads) thread.join();
-  Counter* total =
-      MetricsRegistry::Get().GetCounter("phase.mt_phase.micros");
   int64_t sum = 0;
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_GT(captured[t], 0) << t;
     sum += captured[t];
   }
-  // The process-global counter saw every span exactly once, so the
-  // per-thread captures partition it.
-  EXPECT_EQ(sum, total->value());
-  total->Reset();
+  // The merged tree's phase node saw every span exactly once, so the
+  // per-thread captures partition it (each capture rounds its own total
+  // down to whole microseconds).
+  const prof::ReportNode root = prof::Snapshot();
+  const prof::ReportNode* phase = root.Child("mt_phase");
+  ASSERT_NE(phase, nullptr);
+  EXPECT_EQ(phase->count, kThreads * kSpans);
+  EXPECT_LE(sum, phase->ns / 1000);
+  EXPECT_GT(sum, phase->ns / 1000 - kThreads);
 }
 
 TEST(PhaseCaptureTest, InnerCaptureShadowsOuter) {
   PhaseCapture outer;
   {
-    PhaseSpan span("shadow_phase");
+    prof::Scope span(prof::kSpan, "shadow_phase");
     volatile double sink = 0;
     for (int i = 0; i < 50000; ++i) sink = sink + i * 0.5;
   }
@@ -464,7 +477,7 @@ TEST(PhaseCaptureTest, InnerCaptureShadowsOuter) {
   {
     PhaseCapture inner;
     {
-      PhaseSpan span("shadow_phase");
+      prof::Scope span(prof::kSpan, "shadow_phase");
       volatile double sink = 0;
       for (int i = 0; i < 50000; ++i) sink = sink + i * 0.5;
     }
@@ -472,10 +485,7 @@ TEST(PhaseCaptureTest, InnerCaptureShadowsOuter) {
   }
   // The inner capture absorbed its span; the outer total is unchanged.
   EXPECT_EQ(outer.Micros("shadow_phase"), outer_before);
-  MetricsRegistry::Get().GetCounter("phase.shadow_phase.micros")->Reset();
 }
-
-#endif  // !CLFD_OBS_FORCE_OFF
 
 }  // namespace
 }  // namespace obs

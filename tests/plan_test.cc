@@ -188,7 +188,6 @@ TEST(PlanTest, ContrastiveLossesReplayBitwise) {
   }
 }
 
-#if !defined(CLFD_OBS_FORCE_OFF)
 TEST(PlanTest, ReplayBuildsZeroTapeNodes) {
   Rng init(3);
   nn::FeedForwardClassifier model(4, 6, 2, &init);
@@ -218,7 +217,6 @@ TEST(PlanTest, ReplayBuildsZeroTapeNodes) {
   }
   EXPECT_EQ(planner.replays(), 2);
 }
-#endif  // !CLFD_OBS_FORCE_OFF
 
 TEST(PlanTest, ShapeChangeInvalidatesFallsBackThenBlacklists) {
   Rng init(17);
@@ -308,18 +306,14 @@ TEST(PlanTest, ReplayStepsAllocateNothingForTheTape) {
   plan::Planner planner;
   arena::Arena step_arena;
 
-#if !defined(CLFD_OBS_FORCE_OFF)
   obs::Counter* arena_allocs =
       obs::MetricsRegistry::Get().GetCounter("tensor.alloc.arena_count");
   obs::Counter* heap_allocs =
       obs::MetricsRegistry::Get().GetCounter("tensor.alloc.count");
-#endif
   arena::Arena::Mark end_marks[4];
   for (int i = 0; i < 4; ++i) {
-#if !defined(CLFD_OBS_FORCE_OFF)
     int64_t arena_before = arena_allocs->value();
     int64_t heap_before = heap_allocs->value();
-#endif
     planner.Step(plan::MakeKey(5), nullptr, [&]() -> float {
       step_arena.Reset();
       arena::ScopedArena scope(&step_arena);
@@ -329,7 +323,6 @@ TEST(PlanTest, ReplayStepsAllocateNothingForTheTape) {
       return loss.value()[0];
     });
     end_marks[i] = step_arena.Position();
-#if !defined(CLFD_OBS_FORCE_OFF)
     if (i > 0) {
       // In-place replay recomputes every node into the plan's persistent
       // heap buffers and re-zeros interior gradients in place; Tanh/SumAll
@@ -341,7 +334,6 @@ TEST(PlanTest, ReplayStepsAllocateNothingForTheTape) {
       EXPECT_EQ(heap_allocs->value() - heap_before, 0)
           << "replay step " << i << " allocated from the heap";
     }
-#endif
   }
   EXPECT_EQ(planner.replays(), 3);
   // Replays perform identical allocation sequences, so the deterministic

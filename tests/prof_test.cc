@@ -143,7 +143,9 @@ TEST(ProfFlops, LstmGatesMatchAnalyticCounts) {
 // The same forced-parallel workload, run at a given pool width; returns the
 // deterministic (timing-free) report. Byte-identical output across widths
 // is the merge-determinism acceptance check: scope structure, counts,
-// flops, and bytes may not depend on how chunks land on workers.
+// flops, and bytes may not depend on how chunks land on workers. The jobs
+// are submitted from inside a span, so with a trace recording the workers
+// also write their context events.
 std::string DeterministicReportAtWidth(int width) {
   ScopedThreads threads(width);
   ScopedMatmulParallelThreshold force_parallel(0);
@@ -152,7 +154,7 @@ std::string DeterministicReportAtWidth(int width) {
   Matrix a = Matrix::Randn(24, 16, 1.0f, &rng);
   Matrix b = Matrix::Randn(16, 8, 1.0f, &rng);
   {
-    obs::prof::Scope phase("test.det");
+    obs::prof::Scope phase(obs::prof::kSpan, "test.det");
     for (int i = 0; i < 3; ++i) {
       MatMul(a, b);
       MatMulTransposeB(a, Matrix::Randn(8, 16, 1.0f, &rng));
@@ -164,9 +166,15 @@ std::string DeterministicReportAtWidth(int width) {
 
 TEST(ProfDeterminism, ReportsByteIdenticalAcrossWidths) {
   obs::prof::ScopedEnabled on(true);
+  const std::string path = ::testing::TempDir() + "clfd_prof_det_trace.json";
+  obs::TraceRecorder& rec = obs::TraceRecorder::Get();
+  rec.Start(path);
   const std::string w1 = DeterministicReportAtWidth(1);
   const std::string w2 = DeterministicReportAtWidth(2);
   const std::string w4 = DeterministicReportAtWidth(4);
+  EXPECT_GT(rec.EventCount(), 0u);
+  ASSERT_TRUE(rec.Stop());
+  std::remove(path.c_str());
   EXPECT_EQ(w1, w2);
   EXPECT_EQ(w1, w4);
   // Sanity: the deterministic form really is the deterministic mode and
@@ -199,16 +207,16 @@ TEST(ProfContext, WorkerScopesNestUnderSubmitterPath) {
   EXPECT_EQ(root.Child("parallel.chunk"), nullptr);
 }
 
-TEST(ProfContext, ConcurrentTraceSpansPropagateToWorkers) {
+TEST(ProfContext, ConcurrentSpansPropagateToWorkers) {
   obs::prof::ScopedEnabled on(true);
   ScopedThreads threads(4);
   const std::string path = ::testing::TempDir() + "clfd_prof_trace.json";
   obs::TraceRecorder& rec = obs::TraceRecorder::Get();
   rec.Start(path);
   {
-    obs::TraceSpan span("test.trace_phase");
+    obs::prof::Scope span(obs::prof::kSpan, "test.trace_phase");
     parallel::ParallelFor(0, 16, 1, [](int64_t, int64_t) {
-      obs::TraceSpan inner("test.worker_op");
+      obs::prof::Scope inner(obs::prof::kSpan, "test.worker_op");
       // Slow chunks: on a single-core host the submitting thread would
       // otherwise drain every chunk before a worker ever wakes, and the
       // worker-side context events under test would never be emitted.
@@ -222,12 +230,35 @@ TEST(ProfContext, ConcurrentTraceSpansPropagateToWorkers) {
   os << in.rdbuf();
   const std::string trace = os.str();
   std::remove(path.c_str());
-  // Workers got a synthetic enclosing event named after the submitter's
-  // innermost span, carrying the full path as a "ctx" arg, plus their own
-  // parallel.shard span; the body's spans recorded without corruption.
+  // Workers got one synthetic enclosing event named after the innermost
+  // entry of the submitter's path, carrying the full path as a "ctx" arg;
+  // the body's spans recorded without corruption. No other event exists —
+  // in particular no second per-worker (shard) event.
   EXPECT_NE(trace.find("\"ctx\":\"test.trace_phase\""), std::string::npos);
-  EXPECT_NE(trace.find("\"parallel.shard\""), std::string::npos);
-  EXPECT_NE(trace.find("\"test.worker_op\""), std::string::npos);
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::Parse(trace, &doc, &error)) << error;
+  const json::Value* events = doc.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  int spans = 0, contexts = 0, worker_ops = 0;
+  for (const json::Value& e : events->array) {
+    const std::string name = e.StringOr("name", "");
+    const json::Value* args = e.Find("args");
+    if (name == "test.worker_op") {
+      ++worker_ops;
+    } else if (name == "test.trace_phase" && args != nullptr &&
+               args->Find("ctx") != nullptr) {
+      ++contexts;
+    } else {
+      EXPECT_EQ(name, "test.trace_phase") << "unexpected event";
+      ++spans;
+    }
+  }
+  EXPECT_EQ(spans, 1);
+  EXPECT_EQ(worker_ops, 16);
+  // At most one context event per worker for the one job.
+  EXPECT_GE(contexts, 1);
+  EXPECT_LE(contexts, 3);
 }
 
 // The timing JSON's thread_pool section copies "parallel.*" entries out of
