@@ -18,7 +18,6 @@
 #include "obs/prof.h"
 #include "plan/plan.h"
 #include "tensor/arena.h"
-#include "tensor/kernel_backend.h"
 #include "tensor/matrix.h"
 
 namespace clfd {
@@ -46,15 +45,10 @@ int64_t ArenaAllocCount() {
       ->value();
 }
 
-// Every matmul-family benchmark carries a backend arg (0=scalar, 1=blocked;
-// tensor/kernel_backend.h) so BENCH_substrate.json records both side by
-// side and perfdiff can print the blocked-vs-scalar speedups.
-// items_per_second at the 256/512 square shapes is the per-backend GFLOP/s
+// items_per_second at the 256/512 square shapes is the kernels' GFLOP/s
 // figure.
 void BM_MatMul(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  ScopedKernelBackend backend(
-      static_cast<KernelBackend>(state.range(1)));
   Rng rng(1);
   Matrix a = Matrix::Randn(n, n, 1.0f, &rng);
   Matrix b = Matrix::Randn(n, n, 1.0f, &rng);
@@ -64,13 +58,11 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * int64_t{2} * n * n * n);
 }
 BENCHMARK(BM_MatMul)
-    ->ArgNames({"n", "backend"})
-    ->ArgsProduct({{50, 100, 200, 256, 512}, {0, 1}});
+    ->ArgName("n")
+    ->ArgsProduct({{50, 100, 200, 256, 512}});
 
 void BM_MatMulTransposeB(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
-  ScopedKernelBackend backend(
-      static_cast<KernelBackend>(state.range(1)));
   Rng rng(1);
   Matrix a = Matrix::Randn(n, n, 1.0f, &rng);
   Matrix b = Matrix::Randn(n, n, 1.0f, &rng);
@@ -80,8 +72,8 @@ void BM_MatMulTransposeB(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * int64_t{2} * n * n * n);
 }
 BENCHMARK(BM_MatMulTransposeB)
-    ->ArgNames({"n", "backend"})
-    ->ArgsProduct({{50, 100, 256}, {0, 1}});
+    ->ArgName("n")
+    ->ArgsProduct({{50, 100, 256}});
 
 // Fused LSTM elementwise gate kernels at the paper's batch/hidden scale
 // (one body; there is nothing to tile in an elementwise kernel).
@@ -332,25 +324,21 @@ void BM_PlanCapture(benchmark::State& state) {
 BENCHMARK(BM_PlanCapture)->Unit(benchmark::kMillisecond);
 
 // End-to-end corrector pipeline (SimCLR pretrain + corrector classifier +
-// correction sweep) at a reduced split and the paper's epoch budget, per
-// kernel backend (arg backend: 0=scalar, 1=blocked), seed-for-seed
-// identical numbers on both. Dataset synthesis and word2vec embedding
-// pretraining are hoisted out of the timed loop: they are identical across
-// both rows, so timing them would only dilute the comparison. The paper
-// budget (not TrainingBudget::Fast) is deliberate: a production corrector
-// run captures each distinct step shape once and replays it for hundreds
-// of epochs, so a truncated budget would overweight the one-time capture
-// cost. Each iteration still constructs a fresh LabelCorrector, so every
-// row pays every cold capture before any step replays; the plan counters
-// report how many.
+// correction sweep) at a reduced split and the paper's epoch budget.
+// Dataset synthesis and word2vec embedding pretraining are hoisted out of
+// the timed loop: they are fixed set-up, so timing them would only dilute
+// the measurement. The paper budget (not TrainingBudget::Fast) is
+// deliberate: a production corrector run captures each distinct step shape
+// once and replays it for hundreds of epochs, so a truncated budget would
+// overweight the one-time capture cost. Each iteration still constructs a
+// fresh LabelCorrector, so every iteration pays every cold capture before
+// any step replays; the plan counters report how many.
 //
 // Model scale (emb/hidden 8, batch 8): the compact end of the corrector's
 // range, where graph construction is a measurable share of a step (the
 // aux classifier loop trains at aux_batch_size=4, so tiny-batch steps are
 // a first-class part of this pipeline, not a synthetic corner).
 void BM_CorrectorE2E(benchmark::State& state) {
-  ScopedKernelBackend backend(
-      static_cast<KernelBackend>(state.range(0)));
   SplitSpec split{60, 6, 30, 6};
   ClfdConfig config = ClfdConfig::Fast();
   config.budget = TrainingBudget::Paper();
@@ -379,11 +367,7 @@ void BM_CorrectorE2E(benchmark::State& state) {
   state.counters["plan_invalidations_per_iter"] = benchmark::Counter(
       double(invalidations->value() - invalidations0) / state.iterations());
 }
-BENCHMARK(BM_CorrectorE2E)
-    ->ArgName("backend")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CorrectorE2E)->Unit(benchmark::kMillisecond);
 
 // Same corrector experiment with crash-consistent checkpointing armed at
 // the interval given by the arg (0 = checkpointing disabled, the control).

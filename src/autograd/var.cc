@@ -20,7 +20,7 @@ namespace {
 // One capture/replay stream per thread — each shard worker of the sharded
 // trainer captures or replays its own plan (see tape_hooks.h). Thread-local
 // by design: no state is shared across threads.
-// clfd-lint: allow(concurrency-mutable-global) clfd-analyze: allow(semantic-mutable-global)
+// clfd-analyze: allow(semantic-mutable-global)
 thread_local TapeHooks* g_tape_hooks = nullptr;
 }  // namespace
 

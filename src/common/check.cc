@@ -16,7 +16,7 @@ constexpr bool kDefaultEnabled =
 
 // The one mutable global of the invariant layer: the enable latch. Relaxed
 // ordering suffices — the flag only gates diagnostics, never data flow.
-std::atomic<bool> g_enabled{kDefaultEnabled};  // clfd-lint: allow(concurrency-mutable-global)
+std::atomic<bool> g_enabled{kDefaultEnabled};
 
 }  // namespace
 

@@ -10,7 +10,6 @@ namespace {
 // Armed/disarmed latch for the whole process. Acquire/release ordering so
 // a probe that observes the pointer also observes the fully constructed
 // injector behind it.
-// clfd-lint: allow(concurrency-mutable-global)
 std::atomic<Injector*> g_injector{nullptr};
 
 }  // namespace

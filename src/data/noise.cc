@@ -1,8 +1,45 @@
 #include "data/noise.h"
 
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 
 namespace clfd {
+
+namespace {
+
+void CheckRates(const NoiseSpec& spec) {
+  const auto fail = [&](const char* why) {
+    throw std::invalid_argument(spec.ToString() + ": " + why);
+  };
+  switch (spec.kind) {
+    case NoiseSpec::Kind::kNone:
+      break;
+    case NoiseSpec::Kind::kUniform:
+      if (!(spec.eta >= 0.0 && spec.eta < 0.5)) fail("eta must be in [0, 0.5)");
+      break;
+    case NoiseSpec::Kind::kClassDependent:
+      if (!(spec.eta10 >= 0.0 && spec.eta10 <= 1.0 && spec.eta01 >= 0.0 &&
+            spec.eta01 <= 1.0)) {
+        fail("eta10 and eta01 must be in [0, 1]");
+      }
+      if (!(spec.eta10 + spec.eta01 < 1.0)) fail("eta10 + eta01 must be < 1");
+      break;
+  }
+}
+
+// The whole of `text` as a number.
+double ParseRate(const std::string& text, const std::string& spec) {
+  char* end = nullptr;
+  const double rate = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size()) {
+    throw std::invalid_argument("'" + spec + "': '" + text +
+                                "' is not a number");
+  }
+  return rate;
+}
+
+}  // namespace
 
 void ApplyUniformNoise(SessionDataset* dataset, double eta, Rng* rng) {
   for (auto& s : dataset->sessions) {
@@ -29,7 +66,28 @@ double ObservedNoiseRate(const SessionDataset& dataset) {
   return static_cast<double>(flipped) / dataset.size();
 }
 
+NoiseSpec NoiseSpec::Parse(const std::string& spec) {
+  NoiseSpec parsed;
+  if (spec.rfind("uniform:", 0) == 0) {
+    parsed = Uniform(ParseRate(spec.substr(8), spec));
+  } else if (spec.rfind("classdep:", 0) == 0) {
+    const std::string rest = spec.substr(9);
+    const size_t comma = rest.find(',');
+    if (comma == std::string::npos) {
+      throw std::invalid_argument("'" + spec + "': expected classdep:E10,E01");
+    }
+    parsed = ClassDependent(ParseRate(rest.substr(0, comma), spec),
+                            ParseRate(rest.substr(comma + 1), spec));
+  } else if (spec != "none") {
+    throw std::invalid_argument(
+        "'" + spec + "': expected none, uniform:ETA or classdep:E10,E01");
+  }
+  CheckRates(parsed);
+  return parsed;
+}
+
 void NoiseSpec::Apply(SessionDataset* dataset, Rng* rng) const {
+  CheckRates(*this);
   switch (kind) {
     case Kind::kNone:
       for (auto& s : dataset->sessions) s.noisy_label = s.true_label;

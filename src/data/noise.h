@@ -1,5 +1,7 @@
 #pragma once
 
+#include <string>
+
 #include "common/rng.h"
 #include "data/session.h"
 
@@ -44,6 +46,16 @@ struct NoiseSpec {
     return s;
   }
 
+  // Parses "none", "uniform:ETA" or "classdep:E10,E01" (the clfd_cli
+  // --noise syntax). Throws std::invalid_argument on malformed text or on
+  // rates Apply would reject.
+  static NoiseSpec Parse(const std::string& spec);
+
+  // Injects the noise. Throws std::invalid_argument, leaving the dataset
+  // untouched, unless eta is in [0, 0.5), eta10 and eta01 are in [0, 1] and
+  // eta10 + eta01 < 1. From eta = 0.5 (or eta10 + eta01 = 1) on, a flipped
+  // labeling cannot be told from its inverse, so the labels would carry no
+  // usable signal.
   void Apply(SessionDataset* dataset, Rng* rng) const;
   std::string ToString() const;
 };

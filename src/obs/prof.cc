@@ -356,34 +356,6 @@ void WriteExitReports() {
 
 namespace {
 
-// Report annotations (see prof.h). std::map for deterministic emission
-// order; guarded by a mutex because kernel layers may stamp from any
-// thread while an exit hook renders.
-std::mutex& AnnotationMutex() {
-  static std::mutex* m = new std::mutex;
-  return *m;
-}
-
-std::map<std::string, std::string>& AnnotationMap() {
-  static std::map<std::string, std::string>* m =
-      new std::map<std::string, std::string>;
-  return *m;
-}
-
-}  // namespace
-
-void SetReportAnnotation(const std::string& key, const std::string& value) {
-  std::lock_guard<std::mutex> lock(AnnotationMutex());
-  AnnotationMap()[key] = value;
-}
-
-std::vector<std::pair<std::string, std::string>> ReportAnnotations() {
-  std::lock_guard<std::mutex> lock(AnnotationMutex());
-  return {AnnotationMap().begin(), AnnotationMap().end()};
-}
-
-namespace {
-
 void JsonEscape(const std::string& s, std::ostringstream* os) {
   for (char c : s) {
     if (c == '"' || c == '\\') {
@@ -502,18 +474,7 @@ std::string ToJson(const ReportNode& root, bool include_timing) {
   std::ostringstream os;
   os << "{\"version\":1,\"mode\":\""
      << (include_timing ? "timing" : "deterministic") << "\",";
-  os << "\"annotations\":{";
-  bool first_ann = true;
-  for (const auto& [key, value] : ReportAnnotations()) {
-    if (!first_ann) os << ",";
-    first_ann = false;
-    os << "\"";
-    JsonEscape(key, &os);
-    os << "\":\"";
-    JsonEscape(value, &os);
-    os << "\"";
-  }
-  os << "},\"tree\":\n";
+  os << "\"tree\":\n";
   NodeToJson(root, include_timing, 1, &os);
   if (include_timing) {
     // Thread-pool utilization, scraped from the parallel.* instruments the
@@ -561,16 +522,6 @@ std::string RooflineReport(const ReportNode& root, double peak_gflops) {
   int64_t wall_ns = 0;
   for (const ReportNode& c : root.children) wall_ns += c.ns;
   os << "== clfd roofline/attribution report ==\n";
-  {
-    const auto annotations = ReportAnnotations();
-    if (!annotations.empty()) {
-      os << "annotations:";
-      for (const auto& [key, value] : annotations) {
-        os << " " << key << "=" << value;
-      }
-      os << "\n";
-    }
-  }
   char buf[160];
   std::snprintf(buf, sizeof(buf), "wall attributed to top-level scopes: %.3f s\n",
                 static_cast<double>(wall_ns) / 1e9);

@@ -225,18 +225,6 @@ class ScopedEnabled {
 
 // ---- Report rendering (operate on a Snapshot) ----
 
-// Small ordered key→value set stamped into every rendered report: ToJson
-// emits it as an "annotations" object (both timing and deterministic
-// forms) and RooflineReport as a header line. Layers below obs label
-// reports unconditionally; the tensor kernel layer stamps "kernel_backend" here
-// whenever the backend selector resolves or changes, which is what
-// attributes a profile/roofline to the backend that produced it.
-// Annotations are configuration, not measurements: they are identical at
-// every thread width, so the deterministic JSON form stays byte-identical
-// across widths. Setting a key again overwrites it.
-void SetReportAnnotation(const std::string& key, const std::string& value);
-std::vector<std::pair<std::string, std::string>> ReportAnnotations();
-
 // Timing JSON: full tree with ns, achieved GFLOP/s and arithmetic
 // intensity per node, plus a "thread_pool" utilization section scraped
 // from the "parallel.*" metrics counters. include_timing=false emits the

@@ -28,7 +28,7 @@ namespace {
 namespace {
 
 // Source of Node::plan_tag values; see the field's comment in plan.h.
-// clfd-lint: allow(concurrency-mutable-global) clfd-analyze: allow(semantic-mutable-global)
+// clfd-analyze: allow(semantic-mutable-global)
 std::atomic<uint64_t> g_capture_ids{0};
 
 }  // namespace

@@ -60,7 +60,6 @@ CheckpointError::CheckpointError(CheckpointStatus status,
 
 uint32_t Crc32(const char* data, size_t size) {
   // Table-driven reflected CRC-32; the table is built once on first use.
-  // clfd-lint: allow(concurrency-mutable-global)
   static const std::array<uint32_t, 256> table = [] {
     std::array<uint32_t, 256> t{};
     for (uint32_t i = 0; i < 256; ++i) {

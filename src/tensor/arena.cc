@@ -21,7 +21,6 @@ size_t RoundUp(size_t n) {
 // The active arena of *this* thread. Thread-local by design: the sharded
 // trainer opens a different shard's arena on every worker, and a worker
 // must never see another worker's scope.
-// clfd-lint: allow(concurrency-mutable-global)
 thread_local Arena* t_current = nullptr;
 
 }  // namespace

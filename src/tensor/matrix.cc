@@ -15,7 +15,6 @@
 #include "obs/prof.h"
 #include "parallel/thread_pool.h"
 #include "tensor/arena.h"
-#include "tensor/kernel_backend.h"
 
 namespace clfd {
 
@@ -194,14 +193,12 @@ namespace {
 // Deliberate mutable global: a dispatch *threshold*, not numeric state —
 // both kernel paths produce bitwise-identical results, so its value can
 // never change what is computed, only where.
-// clfd-lint: allow(concurrency-mutable-global) clfd-analyze: allow(semantic-mutable-global)
+// clfd-analyze: allow(semantic-mutable-global)
 std::atomic<int64_t> g_matmul_threshold{-1};
 
-// Per-row kernel bodies, shared verbatim by the serial and parallel
-// dispatch paths. One compiled function per kernel guarantees the two paths
-// perform identical float operations in identical order (same vectorization
-// and FMA contraction), which is what makes the bit-exactness tests in
-// tests/parallel_test.cc hold by construction rather than by luck.
+// Per-row scalar bodies: the serial reference functions (namespace
+// reference below) and, for every kernel but MatMul, the row-remainder
+// fallback of the tiled bodies. Production kernels never run them whole.
 
 // Rows [r0, r1) of C = A * B; i-k-j order streams over contiguous rows.
 void MatMulRows(const Matrix& a, const Matrix& b, Matrix* c, int r0, int r1) {
@@ -249,36 +246,39 @@ void MatMulTransposeBRows(const Matrix& a, const Matrix& b, Matrix* c, int r0,
 }
 
 // ---------------------------------------------------------------------------
-// Blocked backend bodies (the default; the scalar oracle above runs only
-// when a ScopedKernelBackend selects it, and for the row remainders of the
-// kernels other than MatMul).
+// Tiled bodies: the one body each MatMul-family kernel runs, shared
+// verbatim by its serial and parallel dispatch paths. One compiled function
+// per kernel guarantees the two paths perform identical float operations in
+// identical order (same vectorization and FMA contraction), which is what
+// makes the bit-exactness tests in tests/parallel_test.cc hold by
+// construction rather than by luck.
 //
 // Determinism contract (DESIGN.md §12): the tiled bodies accumulate each
-// output element over k in the same ascending order as the scalar oracle
-// above, with one rounded add per term and the oracle's zero-skip control
+// output element over k in the same ascending order as the scalar bodies
+// above, with one rounded add per term and the same zero-skip control
 // flow replicated per row. Register tiles regroup *independent* per-element
 // chains for ILP/vectorization — they never re-associate within a chain —
-// so they are bitwise-equal to scalar on all inputs, including signed
-// zeros, denormals, and Infs (tests/kernel_backend_test.cc sweeps exactly
-// these). The one exception is NaN *payload* bits: x86 add/mul keep one
-// operand's NaN and the compiler may commute FP operands, so which
-// payload survives a chain is codegen-dependent — the contract (and the
-// test) pins down NaN-ness per element, not NaN bits.
+// so they are bitwise-equal to the reference functions on all inputs,
+// including signed zeros, denormals, and Infs (tests/kernel_backend_test.cc
+// sweeps exactly these). The one exception is NaN *payload* bits: x86
+// add/mul keep one operand's NaN and the compiler may commute FP operands,
+// so which payload survives a chain is codegen-dependent — the contract
+// (and the test) pins down NaN-ness per element, not NaN bits.
 //
 // Layout: a kRowTile x kColTile register tile of accumulators per output
 // block; the k loop streams A values and one B row slab per iteration.
-// MatMul applies the oracle's zero-skip row by row inside the tile and runs
-// its 1-3 leftover rows through the same body at one row per tile.
+// MatMul applies the zero-skip row by row inside the tile and runs its 1-3
+// leftover rows through the same body at one row per tile.
 // MatMulTransposeA's all-rows-nonzero fast path fuses the four row updates
 // into one pass over the B slab; when any tile row hits the zero-skip, its
 // slow path applies the skip row by row (same adds, different grouping),
-// and its row remainders fall back to the oracle body wholesale. Column
-// remainders run the oracle's per-row loops over the leftover columns.
+// and its row remainders fall back to the scalar body wholesale. Column
+// remainders run the scalar per-row loops over the leftover columns.
 // ---------------------------------------------------------------------------
 
 // Tile height. DispatchRowRange chunks rows at this grain so full tiles
 // form inside every parallel chunk, keeping chunk boundaries a pure
-// function of the row count (width- and backend-independent).
+// function of the row count (width-independent).
 constexpr int kRowTile = 4;
 // Accumulator tile width: 2 SSE vectors per row, 8 xmm registers total for
 // a 4-row tile — half the register file, leaving room for the A/B operands.
@@ -315,7 +315,7 @@ void MatMulTileRows(const Matrix& a, const Matrix& b, Matrix* c, int i) {
       }
       for (int k = kk; k < kend; ++k) {
         const float* brow = b.row(k) + jj;
-        // Oracle zero-skip per row: a skipped term is no operation at all,
+        // Zero-skip per row: a skipped term is no operation at all,
         // not an add of ±0 (which would flush -0 partials and turn 0*Inf
         // into NaN). -O2 alone leaves this loop rolled, which makes the
         // 4-row tile about a third slower.
@@ -332,7 +332,7 @@ void MatMulTileRows(const Matrix& a, const Matrix& b, Matrix* c, int i) {
       }
     }
   }
-  // Column remainder: the oracle's per-row loops over [jj, n).
+  // Column remainder: the scalar per-row loops over [jj, n).
   for (int r = 0; jj < n && r < R; ++r) {
     for (int k = 0; k < kt; ++k) {
       const float aik = arow[r][k];
@@ -343,9 +343,9 @@ void MatMulTileRows(const Matrix& a, const Matrix& b, Matrix* c, int i) {
   }
 }
 
-// Rows [r0, r1) of C = A * B, blocked backend.
-void MatMulRowsBlocked(const Matrix& a, const Matrix& b, Matrix* c, int r0,
-                       int r1) {
+// Rows [r0, r1) of C = A * B.
+void MatMulRowsTiled(const Matrix& a, const Matrix& b, Matrix* c, int r0,
+                     int r1) {
   int i = r0;
   for (; i + kRowTile <= r1; i += kRowTile) {
     MatMulTileRows<kRowTile>(a, b, c, i);
@@ -353,10 +353,10 @@ void MatMulRowsBlocked(const Matrix& a, const Matrix& b, Matrix* c, int r0,
   for (; i < r1; ++i) MatMulTileRows<1>(a, b, c, i);
 }
 
-// Rows [r0, r1) of C = A^T * B, blocked backend. Same tiling as MatMul;
-// the tile's four A values per k are a.at(k, i..i+3) — contiguous in row k.
-void MatMulTransposeARowsBlocked(const Matrix& a, const Matrix& b, Matrix* c,
-                                 int r0, int r1) {
+// Rows [r0, r1) of C = A^T * B. Same tiling as MatMul; the tile's four A
+// values per k are a.at(k, i..i+3) — contiguous in row k.
+void MatMulTransposeARowsTiled(const Matrix& a, const Matrix& b, Matrix* c,
+                               int r0, int r1) {
   const int kt = a.rows();
   const int n = b.cols();
   int i = r0;
@@ -430,8 +430,8 @@ void MatMulTransposeARowsBlocked(const Matrix& a, const Matrix& b, Matrix* c,
 // lockstep — an ILP transform, not a reduction reorder.
 constexpr int kDotTile = 4;
 
-// Rows [r0, r1) of C = A * B^T, blocked backend (the dot tile keeps all
-// state in scalar registers).
+// Rows [r0, r1) of C = A * B^T (the dot tile keeps all state in scalar
+// registers).
 void MatMulTransposeBRowsTiled(const Matrix& a, const Matrix& b, Matrix* c,
                                int r0, int r1) {
   const int kt = a.cols();
@@ -474,7 +474,7 @@ void MatMulTransposeBRowsTiled(const Matrix& a, const Matrix& b, Matrix* c,
         for (int s = 0; s < kDotTile; ++s) crow[j + s] = acc[r][s];
       }
     }
-    // Column remainder: oracle dot loops for the leftover B rows.
+    // Column remainder: scalar dot loops for the leftover B rows.
     for (int rr = 0; rr < kDotTile; ++rr) {
       const float* arow = a.row(i + rr);
       float* crow = c->row(i + rr);
@@ -497,11 +497,10 @@ void MatMulTransposeBRowsTiled(const Matrix& a, const Matrix& b, Matrix* c,
 // (chunk counts included) is identical at every width — the byte-identical
 // deterministic-report guarantee in src/obs/prof.h depends on this.
 // Chunks are kRowTile rows (a pure function of the row count, so the
-// width-independence above still holds, and backend-independent so the
-// deterministic report is also identical across kernel backends): the
-// blocked bodies then form full register tiles inside every chunk but the
-// last. Which rows share a tile never affects results — a tile groups
-// independent per-row chains, it does not mix them.
+// width-independence above still holds): the tiled bodies then form full
+// register tiles inside every chunk but the last. Which rows share a tile
+// never affects results — a tile groups independent per-row chains, it
+// does not mix them.
 template <typename Body>
 void DispatchRowRange(int rows, int64_t flops, Body body) {
   if (rows > 1 && flops >= MatmulParallelThreshold() &&
@@ -513,13 +512,6 @@ void DispatchRowRange(int rows, int64_t flops, Body body) {
   } else {
     body(0, rows);
   }
-}
-
-// The active backend's row body: the scalar oracle or its tiled
-// counterpart.
-template <typename Fn>
-Fn* ForBackend(Fn* scalar, Fn* blocked) {
-  return CurrentKernelBackend() == KernelBackend::kScalar ? scalar : blocked;
 }
 
 // Matmul-shaped convenience wrapper over DispatchRowRange.
@@ -563,7 +555,7 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   // The row bodies accumulate into C, so a reused buffer must restart at
   // zero — the state a freshly constructed result had.
   EnsureShape(c, a.rows(), b.cols(), /*zeroed=*/true);
-  DispatchRows(a, b, c, flops, ForBackend(MatMulRows, MatMulRowsBlocked));
+  DispatchRows(a, b, c, flops, MatMulRowsTiled);
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {
@@ -583,8 +575,7 @@ void MatMulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* c) {
   obs::prof::AddBytes(int64_t{4} *
                       (a.size() + b.size() + int64_t{a.cols()} * b.cols()));
   EnsureShape(c, a.cols(), b.cols(), /*zeroed=*/true);
-  DispatchRows(a, b, c, flops,
-               ForBackend(MatMulTransposeARows, MatMulTransposeARowsBlocked));
+  DispatchRows(a, b, c, flops, MatMulTransposeARowsTiled);
 }
 
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
@@ -603,12 +594,11 @@ void MatMulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c) {
   obs::prof::AddFlops(flops);
   obs::prof::AddBytes(int64_t{4} *
                       (a.size() + b.size() + int64_t{a.rows()} * b.rows()));
-  // Unlike the accumulating matmuls, every TransposeB body (oracle and
-  // tiled) assigns each output element from a fresh dot accumulator, so a
-  // reused buffer needs no re-zeroing.
+  // Unlike the accumulating matmuls, the TransposeB body assigns each
+  // output element from a fresh dot accumulator, so a reused buffer needs
+  // no re-zeroing.
   EnsureShape(c, a.rows(), b.rows(), /*zeroed=*/false);
-  DispatchRows(a, b, c, flops,
-               ForBackend(MatMulTransposeBRows, MatMulTransposeBRowsTiled));
+  DispatchRows(a, b, c, flops, MatMulTransposeBRowsTiled);
 }
 
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {
@@ -1055,7 +1045,7 @@ void MatMulTransposeATimeBlockedRows(const Matrix& x, const Matrix& g,
 
 // Tiled acc += g * w^T per gate block: a kDotTile x kDotTile tile of
 // independent fresh-partial chains (ascending k within the block), each
-// finished by the oracle's single rounded add into acc.
+// finished by the scalar body's single rounded add into acc.
 void MatMulTransposeBGateBlockedRowsTiled(const Matrix& g, const Matrix& w,
                                           Matrix* acc, int r0, int r1) {
   const int h = w.cols() / 4;
@@ -1107,7 +1097,7 @@ void MatMulTransposeBGateBlockedRowsTiled(const Matrix& g, const Matrix& w,
           o3[j + s] += p[3][s];
         }
       }
-      // Column remainder: oracle per-element dot + add over [j, m).
+      // Column remainder: scalar per-element dot + add over [j, m).
       for (int rr = 0; rr < kDotTile; ++rr) {
         const float* grow = g.row(i + rr);
         float* arow = acc->row(i + rr);
@@ -1125,7 +1115,7 @@ void MatMulTransposeBGateBlockedRowsTiled(const Matrix& g, const Matrix& w,
 
 // Tiled acc += x^T * g per descending time block: the MatMul register tile
 // over four acc rows (x columns — x.at(k, i..i+3) is contiguous in row k),
-// with the oracle's fresh per-block partials and block-end adds.
+// with the scalar body's fresh per-block partials and block-end adds.
 void MatMulTransposeATimeBlockedRowsTiled(const Matrix& x, const Matrix& g,
                                           int block_rows, Matrix* acc, int r0,
                                           int r1) {
@@ -1173,7 +1163,7 @@ void MatMulTransposeATimeBlockedRowsTiled(const Matrix& x, const Matrix& g,
             }
           }
         }
-        // The oracle adds the whole partial vector unconditionally at
+        // The scalar body adds the whole partial vector unconditionally at
         // block end (even all-zero partials), so no skip here.
         for (int t = 0; t < kColTile; ++t) {
           o0[jj + t] += p0[t];
@@ -1183,7 +1173,7 @@ void MatMulTransposeATimeBlockedRowsTiled(const Matrix& x, const Matrix& g,
         }
       }
       // Column remainder: per element, the same fresh ascending-k chain
-      // (with the oracle's zero-skip) followed by one add.
+      // (with the scalar body's zero-skip) followed by one add.
       for (int rr = 0; jj < n && rr < kRowTile; ++rr) {
         float* arow = acc->row(i + rr);
         for (int j = jj; j < n; ++j) {
@@ -1263,10 +1253,9 @@ void MatMulTransposeBGateBlockedAddInto(const Matrix& g, const Matrix& w,
   CLFD_PROF_SCOPE("MatMulTBBlocked");
   obs::prof::AddFlops(flops);
   obs::prof::AddBytes(int64_t{4} * (g.size() + w.size() + acc->size()));
-  auto* rows = ForBackend(MatMulTransposeBGateBlockedRows,
-                          MatMulTransposeBGateBlockedRowsTiled);
-  DispatchRowRange(g.rows(), flops,
-                   [&](int lo, int hi) { rows(g, w, acc, lo, hi); });
+  DispatchRowRange(g.rows(), flops, [&](int lo, int hi) {
+    MatMulTransposeBGateBlockedRowsTiled(g, w, acc, lo, hi);
+  });
 }
 
 void MatMulTransposeATimeBlockedAddInto(const Matrix& x, const Matrix& g,
@@ -1281,12 +1270,50 @@ void MatMulTransposeATimeBlockedAddInto(const Matrix& x, const Matrix& g,
   CLFD_PROF_SCOPE("MatMulTABlocked");
   obs::prof::AddFlops(flops);
   obs::prof::AddBytes(int64_t{4} * (x.size() + g.size() + acc->size()));
-  auto* rows = ForBackend(MatMulTransposeATimeBlockedRows,
-                          MatMulTransposeATimeBlockedRowsTiled);
   DispatchRowRange(acc->rows(), flops, [&](int lo, int hi) {
-    rows(x, g, block_rows, acc, lo, hi);
+    MatMulTransposeATimeBlockedRowsTiled(x, g, block_rows, acc, lo, hi);
   });
 }
+
+namespace reference {
+
+Matrix MatMul(const Matrix& a, const Matrix& b) {
+  assert(a.cols() == b.rows());
+  Matrix c(a.rows(), b.cols());
+  MatMulRows(a, b, &c, 0, c.rows());
+  return c;
+}
+
+Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
+  assert(a.rows() == b.rows());
+  Matrix c(a.cols(), b.cols());
+  MatMulTransposeARows(a, b, &c, 0, c.rows());
+  return c;
+}
+
+Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {
+  assert(a.cols() == b.cols());
+  Matrix c(a.rows(), b.rows());
+  MatMulTransposeBRows(a, b, &c, 0, c.rows());
+  return c;
+}
+
+void MatMulTransposeBGateBlockedAddInto(const Matrix& g, const Matrix& w,
+                                        Matrix* acc) {
+  assert(g.cols() == w.cols() && w.cols() % 4 == 0);
+  assert(acc->rows() == g.rows() && acc->cols() == w.rows());
+  MatMulTransposeBGateBlockedRows(g, w, acc, 0, acc->rows());
+}
+
+void MatMulTransposeATimeBlockedAddInto(const Matrix& x, const Matrix& g,
+                                        int block_rows, Matrix* acc) {
+  assert(x.rows() == g.rows() && block_rows > 0 &&
+         x.rows() % block_rows == 0);
+  assert(acc->rows() == x.cols() && acc->cols() == g.cols());
+  MatMulTransposeATimeBlockedRows(x, g, block_rows, acc, 0, acc->rows());
+}
+
+}  // namespace reference
 
 float RowNorm(const Matrix& a, int r) {
   const float* arow = a.row(r);

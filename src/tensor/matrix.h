@@ -231,6 +231,23 @@ void MatMulTransposeBGateBlockedAddInto(const Matrix& g, const Matrix& w,
 void MatMulTransposeATimeBlockedAddInto(const Matrix& x, const Matrix& g,
                                         int block_rows, Matrix* acc);
 
+// ---- Serial references for the five MatMul-family kernels ----
+//
+// Each runs the plain scalar row loop of its kernel over every row on the
+// calling thread: no row dispatch, prof scope or kernel counter. The
+// kernels above run register-tiled bodies that must match these bit for
+// bit (NaN payloads aside; DESIGN.md §12), which tests/kernel_backend_test.cc
+// checks at every width and pins with committed hashes.
+namespace reference {
+Matrix MatMul(const Matrix& a, const Matrix& b);
+Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
+Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
+void MatMulTransposeBGateBlockedAddInto(const Matrix& g, const Matrix& w,
+                                        Matrix* acc);
+void MatMulTransposeATimeBlockedAddInto(const Matrix& x, const Matrix& g,
+                                        int block_rows, Matrix* acc);
+}  // namespace reference
+
 // ---- In-place kernel variants (execution-plan replay; DESIGN.md §15). ----
 //
 // Each `XInto(args, out)` runs the same shape checks, metrics and per-row

@@ -17,10 +17,10 @@ Var P(const Matrix& m) { return Param(m); }
 // freshly initialized params.
 void ExpectGradOk(const std::function<Var(const std::vector<Var>&)>& fn,
                   const std::vector<Var>& params, float tol = 2e-2f) {
-  auto r = CheckGradientsAllBackends(fn, params);
+  auto r = CheckGradients(fn, params);
   EXPECT_TRUE(r.ok(tol)) << "max_abs=" << r.max_abs_error
                          << " max_rel=" << r.max_rel_error
-                         << " backend_diff=" << r.serial_parallel_grad_diff;
+                         << " parallel_diff=" << r.serial_parallel_grad_diff;
 }
 
 TEST(AutogradTest, ScalarChain) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "data/generator.h"
 #include "data/noise.h"
@@ -142,6 +143,57 @@ TEST(NoiseTest, NoiseSpecDispatch) {
   EXPECT_EQ(NoiseSpec::Uniform(0.2).ToString(), "uniform(eta=0.20)");
   EXPECT_NE(NoiseSpec::ClassDependent(0.3, 0.45).ToString().find("0.45"),
             std::string::npos);
+}
+
+SessionDataset CleanLabels(int n) {
+  SessionDataset ds;
+  for (int i = 0; i < n; ++i) {
+    LabeledSession ls;
+    ls.true_label = i % 2;
+    ls.noisy_label = ls.true_label;
+    ds.sessions.push_back(ls);
+  }
+  return ds;
+}
+
+// Text that is not a rate, and rates at which a flipped labeling cannot be
+// told from its inverse, are typed errors that leave the labels untouched.
+TEST(NoiseTest, RejectsOutOfRangeAndMalformedSpecs) {
+  for (const char* spec :
+       {"uniform:1.5", "uniform:-0.2", "uniform:0.5", "uniform:0.6",
+        "classdep:0.7,0.6", "classdep:0.6,0.4", "classdep:-0.1,0.3",
+        "classdep:0.2,1.5", "uniform:abc", "uniform:0.3x", "uniform:",
+        "classdep:0.3", "classdep:0.3,", "uniform:nan", "gaussian:0.1"}) {
+    EXPECT_THROW(NoiseSpec::Parse(spec), std::invalid_argument) << spec;
+  }
+  SessionDataset ds = CleanLabels(100);
+  Rng rng(9);
+  for (const NoiseSpec& spec :
+       {NoiseSpec::Uniform(1.5), NoiseSpec::Uniform(-0.2),
+        NoiseSpec::Uniform(0.5), NoiseSpec::ClassDependent(0.7, 0.6),
+        NoiseSpec::ClassDependent(0.6, 0.4),
+        NoiseSpec::ClassDependent(1.2, -0.3)}) {
+    EXPECT_THROW(spec.Apply(&ds, &rng), std::invalid_argument)
+        << spec.ToString();
+    EXPECT_DOUBLE_EQ(ObservedNoiseRate(ds), 0.0) << spec.ToString();
+  }
+}
+
+TEST(NoiseTest, AcceptsRatesUpToTheBoundary) {
+  EXPECT_EQ(NoiseSpec::Parse("none").kind, NoiseSpec::Kind::kNone);
+  const NoiseSpec zero = NoiseSpec::Parse("uniform:0");
+  EXPECT_EQ(zero.kind, NoiseSpec::Kind::kUniform);
+  EXPECT_EQ(zero.eta, 0.0);
+  EXPECT_EQ(NoiseSpec::Parse("uniform:0.49").eta, 0.49);
+  const NoiseSpec classdep = NoiseSpec::Parse("classdep:0.54,0.45");
+  EXPECT_EQ(classdep.kind, NoiseSpec::Kind::kClassDependent);
+  EXPECT_EQ(classdep.eta10, 0.54);
+  EXPECT_EQ(classdep.eta01, 0.45);
+  Rng rng(10);
+  for (const NoiseSpec& spec : {zero, NoiseSpec::Uniform(0.49), classdep}) {
+    SessionDataset ds = CleanLabels(1000);
+    EXPECT_NO_THROW(spec.Apply(&ds, &rng)) << spec.ToString();
+  }
 }
 
 class SimulatorTest : public ::testing::TestWithParam<DatasetKind> {};

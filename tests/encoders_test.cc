@@ -5,7 +5,6 @@
 #include "autograd/grad_check.h"
 #include "encoders/session_encoder.h"
 #include "parallel/thread_pool.h"
-#include "tensor/kernel_backend.h"
 
 namespace clfd {
 namespace {
@@ -54,7 +53,7 @@ bool RowBitsEqual(const Matrix& a, int ra, const Matrix& b, int rb) {
 }
 
 // Every row of EncodeDataset must be bitwise the row a solo EncodeBatch of
-// that session gives, whatever the chunking, width and backend: chunks run
+// that session gives, whatever the chunking and width: chunks run
 // in length order and pad to their longest session, so this is what keeps
 // the reordering and the padding unobservable.
 TEST(SessionEncoderTest, EncodeDatasetMatchesBatch) {
@@ -72,23 +71,19 @@ TEST(SessionEncoderTest, EncodeDatasetMatchesBatch) {
   }
   Matrix emb = Matrix::Randn(vocab, 5, 1.0f, &rng);
   SessionEncoder enc(5, 6, 2, &rng);
-  for (KernelBackend backend : AllKernelBackends()) {
-    ScopedKernelBackend use(backend);
-    std::vector<Matrix> solo;
-    for (const LabeledSession& ls : data.sessions) {
-      solo.push_back(enc.EncodeBatch({&ls.session}, emb).value());
-    }
-    for (int width : {1, 2, 4}) {
-      parallel::SetGlobalThreads(width);
-      for (int chunk : {1, 7, 128}) {
-        Matrix all = enc.EncodeDataset(data, emb, chunk);
-        ASSERT_EQ(all.rows(), data.size());
-        for (int i = 0; i < data.size(); ++i) {
-          EXPECT_TRUE(RowBitsEqual(all, i, solo[i], 0))
-              << "row " << i << " length " << data.sessions[i].session.length()
-              << " backend " << KernelBackendName(backend) << " width "
-              << width << " chunk " << chunk;
-        }
+  std::vector<Matrix> solo;
+  for (const LabeledSession& ls : data.sessions) {
+    solo.push_back(enc.EncodeBatch({&ls.session}, emb).value());
+  }
+  for (int width : {1, 2, 4}) {
+    parallel::SetGlobalThreads(width);
+    for (int chunk : {1, 7, 128}) {
+      Matrix all = enc.EncodeDataset(data, emb, chunk);
+      ASSERT_EQ(all.rows(), data.size());
+      for (int i = 0; i < data.size(); ++i) {
+        EXPECT_TRUE(RowBitsEqual(all, i, solo[i], 0))
+            << "row " << i << " length " << data.sessions[i].session.length()
+            << " width " << width << " chunk " << chunk;
       }
     }
   }
@@ -122,7 +117,7 @@ TEST(SessionEncoderTest, GradCheckThroughMaskedMean) {
   SessionEncoder enc(3, 4, 1, &rng);
   Session a = MakeSession({1, 2, 3});
   Session b = MakeSession({4, 5});
-  auto result = ag::CheckGradientsAllBackends(
+  auto result = ag::CheckGradients(
       [&](const std::vector<ag::Var>&) {
         ag::Var z = enc.EncodeBatch({&a, &b}, emb);
         return ag::SumAll(ag::Mul(z, z));

@@ -8,7 +8,6 @@
 #include "eval/experiment.h"
 #include "obs/prof.h"
 #include "parallel/thread_pool.h"
-#include "tensor/kernel_backend.h"
 
 namespace clfd {
 namespace {
@@ -94,32 +93,28 @@ uint64_t RunFingerprint(const ClfdModel& model,
   return h;
 }
 
-TEST(BackendInvarianceTest, RunFingerprintMatchesCommittedHash) {
+TEST(ThreadInvarianceTest, RunFingerprintMatchesCommittedHash) {
   // The full CLFD pipeline — SimCLR pretrain, corrector, SupCon detector,
   // classifier, all stepping through execution plans on arena-backed
-  // tapes — must produce the same bits under every kernel backend at
-  // every thread width. F1 and AUC alone saturate at 100 on this tiny
-  // config, so the hash also covers every score and every corrected
-  // label. The committed value was generated at the commit before the
-  // plan/arena/fused-LSTM switches were removed, where each switch off
-  // (and all three off) gave the same value. A change to it is a
+  // tapes — must produce the same bits at every thread width. F1 and AUC
+  // alone saturate at 100 on this tiny config, so the hash also covers
+  // every score and every corrected label. The committed value was
+  // generated at the commit before the plan/arena/fused-LSTM switches
+  // were removed, where each switch off (and all three off) gave the same
+  // value, as did the scalar kernel bodies. A change to it is a
   // deliberate, reviewed event: the failure message prints the new value.
   constexpr uint64_t kExpected = 0x14285d8585513b82ull;
   SplitSpec split{40, 6, 20, 4};
   ClfdConfig config = TinyConfig();
-  for (KernelBackend backend : AllKernelBackends()) {
-    ScopedKernelBackend use(backend);
-    for (int width : {1, 2, 4}) {
-      parallel::SetGlobalThreads(width);
-      ExperimentContext context(DatasetKind::kWiki, split,
-                                NoiseSpec::Uniform(0.3), config.emb_dim, 21);
-      ClfdModel model(config, 21);
-      RunMetrics run = TrainAndEvaluate(&model, context);
-      const uint64_t got = RunFingerprint(model, context, run);
-      EXPECT_EQ(got, kExpected)
-          << "backend=" << KernelBackendName(backend) << " threads=" << width
-          << ": got 0x" << std::hex << got;
-    }
+  for (int width : {1, 2, 4}) {
+    parallel::SetGlobalThreads(width);
+    ExperimentContext context(DatasetKind::kWiki, split,
+                              NoiseSpec::Uniform(0.3), config.emb_dim, 21);
+    ClfdModel model(config, 21);
+    RunMetrics run = TrainAndEvaluate(&model, context);
+    const uint64_t got = RunFingerprint(model, context, run);
+    EXPECT_EQ(got, kExpected)
+        << "threads=" << width << ": got 0x" << std::hex << got;
   }
   parallel::SetGlobalThreads(0);
 }

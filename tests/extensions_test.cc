@@ -53,7 +53,7 @@ TEST(SceLossTest, GradCheck) {
   Rng rng(1);
   Matrix targets = OneHot({0, 1, 1});
   std::vector<ag::Var> params = {ag::Param(Matrix::Randn(3, 2, 1.0f, &rng))};
-  auto result = ag::CheckGradientsAllBackends(
+  auto result = ag::CheckGradients(
       [&](const std::vector<ag::Var>& p) {
         return SceLoss(ag::SoftmaxRows(p[0]), targets);
       },

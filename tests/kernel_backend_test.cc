@@ -1,31 +1,28 @@
-// Scalar-oracle equivalence suite for the kernel backends
-// (src/tensor/kernel_backend.h). The repo invariant under test: the
-// blocked backend (the process default) is *bitwise* interchangeable with
-// the scalar bodies for every kernel, every shape — including
+// Kernel suite for src/tensor/matrix.h. The repo invariant under test:
+// each register-tiled MatMul-family kernel is *bitwise* equal to its serial
+// reference function (namespace reference) for every shape — including
 // tile-boundary remainders, degenerate dims, signed zeros, denormals, and
-// Inf inputs — at every thread width. Each case computes the oracle result
-// on the scalar backend with kernels forced serial, then recomputes under
-// every backend x {serial, parallel width 2, parallel width 4} and
-// memcmp-compares the raw float bits. The single carve-out is NaN
+// Inf inputs — on the serial path and on the row-parallel path at widths 2
+// and 4, comparing the raw float bits. The single carve-out is NaN
 // *payload* bits (EqualModuloNanPayload below): NaN-ness itself is still
-// exact per element. KernelFingerprint additionally pins the MatMul
-// family's output bits to committed hashes, so the oracle itself cannot
-// drift unnoticed.
-
-#include "tensor/kernel_backend.h"
+// exact per element. KernelFingerprint pins the output bits of the kernels
+// and of the references to committed hashes, so neither can drift
+// unnoticed, and does the same for the kernels that have one body and no
+// reference (fused LSTM gates, elementwise ops, softmax).
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "obs/prof.h"
 #include "parallel/thread_pool.h"
 #include "tensor/matrix.h"
 
@@ -47,9 +44,9 @@ bool BitwiseEqual(const Matrix& a, const Matrix& b) {
 }
 
 // Bitwise equality except that two NaNs match regardless of payload/sign
-// bits. NaN payloads are the one place the backends cannot promise
-// identical bits: x86 add/mul propagate *one* operand's NaN (and invalid
-// operations manufacture the sign-set "indefinite" QNaN), and the
+// bits. NaN payloads are the one place a kernel and its reference cannot
+// promise identical bits: x86 add/mul propagate *one* operand's NaN (and
+// invalid operations manufacture the sign-set "indefinite" QNaN), and the
 // compiler may commute FP operands — value-preserving, payload-changing —
 // so which NaN survives a chain is codegen-dependent, differing across
 // optimization levels and sanitizer instrumentation of the *same* source.
@@ -67,7 +64,7 @@ bool EqualModuloNanPayload(const Matrix& a, const Matrix& b) {
   return true;
 }
 
-// Random data stressing the oracle's zero-skip and rounding edge cases:
+// Random data stressing the zero-skip and rounding edge cases:
 // exact +0.0f (skip taken), -0.0f (skip taken; an add of it would flush a
 // -0 partial to +0), and single-precision denormals.
 Matrix AdversarialRandn(int rows, int cols, Rng* rng) {
@@ -85,98 +82,60 @@ Matrix AdversarialRandn(int rows, int cols, Rng* rng) {
   return m;
 }
 
-// Computes `compute` (which may return several output matrices) on the
-// scalar backend with kernels serial — the oracle — then re-runs it under
-// every backend on the serial path and the row-parallel path at widths 2
-// and 4, asserting bitwise equality output by output. Inputs that produce
-// NaN outputs pass `nan_payload_tolerant` (see EqualModuloNanPayload).
-void ExpectAllBackendsBitwiseEqual(
-    const std::function<std::vector<Matrix>()>& compute,
-    const std::string& what, bool nan_payload_tolerant = false) {
+// The five MatMul-family entry points, so one test body can run either the
+// kernels or their serial references (tensor/matrix.h).
+struct MatMulFamily {
+  Matrix (*mat_mul)(const Matrix&, const Matrix&);
+  Matrix (*transpose_a)(const Matrix&, const Matrix&);
+  Matrix (*transpose_b)(const Matrix&, const Matrix&);
+  void (*gate_blocked_add)(const Matrix&, const Matrix&, Matrix*);
+  void (*time_blocked_add)(const Matrix&, const Matrix&, int, Matrix*);
+};
+
+const MatMulFamily kKernels = {
+    MatMul, MatMulTransposeA, MatMulTransposeB,
+    MatMulTransposeBGateBlockedAddInto, MatMulTransposeATimeBlockedAddInto};
+const MatMulFamily kReference = {
+    reference::MatMul, reference::MatMulTransposeA,
+    reference::MatMulTransposeB, reference::MatMulTransposeBGateBlockedAddInto,
+    reference::MatMulTransposeATimeBlockedAddInto};
+
+using FamilyCompute =
+    std::function<std::vector<Matrix>(const MatMulFamily& family)>;
+
+// Computes `compute` (which may return several output matrices) once on the
+// references with kernels serial, then on the kernels on the serial path
+// and on the row-parallel path at widths 2 and 4, asserting bitwise
+// equality output by output. A `compute` that ignores its family compares
+// a kernel's serial path with its parallel paths. Inputs that produce NaN
+// outputs pass `nan_payload_tolerant` (see EqualModuloNanPayload).
+void ExpectKernelsMatchReference(const FamilyCompute& compute,
+                                 const std::string& what,
+                                 bool nan_payload_tolerant = false) {
   const auto equal = [&](const Matrix& a, const Matrix& b) {
     return nan_payload_tolerant ? EqualModuloNanPayload(a, b)
                                 : BitwiseEqual(a, b);
   };
-  std::vector<Matrix> oracle;
-  {
-    ScopedKernelBackend scalar(KernelBackend::kScalar);
-    ScopedMatmulParallelThreshold serial(
-        std::numeric_limits<int64_t>::max());
-    oracle = compute();
-  }
-  for (KernelBackend backend : AllKernelBackends()) {
-    ScopedKernelBackend use(backend);
-    {
-      ScopedMatmulParallelThreshold serial(
-          std::numeric_limits<int64_t>::max());
-      std::vector<Matrix> got = compute();
-      ASSERT_EQ(oracle.size(), got.size());
-      for (size_t i = 0; i < oracle.size(); ++i) {
-        EXPECT_TRUE(equal(oracle[i], got[i]))
-            << what << " output " << i << " backend "
-            << KernelBackendName(backend) << " serial, max diff "
-            << MaxAbsDiff(oracle[i], got[i]);
-      }
+  std::vector<Matrix> want;
+  const auto check = [&](const std::string& path) {
+    const std::vector<Matrix> got = compute(kKernels);
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_TRUE(equal(want[i], got[i]))
+          << what << " output " << i << " " << path << ", max diff "
+          << MaxAbsDiff(want[i], got[i]);
     }
-    for (int width : {2, 4}) {
-      ScopedThreads threads(width);
-      ScopedMatmulParallelThreshold parallel_path(0);
-      std::vector<Matrix> got = compute();
-      ASSERT_EQ(oracle.size(), got.size());
-      for (size_t i = 0; i < oracle.size(); ++i) {
-        EXPECT_TRUE(equal(oracle[i], got[i]))
-            << what << " output " << i << " backend "
-            << KernelBackendName(backend) << " width " << width
-            << ", max diff " << MaxAbsDiff(oracle[i], got[i]);
-      }
-    }
-  }
-}
-
-// ---- Selector plumbing ----
-
-// Every test that overrides the backend does so through a scope, so
-// outside one the process default is what production runs.
-TEST(KernelBackendSelector, DefaultIsBlocked) {
-  EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kBlocked);
-  EXPECT_STREQ(KernelBackendName(CurrentKernelBackend()), "blocked");
-}
-
-TEST(KernelBackendSelector, AllBackendsAreScalarThenBlocked) {
-  const auto& all = AllKernelBackends();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0], KernelBackend::kScalar);
-  EXPECT_EQ(all[1], KernelBackend::kBlocked);
-  EXPECT_STREQ(KernelBackendName(all[0]), "scalar");
-  EXPECT_STREQ(KernelBackendName(all[1]), "blocked");
-}
-
-TEST(KernelBackendSelector, ScopedOverrideRestores) {
-  const KernelBackend before = CurrentKernelBackend();
-  {
-    ScopedKernelBackend use(KernelBackend::kScalar);
-    EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kScalar);
-    {
-      ScopedKernelBackend inner(KernelBackend::kBlocked);
-      EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kBlocked);
-    }
-    EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kScalar);
-  }
-  EXPECT_EQ(CurrentKernelBackend(), before);
-}
-
-TEST(KernelBackendSelector, SelectionStampsReportAnnotation) {
-  auto annotation = []() -> std::string {
-    for (const auto& [key, value] : obs::prof::ReportAnnotations()) {
-      if (key == "kernel_backend") return value;
-    }
-    return "";
   };
   {
-    ScopedKernelBackend use(KernelBackend::kScalar);
-    EXPECT_EQ(annotation(), "scalar");
+    ScopedMatmulParallelThreshold serial(std::numeric_limits<int64_t>::max());
+    want = compute(kReference);
+    check("serial");
   }
-  EXPECT_EQ(annotation(), "blocked");
+  for (int width : {2, 4}) {
+    ScopedThreads threads(width);
+    ScopedMatmulParallelThreshold parallel_path(0);
+    check("width " + std::to_string(width));
+  }
 }
 
 // ---- MatMul family over adversarial shapes ----
@@ -199,52 +158,58 @@ const Shape3 kAdversarialShapes[] = {
     {3, 50, 200},
 };
 
-TEST(KernelBackendEquivalence, MatMulAdversarialShapes) {
+std::string Dims(const Shape3& s) {
+  return std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+         std::to_string(s.n);
+}
+
+TEST(KernelReference, MatMulAdversarialShapes) {
   Rng rng(101);
   for (const Shape3& s : kAdversarialShapes) {
     Matrix a = AdversarialRandn(s.m, s.k, &rng);
     Matrix b = AdversarialRandn(s.k, s.n, &rng);
-    ExpectAllBackendsBitwiseEqual(
-        [&]() { return std::vector<Matrix>{MatMul(a, b)}; },
-        "MatMul " + std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
-            std::to_string(s.n));
+    ExpectKernelsMatchReference(
+        [&](const MatMulFamily& f) {
+          return std::vector<Matrix>{f.mat_mul(a, b)};
+        },
+        "MatMul " + Dims(s));
   }
 }
 
-TEST(KernelBackendEquivalence, MatMulTransposeAAdversarialShapes) {
+TEST(KernelReference, MatMulTransposeAAdversarialShapes) {
   Rng rng(102);
   for (const Shape3& s : kAdversarialShapes) {
     Matrix a = AdversarialRandn(s.k, s.m, &rng);  // result is [m x n]
     Matrix b = AdversarialRandn(s.k, s.n, &rng);
-    ExpectAllBackendsBitwiseEqual(
-        [&]() { return std::vector<Matrix>{MatMulTransposeA(a, b)}; },
-        "MatMulTransposeA " + std::to_string(s.m) + "x" +
-            std::to_string(s.k) + "x" + std::to_string(s.n));
+    ExpectKernelsMatchReference(
+        [&](const MatMulFamily& f) {
+          return std::vector<Matrix>{f.transpose_a(a, b)};
+        },
+        "MatMulTransposeA " + Dims(s));
   }
 }
 
-TEST(KernelBackendEquivalence, MatMulTransposeBAdversarialShapes) {
+TEST(KernelReference, MatMulTransposeBAdversarialShapes) {
   Rng rng(103);
   for (const Shape3& s : kAdversarialShapes) {
     Matrix a = AdversarialRandn(s.m, s.k, &rng);
     Matrix b = AdversarialRandn(s.n, s.k, &rng);  // result is [m x n]
-    ExpectAllBackendsBitwiseEqual(
-        [&]() { return std::vector<Matrix>{MatMulTransposeB(a, b)}; },
-        "MatMulTransposeB " + std::to_string(s.m) + "x" +
-            std::to_string(s.k) + "x" + std::to_string(s.n));
+    ExpectKernelsMatchReference(
+        [&](const MatMulFamily& f) {
+          return std::vector<Matrix>{f.transpose_b(a, b)};
+        },
+        "MatMulTransposeB " + Dims(s));
   }
 }
 
 // Non-finite propagation: the zero-skip is semantic, not an optimization —
 // skipping 0 * Inf avoids the NaN an "add everything" kernel would create.
-// The backends must reproduce Inf/NaN placement (and NaN payload bits)
-// exactly.
-// Inf and NaN inputs: every backend must agree bitwise on which output
-// elements go non-finite, on every Inf (sign included), and on every
+// Inf and NaN inputs: kernel and reference must agree bitwise on which
+// output elements go non-finite, on every Inf (sign included), and on every
 // element that stays finite. NaN *payload* bits are compared tolerantly —
 // see EqualModuloNanPayload for why exact NaN bits are a codegen artifact
 // no source-level contract can pin down.
-TEST(KernelBackendEquivalence, NonFinitePropagationBitwise) {
+TEST(KernelReference, NonFinitePropagationBitwise) {
   Rng rng(104);
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
@@ -254,22 +219,26 @@ TEST(KernelBackendEquivalence, NonFinitePropagationBitwise) {
     Matrix b = AdversarialRandn(s.k, s.n, &rng);
     for (int i = 0; i < a.size(); i += 7) a[i] = (i % 14 != 0) ? inf : nan;
     for (int i = 0; i < b.size(); i += 5) b[i] = (i % 10 != 0) ? -inf : nan;
-    ExpectAllBackendsBitwiseEqual(
-        [&]() { return std::vector<Matrix>{MatMul(a, b)}; },
+    ExpectKernelsMatchReference(
+        [&](const MatMulFamily& f) {
+          return std::vector<Matrix>{f.mat_mul(a, b)};
+        },
         "MatMul non-finite", /*nan_payload_tolerant=*/true);
     Matrix bt = Transpose(b);
-    ExpectAllBackendsBitwiseEqual(
-        [&]() { return std::vector<Matrix>{MatMulTransposeB(a, bt)}; },
+    ExpectKernelsMatchReference(
+        [&](const MatMulFamily& f) {
+          return std::vector<Matrix>{f.transpose_b(a, bt)};
+        },
         "MatMulTransposeB non-finite", /*nan_payload_tolerant=*/true);
   }
 }
 
 // The zero-skip in every tile height, row remainders included: an exact
-// ±0 A value facing an Inf row of B is skipped, so the oracle's result stays
-// finite where an unskipped 0 * Inf would write NaN. (The sprinkled test
-// above turns every remainder row NaN through its own Inf/NaN A values, so
-// it cannot see a missing skip there.)
-TEST(KernelBackendEquivalence, ZeroSkipFacingInfRows) {
+// ±0 A value facing an Inf row of B is skipped, so the result stays finite
+// where an unskipped 0 * Inf would write NaN. (The sprinkled test above
+// turns every remainder row NaN through its own Inf/NaN A values, so it
+// cannot see a missing skip there.)
+TEST(KernelReference, ZeroSkipFacingInfRows) {
   Rng rng(109);
   const float inf = std::numeric_limits<float>::infinity();
   for (const Shape3& s : {Shape3{1, 50, 200}, Shape3{2, 50, 200},
@@ -286,24 +255,28 @@ TEST(KernelBackendEquivalence, ZeroSkipFacingInfRows) {
       b.at(s.k - 1, j) = -inf;
     }
     const Matrix at = Transpose(a);
-    const std::string dims = std::to_string(s.m) + "x" +
-                             std::to_string(s.k) + "x" + std::to_string(s.n);
-    ExpectAllBackendsBitwiseEqual(
-        [&]() { return std::vector<Matrix>{MatMul(a, b)}; },
-        "MatMul zero-skip " + dims);
-    ExpectAllBackendsBitwiseEqual(
-        [&]() { return std::vector<Matrix>{MatMulTransposeA(at, b)}; },
-        "MatMulTransposeA zero-skip " + dims);
+    ExpectKernelsMatchReference(
+        [&](const MatMulFamily& f) {
+          return std::vector<Matrix>{f.mat_mul(a, b)};
+        },
+        "MatMul zero-skip " + Dims(s));
+    ExpectKernelsMatchReference(
+        [&](const MatMulFamily& f) {
+          return std::vector<Matrix>{f.transpose_a(at, b)};
+        },
+        "MatMulTransposeA zero-skip " + Dims(s));
     const Matrix c = MatMul(a, b);
     for (int i = 0; i < c.size(); ++i) {
-      ASSERT_TRUE(std::isfinite(c[i])) << dims << " element " << i;
+      ASSERT_TRUE(std::isfinite(c[i])) << Dims(s) << " element " << i;
     }
   }
 }
 
 // ---- Fused LSTM kernels ----
 
-TEST(KernelBackendEquivalence, LstmGatesForwardBackward) {
+// The gate kernels have one body and no reference; they dispatch rows, so
+// their serial path must match their row-parallel path at widths 2 and 4.
+TEST(KernelWidthInvariance, LstmGatesForwardBackward) {
   Rng rng(105);
   struct BH {
     int b, h;
@@ -312,8 +285,8 @@ TEST(KernelBackendEquivalence, LstmGatesForwardBackward) {
                       BH{7, 5}, BH{8, 12}}) {
     Matrix pre = AdversarialRandn(s.b, 4 * s.h, &rng);
     Matrix hc_prev = AdversarialRandn(s.b, 2 * s.h, &rng);
-    ExpectAllBackendsBitwiseEqual(
-        [&]() {
+    ExpectKernelsMatchReference(
+        [&](const MatMulFamily&) {
           Matrix hc, acts;
           LstmGatesForward(pre, hc_prev, &hc, &acts);
           return std::vector<Matrix>{hc, acts};
@@ -326,8 +299,8 @@ TEST(KernelBackendEquivalence, LstmGatesForwardBackward) {
     Matrix gout = AdversarialRandn(s.b, 2 * s.h, &rng);
     Matrix dpre0 = AdversarialRandn(s.b, 4 * s.h, &rng);
     Matrix dhc0 = AdversarialRandn(s.b, 2 * s.h, &rng);
-    ExpectAllBackendsBitwiseEqual(
-        [&]() {
+    ExpectKernelsMatchReference(
+        [&](const MatMulFamily&) {
           Matrix dpre = dpre0;  // += semantics: fresh accumulators per run
           Matrix dhc = dhc0;
           LstmGatesBackward(gout, acts, hc_prev, &dpre, &dhc);
@@ -338,7 +311,7 @@ TEST(KernelBackendEquivalence, LstmGatesForwardBackward) {
   }
 }
 
-TEST(KernelBackendEquivalence, MatMulTransposeBGateBlockedAddInto) {
+TEST(KernelReference, MatMulTransposeBGateBlockedAddInto) {
   Rng rng(106);
   struct GW {
     int r, c, h;
@@ -348,10 +321,10 @@ TEST(KernelBackendEquivalence, MatMulTransposeBGateBlockedAddInto) {
     Matrix g = AdversarialRandn(s.r, 4 * s.h, &rng);
     Matrix w = AdversarialRandn(s.c, 4 * s.h, &rng);
     Matrix acc0 = AdversarialRandn(s.r, s.c, &rng);
-    ExpectAllBackendsBitwiseEqual(
-        [&]() {
+    ExpectKernelsMatchReference(
+        [&](const MatMulFamily& f) {
           Matrix acc = acc0;
-          MatMulTransposeBGateBlockedAddInto(g, w, &acc);
+          f.gate_blocked_add(g, w, &acc);
           return std::vector<Matrix>{acc};
         },
         "GateBlockedAddInto r=" + std::to_string(s.r) +
@@ -359,7 +332,7 @@ TEST(KernelBackendEquivalence, MatMulTransposeBGateBlockedAddInto) {
   }
 }
 
-TEST(KernelBackendEquivalence, MatMulTransposeATimeBlockedAddInto) {
+TEST(KernelReference, MatMulTransposeATimeBlockedAddInto) {
   Rng rng(107);
   struct TK {
     int t, b, k, n;
@@ -369,40 +342,15 @@ TEST(KernelBackendEquivalence, MatMulTransposeATimeBlockedAddInto) {
     Matrix x = AdversarialRandn(s.t * s.b, s.k, &rng);
     Matrix g = AdversarialRandn(s.t * s.b, s.n, &rng);
     Matrix acc0 = AdversarialRandn(s.k, s.n, &rng);
-    ExpectAllBackendsBitwiseEqual(
-        [&]() {
+    ExpectKernelsMatchReference(
+        [&](const MatMulFamily& f) {
           Matrix acc = acc0;
-          MatMulTransposeATimeBlockedAddInto(x, g, s.b, &acc);
+          f.time_blocked_add(x, g, s.b, &acc);
           return std::vector<Matrix>{acc};
         },
         "TimeBlockedAddInto t=" + std::to_string(s.t) +
             " b=" + std::to_string(s.b) + " k=" + std::to_string(s.k) +
             " n=" + std::to_string(s.n));
-  }
-}
-
-// ---- Elementwise + softmax ----
-
-TEST(KernelBackendEquivalence, ElementwiseAndSoftmax) {
-  Rng rng(108);
-  struct RC {
-    int r, c;
-  };
-  for (const RC& s : {RC{1, 1}, RC{3, 7}, RC{5, 9}, RC{12, 33}, RC{4, 8}}) {
-    Matrix a = AdversarialRandn(s.r, s.c, &rng);
-    Matrix b = AdversarialRandn(s.r, s.c, &rng);
-    Matrix row = AdversarialRandn(1, s.c, &rng);
-    ExpectAllBackendsBitwiseEqual(
-        [&]() {
-          return std::vector<Matrix>{
-              Add(a, b),        Sub(a, b),       Mul(a, b),
-              Div(a, b),        AddScalar(a, 0.37f), MulScalar(a, -1.91f),
-              Exp(a),           Log(a),          Pow(a, 1.7f),
-              Tanh(a),          Sigmoid(a),      Relu(a),
-              LeakyRelu(a, 0.01f), AddRowBroadcast(a, row),
-              SoftmaxRows(a)};
-        },
-        "elementwise " + std::to_string(s.r) + "x" + std::to_string(s.c));
   }
 }
 
@@ -419,7 +367,7 @@ int BoundaryBiasedDim(Rng* rng) {
   return 1 + rng->UniformInt(40);
 }
 
-TEST(KernelBackendFuzz, ThousandRandomShapesBitwiseIdentical) {
+TEST(KernelReferenceFuzz, ThousandRandomShapesBitwiseIdentical) {
   Rng rng(20260807);
   ScopedThreads threads(4);
   int parallel_runs = 0;
@@ -431,7 +379,7 @@ TEST(KernelBackendFuzz, ThousandRandomShapesBitwiseIdentical) {
     Matrix b = AdversarialRandn(k, n, &rng);
     Matrix bt = AdversarialRandn(n, k, &rng);
     Matrix at = AdversarialRandn(k, m, &rng);
-    Matrix e = AdversarialRandn(m, k, &rng);
+    AdversarialRandn(m, k, &rng);  // unused; keeps the seed's shape sequence
 
     // Exercise the serial and row-parallel dispatch paths about equally.
     const bool parallel_path = rng.Uniform() < 0.5;
@@ -439,42 +387,31 @@ TEST(KernelBackendFuzz, ThousandRandomShapesBitwiseIdentical) {
     ScopedMatmulParallelThreshold threshold(
         parallel_path ? 0 : std::numeric_limits<int64_t>::max());
 
-    Matrix mm, ta, tb, ew, sm;
-    {
-      ScopedKernelBackend scalar(KernelBackend::kScalar);
-      mm = MatMul(a, b);
-      ta = MatMulTransposeA(at, b);
-      tb = MatMulTransposeB(a, bt);
-      ew = Mul(Sigmoid(a), e);
-      sm = SoftmaxRows(a);
-    }
-    ScopedKernelBackend blocked(KernelBackend::kBlocked);
-    ASSERT_TRUE(BitwiseEqual(mm, MatMul(a, b)))
-        << "MatMul " << m << "x" << k << "x" << n << " iter " << iter;
-    ASSERT_TRUE(BitwiseEqual(ta, MatMulTransposeA(at, b)))
-        << "MatMulTransposeA " << m << "x" << k << "x" << n << " iter "
-        << iter;
-    ASSERT_TRUE(BitwiseEqual(tb, MatMulTransposeB(a, bt)))
-        << "MatMulTransposeB " << m << "x" << k << "x" << n << " iter "
-        << iter;
-    ASSERT_TRUE(BitwiseEqual(ew, Mul(Sigmoid(a), e)))
-        << "elementwise " << m << "x" << k << " iter " << iter;
-    ASSERT_TRUE(BitwiseEqual(sm, SoftmaxRows(a)))
-        << "softmax " << m << "x" << k << " iter " << iter;
+    const std::string dims = std::to_string(m) + "x" + std::to_string(k) +
+                             "x" + std::to_string(n) + " iter " +
+                             std::to_string(iter);
+    ASSERT_TRUE(BitwiseEqual(reference::MatMul(a, b), MatMul(a, b)))
+        << "MatMul " << dims;
+    ASSERT_TRUE(BitwiseEqual(reference::MatMulTransposeA(at, b),
+                             MatMulTransposeA(at, b)))
+        << "MatMulTransposeA " << dims;
+    ASSERT_TRUE(BitwiseEqual(reference::MatMulTransposeB(a, bt),
+                             MatMulTransposeB(a, bt)))
+        << "MatMulTransposeB " << dims;
   }
   // The 50/50 dispatch split actually exercised both paths.
   EXPECT_GT(parallel_runs, 300);
   EXPECT_LT(parallel_runs, 700);
 }
 
-// ---- Committed output fingerprint ----
+// ---- Committed output fingerprints ----
 
 // A float with at most 20 significant bits in [-2, 2), or an exact +0.0f
-// or -0.0f one draw in sixteen each, so the oracle's zero-skip branches
-// run. A product of two such values needs up to 40 bits and rounds to 24,
-// so any reordering of a k-sum changes the hash. Built from
-// Rng::UniformInt alone: mt19937_64's output is fixed by the C++ standard,
-// while std::normal_distribution and libm differ between toolchains.
+// or -0.0f one draw in sixteen each, so the zero-skip branches run. A
+// product of two such values needs up to 40 bits and rounds to 24, so any
+// reordering of a k-sum changes the hash. Built from Rng::UniformInt
+// alone: mt19937_64's output is fixed by the C++ standard, while
+// std::normal_distribution and libm differ between toolchains.
 float FingerprintValue(Rng* rng) {
   const int kind = rng->UniformInt(16);
   if (kind == 0) return 0.0f;
@@ -489,8 +426,16 @@ Matrix FingerprintMatrix(int rows, int cols, Rng* rng) {
   return m;
 }
 
-// FNV-1a over the shape and the raw float bits, byte order fixed.
-void HashInto(const Matrix& m, uint64_t* h) {
+constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+
+// Kernel name -> FNV-1a hash of all its outputs.
+using Fingerprints = std::map<std::string, uint64_t>;
+
+// Mixes the shape and the raw float bits of `m` into the kernel's hash,
+// byte order fixed. Every NaN hashes as one quiet-NaN pattern, since which
+// payload survives is codegen-dependent (EqualModuloNanPayload).
+void HashInto(const Matrix& m, const std::string& kernel, Fingerprints* fp) {
+  uint64_t* h = &fp->try_emplace(kernel, kFnvOffset).first->second;
   const auto mix = [h](uint32_t v) {
     for (int byte = 0; byte < 4; ++byte) {
       *h ^= (v >> (8 * byte)) & 0xffu;
@@ -500,35 +445,47 @@ void HashInto(const Matrix& m, uint64_t* h) {
   mix(static_cast<uint32_t>(m.rows()));
   mix(static_cast<uint32_t>(m.cols()));
   for (int i = 0; i < m.size(); ++i) {
-    uint32_t bits;
-    std::memcpy(&bits, m.data() + i, sizeof(bits));
+    uint32_t bits = 0x7fc00000u;
+    if (!std::isnan(m[i])) std::memcpy(&bits, m.data() + i, sizeof(bits));
     mix(bits);
   }
 }
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
+// Runs `check` on the serial and on the row-parallel path at widths 1, 2
+// and 4.
+void ForEveryWidthAndPath(
+    const std::function<void(const std::string& config)>& check) {
+  for (int width : {1, 2, 4}) {
+    ScopedThreads threads(width);
+    for (bool parallel_path : {false, true}) {
+      ScopedMatmulParallelThreshold threshold(
+          parallel_path ? 0 : std::numeric_limits<int64_t>::max());
+      check("width " + std::to_string(width) +
+            (parallel_path ? " row-parallel" : " serial"));
+    }
+  }
+}
 
-enum FingerprintKernel {
-  kFpMatMul,
-  kFpMatMulTransposeA,
-  kFpMatMulTransposeB,
-  kFpGateBlockedAddInto,
-  kFpTimeBlockedAddInto,
-  kFpKernelCount,
-};
-
-const char* const kFingerprintKernelNames[kFpKernelCount] = {
-    "MatMul", "MatMulTransposeA", "MatMulTransposeB",
-    "MatMulTransposeBGateBlockedAddInto",
-    "MatMulTransposeATimeBlockedAddInto"};
+// A change to a committed hash is a deliberate, reviewed event: the failure
+// message prints the new value.
+void ExpectFingerprints(const Fingerprints& got, const Fingerprints& want,
+                        const std::string& config) {
+  EXPECT_EQ(got.size(), want.size()) << config;
+  for (const auto& [kernel, hash] : want) {
+    const auto it = got.find(kernel);
+    ASSERT_NE(it, got.end()) << kernel;
+    EXPECT_EQ(it->second, hash)
+        << kernel << " " << config << ": got 0x" << std::hex << it->second;
+  }
+}
 
 // One hash per MatMul-family kernel over a fixed shape list: register-tile
 // edges and their ±1 neighbours (kRowTile/kDotTile 4, kColTile 8, the
 // 256-wide k-panel), primes, and zero extents. Inputs are regenerated from
-// fixed seeds on every call, so the result depends only on the kernels
-// and the active backend, width and parallel threshold.
-std::vector<uint64_t> MatMulFamilyFingerprints() {
-  std::vector<uint64_t> hashes(kFpKernelCount, kFnvOffset);
+// fixed seeds on every call, so the result depends only on `f` and the
+// active width and parallel threshold.
+Fingerprints MatMulFamilyFingerprints(const MatMulFamily& f) {
+  Fingerprints fp;
   const Shape3 shapes[] = {
       {1, 1, 1},    {2, 3, 5},    {3, 7, 9},   {4, 8, 8},    {5, 9, 7},
       {7, 4, 15},   {8, 16, 17},  {11, 13, 23}, {12, 31, 16}, {13, 29, 37},
@@ -541,9 +498,9 @@ std::vector<uint64_t> MatMulFamilyFingerprints() {
     const Matrix b = FingerprintMatrix(s.k, s.n, &rng);
     const Matrix at = FingerprintMatrix(s.k, s.m, &rng);
     const Matrix bt = FingerprintMatrix(s.n, s.k, &rng);
-    HashInto(MatMul(a, b), &hashes[kFpMatMul]);
-    HashInto(MatMulTransposeA(at, b), &hashes[kFpMatMulTransposeA]);
-    HashInto(MatMulTransposeB(a, bt), &hashes[kFpMatMulTransposeB]);
+    HashInto(f.mat_mul(a, b), "MatMul", &fp);
+    HashInto(f.transpose_a(at, b), "MatMulTransposeA", &fp);
+    HashInto(f.transpose_b(a, bt), "MatMulTransposeB", &fp);
   }
   struct GateShape {
     int rows, cols, h;
@@ -556,8 +513,8 @@ std::vector<uint64_t> MatMulFamilyFingerprints() {
     const Matrix g = FingerprintMatrix(s.rows, 4 * s.h, &rng);
     const Matrix w = FingerprintMatrix(s.cols, 4 * s.h, &rng);
     Matrix acc = FingerprintMatrix(s.rows, s.cols, &rng);
-    MatMulTransposeBGateBlockedAddInto(g, w, &acc);
-    HashInto(acc, &hashes[kFpGateBlockedAddInto]);
+    f.gate_blocked_add(g, w, &acc);
+    HashInto(acc, "MatMulTransposeBGateBlockedAddInto", &fp);
   }
   struct TimeShape {
     int t, b, k, n;
@@ -571,43 +528,111 @@ std::vector<uint64_t> MatMulFamilyFingerprints() {
     const Matrix x = FingerprintMatrix(s.t * s.b, s.k, &rng);
     const Matrix g = FingerprintMatrix(s.t * s.b, s.n, &rng);
     Matrix acc = FingerprintMatrix(s.k, s.n, &rng);
-    MatMulTransposeATimeBlockedAddInto(x, g, s.b, &acc);
-    HashInto(acc, &hashes[kFpTimeBlockedAddInto]);
+    f.time_blocked_add(x, g, s.b, &acc);
+    HashInto(acc, "MatMulTransposeATimeBlockedAddInto", &fp);
   }
-  return hashes;
+  return fp;
 }
 
-// The committed hashes were generated once by the scalar backend with
-// every kernel serial. They hold only for builds that neither re-associate
-// nor contract float arithmetic (no -ffast-math, no FMA contraction;
-// DESIGN.md §12). A change to them is a deliberate, reviewed event: the
-// failure message prints the new value.
+// The committed hashes were generated by the scalar bodies with every
+// kernel serial. They hold only for builds that neither re-associate nor
+// contract float arithmetic (no -ffast-math, no FMA contraction; DESIGN.md
+// §12).
 TEST(KernelFingerprint, MatMulFamilyMatchesCommittedHashes) {
-  const uint64_t kExpected[kFpKernelCount] = {
-      0xa28ae2e8f6b792adull,  // MatMul
-      0x29717fa67482346aull,  // MatMulTransposeA
-      0x880a1679a7e87fa1ull,  // MatMulTransposeB
-      0x34c3526f8a7acfabull,  // MatMulTransposeBGateBlockedAddInto
-      0x8d88c250e2405eb1ull,  // MatMulTransposeATimeBlockedAddInto
+  const Fingerprints kExpected = {
+      {"MatMul", 0xa28ae2e8f6b792adull},
+      {"MatMulTransposeA", 0x29717fa67482346aull},
+      {"MatMulTransposeB", 0x880a1679a7e87fa1ull},
+      {"MatMulTransposeBGateBlockedAddInto", 0x34c3526f8a7acfabull},
+      {"MatMulTransposeATimeBlockedAddInto", 0x8d88c250e2405eb1ull},
   };
-  for (KernelBackend backend : AllKernelBackends()) {
-    ScopedKernelBackend use(backend);
-    for (int width : {1, 2, 4}) {
-      ScopedThreads threads(width);
-      for (bool parallel_path : {false, true}) {
-        ScopedMatmulParallelThreshold threshold(
-            parallel_path ? 0 : std::numeric_limits<int64_t>::max());
-        const std::vector<uint64_t> got = MatMulFamilyFingerprints();
-        for (int i = 0; i < kFpKernelCount; ++i) {
-          EXPECT_EQ(got[i], kExpected[i])
-              << kFingerprintKernelNames[i] << " backend "
-              << KernelBackendName(backend) << " width " << width
-              << (parallel_path ? " row-parallel" : " serial") << ": got 0x"
-              << std::hex << got[i];
-        }
-      }
-    }
+  ForEveryWidthAndPath([&](const std::string& config) {
+    ExpectFingerprints(MatMulFamilyFingerprints(kKernels), kExpected,
+                       config);
+  });
+  ExpectFingerprints(MatMulFamilyFingerprints(kReference), kExpected,
+                     "reference");
+}
+
+// The kernels with one body and no reference: the fused LSTM gates, the
+// elementwise ops and softmax, on the same FingerprintValue inputs. Unlike
+// the MatMul family they call libm (exp, tanh, log, pow), so their hashes
+// hold for this toolchain's libm, as the run fingerprint in eval_test.cc
+// does.
+Fingerprints SingleBodyFingerprints() {
+  Fingerprints fp;
+  Rng rng(20261017);
+  struct BH {
+    int b, h;
+  };
+  for (const BH& s : {BH{1, 1}, BH{2, 3}, BH{3, 4}, BH{4, 4}, BH{5, 8},
+                      BH{7, 5}, BH{13, 6}, BH{0, 3}}) {
+    const Matrix pre = FingerprintMatrix(s.b, 4 * s.h, &rng);
+    const Matrix hc_prev = FingerprintMatrix(s.b, 2 * s.h, &rng);
+    Matrix hc, acts;
+    LstmGatesForward(pre, hc_prev, &hc, &acts);
+    HashInto(hc, "LstmGatesForward", &fp);
+    HashInto(acts, "LstmGatesForward", &fp);
+    const Matrix gout = FingerprintMatrix(s.b, 2 * s.h, &rng);
+    Matrix dpre = FingerprintMatrix(s.b, 4 * s.h, &rng);
+    Matrix dhc = FingerprintMatrix(s.b, 2 * s.h, &rng);
+    LstmGatesBackward(gout, acts, hc_prev, &dpre, &dhc);
+    HashInto(dpre, "LstmGatesBackward", &fp);
+    HashInto(dhc, "LstmGatesBackward", &fp);
   }
+  struct RC {
+    int r, c;
+  };
+  for (const RC& s : {RC{1, 1}, RC{3, 7}, RC{5, 9}, RC{12, 33}, RC{4, 8},
+                      RC{0, 3}, RC{3, 0}}) {
+    const Matrix a = FingerprintMatrix(s.r, s.c, &rng);
+    const Matrix b = FingerprintMatrix(s.r, s.c, &rng);
+    const Matrix row = FingerprintMatrix(1, s.c, &rng);
+    const std::pair<const char*, Matrix> outputs[] = {
+        {"Add", Add(a, b)},
+        {"Sub", Sub(a, b)},
+        {"Mul", Mul(a, b)},
+        {"Div", Div(a, b)},
+        {"AddScalar", AddScalar(a, 0.37f)},
+        {"MulScalar", MulScalar(a, -1.91f)},
+        {"Exp", Exp(a)},
+        {"Log", Log(a)},
+        {"Pow", Pow(a, 1.7f)},
+        {"Tanh", Tanh(a)},
+        {"Sigmoid", Sigmoid(a)},
+        {"Relu", Relu(a)},
+        {"LeakyRelu", LeakyRelu(a, 0.01f)},
+        {"AddRowBroadcast", AddRowBroadcast(a, row)},
+        {"SoftmaxRows", SoftmaxRows(a)},
+    };
+    for (const auto& [kernel, m] : outputs) HashInto(m, kernel, &fp);
+  }
+  return fp;
+}
+
+TEST(KernelFingerprint, SingleBodyKernelsMatchCommittedHashes) {
+  const Fingerprints kExpected = {
+      {"LstmGatesForward", 0xd467e45e1b218836ull},
+      {"LstmGatesBackward", 0x266fa279555b1fd6ull},
+      {"Add", 0xfdcd7f48786adba1ull},
+      {"Sub", 0x2d21204b4a376c4dull},
+      {"Mul", 0x11c589681d19ef09ull},
+      {"Div", 0x7115f4aa8bdc51f8ull},
+      {"AddScalar", 0x3381c10bd42b6ae5ull},
+      {"MulScalar", 0xbb15aa6679d1bbdcull},
+      {"Exp", 0x66803dd1aeea34f0ull},
+      {"Log", 0xf38cc7756e5eecb5ull},
+      {"Pow", 0x577dbb278bc7471bull},
+      {"Tanh", 0xd4006c11ccd253edull},
+      {"Sigmoid", 0x15668927b1de90e9ull},
+      {"Relu", 0x6011645fdfc4ed11ull},
+      {"LeakyRelu", 0x1ae81c32775b1ce9ull},
+      {"AddRowBroadcast", 0x42ad44c693e0cb0full},
+      {"SoftmaxRows", 0x1cba371854465ab8ull},
+  };
+  ForEveryWidthAndPath([&](const std::string& config) {
+    ExpectFingerprints(SingleBodyFingerprints(), kExpected, config);
+  });
 }
 
 }  // namespace

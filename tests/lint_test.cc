@@ -183,49 +183,6 @@ TEST(LintRawThread, FlagsThreadsOutsideParallel) {
   EXPECT_EQ(CountRule(vs, kRuleRawThread), 0);
 }
 
-TEST(LintMutableGlobal, FlagsStaticAndAtomicState) {
-  EXPECT_EQ(CountRule(LintSource(kModelPath,
-                                 Lines({"static int call_count = 0;"})),
-                      kRuleMutableGlobal),
-            1);
-  EXPECT_EQ(CountRule(LintSource(kModelPath,
-                                 Lines({"thread_local int depth = 0;"})),
-                      kRuleMutableGlobal),
-            1);
-  EXPECT_EQ(CountRule(LintSource(kModelPath,
-                                 Lines({"std::atomic<int64_t> g_knob{-1};"})),
-                      kRuleMutableGlobal),
-            1);
-}
-
-TEST(LintMutableGlobal, ConstFunctionsAndPragmaPass) {
-  EXPECT_EQ(CountRule(LintSource(kModelPath,
-                                 Lines({"static const int kLimit = 4;"})),
-                      kRuleMutableGlobal),
-            0);
-  EXPECT_EQ(CountRule(LintSource(kModelPath,
-                                 Lines({"static constexpr float kEps = 1e-6f;"})),
-                      kRuleMutableGlobal),
-            0);
-  // Static member *functions* (factories) must not fire.
-  EXPECT_EQ(CountRule(LintSource("src/tensor/matrix.h",
-                                 Lines({"#pragma once",
-                                        "static Matrix Xavier(int r, int c);"})),
-                      kRuleMutableGlobal),
-            0);
-  EXPECT_EQ(CountRule(
-                LintSource("src/tensor/matrix.h",
-                           Lines({"#pragma once",
-                                  "static std::vector<double> Bounds(int n);"})),
-                kRuleMutableGlobal),
-            0);
-  auto vs = LintSource(
-      kModelPath,
-      Lines({"// clfd-lint: allow(concurrency-mutable-global)",
-             "static int call_count = 0;"}));
-  EXPECT_EQ(CountRule(vs, kRuleMutableGlobal), 0);
-}
-
 TEST(LintRawNew, FlagsNewDeleteButNotDeletedFunctions) {
   EXPECT_EQ(CountRule(LintSource(kModelPath,
                                  Lines({"auto* p = new Matrix(2, 2);"})),
@@ -405,67 +362,14 @@ TEST(LintRules, EveryRuleIsRegistered) {
   const auto& names = RuleNames();
   for (const char* id :
        {kRuleDeterminismRand, kRuleDeterminismTime, kRuleRawChronoTiming,
-        kRuleDeterminismUnordered, kRuleRawThread, kRuleMutableGlobal,
-        kRuleRawNew, kRuleArenaScope, kRuleLoggingStdio,
-        kRuleUncheckedStreamWrite, kRuleKernelBackendConfinement,
+        kRuleDeterminismUnordered, kRuleRawThread, kRuleRawNew,
+        kRuleArenaScope, kRuleLoggingStdio, kRuleUncheckedStreamWrite,
         kRulePragmaOnce, kRuleUsingNamespace}) {
     EXPECT_NE(std::find(names.begin(), names.end(), std::string(id)),
               names.end())
         << id;
   }
-  EXPECT_EQ(names.size(), 13u);
-}
-
-TEST(LintKernelBackendConfinement, FlagsBackendSelectionOutsideTensor) {
-  // Ops and layers must stay backend-agnostic; naming any piece of the
-  // selection API outside src/tensor (and the grad checker) fires.
-  EXPECT_EQ(CountRule(LintSource(kModelPath,
-                                 Lines({"ScopedKernelBackend use(b);"})),
-                      kRuleKernelBackendConfinement),
-            1);
-  EXPECT_EQ(CountRule(
-                LintSource(kModelPath,
-                           Lines({"if (CurrentKernelBackend() == "
-                                  "KernelBackend::kBlocked) {"})),
-                kRuleKernelBackendConfinement),
-            1);
-  EXPECT_EQ(CountRule(LintSource(kModelPath,
-                                 Lines({"SetKernelBackend(backend);"})),
-                      kRuleKernelBackendConfinement),
-            1);
-}
-
-TEST(LintKernelBackendConfinement, AllowlistCommentsAndPragmaPass) {
-  // The tensor layer owns the dispatch; the grad checker sweeps backends.
-  EXPECT_EQ(CountRule(LintSource("src/tensor/matrix.cc",
-                                 Lines({"switch (CurrentKernelBackend()) {"})),
-                      kRuleKernelBackendConfinement),
-            0);
-  EXPECT_EQ(CountRule(LintSource("src/autograd/grad_check.cc",
-                                 Lines({"ScopedKernelBackend use(b);"})),
-                      kRuleKernelBackendConfinement),
-            0);
-  // Prose and include paths are blanked before the token scan.
-  EXPECT_EQ(CountRule(
-                LintSource(kModelPath,
-                           Lines({"// every KernelBackend is bitwise equal",
-                                  "int x = 0;"})),
-                kRuleKernelBackendConfinement),
-            0);
-  EXPECT_EQ(CountRule(LintSource(kModelPath,
-                                 Lines({"#include \"tensor/kernel_backend.h\""})),
-                      kRuleKernelBackendConfinement),
-            0);
-  // Tests drive backends freely; only src/ is confined.
-  EXPECT_EQ(CountRule(LintSource("tests/foo_test.cc",
-                                 Lines({"ScopedKernelBackend use(b);"})),
-                      kRuleKernelBackendConfinement),
-            0);
-  auto vs = LintSource(
-      kModelPath,
-      Lines({"ScopedKernelBackend use(b);  "
-             "// clfd-lint: allow(kernel-backend-confinement)"}));
-  EXPECT_EQ(CountRule(vs, kRuleKernelBackendConfinement), 0);
+  EXPECT_EQ(names.size(), 11u);
 }
 
 TEST(LintUncheckedStreamWrite, FlagsAdHocFileWrites) {

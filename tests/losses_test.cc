@@ -91,7 +91,7 @@ TEST(GceLossTest, GradCheck) {
   Rng rng(3);
   Matrix targets = OneHot({0, 1, 1});
   std::vector<ag::Var> params = {ag::Param(Matrix::Randn(3, 2, 1.0f, &rng))};
-  auto result = ag::CheckGradientsAllBackends(
+  auto result = ag::CheckGradients(
       [&](const std::vector<ag::Var>& p) {
         return GceLoss(ag::SoftmaxRows(p[0]), targets, 0.7f);
       },
@@ -183,7 +183,7 @@ TEST(NtXentTest, AlignedPairsGiveLowerLoss) {
 TEST(NtXentTest, GradCheck) {
   Rng rng(7);
   std::vector<ag::Var> params = {ag::Param(Matrix::Randn(8, 5, 1.0f, &rng))};
-  auto result = ag::CheckGradientsAllBackends(
+  auto result = ag::CheckGradients(
       [](const std::vector<ag::Var>& p) { return NtXentLoss(p[0], 0.5f); },
       params, 5e-3f);
   EXPECT_TRUE(result.ok(5e-2f)) << result.max_abs_error;
@@ -280,7 +280,7 @@ TEST(SupConTest, GradCheck) {
   std::vector<int> labels = {0, 1, 0, 1, 0, 1};
   std::vector<double> conf = {0.9, 0.8, 1.0, 0.7, 0.95, 0.85};
   std::vector<ag::Var> params = {ag::Param(Matrix::Randn(6, 4, 1.0f, &rng))};
-  auto result = ag::CheckGradientsAllBackends(
+  auto result = ag::CheckGradients(
       [&](const std::vector<ag::Var>& p) {
         return SupConLoss(p[0], labels, conf, 4, 1.0f);
       },

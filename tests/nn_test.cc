@@ -33,7 +33,7 @@ TEST(LinearTest, GradCheck) {
   Linear layer(3, 2, &rng);
   Matrix x = Matrix::Randn(4, 3, 1.0f, &rng);
   auto params = layer.Parameters();
-  auto result = ag::CheckGradientsAllBackends(
+  auto result = ag::CheckGradients(
       [&](const std::vector<ag::Var>&) {
         ag::Var y = layer.Forward(ag::Constant(x));
         return ag::SumAll(ag::Mul(y, y));
@@ -80,7 +80,7 @@ TEST(LstmTest, GradCheckThroughTime) {
     inputs.push_back(Matrix::Randn(2, 3, 1.0f, &rng));
   }
   auto params = lstm.Parameters();
-  auto result = ag::CheckGradientsAllBackends(
+  auto result = ag::CheckGradients(
       [&](const std::vector<ag::Var>&) {
         std::vector<ag::Var> steps;
         for (const auto& m : inputs) steps.push_back(ag::Constant(m));
@@ -283,7 +283,7 @@ TEST(AttentionTest, ShapesAndGradCheck) {
   EXPECT_EQ(pooled.rows(), 1);
   EXPECT_EQ(pooled.cols(), 6);
 
-  auto result = ag::CheckGradientsAllBackends(
+  auto result = ag::CheckGradients(
       [&](const std::vector<ag::Var>&) {
         ag::Var y = enc.ForwardPooled(ag::Constant(x));
         return ag::SumAll(ag::Mul(y, y));

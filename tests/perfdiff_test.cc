@@ -213,43 +213,6 @@ TEST(PerfDiffGate, AddedAndRemovedMetricsListedNotGated) {
   EXPECT_NE(table.find("added      new ns"), std::string::npos);
 }
 
-TEST(PerfDiffBackendSpeedups, PairsBackendsAgainstScalarWithinOneArtifact) {
-  // BM_MatMul at one shape under the three kernel backends, plus a
-  // backend-less benchmark that must be ignored.
-  std::vector<perfdiff::Metric> ms{
-      {"BM_MatMul/n:256/backend:0 real_time", 8000.0, false},
-      {"BM_MatMul/n:256/backend:1 real_time", 2000.0, false},
-      {"BM_MatMul/n:256/backend:2 real_time", 2500.0, false},
-      {"BM_MatMul/n:256/backend:0 items_per_second", 1e9, true},
-      {"BM_AdamStep real_time", 100.0, false},
-  };
-  std::vector<perfdiff::SpeedupRow> rows = perfdiff::BackendSpeedups(ms);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].key, "BM_MatMul/n:256");
-  EXPECT_EQ(rows[0].backend, "blocked");
-  EXPECT_DOUBLE_EQ(rows[0].speedup, 4.0);
-  EXPECT_EQ(rows[1].backend, "simd");
-  EXPECT_DOUBLE_EQ(rows[1].speedup, 3.2);
-  const std::string table = perfdiff::FormatBackendSpeedups(rows);
-  EXPECT_NE(table.find("speedups vs scalar"), std::string::npos);
-  EXPECT_NE(table.find("blocked"), std::string::npos);
-  EXPECT_NE(table.find("4.00x"), std::string::npos);
-}
-
-TEST(PerfDiffBackendSpeedups, NoBackendArgsYieldsEmptyReport) {
-  std::vector<perfdiff::Metric> ms{{"BM_MatMul/50 real_time", 10.0, false}};
-  EXPECT_TRUE(perfdiff::BackendSpeedups(ms).empty());
-  EXPECT_EQ(perfdiff::FormatBackendSpeedups({}), "");
-}
-
-TEST(PerfDiffBackendSpeedups, MissingScalarRowProducesNoPair) {
-  std::vector<perfdiff::Metric> ms{
-      {"BM_MatMul/n:256/backend:1 real_time", 2000.0, false},
-      {"BM_MatMul/n:256/backend:2 real_time", 2500.0, false},
-  };
-  EXPECT_TRUE(perfdiff::BackendSpeedups(ms).empty());
-}
-
 TEST(PerfDiffPlanSpeedups, PairsPlanAgainstDynamicWithinOneArtifact) {
   // The corrector E2E benchmark at two backends, each with a plan:0/plan:1
   // pair, plus repetition duplicates (keep the min) and a plan-less

@@ -17,11 +17,6 @@ bool IsInfraAllowlisted(const std::string& path) {
          StartsWith(path, "src/tensor/arena.");
 }
 
-bool IsKernelBackendAllowlisted(const std::string& path) {
-  return StartsWith(path, "src/tensor/") ||
-         StartsWith(path, "src/autograd/grad_check.");
-}
-
 bool IsPlanProtocolAllowlisted(const std::string& path) {
   return StartsWith(path, "src/plan/") || StartsWith(path, "src/autograd/");
 }

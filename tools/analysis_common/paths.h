@@ -20,16 +20,6 @@ bool IsHeaderPath(const std::string& path);
 // see src/tensor/arena.cc).
 bool IsInfraAllowlisted(const std::string& path);
 
-// The only src/ files allowed to name the kernel-backend machinery
-// (tensor/kernel_backend.h): the tensor layer itself, where the backend
-// dispatch lives, and the gradient checker, whose whole job is sweeping
-// backends. Everything else — autograd ops, layers, losses, training —
-// must stay backend-agnostic: selection is process-global (the default,
-// or a scoped override in tests), never a per-call-site decision, or the
-// bitwise interchangeability guarantee fragments into per-op special
-// cases.
-bool IsKernelBackendAllowlisted(const std::string& path);
-
 // The only src/ files allowed to name the tape-interception protocol
 // (autograd/tape_hooks.h: TapeHooks, SetTapeHooks, Capturer/Replayer,
 // ...): the autograd layer that defines and drives the hooks, and

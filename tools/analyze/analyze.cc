@@ -60,8 +60,7 @@ const std::vector<std::string>& RuleNames() {
   static const std::vector<std::string>* names = new std::vector<std::string>{
       kRuleLayeringUpward,   kRuleLayeringCycle,
       kRuleLayeringUnknown,  kRuleIncludeUnused,
-      kRuleMutableGlobal,    kRuleKernelBackendConfinement,
-      kRulePlanCaptureConfinement,
+      kRuleMutableGlobal,    kRulePlanCaptureConfinement,
       kRuleNestedParallelFor, kRuleBlockingInWorker,
       kRuleScopeEscape,      kRuleNonTreeAccumulation,
       kRuleDotStale,
@@ -72,7 +71,7 @@ const std::vector<std::string>& RuleNames() {
 // The declared layering of src/ (DESIGN.md §14 has the diagram; the
 // committed rendering is docs/module_dag.dot). Reading it bottom-up:
 // `common` is the root; `obs` and `parallel` are leaf infrastructure
-// everything may use; `tensor` owns kernels and backends; `data`,
+// everything may use; `tensor` owns the kernels; `data`,
 // `metrics`, `augment`, and `embedding` are side substrates; `autograd`
 // sits on tensor; `nn` and `losses` are peer layers on autograd;
 // `recovery` hooks under the training loops (loops thread its PhaseHooks,

@@ -16,16 +16,15 @@
 //      exported-symbol reference approximation), and emit/verify the
 //      committed DOT graph (docs/module_dag.dot).
 //   2. symbol-table semantic rules — a per-TU declaration scanner (brace
-//      contexts: namespace / type / function / lambda) that upgrades the
-//      mutable-global and kernel-backend-confinement lint heuristics to
-//      symbol-resolved versions (multi-line declarations, qualified
-//      names, no false fires on factory-function declarations).
+//      contexts: namespace / type / function / lambda) that checks
+//      mutable globals and plan-capture confinement symbol-resolved
+//      (multi-line declarations, qualified names, no false fires on
+//      factory-function declarations).
 //   3. concurrency misuse — nested ParallelFor submission from inside a
 //      worker lambda, blocking calls (fsync/sleep/lock acquisition/file
-//      IO) inside pool chunks, and ScopedArena / ScopedKernelBackend /
-//      ScopedEnable objects referenced from lambdas that captured them —
-//      thread-local scoped state neither transfers to workers nor may
-//      outlive its frame.
+//      IO) inside pool chunks, and ScopedArena / ScopedEnable objects
+//      referenced from lambdas that captured them — thread-local scoped
+//      state neither transfers to workers nor may outlive its frame.
 //   4. determinism audit — floating-point accumulation into cross-chunk
 //      shared scalars from inside src/tensor / src/parallel worker
 //      lambdas that bypasses the disjoint-slot + TreeReduce idiom.
@@ -60,8 +59,6 @@ inline constexpr char kRuleLayeringCycle[] = "layering-cycle";
 inline constexpr char kRuleLayeringUnknown[] = "layering-unknown-module";
 inline constexpr char kRuleIncludeUnused[] = "include-unused";
 inline constexpr char kRuleMutableGlobal[] = "semantic-mutable-global";
-inline constexpr char kRuleKernelBackendConfinement[] =
-    "semantic-kernel-backend-confinement";
 inline constexpr char kRulePlanCaptureConfinement[] =
     "plan-capture-confinement";
 inline constexpr char kRuleNestedParallelFor[] = "nested-parallel-for";

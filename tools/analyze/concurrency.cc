@@ -38,9 +38,9 @@ bool IsPoolEntryPoint(const std::string& s) { return s == "ParallelFor"; }
 // use-after-scope bug.
 bool IsScopedStateClass(const std::string& s) {
   static const std::set<std::string>* names = new std::set<std::string>{
-      "ScopedArena",        "ScopedKernelBackend",
-      "ScopedEnable",       "ScopedEnabled",
-      "ScopedFaultPlan",    "ScopedMatmulParallelThreshold",
+      "ScopedArena",     "ScopedEnable",
+      "ScopedEnabled",   "ScopedFaultPlan",
+      "ScopedMatmulParallelThreshold",
       "ScopedContext",
   };
   return names->count(s) != 0;

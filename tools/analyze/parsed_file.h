@@ -54,7 +54,7 @@ class Reporter {
 };
 
 // Pass 2: declaration-scanner rules (semantic-mutable-global,
-// semantic-kernel-backend-confinement). Also exposes the exported-symbol
+// plan-capture-confinement). Also exposes the exported-symbol
 // extraction pass 1 uses for IWYU-lite.
 std::set<std::string> ExtractExportedSymbols(const ParsedFile& file);
 void CheckSymbols(const ParsedFile& file, Reporter* reporter);

@@ -3,11 +3,11 @@
 // function / lambda / block), which gives two things the per-line lint
 // heuristics cannot: (a) the set of names a header *exports* (types,
 // functions, variables, aliases, enumerators, macros) — the substrate for
-// the IWYU-lite pass — and (b) symbol-resolved versions of the
-// mutable-global and kernel-backend-confinement rules that survive
-// multi-line declarations and qualified names without extra pragma
-// escapes (factory-function declarations, const tables, and deleted
-// functions are recognized structurally, not by line shape).
+// the IWYU-lite pass — and (b) symbol-resolved mutable-global and
+// plan-capture-confinement rules that survive multi-line declarations and
+// qualified names without extra pragma escapes (factory-function
+// declarations, const tables, and deleted functions are recognized
+// structurally, not by line shape).
 
 #include <algorithm>
 #include <set>
@@ -181,11 +181,6 @@ bool IsAtomicDecl(const std::vector<Token>& stmt) {
   }
   return false;
 }
-
-const char* const kKernelBackendTokens[] = {
-    "KernelBackend",    "CurrentKernelBackend", "ScopedKernelBackend",
-    "SetKernelBackend", "AllKernelBackends",
-};
 
 // The tape-interception protocol (autograd/tape_hooks.h) and the plan
 // engine's internals. A file that names these is wiring itself into graph
@@ -424,29 +419,7 @@ void CheckSymbols(const ParsedFile& file, Reporter* reporter) {
   DeclarationScanner scanner(file, nullptr, reporter);
   scanner.Run();
 
-  // Kernel-backend confinement, symbol-resolved: any reference to the
-  // selection machinery outside the tensor layer / grad checker. Comments,
-  // strings, and include paths never reach the token stream, so only real
-  // code references fire.
-  if (!analysis::IsKernelBackendAllowlisted(file.path)) {
-    for (const analysis::Token& t : file.tokens) {
-      if (t.kind != analysis::Token::Kind::kIdent) continue;
-      for (const char* banned : kKernelBackendTokens) {
-        if (t.text == banned) {
-          reporter->Report(
-              file, t.line, kRuleKernelBackendConfinement,
-              "kernel-backend selection ('" + t.text + "') outside "
-              "src/tensor (and the grad checker); ops and layers must stay "
-              "backend-agnostic — dispatch lives inside the tensor "
-              "kernels, selection is the process default or a test-scoped "
-              "ScopedKernelBackend");
-          break;
-        }
-      }
-    }
-  }
-
-  // Plan-capture confinement, same shape: the tape-interception protocol
+  // Plan-capture confinement: the tape-interception protocol
   // is private to src/autograd + src/plan, and the Planner facade may only
   // appear at the trainer capture sites. Anywhere else, building or
   // replaying a plan sidesteps the one code path that validates bindings

@@ -37,6 +37,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "baselines/registry.h"
@@ -111,6 +112,7 @@ int Usage() {
       "  clfd_cli generate --dataset cert|wiki|openstack [--scale F]\n"
       "           [--noise none|uniform:ETA|classdep:E10,E01] [--seed N]\n"
       "           --train OUT [--test OUT]\n"
+      "           (0 <= ETA < 0.5; E10, E01 in [0, 1] with E10 + E01 < 1)\n"
       "  clfd_cli run --model NAME --train FILE --test FILE\n"
       "           [--budget fast|paper] [--seed N] [--dim N]\n"
       "  clfd_cli correct --train FILE [--budget fast|paper] [--seed N]\n"
@@ -129,26 +131,6 @@ int Usage() {
   return 2;
 }
 
-bool ParseNoise(const std::string& spec, NoiseSpec* noise) {
-  if (spec == "none") {
-    *noise = NoiseSpec::None();
-    return true;
-  }
-  if (spec.rfind("uniform:", 0) == 0) {
-    *noise = NoiseSpec::Uniform(std::stod(spec.substr(8)));
-    return true;
-  }
-  if (spec.rfind("classdep:", 0) == 0) {
-    std::string rest = spec.substr(9);
-    size_t comma = rest.find(',');
-    if (comma == std::string::npos) return false;
-    *noise = NoiseSpec::ClassDependent(std::stod(rest.substr(0, comma)),
-                                       std::stod(rest.substr(comma + 1)));
-    return true;
-  }
-  return false;
-}
-
 int Generate(const Args& args) {
   std::string name = args.Get("dataset", "cert");
   DatasetKind kind;
@@ -163,8 +145,10 @@ int Generate(const Args& args) {
     return 2;
   }
   NoiseSpec noise;
-  if (!ParseNoise(args.Get("noise", "none"), &noise)) {
-    std::fprintf(stderr, "bad --noise spec\n");
+  try {
+    noise = NoiseSpec::Parse(args.Get("noise", "none"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bad --noise spec: %s\n", e.what());
     return 2;
   }
   Rng rng(args.GetInt("seed", 1));

@@ -68,44 +68,6 @@ const std::vector<TokenRule>& SourceHygieneRules() {
   return *rules;
 }
 
-// Heuristic declaration classifier for concurrency-mutable-global: flags
-// `static` / `thread_local` variable declarations and namespace-scope
-// `std::atomic<...>` declarations that are not const-qualified. Function
-// declarations (a '(' before any '=', '{' or ';') are skipped, so `static
-// Matrix Xavier(...)` style factory members never fire.
-bool LooksLikeMutableStaticDecl(const std::string& code) {
-  std::string s = code;
-  size_t b = s.find_first_not_of(" \t");
-  if (b == std::string::npos) return false;
-  s = s.substr(b);
-  bool has_storage = false;
-  for (const char* kw : {"static ", "thread_local "}) {
-    if (StartsWith(s, kw)) has_storage = true;
-  }
-  if (!has_storage && !StartsWith(s, "std::atomic<")) return false;
-  if (s.find("const") != std::string::npos) return false;  // const/constexpr
-  if (s.find("constinit") != std::string::npos) return false;
-  if (StartsWith(s, "static_assert") || StartsWith(s, "static_cast")) {
-    return false;
-  }
-  // Template argument lists may contain commas/parens; strip <...> first so
-  // `static std::vector<double> Bounds(...)` classifies by its call parens.
-  std::string flat;
-  int depth = 0;
-  for (char c : s) {
-    if (c == '<') ++depth;
-    if (depth == 0) flat += c;
-    if (c == '>' && depth > 0) --depth;
-  }
-  size_t paren = flat.find('(');
-  size_t stop = flat.find_first_of("={;");
-  if (paren != std::string::npos && (stop == std::string::npos ||
-                                     paren < stop)) {
-    return false;  // function declaration/definition
-  }
-  return true;
-}
-
 // arena-scope-escape: a ScopedArena routes tape allocations into memory
 // that is recycled at the next step's Reset(), so the scope object must be
 // a plain stack local whose lifetime is bounded by one training step (or
@@ -161,8 +123,8 @@ bool HasRawNewDelete(const std::string& code, std::string* what) {
 }
 
 // ---------------------------------------------------------------------------
-// Path scoping. The shared infra/kernel-backend allowlists live in
-// analysis_common/paths.*; the audited IO layer is lint-specific.
+// Path scoping. The shared infra allowlist lives in analysis_common/paths.*;
+// the audited IO layer is lint-specific.
 // ---------------------------------------------------------------------------
 
 // Audited IO layer for unchecked-stream-write: the only src/ files allowed
@@ -187,10 +149,8 @@ const std::vector<std::string>& RuleNames() {
       kRuleDeterminismRand,   kRuleDeterminismTime,
       kRuleRawChronoTiming,
       kRuleDeterminismUnordered, kRuleRawThread,
-      kRuleMutableGlobal,     kRuleRawNew,
-      kRuleArenaScope,        kRuleLoggingStdio,
-      kRuleUncheckedStreamWrite,
-      kRuleKernelBackendConfinement,
+      kRuleRawNew,            kRuleArenaScope,
+      kRuleLoggingStdio,      kRuleUncheckedStreamWrite,
       kRulePragmaOnce,        kRuleUsingNamespace,
   };
   return *names;
@@ -243,12 +203,6 @@ std::vector<Violation> LintSource(const std::string& rel_path,
           }
         }
       }
-      if (LooksLikeMutableStaticDecl(code)) {
-        report(i, kRuleMutableGlobal,
-               "mutable static/thread_local/atomic state in model/training "
-               "code can make results depend on call interleaving; keep "
-               "state in explicitly threaded objects");
-      }
       if (!IsIoAllowlisted(rel_path)) {
         for (const char* tok : {"std::ofstream", "fwrite(", "::fopen(",
                                 "fopen("}) {
@@ -258,23 +212,6 @@ std::vector<Violation> LintSource(const std::string& rel_path,
                    "must go through nn::serialize / data::dataset_io / "
                    "recovery::checkpoint, which validate stream state and "
                    "commit atomically (write-temp + fsync + rename)");
-            break;
-          }
-        }
-      }
-      if (!analysis::IsKernelBackendAllowlisted(rel_path)) {
-        // Identifier tokens, not the include path: string contents (and so
-        // #include "tensor/kernel_backend.h") are blanked by pass 1.
-        for (const char* tok :
-             {"KernelBackend", "CurrentKernelBackend", "ScopedKernelBackend",
-              "SetKernelBackend", "AllKernelBackends"}) {
-          if (HasToken(code, tok)) {
-            report(i, kRuleKernelBackendConfinement,
-                   "kernel-backend selection outside src/tensor (and the "
-                   "grad checker); ops and layers must stay backend-"
-                   "agnostic — dispatch lives inside the tensor kernels, "
-                   "selection is the process default or a test-scoped "
-                   "ScopedKernelBackend");
             break;
           }
         }

@@ -22,15 +22,12 @@ inline constexpr const char kRuleDeterminismTime[] = "determinism-time";
 inline constexpr const char kRuleDeterminismUnordered[] =
     "determinism-unordered";
 inline constexpr const char kRuleRawThread[] = "concurrency-raw-thread";
-inline constexpr const char kRuleMutableGlobal[] = "concurrency-mutable-global";
 inline constexpr const char kRuleRawNew[] = "resource-raw-new";
 inline constexpr const char kRuleArenaScope[] = "arena-scope-escape";
 inline constexpr const char kRuleRawChronoTiming[] = "raw-chrono-timing";
 inline constexpr const char kRuleLoggingStdio[] = "logging-stdio";
 inline constexpr const char kRuleUncheckedStreamWrite[] =
     "unchecked-stream-write";
-inline constexpr const char kRuleKernelBackendConfinement[] =
-    "kernel-backend-confinement";
 inline constexpr const char kRulePragmaOnce[] = "header-pragma-once";
 inline constexpr const char kRuleUsingNamespace[] = "header-using-namespace";
 

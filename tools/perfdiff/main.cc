@@ -119,11 +119,8 @@ int main(int argc, char** argv) {
   clfd::perfdiff::DiffResult result =
       clfd::perfdiff::Diff(baseline, current, options);
   std::cout << clfd::perfdiff::FormatTable(result, options);
-  // Cross-backend view of the CURRENT artifact: what did blocked/simd buy
-  // over scalar in this very run? Informational, never gated.
-  std::cout << clfd::perfdiff::FormatBackendSpeedups(
-      clfd::perfdiff::BackendSpeedups(current));
-  // Same for the execution-plan axis: plan replay vs dynamic tape.
+  // Execution-plan view of the CURRENT artifact: plan replay vs dynamic
+  // tape in this very run. Informational, never gated.
   std::cout << clfd::perfdiff::FormatPlanSpeedups(
       clfd::perfdiff::PlanSpeedups(current));
   if (result.regressions > 0 && gate) {

@@ -156,63 +156,6 @@ DiffResult Diff(const std::vector<Metric>& baseline,
   return result;
 }
 
-std::vector<SpeedupRow> BackendSpeedups(const std::vector<Metric>& metrics) {
-  // Mirrors KernelBackend's enumerator order (tensor/kernel_backend.h);
-  // kept as a local table so the diff tool stays dependency-free.
-  auto backend_name = [](int idx) -> std::string {
-    switch (idx) {
-      case 0: return "scalar";
-      case 1: return "blocked";
-      case 2: return "simd";
-      default: return "backend:" + std::to_string(idx);
-    }
-  };
-  // key-with-backend-elided -> backend index -> real_time ns.
-  std::map<std::string, std::map<int, double>> by_bench;
-  const std::string field = " real_time";
-  const std::string arg = "backend:";
-  for (const Metric& m : metrics) {
-    if (m.key.size() < field.size() ||
-        m.key.compare(m.key.size() - field.size(), field.size(), field) != 0) {
-      continue;
-    }
-    size_t pos = m.key.find(arg);
-    if (pos == std::string::npos || pos == 0 ||
-        m.key[pos - 1] != '/') {
-      continue;
-    }
-    size_t end = pos + arg.size();
-    size_t digits = end;
-    while (digits < m.key.size() &&
-           std::isdigit(static_cast<unsigned char>(m.key[digits]))) {
-      ++digits;
-    }
-    if (digits == end) continue;
-    const int idx = std::stoi(m.key.substr(end, digits - end));
-    // Elide "/backend:N" so all backends of one benchmark share a key.
-    std::string key = m.key.substr(0, pos - 1) + m.key.substr(digits);
-    key = key.substr(0, key.size() - field.size());
-    auto [it, inserted] = by_bench[key].emplace(idx, m.value);
-    if (!inserted) it->second = std::min(it->second, m.value);
-  }
-  std::vector<SpeedupRow> rows;
-  for (const auto& [key, by_backend] : by_bench) {
-    auto scalar = by_backend.find(0);
-    if (scalar == by_backend.end() || scalar->second <= 0) continue;
-    for (const auto& [idx, time] : by_backend) {
-      if (idx == 0 || time <= 0) continue;
-      SpeedupRow row;
-      row.key = key;
-      row.backend = backend_name(idx);
-      row.scalar_time = scalar->second;
-      row.variant_time = time;
-      row.speedup = scalar->second / time;
-      rows.push_back(row);
-    }
-  }
-  return rows;
-}
-
 std::vector<PlanSpeedupRow> PlanSpeedups(const std::vector<Metric>& metrics) {
   // plan-arg-elided key -> plan flag (0 dynamic, 1 planned) -> real_time ns.
   std::map<std::string, std::map<int, double>> by_bench;
@@ -270,23 +213,6 @@ std::string FormatPlanSpeedups(const std::vector<PlanSpeedupRow>& rows) {
     std::snprintf(buf, sizeof(buf), "%-44s %10.4gns %10.4gns %8.2fx\n",
                   row.key.c_str(), row.dynamic_time, row.planned_time,
                   row.speedup);
-    os << buf;
-  }
-  return os.str();
-}
-
-std::string FormatBackendSpeedups(const std::vector<SpeedupRow>& rows) {
-  if (rows.empty()) return "";
-  std::ostringstream os;
-  char buf[256];
-  os << "kernel-backend speedups vs scalar (same artifact):\n";
-  std::snprintf(buf, sizeof(buf), "%-36s %-8s %12s %12s %9s\n", "benchmark",
-                "backend", "scalar", "variant", "speedup");
-  os << buf;
-  for (const SpeedupRow& row : rows) {
-    std::snprintf(buf, sizeof(buf), "%-36s %-8s %10.4gns %10.4gns %8.2fx\n",
-                  row.key.c_str(), row.backend.c_str(), row.scalar_time,
-                  row.variant_time, row.speedup);
     os << buf;
   }
   return os.str();

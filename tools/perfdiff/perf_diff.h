@@ -69,31 +69,11 @@ DiffResult Diff(const std::vector<Metric>& baseline,
 std::string FormatTable(const DiffResult& result,
                         const DiffOptions& options);
 
-// One cross-backend comparison *within* a single artifact: the same
-// benchmark run under the scalar kernel backend and one alternative.
-struct SpeedupRow {
-  std::string key;      // benchmark name with the backend arg elided
-  std::string backend;  // "blocked", "simd", or "backend:N" if unknown
-  double scalar_time = 0.0;   // ns
-  double variant_time = 0.0;  // ns
-  double speedup = 0.0;       // scalar_time / variant_time
-};
-
-// Pairs the "<bench>/backend:0 real_time" metrics with the matching
-// backend:1/backend:2 rows of the same artifact (the backend arg the
-// matmul-family benchmarks in bench_micro_substrate.cc carry) and reports
-// the wall-clock speedup each non-scalar backend achieves over scalar.
-// Informational only — the regression gate is Diff() against the baseline;
-// this is the view that makes the scalar-vs-simd ratio explicit instead of
-// leaving it implicit in two table rows.
-std::vector<SpeedupRow> BackendSpeedups(const std::vector<Metric>& metrics);
-std::string FormatBackendSpeedups(const std::vector<SpeedupRow>& rows);
-
-// Same idea along the execution-plan axis: pairs each "<bench>/plan:1
+// One comparison *within* a single artifact: pairs each "<bench>/plan:1
 // real_time" metric with the matching plan:0 row of the same artifact (the
-// plan arg BM_CorrectorE2E and the BM_Plan* pairs carry) and reports the
-// end-to-end speedup plan replay achieves over the dynamic tape. This is
-// the view the ">= 1.2x corrector speedup" acceptance number is read from.
+// plan arg the BM_Plan* pairs carry) and reports the end-to-end speedup
+// plan replay achieves over the dynamic tape. Informational only — the
+// regression gate is Diff() against the baseline.
 struct PlanSpeedupRow {
   std::string key;            // benchmark name with the plan arg elided
   double dynamic_time = 0.0;  // plan:0, ns
