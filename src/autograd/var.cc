@@ -108,7 +108,7 @@ void TopoSort(const NodePtr& root, std::vector<Node*>* order) {
   // long LSTM unrolls; recursion would risk stack overflow).
   // Pointer-identity membership set; it is never iterated, so its
   // unspecified ordering cannot leak into results.
-  // clfd-lint: allow(determinism-unordered)
+  // clfd-analyze: allow(determinism-unordered)
   std::unordered_set<Node*> visited;
   std::vector<std::pair<Node*, size_t>> stack;
   stack.emplace_back(root.get(), 0);

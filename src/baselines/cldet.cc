@@ -13,6 +13,7 @@ CldetModel::CldetModel(const BaselineConfig& config, uint64_t seed)
       classifier_(config.hidden_dim, config.hidden_dim, 2, &rng_) {}
 
 void CldetModel::Train(const SessionDataset& train, const Matrix& embeddings) {
+  RequireTrainingSessions(train);
   embeddings_ = embeddings;
   SimclrOptions options;
   options.epochs = config_.budget.contrastive_epochs;

@@ -15,6 +15,7 @@ CtrrModel::CtrrModel(const BaselineConfig& config, uint64_t seed,
       confidence_threshold_(confidence_threshold) {}
 
 void CtrrModel::Train(const SessionDataset& train, const Matrix& embeddings) {
+  RequireTrainingSessions(train);
   embeddings_ = embeddings;
   net_ = std::make_unique<LstmClassifier>(config_, &rng_);
 

@@ -15,6 +15,7 @@ DeepLogModel::DeepLogModel(const BaselineConfig& config, uint64_t seed,
 
 void DeepLogModel::Train(const SessionDataset& train,
                          const Matrix& embeddings) {
+  RequireTrainingSessions(train);
   embeddings_ = embeddings;
   int vocab = embeddings.rows();
   lstm_ = std::make_unique<nn::Lstm>(config_.emb_dim, config_.hidden_dim,

@@ -69,6 +69,7 @@ Matrix DivMixModel::BuildTargets(const SessionDataset& train,
 
 void DivMixModel::Train(const SessionDataset& train,
                         const Matrix& embeddings) {
+  RequireTrainingSessions(train);
   embeddings_ = embeddings;
   net_a_ = std::make_unique<LstmClassifier>(config_, &rng_);
   net_b_ = std::make_unique<LstmClassifier>(config_, &rng_);

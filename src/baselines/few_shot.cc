@@ -27,6 +27,7 @@ ag::Var FewShotModel::PooledBatch(
 
 void FewShotModel::Train(const SessionDataset& train,
                          const Matrix& embeddings) {
+  RequireTrainingSessions(train);
   embeddings_ = embeddings;
   encoder_ = std::make_unique<nn::SelfAttentionEncoder>(
       config_.emb_dim, 2 * config_.emb_dim, &rng_);

@@ -33,6 +33,7 @@ ag::Var LogBertModel::MaskedLogits(
 
 void LogBertModel::Train(const SessionDataset& train,
                          const Matrix& embeddings) {
+  RequireTrainingSessions(train);
   embeddings_ = embeddings;
   int vocab = embeddings.rows();
   encoder_ = std::make_unique<nn::SelfAttentionEncoder>(

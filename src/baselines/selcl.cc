@@ -21,6 +21,7 @@ SelClModel::SelClModel(const BaselineConfig& config, uint64_t seed, int knn_k)
       classifier_(config.hidden_dim, config.hidden_dim, 2, &rng_) {}
 
 void SelClModel::Train(const SessionDataset& train, const Matrix& embeddings) {
+  RequireTrainingSessions(train);
   embeddings_ = embeddings;
 
   // 1) SimCLR warm-up (label-free).

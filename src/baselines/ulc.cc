@@ -14,6 +14,7 @@ UlcModel::UlcModel(const BaselineConfig& config, uint64_t seed,
       relabel_confidence_(relabel_confidence) {}
 
 void UlcModel::Train(const SessionDataset& train, const Matrix& embeddings) {
+  RequireTrainingSessions(train);
   embeddings_ = embeddings;
   net_a_ = std::make_unique<LstmClassifier>(config_, &rng_);
   net_b_ = std::make_unique<LstmClassifier>(config_, &rng_);

@@ -27,6 +27,7 @@ void ClfdModel::Train(const SessionDataset& train, const Matrix& embeddings) {
 void ClfdModel::TrainWithRecovery(const SessionDataset& train,
                                   const Matrix& embeddings,
                                   recovery::RunCheckpointer* rc) {
+  RequireTrainingSessions(train);
   CLFD_PROF_SPAN("clfd.train");
   std::vector<Correction> corrections;
   if (rc != nullptr) {

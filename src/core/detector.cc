@@ -1,6 +1,12 @@
 #include "core/detector.h"
 
+#include <stdexcept>
+
 namespace clfd {
+
+void RequireTrainingSessions(const SessionDataset& train) {
+  if (train.size() == 0) throw std::invalid_argument("empty training split");
+}
 
 std::vector<int> DetectorModel::Predict(const SessionDataset& data) const {
   std::vector<double> scores = Score(data);

@@ -46,6 +46,12 @@ class DetectorModel {
   virtual std::vector<int> Predict(const SessionDataset& data) const;
 };
 
+// Throws std::invalid_argument("empty training split") when `train` holds
+// no sessions. Every DetectorModel::Train / TrainWithRecovery and
+// LabelCorrector::Train reaches it before touching the data: a model fit
+// to nothing still scores, and its metrics would read like results.
+void RequireTrainingSessions(const SessionDataset& train);
+
 // Ground-truth label vector of a dataset (evaluation helper).
 std::vector<int> TrueLabels(const SessionDataset& data);
 

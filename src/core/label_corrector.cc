@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/classifier_trainer.h"
+#include "core/detector.h"
 #include "encoders/simclr.h"
 #include "obs/log.h"
 #include "obs/prof.h"
@@ -32,6 +33,7 @@ void LabelCorrector::RegisterState(recovery::RunCheckpointer* rc) {
 void LabelCorrector::TrainWithRecovery(const SessionDataset& train,
                                        const Matrix& embeddings,
                                        recovery::RunCheckpointer* rc) {
+  RequireTrainingSessions(train);
   embeddings_ = embeddings;
   {
     CLFD_PROF_SPAN("pretrain");

@@ -394,7 +394,7 @@ class Planner {
   void NoteReplay();
 
   // Key lookup only; never iterated.
-  // clfd-lint: allow(determinism-unordered)
+  // clfd-analyze: allow(determinism-unordered)
   std::unordered_map<uint64_t, Entry> entries_;
   int64_t captures_ = 0;
   int64_t replays_ = 0;

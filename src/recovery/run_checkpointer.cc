@@ -38,7 +38,7 @@ void RunCheckpointer::EnqueueCommit(std::string bytes) {
       // Lazily start the I/O-only committer; it never touches model state,
       // so the ParallelFor determinism guards do not apply to it.
       committer_ =
-          std::thread(  // clfd-lint: allow(concurrency-raw-thread)
+          std::thread(  // clfd-analyze: allow(concurrency-raw-thread)
               [this] { CommitterLoop(); });
     }
     if (pending_bytes_.has_value()) {

@@ -152,7 +152,7 @@ class RunCheckpointer {
   void CommitterLoop();
 
   // I/O-only thread, not compute: exempt from the ParallelFor-only rule.
-  std::thread committer_;  // clfd-lint: allow(concurrency-raw-thread)
+  std::thread committer_;  // clfd-analyze: allow(concurrency-raw-thread)
   std::mutex commit_mu_;
   std::condition_variable commit_cv_;
   std::optional<std::string> pending_bytes_;

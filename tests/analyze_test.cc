@@ -1,9 +1,10 @@
 // Unit tests for tools/analyze: every analyzer rule has a positive fixture
-// (the rule fires), a negative fixture (clean code does not fire), and a
-// pragma fixture (the same violation suppressed by `clfd-analyze:
-// allow(...)`). The violating snippets live in string literals, which the
-// analyzer's own string-stripper blanks out — so this file stays clean
-// under `analyze.repo` even though it spells out every forbidden pattern.
+// (the rule fires), a negative fixture (clean code does not fire), and,
+// where a pragma can suppress it, a pragma fixture (the same violation
+// suppressed by an allow-pragma). The violating snippets live in string
+// literals, which the analyzer's own string-stripper blanks out — so this
+// file stays clean under `analyze.repo` even though it spells out every
+// forbidden pattern.
 //
 // The nested-parallel-for, blocking-in-worker, and scoped-state-escape
 // positives are deliberately shaped so that no per-line token rule could
@@ -20,8 +21,6 @@
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "analysis_common/diag.h"
 
 namespace clfd {
 namespace analyze {
@@ -43,32 +42,52 @@ std::string Lines(std::initializer_list<const char*> lines) {
   return out;
 }
 
-// Runs the whole-program analysis on an in-memory file set with a small
-// three-layer module table (a < b < c) so layering fixtures do not depend
-// on the real tree's layer assignments.
+// Runs the whole-program analysis on an in-memory file set. Layering
+// fixtures use a small three-layer module table (a < b < c) so they do
+// not depend on the real tree's layer assignments; the real modules stay
+// declared so fixtures at real paths (src/core/...) are not unknown.
 std::vector<Diagnostic> Analyze(std::vector<FileInput> files) {
   Options opts;
-  opts.layers = {{"a", 0}, {"b", 1}, {"c", 2}};
+  opts.layers.insert({{"a", 0}, {"b", 1}, {"c", 2}});
   return AnalyzeProgram(files, opts);
 }
 
 std::vector<Diagnostic> AnalyzeOne(const std::string& path,
-                               const std::string& content) {
+                                   const std::string& content) {
   return Analyze({FileInput{path, content}});
 }
+
+// Diagnostics of `rule` in a one-line file at `path`.
+int Hits(const std::string& path, const std::string& code,
+         const std::string& rule) {
+  return CountRule(AnalyzeOne(path, code + "\n"), rule);
+}
+
+constexpr char kModelPath[] = "src/core/clfd.cc";
+constexpr char kInfraPath[] = "src/parallel/thread_pool.cc";
 
 // ---------------------------------------------------------------------------
 // Rule registration
 
 TEST(AnalyzeRules, AllRulesRegisteredAndUnique) {
   const std::vector<std::string>& names = RuleNames();
-  EXPECT_EQ(names.size(), 11u);
+  EXPECT_EQ(names.size(), 21u);
   std::vector<std::string> sorted = names;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
               sorted.end());
-  EXPECT_TRUE(std::find(names.begin(), names.end(),
-                        std::string(kRuleDotStale)) != names.end());
+  for (const char* id :
+       {kRuleLayeringUpward, kRuleLayeringCycle, kRuleLayeringUnknown,
+        kRuleIncludeUnused, kRuleMutableGlobal, kRulePlanCaptureConfinement,
+        kRuleNestedParallelFor, kRuleBlockingInWorker, kRuleScopeEscape,
+        kRuleNonTreeAccumulation, kRuleDeterminismRand, kRuleDeterminismTime,
+        kRuleDeterminismUnordered, kRuleRawThread, kRuleRawNew,
+        kRuleLoggingStdio, kRuleUncheckedStreamWrite, kRulePragmaOnce,
+        kRuleUsingNamespace, kRulePragmaUnused, kRuleDotStale}) {
+    EXPECT_NE(std::find(names.begin(), names.end(), std::string(id)),
+              names.end())
+        << id;
+  }
 }
 
 TEST(AnalyzeRules, DefaultLayersCoverKnownModulesAndCommonIsRoot) {
@@ -250,7 +269,7 @@ TEST(AnalyzeIwyu, PragmaSuppressesUnusedInclude) {
 // Pass 2: semantic-mutable-global
 
 TEST(AnalyzeMutableGlobal, MultiLineStaticDeclarationFires) {
-  // Split across three lines: the per-line lint heuristic cannot see this
+  // Split across three lines: a per-line token rule cannot see this
   // declaration, the symbol scanner can.
   auto ds = AnalyzeOne("src/a/model.cc",
                    Lines({"static", "std::vector<int>", "    g_cache;"}));
@@ -611,6 +630,363 @@ TEST(AnalyzeDeterminism, PragmaSuppresses) {
 }
 
 // ---------------------------------------------------------------------------
+// Pass 2: scoped-state-escape, storage half. Static, namespace-scope,
+// member, and heap placements all let a scope outlive the step that
+// opened it.
+
+TEST(AnalyzeScopedStorage, FlagsScopesThatCanOutliveAStep) {
+  for (const char* code :
+       {"arena::ScopedArena tape_scope_;",
+        "auto s = std::make_unique<arena::ScopedArena>(&a);",
+        "static arena::ScopedArena s(&a);"}) {
+    EXPECT_EQ(Hits(kModelPath, code, kRuleScopeEscape), 1) << code;
+  }
+}
+
+TEST(AnalyzeScopedStorage, StackLocalsAndAllowlistedFilesPass) {
+  EXPECT_EQ(Hits(kModelPath, "arena::ScopedArena scope(&step_arena);",
+                 kRuleScopeEscape),
+            0);
+  // Owning a (non-scope) Arena in a member container is the intended
+  // pattern for per-shard arenas and must not fire.
+  EXPECT_EQ(Hits(kModelPath,
+                 "arenas_.push_back(std::make_unique<arena::Arena>());",
+                 kRuleScopeEscape),
+            0);
+  // The arena implementation itself is infrastructure.
+  EXPECT_EQ(Hits("src/tensor/arena.cc", "static arena::ScopedArena s(&a);",
+                 kRuleScopeEscape),
+            0);
+  auto ds = AnalyzeOne(kModelPath,
+                       Lines({"// clfd-analyze: allow(scoped-state-escape)",
+                              "arena::ScopedArena keep_alive_;"}));
+  EXPECT_EQ(CountRule(ds, kRuleScopeEscape), 0);
+}
+
+TEST(AnalyzeScopedStorage, MembersComeFromBraceContext) {
+  // A member is whatever a class body declares, whatever its name; a
+  // function-local static is static storage; a static member function
+  // and a parameter of scoped type declare no object.
+  auto ds = AnalyzeOne(
+      kModelPath,
+      Lines({"struct Trainer {",
+             "  check::ScopedEnable checks;",
+             "  static arena::ScopedArena* Current();",
+             "  void Use(const arena::ScopedArena& s);",
+             "};",
+             "void Step() {",
+             "  static arena::ScopedArena s(&a);",
+             "  arena::ScopedArena local(&a);",
+             "}"}));
+  std::vector<int> lines;
+  for (const Diagnostic& d : ds) {
+    if (d.rule == kRuleScopeEscape) lines.push_back(d.line);
+  }
+  EXPECT_EQ(lines, (std::vector<int>{2, 7}));
+}
+
+// ---------------------------------------------------------------------------
+// Pass 5: hygiene token rules (src/ minus the infrastructure allowlist)
+// and header conventions (every header).
+
+TEST(AnalyzeDeterminismRand, FlagsRawRngSources) {
+  auto ds = AnalyzeOne(kModelPath, Lines({"int x = rand();"}));
+  ASSERT_EQ(CountRule(ds, kRuleDeterminismRand), 1);
+  EXPECT_EQ(ds[0].line, 1);
+  EXPECT_EQ(Hits(kModelPath, "std::random_device rd;", kRuleDeterminismRand),
+            1);
+  EXPECT_EQ(Hits(kModelPath, "std::mt19937 gen(42);", kRuleDeterminismRand),
+            1);
+}
+
+TEST(AnalyzeDeterminismRand, CleanSeededRngAndCommentsPass) {
+  auto ds = AnalyzeOne(kModelPath, Lines({"// rand() would be wrong here",
+                                          "Rng rng(seed);",
+                                          "double u = rng.Uniform();"}));
+  EXPECT_EQ(CountRule(ds, kRuleDeterminismRand), 0);
+  // Identifier boundaries: Operand( must not read as rand(.
+  EXPECT_EQ(Hits(kModelPath, "int y = Operand(3);", kRuleDeterminismRand), 0);
+}
+
+TEST(AnalyzeDeterminismRand, InfraAllowlistAndPragmaSuppress) {
+  EXPECT_EQ(Hits("src/common/rng.cc", "std::mt19937_64 engine_(seed);",
+                 kRuleDeterminismRand),
+            0);
+  EXPECT_EQ(Hits(kModelPath,
+                 "int x = rand();  // clfd-analyze: allow(determinism-rand)",
+                 kRuleDeterminismRand),
+            0);
+}
+
+TEST(AnalyzeDeterminismTime, FlagsWallClockReads) {
+  EXPECT_EQ(Hits(kModelPath, "auto t = Clock::now();", kRuleDeterminismTime),
+            1);
+  EXPECT_EQ(Hits(kModelPath, "time_t t = time(nullptr);",
+                 kRuleDeterminismTime),
+            1);
+}
+
+TEST(AnalyzeDeterminismTime, NegativesAndPrecedingLinePragma) {
+  // time_point as a *type* has no call parens and must pass.
+  EXPECT_EQ(Hits(kModelPath, "steady_clock::time_point start;",
+                 kRuleDeterminismTime),
+            0);
+  EXPECT_EQ(Hits(kInfraPath, "auto t = Clock::now();", kRuleDeterminismTime),
+            0);
+  auto ds = AnalyzeOne(
+      kModelPath,
+      Lines({"// timing only: clfd-analyze: allow(determinism-time)",
+             "auto t = Clock::now();"}));
+  EXPECT_EQ(CountRule(ds, kRuleDeterminismTime), 0);
+}
+
+TEST(AnalyzeDeterminismTime, FlagsChronoClocksOutsideObs) {
+  // One diagnostic per line, even when a line names a clock and reads it.
+  EXPECT_EQ(Hits(kModelPath, "auto t0 = std::chrono::steady_clock::now();",
+                 kRuleDeterminismTime),
+            1);
+  EXPECT_EQ(Hits(kModelPath,
+                 "using clk = std::chrono::high_resolution_clock;",
+                 kRuleDeterminismTime),
+            1);
+}
+
+TEST(AnalyzeDeterminismTime, InfraDurationsAndPragmaPass) {
+  // The obs layer and the thread pool legitimately own the clock.
+  for (const char* path : {"src/obs/prof.cc", kInfraPath}) {
+    EXPECT_EQ(Hits(path, "auto t0 = std::chrono::steady_clock::now();",
+                   kRuleDeterminismTime),
+              0)
+        << path;
+  }
+  // Duration *types* are not clock reads.
+  EXPECT_EQ(Hits(kModelPath, "std::chrono::milliseconds wait(5);",
+                 kRuleDeterminismTime),
+            0);
+  auto ds = AnalyzeOne(kModelPath,
+                       Lines({"// clfd-analyze: allow(determinism-time)",
+                              "auto t = std::chrono::steady_clock::now();"}));
+  EXPECT_EQ(CountRule(ds, kRuleDeterminismTime), 0);
+}
+
+TEST(AnalyzeDeterminismUnordered, FlagsUnorderedContainers) {
+  EXPECT_EQ(Hits(kModelPath, "std::unordered_map<int, int> m;",
+                 kRuleDeterminismUnordered),
+            1);
+  EXPECT_EQ(Hits(kModelPath, "std::map<int, int> m;",
+                 kRuleDeterminismUnordered),
+            0);
+  EXPECT_EQ(Hits(kModelPath,
+                 "std::unordered_set<Node*> seen;  "
+                 "// clfd-analyze: allow(determinism-unordered)",
+                 kRuleDeterminismUnordered),
+            0);
+}
+
+TEST(AnalyzeRawThread, FlagsThreadsOutsideParallel) {
+  EXPECT_EQ(Hits(kModelPath, "std::thread t(worker);", kRuleRawThread), 1);
+  EXPECT_EQ(Hits(kModelPath, "auto f = std::async(run);", kRuleRawThread), 1);
+  EXPECT_EQ(Hits(kInfraPath, "std::thread t(worker);", kRuleRawThread), 0);
+  EXPECT_EQ(Hits(kModelPath, "parallel::ParallelFor(0, n, 1, f);",
+                 kRuleRawThread),
+            0);
+  EXPECT_EQ(Hits(kModelPath,
+                 "std::thread t(worker);  "
+                 "// clfd-analyze: allow(concurrency-raw-thread)",
+                 kRuleRawThread),
+            0);
+}
+
+TEST(AnalyzeRawNew, FlagsNewDeleteButNotDeletedFunctions) {
+  EXPECT_EQ(Hits(kModelPath, "auto* p = new Matrix(2, 2);", kRuleRawNew), 1);
+  EXPECT_EQ(Hits(kModelPath, "delete ptr;", kRuleRawNew), 1);
+  EXPECT_EQ(Hits(kModelPath, "Foo(const Foo&) = delete;", kRuleRawNew), 0);
+  EXPECT_EQ(Hits(kModelPath, "auto p = std::make_unique<Foo>();",
+                 kRuleRawNew),
+            0);
+  // Prose in comments must not fire ("the new pool", "newly added").
+  EXPECT_EQ(Hits(kModelPath,
+                 "g_pool.reset();  // joins before the new pool spawns",
+                 kRuleRawNew),
+            0);
+  EXPECT_EQ(Hits(kModelPath,
+                 "auto* p = new Matrix(2, 2);  "
+                 "// clfd-analyze: allow(resource-raw-new)",
+                 kRuleRawNew),
+            0);
+}
+
+TEST(AnalyzeLoggingStdio, FlagsDirectStdio) {
+  EXPECT_EQ(Hits(kModelPath, "std::cout << loss;", kRuleLoggingStdio), 1);
+  EXPECT_EQ(Hits(kModelPath, "printf(\"%f\", loss);", kRuleLoggingStdio), 1);
+  // snprintf is string formatting, not output.
+  EXPECT_EQ(Hits(kModelPath, "std::snprintf(buf, sizeof(buf), s);",
+                 kRuleLoggingStdio),
+            0);
+  // The obs layer owns stderr.
+  EXPECT_EQ(Hits("src/obs/trace.cc", "std::fprintf(stderr, \"x\");",
+                 kRuleLoggingStdio),
+            0);
+  EXPECT_EQ(Hits(kModelPath,
+                 "std::cerr << x;  // clfd-analyze: allow(logging-stdio)",
+                 kRuleLoggingStdio),
+            0);
+}
+
+TEST(AnalyzeUncheckedStreamWrite, FlagsAdHocFileWrites) {
+  for (const char* code :
+       {"std::ofstream out(path);", "fwrite(buf, 1, n, f);",
+        "FILE* f = fopen(path, \"wb\");"}) {
+    EXPECT_EQ(Hits(kModelPath, code, kRuleUncheckedStreamWrite), 1) << code;
+  }
+}
+
+TEST(AnalyzeUncheckedStreamWrite, CleanReadsAndCommentsPass) {
+  auto ds = AnalyzeOne(kModelPath, Lines({"// std::ofstream is banned here",
+                                          "std::ifstream in(path);"}));
+  EXPECT_EQ(CountRule(ds, kRuleUncheckedStreamWrite), 0);
+}
+
+TEST(AnalyzeUncheckedStreamWrite, IoAllowlistAndPragmaSuppress) {
+  // The audited IO layer may open files however it needs to.
+  for (const char* path : {"src/nn/serialize.cc", "src/data/dataset_io.cc",
+                           "src/recovery/checkpoint.cc"}) {
+    EXPECT_EQ(Hits(path, "std::ofstream out(path);",
+                   kRuleUncheckedStreamWrite),
+              0)
+        << path;
+  }
+  EXPECT_EQ(Hits(kModelPath,
+                 "std::ofstream out(p);  "
+                 "// clfd-analyze: allow(unchecked-stream-write)",
+                 kRuleUncheckedStreamWrite),
+            0);
+}
+
+TEST(AnalyzeHeaderPragmaOnce, RequiresPragmaInHeaders) {
+  auto ds = AnalyzeOne("src/core/foo.h", Lines({"int F();"}));
+  ASSERT_EQ(CountRule(ds, kRulePragmaOnce), 1);
+  EXPECT_EQ(ds[0].line, 1);
+  EXPECT_EQ(CountRule(AnalyzeOne("src/core/foo.h",
+                                 Lines({"#pragma once", "int F();"})),
+                      kRulePragmaOnce),
+            0);
+  // Rule applies to headers only.
+  EXPECT_EQ(Hits("src/core/foo.cc", "int F() {}", kRulePragmaOnce), 0);
+  ds = AnalyzeOne("src/core/foo.h",
+                  Lines({"// clfd-analyze: allow(header-pragma-once)",
+                         "int F();"}));
+  EXPECT_EQ(CountRule(ds, kRulePragmaOnce), 0);
+}
+
+TEST(AnalyzeUsingNamespace, FlagsUsingDirectiveInHeaders) {
+  auto ds = AnalyzeOne("src/core/foo.h",
+                       Lines({"#pragma once", "using namespace std;"}));
+  ASSERT_EQ(CountRule(ds, kRuleUsingNamespace), 1);
+  EXPECT_EQ(ds[0].line, 2);
+  // Aliases are fine; directives in .cc files are out of scope here.
+  ds = AnalyzeOne("src/core/foo.h",
+                  Lines({"#pragma once", "namespace ag = clfd::ag;"}));
+  EXPECT_EQ(CountRule(ds, kRuleUsingNamespace), 0);
+  EXPECT_EQ(Hits("src/core/foo.cc", "using namespace std;",
+                 kRuleUsingNamespace),
+            0);
+  ds = AnalyzeOne("src/core/foo.h",
+                  Lines({"#pragma once",
+                         "using namespace std;  "
+                         "// clfd-analyze: allow(header-using-namespace)"}));
+  EXPECT_EQ(CountRule(ds, kRuleUsingNamespace), 0);
+}
+
+TEST(AnalyzeHygieneScoping, RulesOnlyApplyUnderSrc) {
+  // Tests and bench code may use clocks/threads freely; only header rules
+  // reach them.
+  EXPECT_TRUE(AnalyzeOne("tests/foo_test.cc",
+                         Lines({"int x = rand();", "std::thread t(f);"}))
+                  .empty());
+  EXPECT_TRUE(
+      AnalyzeOne("bench/bench_foo.cc", Lines({"auto t = Clock::now();"}))
+          .empty());
+}
+
+// ---------------------------------------------------------------------------
+// The stripper every pass reads through
+
+TEST(AnalyzeStripper, StringsAndBlockCommentsAreBlanked) {
+  for (const char* code : {"const char* s = \"rand() time( new \";",
+                           "/* std::cout << rand(); */ int x = 0;",
+                           "const char* s = R\"(rand() new)\";"}) {
+    EXPECT_TRUE(AnalyzeOne(kModelPath, Lines({code})).empty()) << code;
+  }
+  // Violations *after* a block comment on the same line still fire.
+  EXPECT_EQ(Hits(kModelPath, "/* c */ int x = rand();", kRuleDeterminismRand),
+            1);
+}
+
+TEST(AnalyzeStripper, DigitSeparatorsAndStrayQuotesHideNothing) {
+  // A `'` inside a number is a digit separator, not a char literal that
+  // blanks everything up to the next `'` in the file.
+  auto ds = AnalyzeOne(kModelPath, Lines({"constexpr int kN = 1'000;",
+                                          "constexpr int kMask = 0xFF'FF;",
+                                          "int x = rand();", "namespace {",
+                                          "static int g_count = 0;", "}"}));
+  EXPECT_EQ(CountRule(ds, kRuleDeterminismRand), 1);
+  EXPECT_EQ(CountRule(ds, kRuleMutableGlobal), 1);
+  // Prefixed char literals stay char literals.
+  ds = AnalyzeOne(kModelPath, Lines({"auto c = u8'r'; int x = rand();",
+                                     "auto w = L'r'; int y = rand();"}));
+  EXPECT_EQ(CountRule(ds, kRuleDeterminismRand), 2);
+  // An unterminated quote ends at its line.
+  ds = AnalyzeOne(kModelPath, Lines({"#error can't build here",
+                                     "#warning \"no closing quote",
+                                     "int x = rand();"}));
+  ASSERT_EQ(CountRule(ds, kRuleDeterminismRand), 1);
+  EXPECT_EQ(ds[0].line, 3);
+}
+
+TEST(AnalyzeFormat, CompilerStyleOutput) {
+  Diagnostic d{"src/a.cc", 12, "determinism-rand", "msg"};
+  EXPECT_EQ(FormatCompilerStyle(d), "src/a.cc:12: determinism-rand: msg");
+}
+
+// ---------------------------------------------------------------------------
+// pragma-unused
+
+TEST(AnalyzePragmaUnused, UnknownOrIdleEntriesFire) {
+  auto ds = AnalyzeOne(
+      kModelPath,
+      Lines({"int a = 0;  // clfd-analyze: allow(no-such-rule)",
+             "int b = 0;  // clfd-analyze: allow(determinism-rand)",
+             "// clfd-analyze: allow(determinism-time)",
+             "int c = 0;",
+             "int d = 0;  // clfd-analyze: allow(pragma-unused)"}));
+  ASSERT_EQ(CountRule(ds, kRulePragmaUnused), 4);
+  std::vector<int> lines;
+  for (const Diagnostic& d : ds) lines.push_back(d.line);
+  EXPECT_EQ(lines, (std::vector<int>{1, 2, 3, 5}));
+  EXPECT_NE(ds[0].message.find("names no rule"), std::string::npos);
+  EXPECT_NE(ds[1].message.find("suppresses nothing"), std::string::npos);
+}
+
+TEST(AnalyzePragmaUnused, SuppressingEntriesAreClean) {
+  // Same-line and preceding-line pragmas that each suppress something;
+  // one pragma may list several rules, and each entry counts on its own.
+  auto ds = AnalyzeOne(
+      kModelPath,
+      Lines({"int x = rand();  // clfd-analyze: allow(determinism-rand)",
+             "// why: timing only",
+             "// clfd-analyze: allow(determinism-time, logging-stdio)",
+             "std::cout << time(nullptr);"}));
+  EXPECT_TRUE(ds.empty());
+  // A pragma covers only the next line, so one above a blank line is idle.
+  ds = AnalyzeOne(kModelPath,
+                  Lines({"// clfd-analyze: allow(determinism-rand)", "",
+                         "int x = rand();"}));
+  EXPECT_EQ(CountRule(ds, kRulePragmaUnused), 1);
+  EXPECT_EQ(CountRule(ds, kRuleDeterminismRand), 1);
+}
+
+// ---------------------------------------------------------------------------
 // Module DAG rendering
 
 TEST(AnalyzeDot, DeterministicAndStructured) {
@@ -644,7 +1020,7 @@ TEST(AnalyzeDot, UndeclaredModulesRenderInUnknownBand) {
 // docs/module_dag.dot) covers its positive and negative behavior.
 
 // ---------------------------------------------------------------------------
-// JSON output (shared diagnostic serializer)
+// JSON output
 
 TEST(AnalyzeJson, EscapesAndShapesDiagnostics) {
   std::vector<Diagnostic> ds = {
@@ -652,7 +1028,7 @@ TEST(AnalyzeJson, EscapesAndShapesDiagnostics) {
        "say \"hi\" back\\slash\nnewline"},
   };
   std::ostringstream os;
-  analysis::WriteJsonDiagnostics(ds, os);
+  WriteJsonDiagnostics(ds, os);
   const std::string out = os.str();
   EXPECT_EQ(out.front(), '[');
   EXPECT_NE(out.find("\"path\": \"src/a/x.cc\""), std::string::npos);
@@ -664,7 +1040,7 @@ TEST(AnalyzeJson, EscapesAndShapesDiagnostics) {
 
 TEST(AnalyzeJson, EmptyDiagnosticsIsEmptyArray) {
   std::ostringstream os;
-  analysis::WriteJsonDiagnostics({}, os);
+  WriteJsonDiagnostics({}, os);
   EXPECT_EQ(os.str(), "[]\n");
 }
 

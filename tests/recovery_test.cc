@@ -62,7 +62,7 @@ std::string ReadFileBytes(const std::string& path) {
 // Raw writer used only to plant corrupted fixtures; product code must go
 // through WriteFileAtomic instead.
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary);  // clfd-lint: allow(unchecked-stream-write)
+  std::ofstream out(path, std::ios::binary);
   ASSERT_TRUE(static_cast<bool>(out)) << path;
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "baselines/registry.h"
 #include "core/clfd.h"
+#include "core/label_corrector.h"
 #include "data/noise.h"
 #include "embedding/word2vec.h"
 
@@ -99,6 +101,19 @@ TEST(RobustnessTest, EmptyTestSet) {
   EXPECT_TRUE(model.Predict(empty).empty());
 }
 
+TEST(RobustnessTest, EmptyTrainingSplitThrows) {
+  // A model fit to no sessions would still score; training refuses instead.
+  SessionDataset empty;
+  empty.vocab = {"act0", "act1"};
+  Matrix emb(2, 8);
+  ClfdModel model(MicroConfig(), 3);
+  EXPECT_THROW(model.Train(empty, emb), std::invalid_argument);
+  EXPECT_THROW(model.TrainWithRecovery(empty, emb, nullptr),
+               std::invalid_argument);
+  LabelCorrector corrector(MicroConfig(), 3);
+  EXPECT_THROW(corrector.Train(empty, emb), std::invalid_argument);
+}
+
 TEST(RobustnessTest, ExtremeNoiseRatesClampBehaviour) {
   Rng rng(6);
   SessionDataset ds = MakeTinyDataset(100, 100, 4, 2, 4, &rng);
@@ -125,6 +140,15 @@ TEST_P(BaselineRobustnessTest, SurvivesDegenerateData) {
   auto scores = model->Score(test);
   ASSERT_EQ(scores.size(), 8u);
   for (double s : scores) EXPECT_TRUE(std::isfinite(s));
+}
+
+TEST_P(BaselineRobustnessTest, EmptyTrainingSplitThrows) {
+  SessionDataset empty;
+  empty.vocab = {"act0", "act1", "act2"};
+  Matrix emb(3, 8);
+  auto model = MakeModel(GetParam(), MicroConfig(), 11);
+  ASSERT_NE(model, nullptr);
+  EXPECT_THROW(model->Train(empty, emb), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, BaselineRobustnessTest,

@@ -1,17 +1,13 @@
 #include "analyze/analyze.h"
 
 #include <algorithm>
-#include <cctype>
 
-#include "analysis_common/text.h"
 #include "analyze/parsed_file.h"
 
 namespace clfd {
 namespace analyze {
 
 namespace {
-
-constexpr char kPragmaKey[] = "clfd-analyze:";
 
 // Extracts the include target from a raw directive line ("..." or <...>).
 bool ParseIncludeTarget(const std::string& raw, IncludeDirective* out) {
@@ -48,7 +44,7 @@ bool IsDirective(const std::string& code, const std::string& name,
 }
 
 std::string PathModule(const std::string& path) {
-  if (!analysis::StartsWith(path, "src/")) return "";
+  if (!StartsWith(path, "src/")) return "";
   size_t slash = path.find('/', 4);
   if (slash == std::string::npos) return "";
   return path.substr(4, slash - 4);
@@ -63,6 +59,11 @@ const std::vector<std::string>& RuleNames() {
       kRuleMutableGlobal,    kRulePlanCaptureConfinement,
       kRuleNestedParallelFor, kRuleBlockingInWorker,
       kRuleScopeEscape,      kRuleNonTreeAccumulation,
+      kRuleDeterminismRand,  kRuleDeterminismTime,
+      kRuleDeterminismUnordered, kRuleRawThread,
+      kRuleRawNew,           kRuleLoggingStdio,
+      kRuleUncheckedStreamWrite, kRulePragmaOnce,
+      kRuleUsingNamespace,   kRulePragmaUnused,
       kRuleDotStale,
   };
   return *names;
@@ -98,12 +99,54 @@ const std::map<std::string, int>& DefaultLayers() {
   return *layers;
 }
 
+void Reporter::Report(const ParsedFile& file, int line,
+                      const std::string& rule, const std::string& message) {
+  auto allows = [&](int at) {
+    if (at < 1 || at > static_cast<int>(file.lines.size())) return false;
+    const std::vector<std::string>& ids = file.lines[at - 1].allows;
+    return std::find(ids.begin(), ids.end(), rule) != ids.end();
+  };
+  int pragma_line = 0;
+  if (allows(line)) {
+    pragma_line = line;
+  } else if (allows(line - 1) && file.lines[line - 2].comment_only) {
+    pragma_line = line - 1;
+  }
+  if (pragma_line != 0) {
+    used_.emplace(file.path, pragma_line, rule);
+    return;
+  }
+  out_->push_back(Diagnostic{file.path, line, rule, message});
+}
+
+void Reporter::ReportUnusedPragmas(const ParsedFile& file) {
+  const std::vector<std::string>& rules = RuleNames();
+  for (size_t i = 0; i < file.lines.size(); ++i) {
+    const int line = static_cast<int>(i) + 1;
+    for (const std::string& id : file.lines[i].allows) {
+      if (std::find(rules.begin(), rules.end(), id) == rules.end()) {
+        out_->push_back(Diagnostic{
+            file.path, line, kRulePragmaUnused,
+            "allow(" + id + ") names no rule (`clfd_analyze --list-rules` "
+            "prints them); a pragma for an unknown id silences nothing"});
+      } else if (used_.count({file.path, line, id}) == 0) {
+        out_->push_back(Diagnostic{
+            file.path, line, kRulePragmaUnused,
+            "allow(" + id + ") suppresses nothing on " +
+                (file.lines[i].comment_only ? "this or the next line"
+                                            : "this line") +
+                "; delete the stale pragma"});
+      }
+    }
+  }
+}
+
 ParsedFile ParseFile(const std::string& path, const std::string& content) {
   ParsedFile f;
   f.path = path;
   f.module = PathModule(path);
-  f.lines = analysis::SplitAndStrip(content, kPragmaKey);
-  f.tokens = analysis::Tokenize(f.lines);
+  f.lines = SplitAndStrip(content);
+  f.tokens = Tokenize(f.lines);
 
   // Preprocessor facts come straight from the lines (the tokenizer skips
   // directive lines). Include targets are read from the *raw* content of
@@ -134,7 +177,7 @@ ParsedFile ParseFile(const std::string& path, const std::string& content) {
       size_t b = code.find_first_not_of(" \t", after);
       if (b != std::string::npos) {
         size_t e = b;
-        while (e < code.size() && analysis::IsIdentChar(code[e])) ++e;
+        while (e < code.size() && IsIdentChar(code[e])) ++e;
         if (e > b) f.defines.insert(code.substr(b, e - b));
       }
     }
@@ -154,10 +197,12 @@ std::vector<Diagnostic> AnalyzeProgram(const std::vector<FileInput>& files,
   Reporter reporter(&diags);
   CheckIncludeGraph(parsed, opts.layers, &reporter);
   for (const ParsedFile& f : parsed) {
-    if (!analysis::StartsWith(f.path, "src/")) continue;
+    CheckHygiene(f, &reporter);
+    if (!StartsWith(f.path, "src/")) continue;
     CheckSymbols(f, &reporter);
     CheckConcurrency(f, &reporter);
   }
+  for (const ParsedFile& f : parsed) reporter.ReportUnusedPragmas(f);
 
   std::sort(diags.begin(), diags.end(),
             [](const Diagnostic& a, const Diagnostic& b) {

@@ -1,15 +1,14 @@
 #pragma once
 
-// clfd_analyze: whole-program semantic static analysis for the CLFD
-// codebase. Where clfd_lint applies per-line token rules to one file at a
-// time, this tool sees every translation unit at once and checks
+// clfd_analyze: the repo's static checker (DESIGN.md §14). It sees every
+// translation unit at once, so besides per-line rules it checks
 // *relationships*: the module include DAG against the declared layering,
 // symbol-resolved declaration rules, flow-aware concurrency misuse inside
 // ParallelFor worker lambdas, and the float-accumulation determinism
-// idioms. Zero third-party dependencies — it shares the comment/string
-// stripper and token stream with clfd_lint (tools/analysis_common).
+// idioms. Zero third-party dependencies: a comment/string stripper and a
+// token stream (text.h, tokenize.h), not a compiler frontend.
 //
-// Four passes (DESIGN.md §14):
+// Five passes (DESIGN.md §14):
 //   1. include-graph layering — parse every #include, build the module
 //      DAG, enforce the declared layer ranks (upward and same-rank edges
 //      are violations), reject cycles, flag unused includes (IWYU-lite via
@@ -17,9 +16,10 @@
 //      committed DOT graph (docs/module_dag.dot).
 //   2. symbol-table semantic rules — a per-TU declaration scanner (brace
 //      contexts: namespace / type / function / lambda) that checks
-//      mutable globals and plan-capture confinement symbol-resolved
-//      (multi-line declarations, qualified names, no false fires on
-//      factory-function declarations).
+//      mutable globals, plan-capture confinement, and Scoped* RAII objects
+//      given static, member, or heap storage, symbol-resolved (multi-line
+//      declarations, qualified names, no false fires on factory-function
+//      declarations).
 //   3. concurrency misuse — nested ParallelFor submission from inside a
 //      worker lambda, blocking calls (fsync/sleep/lock acquisition/file
 //      IO) inside pool chunks, and ScopedArena / ScopedEnable objects
@@ -28,22 +28,25 @@
 //   4. determinism audit — floating-point accumulation into cross-chunk
 //      shared scalars from inside src/tensor / src/parallel worker
 //      lambdas that bypasses the disjoint-slot + TreeReduce idiom.
+//   5. hygiene — per-line token rules over each file's stripped lines:
+//      nondeterministic RNG and clock reads, unordered containers, raw
+//      threads, raw new/delete, direct stdio and file writes in src/, and
+//      the header conventions everywhere.
 //
-// A violation on a line is suppressed by `// clfd-analyze: allow(<rule>)`
-// in a comment on that line or on an immediately preceding comment-only
-// line; pragma sites must carry a why-comment (review convention, like
-// the lint pragmas).
+// A violation on a line is suppressed by an allow-pragma naming its rule
+// (`clfd-analyze:` then `allow(<rule>)`) in a comment on that line or on
+// an immediately preceding comment-only line; pragma sites must carry a
+// why-comment (review convention). A pragma entry that suppresses nothing
+// is itself a pragma-unused violation.
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "analysis_common/diag.h"
+#include "analyze/diag.h"
 
 namespace clfd {
 namespace analyze {
-
-using analysis::Diagnostic;
 
 // One file of the program under analysis. `path` is repo-relative with
 // forward slashes ("src/tensor/matrix.cc"); pass scoping keys off it.
@@ -52,8 +55,10 @@ struct FileInput {
   std::string content;
 };
 
-// Rule ids, in reporting order. Every id has positive, negative, and
-// pragma-suppressed fixtures in tests/analyze_test.cc.
+// Rule ids, in reporting order. Every id has positive and negative
+// fixtures in tests/analyze_test.cc, and every id a pragma can suppress
+// has a pragma fixture. pragma-unused cannot be suppressed, and main.cc
+// reports module-dag-stale after pragma filtering.
 inline constexpr char kRuleLayeringUpward[] = "layering-upward-include";
 inline constexpr char kRuleLayeringCycle[] = "layering-cycle";
 inline constexpr char kRuleLayeringUnknown[] = "layering-unknown-module";
@@ -65,6 +70,16 @@ inline constexpr char kRuleNestedParallelFor[] = "nested-parallel-for";
 inline constexpr char kRuleBlockingInWorker[] = "blocking-in-worker";
 inline constexpr char kRuleScopeEscape[] = "scoped-state-escape";
 inline constexpr char kRuleNonTreeAccumulation[] = "non-tree-accumulation";
+inline constexpr char kRuleDeterminismRand[] = "determinism-rand";
+inline constexpr char kRuleDeterminismTime[] = "determinism-time";
+inline constexpr char kRuleDeterminismUnordered[] = "determinism-unordered";
+inline constexpr char kRuleRawThread[] = "concurrency-raw-thread";
+inline constexpr char kRuleRawNew[] = "resource-raw-new";
+inline constexpr char kRuleLoggingStdio[] = "logging-stdio";
+inline constexpr char kRuleUncheckedStreamWrite[] = "unchecked-stream-write";
+inline constexpr char kRulePragmaOnce[] = "header-pragma-once";
+inline constexpr char kRuleUsingNamespace[] = "header-using-namespace";
+inline constexpr char kRulePragmaUnused[] = "pragma-unused";
 inline constexpr char kRuleDotStale[] = "module-dag-stale";
 
 // All rule ids, for --list-rules and for validating pragma arguments.
@@ -82,7 +97,7 @@ struct Options {
   std::map<std::string, int> layers = DefaultLayers();
 };
 
-// Runs all four passes over `files` (the whole program: every checked-in
+// Runs all five passes over `files` (the whole program: every checked-in
 // .cc/.h, repo-relative paths). Returns pragma-filtered diagnostics
 // sorted by (path, line, rule).
 std::vector<Diagnostic> AnalyzeProgram(const std::vector<FileInput>& files,

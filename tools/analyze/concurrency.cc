@@ -3,7 +3,7 @@
 // TreeReduce call frames, a lambda stack (a lambda passed into an active
 // frame — or nested inside one that was — executes on pool workers), a
 // brace-scoped variable table for Scoped* RAII state and float/double
-// scalars. That model catches what the per-line lint cannot: the *same*
+// scalars. That model catches what a per-line token rule cannot: the *same*
 // tokens are fine at top level and a bug inside a worker chunk, and a
 // ScopedArena is fine in the frame that declared it but a
 // use-after-scope / wrong-thread bug when a lambda that outlives or
@@ -14,37 +14,35 @@
 #include <string>
 #include <vector>
 
-#include "analysis_common/text.h"
 #include "analyze/analyze.h"
 #include "analyze/parsed_file.h"
+#include "analyze/text.h"
 
 namespace clfd {
 namespace analyze {
-
-namespace {
-
-using analysis::Token;
-
-// Entry points whose lambda argument runs on pool worker threads.
-// (TreeReduce is deliberately absent: it is a serial fixed-order fold on
-// the calling thread — src/parallel/reduce.h — so calling it from inside
-// a worker chunk is fine and sharded_step.cc does exactly that.)
-bool IsPoolEntryPoint(const std::string& s) { return s == "ParallelFor"; }
 
 // Thread-local / process-global scoped RAII state. None of it transfers
 // to pool workers (the pool threads have their own thread-local slots),
 // and none of it may outlive the declaring frame — so a reference from a
 // lambda declared *after* the object is a latent wrong-thread or
 // use-after-scope bug.
-bool IsScopedStateClass(const std::string& s) {
+bool IsScopedStateClass(const std::string& name) {
   static const std::set<std::string>* names = new std::set<std::string>{
       "ScopedArena",     "ScopedEnable",
       "ScopedEnabled",   "ScopedFaultPlan",
       "ScopedMatmulParallelThreshold",
       "ScopedContext",
   };
-  return names->count(s) != 0;
+  return names->count(name) != 0;
 }
+
+namespace {
+
+// Entry points whose lambda argument runs on pool worker threads.
+// (TreeReduce is deliberately absent: it is a serial fixed-order fold on
+// the calling thread — src/parallel/reduce.h — so calling it from inside
+// a worker chunk is fine and sharded_step.cc does exactly that.)
+bool IsPoolEntryPoint(const std::string& s) { return s == "ParallelFor"; }
 
 bool IsBlockingFreeFunction(const std::string& s) {
   static const std::set<std::string>* names = new std::set<std::string>{
@@ -86,8 +84,8 @@ class ConcurrencyScanner {
  public:
   ConcurrencyScanner(const ParsedFile& file, Reporter* reporter)
       : file_(file), reporter_(reporter) {
-    audit_accumulation_ = analysis::StartsWith(file.path, "src/tensor/") ||
-                          analysis::StartsWith(file.path, "src/parallel/");
+    audit_accumulation_ = StartsWith(file.path, "src/tensor/") ||
+                          StartsWith(file.path, "src/parallel/");
   }
 
   void Run() {

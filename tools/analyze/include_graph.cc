@@ -14,9 +14,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis_common/text.h"
 #include "analyze/analyze.h"
 #include "analyze/parsed_file.h"
+#include "analyze/text.h"
 
 namespace clfd {
 namespace analyze {
@@ -139,11 +139,11 @@ void CheckIncludeGraph(const std::vector<ParsedFile>& files,
   for (const ParsedFile& f : files) {
     // Identifier tokens referenced by this file, for the IWYU pass.
     std::set<std::string> used;
-    for (const analysis::Token& t : f.tokens) {
-      if (t.kind == analysis::Token::Kind::kIdent) used.insert(t.text);
+    for (const Token& t : f.tokens) {
+      if (t.kind == Token::Kind::kIdent) used.insert(t.text);
     }
 
-    const bool in_src = analysis::StartsWith(f.path, "src/");
+    const bool in_src = StartsWith(f.path, "src/");
     auto layer_of = [&](const std::string& m) {
       auto it = layers.find(m);
       return it == layers.end() ? -1 : it->second;
@@ -240,7 +240,7 @@ std::string ModuleGraphDot(const std::vector<FileInput>& files,
   std::map<std::string, std::set<std::string>> adj;
   std::set<std::string> modules;
   for (const FileInput& in : files) {
-    if (!analysis::StartsWith(in.path, "src/")) continue;
+    if (!StartsWith(in.path, "src/")) continue;
     ParsedFile f = ParseFile(in.path, in.content);
     if (f.module.empty()) continue;
     modules.insert(f.module);

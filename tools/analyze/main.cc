@@ -1,8 +1,8 @@
-// clfd_analyze: whole-program semantic static analysis driver.
+// clfd_analyze: the repo's static checker (DESIGN.md §14).
 //
 // Loads every .cc/.h under src/, tests/, bench/, and tools/ (one program,
 // analyzed together — the passes need the full include graph), runs the
-// four passes, and reports compiler-style diagnostics. Exit status is 1
+// five passes, and reports compiler-style diagnostics. Exit status is 1
 // when any violation survives pragma filtering, so it slots directly into
 // ctest as `analyze.repo`.
 //
@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis_common/diag.h"
 #include "analyze/analyze.h"
 
 namespace fs = std::filesystem;
@@ -124,7 +123,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<clfd::analysis::Diagnostic> diags =
+  std::vector<clfd::analyze::Diagnostic> diags =
       clfd::analyze::AnalyzeProgram(inputs, opts);
 
   if (!dot_check.empty()) {
@@ -135,13 +134,13 @@ int main(int argc, char** argv) {
     const std::string want = clfd::analyze::ModuleGraphDot(inputs, opts);
     const std::string have = ReadFile(committed, &ok);
     if (!ok) {
-      diags.push_back(clfd::analysis::Diagnostic{
+      diags.push_back(clfd::analyze::Diagnostic{
           dot_check, 1, clfd::analyze::kRuleDotStale,
           "committed module DAG is missing; regenerate with "
           "`clfd_analyze --root . --dot " +
               dot_check + "`"});
     } else if (have != want) {
-      diags.push_back(clfd::analysis::Diagnostic{
+      diags.push_back(clfd::analyze::Diagnostic{
           dot_check, 1, clfd::analyze::kRuleDotStale,
           "committed module DAG no longer matches the tree's include "
           "graph; regenerate with `clfd_analyze --root . --dot " +
@@ -150,10 +149,10 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    clfd::analysis::WriteJsonDiagnostics(diags, std::cout);
+    clfd::analyze::WriteJsonDiagnostics(diags, std::cout);
   } else {
-    for (const clfd::analysis::Diagnostic& d : diags) {
-      std::cout << clfd::analysis::FormatCompilerStyle(d) << "\n";
+    for (const clfd::analyze::Diagnostic& d : diags) {
+      std::cout << clfd::analyze::FormatCompilerStyle(d) << "\n";
     }
   }
   std::cerr << "clfd_analyze: " << inputs.size() << " files, "

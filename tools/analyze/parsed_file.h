@@ -7,11 +7,12 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "analysis_common/diag.h"
-#include "analysis_common/text.h"
-#include "analysis_common/tokenize.h"
+#include "analyze/diag.h"
+#include "analyze/text.h"
+#include "analyze/tokenize.h"
 
 namespace clfd {
 namespace analyze {
@@ -25,37 +26,41 @@ struct IncludeDirective {
 struct ParsedFile {
   std::string path;    // repo-relative, forward slashes
   std::string module;  // "tensor" for src/tensor/...; "" outside src/
-  std::vector<analysis::Line> lines;   // stripped, with clfd-analyze allows
-  std::vector<analysis::Token> tokens; // preprocessor lines excluded
+  std::vector<Line> lines;    // stripped, with pragma allows
+  std::vector<Token> tokens;  // preprocessor lines excluded
   std::vector<IncludeDirective> includes;
-  std::set<std::string> defines;       // macro names #define'd here
+  std::set<std::string> defines;  // macro names #define'd here
 };
 
 ParsedFile ParseFile(const std::string& path, const std::string& content);
 
-// Appends {path, line, rule, message} unless an `// clfd-analyze:
-// allow(rule)` pragma covers the line (same line or immediately preceding
-// comment-only line).
+// Appends {path, line, rule, message} unless an allow-pragma naming `rule`
+// covers the line (same line or immediately preceding comment-only line),
+// and remembers which pragma entries suppressed something.
 class Reporter {
  public:
-  explicit Reporter(std::vector<analysis::Diagnostic>* out) : out_(out) {}
+  explicit Reporter(std::vector<Diagnostic>* out) : out_(out) {}
 
   void Report(const ParsedFile& file, int line, const std::string& rule,
-              const std::string& message) {
-    if (line >= 1 &&
-        analysis::Allowed(file.lines, static_cast<size_t>(line) - 1, rule)) {
-      return;
-    }
-    out_->push_back(analysis::Diagnostic{file.path, line, rule, message});
-  }
+              const std::string& message);
+
+  // pragma-unused: every allow entry in `file` that names no rule or
+  // suppressed nothing. Runs after every other pass has reported.
+  void ReportUnusedPragmas(const ParsedFile& file);
 
  private:
-  std::vector<analysis::Diagnostic>* out_;
+  std::vector<Diagnostic>* out_;
+  // (path, pragma line, rule) of every entry that suppressed a diagnostic.
+  std::set<std::tuple<std::string, int, std::string>> used_;
 };
 
+// The Scoped* RAII classes that patch thread-local or process-global state
+// for their declaring frame (scoped-state-escape, passes 2 and 3).
+bool IsScopedStateClass(const std::string& name);
+
 // Pass 2: declaration-scanner rules (semantic-mutable-global,
-// plan-capture-confinement). Also exposes the exported-symbol
-// extraction pass 1 uses for IWYU-lite.
+// plan-capture-confinement, the storage half of scoped-state-escape).
+// Also exposes the exported-symbol extraction pass 1 uses for IWYU-lite.
 std::set<std::string> ExtractExportedSymbols(const ParsedFile& file);
 void CheckSymbols(const ParsedFile& file, Reporter* reporter);
 
@@ -67,6 +72,9 @@ void CheckConcurrency(const ParsedFile& file, Reporter* reporter);
 void CheckIncludeGraph(const std::vector<ParsedFile>& files,
                        const std::map<std::string, int>& layers,
                        Reporter* reporter);
+
+// Pass 5: per-line hygiene token rules and the header conventions.
+void CheckHygiene(const ParsedFile& file, Reporter* reporter);
 
 }  // namespace analyze
 }  // namespace clfd

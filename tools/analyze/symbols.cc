@@ -1,30 +1,28 @@
 // Pass 2: symbol-table semantic rules. A per-TU declaration scanner walks
 // the token stream with a brace-context stack (namespace / type / enum /
-// function / lambda / block), which gives two things the per-line lint
-// heuristics cannot: (a) the set of names a header *exports* (types,
-// functions, variables, aliases, enumerators, macros) — the substrate for
-// the IWYU-lite pass — and (b) symbol-resolved mutable-global and
-// plan-capture-confinement rules that survive multi-line declarations and
-// qualified names without extra pragma escapes (factory-function
-// declarations, const tables, and deleted functions are recognized
-// structurally, not by line shape).
+// function / lambda / block), which gives two things per-line token rules
+// cannot: (a) the set of names a header *exports* (types, functions,
+// variables, aliases, enumerators, macros) — the substrate for the
+// IWYU-lite pass — and (b) symbol-resolved mutable-global,
+// plan-capture-confinement, and scoped-state storage rules that survive
+// multi-line declarations and qualified names without extra pragma
+// escapes (factory-function declarations, const tables, and deleted
+// functions are recognized structurally, not by line shape).
 
 #include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "analysis_common/paths.h"
-#include "analysis_common/text.h"
 #include "analyze/analyze.h"
 #include "analyze/parsed_file.h"
+#include "analyze/paths.h"
+#include "analyze/text.h"
 
 namespace clfd {
 namespace analyze {
 
 namespace {
-
-using analysis::Token;
 
 bool IsKeyword(const std::string& s) {
   static const std::set<std::string>* kw = new std::set<std::string>{
@@ -137,9 +135,8 @@ std::string DeclaredNameOf(const std::vector<Token>& stmt) {
 }
 
 // True when the statement declares a function (or a ctor-initialized
-// object, which is indistinguishable without types — the lint heuristic
-// shares this blind spot): a top-level `(` before any top-level `=` /
-// brace-init / end.
+// object, which is indistinguishable without types): a top-level `(`
+// before any top-level `=` / brace-init / end.
 bool IsFunctionShaped(const std::vector<Token>& stmt) {
   int paren = 0;
   int angle = 0;
@@ -202,9 +199,8 @@ class DeclarationScanner {
   DeclarationScanner(const ParsedFile& file, std::set<std::string>* exports,
                      Reporter* reporter)
       : file_(file), exports_(exports), reporter_(reporter) {
-    mutable_global_applies_ =
-        reporter_ != nullptr && analysis::StartsWith(file.path, "src/") &&
-        !analysis::IsInfraAllowlisted(file.path);
+    src_rules_ = reporter_ != nullptr && StartsWith(file.path, "src/") &&
+                 !IsInfraAllowlisted(file.path);
   }
 
   void Run() {
@@ -371,10 +367,11 @@ class DeclarationScanner {
       }
     }
     CheckMutableGlobal(stmt, scope);
+    CheckScopedStorage(stmt, scope);
   }
 
   void CheckMutableGlobal(const std::vector<Token>& stmt, Scope scope) {
-    if (!mutable_global_applies_) return;
+    if (!src_rules_) return;
     const bool has_storage =
         HasIdent(stmt, "static") || HasIdent(stmt, "thread_local");
     const bool ns_atomic =
@@ -399,10 +396,66 @@ class DeclarationScanner {
             "(symbol-resolved check; spans multi-line declarations)");
   }
 
+  // scoped-state-escape, storage half (the capture half is pass 3): a
+  // Scoped* object must be a stack local bounded by its declaring frame.
+  // Static or thread_local storage, a namespace-scope object, a class
+  // member, or heap placement all outlive that frame. Aliases, friends,
+  // forward and operator declarations declare no object; a
+  // function-shaped statement without `static` counts as a function
+  // declaration, as in CheckMutableGlobal, and in a class a static one
+  // is a member function.
+  void CheckScopedStorage(const std::vector<Token>& stmt, Scope scope) {
+    if (!src_rules_) return;
+    for (const char* skip : {"using", "typedef", "friend", "extern", "class",
+                             "struct", "operator"}) {
+      if (HasIdent(stmt, skip)) return;
+    }
+    const Token* cls = nullptr;
+    bool names_object_type = false;  // named before `(`, `=`, or `{...}`
+    bool past_declarator = false;
+    for (const Token& t : stmt) {
+      if (t.text == "(" || t.text == "=" || t.text == "{}") {
+        past_declarator = true;
+      }
+      if (cls == nullptr && t.kind == Token::Kind::kIdent &&
+          IsScopedStateClass(t.text)) {
+        cls = &t;
+        names_object_type = !past_declarator;
+      }
+    }
+    if (cls == nullptr) return;
+    const bool function_shaped = IsFunctionShaped(stmt);
+    const char* where = nullptr;
+    if (HasIdent(stmt, "new") || HasIdent(stmt, "make_unique") ||
+        HasIdent(stmt, "make_shared") || HasIdent(stmt, "unique_ptr") ||
+        HasIdent(stmt, "shared_ptr")) {
+      where = "heap placement";
+    } else if (!names_object_type) {
+      return;
+    } else if ((HasIdent(stmt, "static") || HasIdent(stmt, "thread_local")) &&
+               !(function_shaped && scope == Scope::kType)) {
+      where = "static/thread_local storage";
+    } else if (!function_shaped && scope == Scope::kType) {
+      where = "class-member storage";
+    } else if (!function_shaped && scope == Scope::kNamespace) {
+      where = "namespace-scope storage";
+    } else {
+      return;
+    }
+    reporter_->Report(
+        file_, cls->line, kRuleScopeEscape,
+        "scoped state '" + cls->text + "' has " + where + "; Scoped* RAII "
+        "objects patch thread-local or process-global state for their "
+        "declaring frame only, so they must be stack locals bounded by one "
+        "training step (or inference chunk) — a ScopedArena that outlives "
+        "its step lets arena-backed tensors outlive the Reset() that "
+        "recycles their memory");
+  }
+
   const ParsedFile& file_;
   std::set<std::string>* exports_;
   Reporter* reporter_;
-  bool mutable_global_applies_ = false;
+  bool src_rules_ = false;  // src/ outside the infrastructure allowlist
   std::vector<Context> stack_;
 };
 
@@ -424,12 +477,12 @@ void CheckSymbols(const ParsedFile& file, Reporter* reporter) {
   // appear at the trainer capture sites. Anywhere else, building or
   // replaying a plan sidesteps the one code path that validates bindings
   // and falls back to the dynamic tape on mismatch.
-  const bool protocol_ok = analysis::IsPlanProtocolAllowlisted(file.path);
+  const bool protocol_ok = IsPlanProtocolAllowlisted(file.path);
   const bool capture_site_ok = protocol_ok ||
-                               analysis::IsPlanCaptureSite(file.path);
+                               IsPlanCaptureSite(file.path);
   if (!protocol_ok || !capture_site_ok) {
-    for (const analysis::Token& t : file.tokens) {
-      if (t.kind != analysis::Token::Kind::kIdent) continue;
+    for (const Token& t : file.tokens) {
+      if (t.kind != Token::Kind::kIdent) continue;
       bool hit = false;
       if (!protocol_ok) {
         for (const char* banned : kPlanProtocolTokens) {

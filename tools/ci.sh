@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Local CI: builds and tests the full correctness matrix, then lints the
-# tree. This is the same gate the acceptance criteria describe — run it
-# before pushing anything that touches src/.
+# Local CI: builds and tests the full correctness matrix, then runs the
+# static checker on the tree. This is the same gate the acceptance
+# criteria describe — run it before pushing anything that touches src/.
 #
 #   tools/ci.sh                 # default+Werror, asan, ubsan, tsan,
-#                               # crash-resume, lint
-#   tools/ci.sh default ubsan   # just those presets (+ lint)
-#   tools/ci.sh crash-resume    # just the fault-tolerance job (+ lint)
+#                               # crash-resume, clfd_analyze
+#   tools/ci.sh default ubsan   # just those presets (+ clfd_analyze)
+#   tools/ci.sh crash-resume    # just the fault-tolerance job
+#                               # (+ clfd_analyze)
 #   CLFD_CI_JOBS=8 tools/ci.sh
 #
 # `crash-resume` is a pseudo-preset, not a CMake preset: it builds the
@@ -34,11 +35,13 @@
 # (every training loop steps through a plan on an arena-backed tape).
 #
 # Every preset builds with -Werror (CLFD_WERROR defaults to ON) and runs
-# the whole ctest suite, which includes `lint.repo` and `analyze.repo`;
-# the explicit clfd_lint / clfd_analyze invocations at the end are there
-# so the violation listing is the last thing in the log when it fails.
-# clfd_analyze additionally verifies that the committed module DAG
-# (docs/module_dag.dot) still matches the tree's include graph.
+# the whole ctest suite, which includes `analyze.repo`; the explicit
+# clfd_analyze invocation at the end is there so the violation listing is
+# the last thing in the log when it fails. It builds its own binary in
+# the default preset first, whichever presets were requested, so it never
+# runs a stale or missing ./build. clfd_analyze also verifies that the
+# committed module DAG (docs/module_dag.dot) still matches the tree's
+# include graph.
 
 set -euo pipefail
 
@@ -95,9 +98,9 @@ for preset in "${presets[@]}"; do
   fi
 done
 
-echo "==== clfd-lint"
-./build/tools/lint/clfd_lint --root "${repo_root}"
-echo "==== clfd-analyze"
+echo "==== clfd_analyze"
+cmake --preset default
+cmake --build --preset default -j "${jobs}" --target clfd_analyze
 ./build/tools/analyze/clfd_analyze --root "${repo_root}" \
     --check-dot docs/module_dag.dot
 echo "==== ci.sh: all green"

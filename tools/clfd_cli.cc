@@ -30,11 +30,18 @@
 //   --fault-plan=SPEC         deterministic fault injection, e.g.
 //                             "run.epoch@3;ckpt.io@2" (see recovery/fault_plan.h)
 //   --fault-seed=N            seed for probabilistic fault triggers
-// Exit codes: 3 = simulated crash (resume with the same command),
+// Exit codes: 2 = bad input (usage, a malformed or out-of-range flag
+//                 value, an empty training split),
+//             3 = simulated crash (resume with the same command),
 //             4 = watchdog aborted after exhausting its retry budget.
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -61,6 +68,21 @@
 namespace clfd {
 namespace {
 
+// A numeric flag whose text is malformed or outside the range its usage
+// line states; main() prints the message and exits 2.
+[[noreturn]] void BadFlag(const std::string& key, const std::string& text,
+                          const char* want) {
+  throw std::invalid_argument("bad --" + key + " value '" + text +
+                              "': want " + want);
+}
+
+// True when a strto* call consumed all of the non-empty `text` without
+// overflow.
+bool ParsedWhole(const std::string& text, const char* end) {
+  return !text.empty() && end == text.c_str() + text.size() &&
+         errno != ERANGE;
+}
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> values;
@@ -69,13 +91,49 @@ struct Args {
     auto it = values.find(key);
     return it == values.end() ? fallback : it->second.c_str();
   }
-  double GetDouble(const std::string& key, double fallback) const {
+  // The numeric getters parse a flag's whole text, as NoiseSpec parses a
+  // rate, and throw BadFlag outside the range the usage line states.
+  // A number in (0, 1].
+  double GetFraction(const std::string& key, double fallback) const {
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::stod(it->second);
+    if (it == values.end()) return fallback;
+    const std::string& text = it->second;
+    errno = 0;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (!ParsedWhole(text, end) || !(value > 0.0 && value <= 1.0)) {
+      BadFlag(key, text, "a number in (0, 1]");
+    }
+    return value;
   }
-  int GetInt(const std::string& key, int fallback) const {
+  // An integer of at least 1.
+  int GetPositiveInt(const std::string& key, int fallback) const {
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::stoi(it->second);
+    if (it == values.end()) return fallback;
+    const std::string& text = it->second;
+    errno = 0;
+    char* end = nullptr;
+    const long value = std::strtol(text.c_str(), &end, 10);
+    if (!ParsedWhole(text, end) || value < 1 ||
+        value > std::numeric_limits<int>::max()) {
+      BadFlag(key, text, "an integer >= 1");
+    }
+    return static_cast<int>(value);
+  }
+  // An integer in [0, 2^64). strtoull would negate a leading '-', so the
+  // text must start with a digit.
+  uint64_t GetSeed(const std::string& key, uint64_t fallback) const {
+    auto it = values.find(key);
+    if (it == values.end()) return fallback;
+    const std::string& text = it->second;
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (!ParsedWhole(text, end) ||
+        !std::isdigit(static_cast<unsigned char>(text[0]))) {
+      BadFlag(key, text, "an integer in [0, 2^64)");
+    }
+    return value;
   }
 };
 
@@ -112,10 +170,14 @@ int Usage() {
       "  clfd_cli generate --dataset cert|wiki|openstack [--scale F]\n"
       "           [--noise none|uniform:ETA|classdep:E10,E01] [--seed N]\n"
       "           --train OUT [--test OUT]\n"
-      "           (0 <= ETA < 0.5; E10, E01 in [0, 1] with E10 + E01 < 1)\n"
+      "           (0 < F <= 1; 0 <= ETA < 0.5; E10, E01 in [0, 1] with\n"
+      "           E10 + E01 < 1)\n"
       "  clfd_cli run --model NAME --train FILE --test FILE\n"
       "           [--budget fast|paper] [--seed N] [--dim N]\n"
       "  clfd_cli correct --train FILE [--budget fast|paper] [--seed N]\n"
+      "           [--dim N]\n"
+      "  (seeds in [0, 2^64); --dim, --threads and --checkpoint-interval\n"
+      "  at least 1)\n"
       "observability (any subcommand):\n"
       "  --trace=FILE --metrics-out=FILE[.jsonl] --log-level=LVL\n"
       "  --prof-out=FILE --prof-collapsed=FILE --prof-roofline=FILE|-\n"
@@ -151,8 +213,8 @@ int Generate(const Args& args) {
     std::fprintf(stderr, "bad --noise spec: %s\n", e.what());
     return 2;
   }
-  Rng rng(args.GetInt("seed", 1));
-  SplitSpec split = PaperSplit(kind).Scaled(args.GetDouble("scale", 0.05));
+  Rng rng(args.GetSeed("seed", 1));
+  SplitSpec split = PaperSplit(kind).Scaled(args.GetFraction("scale", 0.05));
   SimulatedData data = MakeDataset(kind, split, &rng);
   noise.Apply(&data.train, &rng);
 
@@ -185,30 +247,30 @@ ClfdConfig MakeConfig(const Args& args) {
   } else {
     config.budget = TrainingBudget::Fast();
   }
-  config.emb_dim = args.GetInt("dim", 50);
+  config.emb_dim = args.GetPositiveInt("dim", 50);
   config.hidden_dim = config.emb_dim;
   return config;
 }
 
 int Run(const Args& args) {
+  ClfdConfig config = MakeConfig(args);
+  uint64_t seed = args.GetSeed("seed", 7);
+  recovery::RecoveryOptions ropts;
+  ropts.dir = args.Get("checkpoint-dir", "");
+  ropts.interval_epochs = args.GetPositiveInt("checkpoint-interval", 5);
+  ropts.resume = args.values.count("no-resume") == 0;
+  ropts.watchdog.enabled = args.values.count("watchdog") > 0;
+
   SessionDataset train, test;
   if (!LoadDataset(args.Get("train", ""), &train) ||
       !LoadDataset(args.Get("test", ""), &test)) {
     std::fprintf(stderr, "cannot load --train/--test dataset files\n");
     return 1;
   }
-  ClfdConfig config = MakeConfig(args);
-  uint64_t seed = args.GetInt("seed", 7);
   Rng rng(seed);
   Matrix embeddings = TrainActivityEmbeddings(train, config.emb_dim, &rng);
 
   std::string model_name = args.Get("model", "CLFD");
-
-  recovery::RecoveryOptions ropts;
-  ropts.dir = args.Get("checkpoint-dir", "");
-  ropts.interval_epochs = args.GetInt("checkpoint-interval", 5);
-  ropts.resume = args.values.count("no-resume") == 0;
-  ropts.watchdog.enabled = args.values.count("watchdog") > 0;
 
   std::printf("training %s on %d sessions...\n", model_name.c_str(),
               train.size());
@@ -276,13 +338,13 @@ int Run(const Args& args) {
 }
 
 int Correct(const Args& args) {
+  ClfdConfig config = MakeConfig(args);
+  uint64_t seed = args.GetSeed("seed", 7);
   SessionDataset train;
   if (!LoadDataset(args.Get("train", ""), &train)) {
     std::fprintf(stderr, "cannot load --train dataset file\n");
     return 1;
   }
-  ClfdConfig config = MakeConfig(args);
-  uint64_t seed = args.GetInt("seed", 7);
   Rng rng(seed);
   Matrix embeddings = TrainActivityEmbeddings(train, config.emb_dim, &rng);
 
@@ -336,7 +398,7 @@ int Main(int argc, char** argv) {
   std::string trace_path = args.Get("trace", "");
   if (!trace_path.empty()) obs::TraceRecorder::Get().Start(trace_path);
 
-  int threads = args.GetInt("threads", 0);
+  int threads = args.GetPositiveInt("threads", 0);
   if (threads > 0) parallel::SetGlobalThreads(threads);
 
   // Deterministic fault injection: same (spec, seed) -> same fault
@@ -344,9 +406,10 @@ int Main(int argc, char** argv) {
   std::unique_ptr<recovery::ScopedFaultPlan> fault_plan;
   std::string fault_spec = args.Get("fault-plan", "");
   if (!fault_spec.empty()) {
+    const uint64_t fault_seed = args.GetSeed("fault-seed", 1);
     try {
-      fault_plan = std::make_unique<recovery::ScopedFaultPlan>(
-          fault_spec, static_cast<uint64_t>(args.GetInt("fault-seed", 1)));
+      fault_plan =
+          std::make_unique<recovery::ScopedFaultPlan>(fault_spec, fault_seed);
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "bad --fault-plan: %s\n", e.what());
       return 2;
@@ -428,4 +491,13 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace clfd
 
-int main(int argc, char** argv) { return clfd::Main(argc, argv); }
+int main(int argc, char** argv) {
+  try {
+    return clfd::Main(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    // Bad input: a malformed or out-of-range flag value, or an empty
+    // training split.
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+}
