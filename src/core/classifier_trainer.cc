@@ -12,6 +12,7 @@
 #include "obs/prof.h"
 #include "plan/plan.h"
 #include "recovery/checkpoint.h"
+#include "recovery/run_checkpointer.h"
 #include "tensor/arena.h"
 
 namespace clfd {
@@ -40,7 +41,9 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
   // state is derived, never serialized.
   plan::Planner planner;
 
-  recovery::PhaseBegin(hooks, &optimizer);
+  if (hooks != nullptr) {
+    hooks->checkpointer->BeginPhase(hooks->phase, &optimizer);
+  }
 
   // The shuffle order is mutated in place every epoch (consecutive
   // Fisher-Yates passes), so on resume it must come back from the snapshot
@@ -208,11 +211,12 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
                     << obs::Kv("scope", metric_scope)
                     << obs::Kv("epoch", epoch)
                     << obs::Kv("loss", epoch_loss);
-    if (hooks != nullptr && hooks->on_epoch_end) {
+    if (hooks != nullptr) {
       recovery::ByteWriter writer;
       writer.PutInts(order);
-      recovery::PhaseEpochEnd(hooks, epoch, static_cast<float>(epoch_loss),
-                              &optimizer, writer.Take());
+      hooks->checkpointer->EndEpoch(hooks->phase, epoch,
+                                    static_cast<float>(epoch_loss),
+                                    &optimizer, writer.Take());
     }
   }
   CLFD_LOG(INFO) << "classifier training done"

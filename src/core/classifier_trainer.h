@@ -5,10 +5,12 @@
 #include "common/rng.h"
 #include "core/config.h"
 #include "nn/classifier.h"
-#include "recovery/phase.h"
 #include "tensor/matrix.h"
 
 namespace clfd {
+namespace recovery {
+struct PhaseHooks;
+}  // namespace recovery
 
 // Mixup-based classifier training (Sec. III-A1 / III-B2, Algorithm 1 lines
 // 13-19), shared by the label corrector (features = v_i from the

@@ -82,7 +82,7 @@ void ClfdModel::TrainWithRecovery(const SessionDataset& train,
       rc->loaded_phase() > recovery::kPhaseCorrector &&
       static_cast<int>(corrections.size()) == train.size();
   if (corrector_) {
-    corrector_->TrainWithRecovery(train, embeddings, rc);
+    corrector_->Train(train, embeddings, rc);
     if (!corrections_restored) corrections = corrector_->Correct(train);
     // Corrector-confidence distribution: a healthy corrector is confidently
     // bimodal; mass piling up near 0.5 signals drift (cf. the per-epoch
@@ -109,7 +109,7 @@ void ClfdModel::TrainWithRecovery(const SessionDataset& train,
     }
   }
   if (detector_) {
-    detector_->TrainWithRecovery(train, corrections, embeddings, rc);
+    detector_->Train(train, corrections, embeddings, rc);
   }
   if (rc != nullptr) rc->MarkTrainingComplete();
 }

@@ -28,10 +28,11 @@ class DetectorModel {
   // [vocab x emb_dim] activity embedding table for this dataset.
   virtual void Train(const SessionDataset& train, const Matrix& embeddings) = 0;
 
-  // Train with checkpoint/resume and watchdog hooks. Models that support
-  // fault-tolerant training (CLFD) override this; the default ignores `rc`
-  // and runs a plain Train, so baselines keep working unchanged under a
-  // recovery-enabled harness (they simply restart from scratch on retry).
+  // Train with checkpoint/resume and watchdog hooks; a null `rc` is the
+  // plain run. Models that support fault-tolerant training (CLFD) override
+  // this; the default ignores `rc` and runs a plain Train, so baselines
+  // keep working unchanged under a recovery-enabled harness (they simply
+  // restart from scratch on retry).
   virtual void TrainWithRecovery(const SessionDataset& train,
                                  const Matrix& embeddings,
                                  recovery::RunCheckpointer* rc) {

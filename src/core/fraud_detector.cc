@@ -22,27 +22,22 @@ FraudDetector::FraudDetector(const ClfdConfig& config, uint64_t seed)
       encoder_(config.emb_dim, config.hidden_dim, config.num_layers, &rng_),
       classifier_(config.hidden_dim, config.hidden_dim, 2, &rng_) {}
 
-void FraudDetector::Train(const SessionDataset& train,
-                          const std::vector<Correction>& corrections,
-                          const Matrix& embeddings) {
-  TrainWithRecovery(train, corrections, embeddings, nullptr);
-}
-
 void FraudDetector::RegisterState(recovery::RunCheckpointer* rc) {
   rc->RegisterParams("detector.encoder", encoder_.Parameters());
   rc->RegisterParams("detector.classifier", classifier_.Parameters());
   rc->RegisterRng("detector.rng", &rng_);
 }
 
-void FraudDetector::TrainWithRecovery(
-    const SessionDataset& train, const std::vector<Correction>& corrections,
-    const Matrix& embeddings, recovery::RunCheckpointer* rc) {
+void FraudDetector::Train(const SessionDataset& train,
+                          const std::vector<Correction>& corrections,
+                          const Matrix& embeddings,
+                          recovery::RunCheckpointer* rc) {
   embeddings_ = embeddings;
   {
     CLFD_PROF_SPAN("detector");
     recovery::PhaseHooks hooks;
     if (rc != nullptr) {
-      hooks = rc->HooksFor(recovery::kPhaseDetector, "detector",
+      hooks = rc->HooksFor(recovery::kPhaseDetector,
                            config_.budget.contrastive_epochs);
     }
     SupervisedPretrain(train, corrections, embeddings,
@@ -62,7 +57,7 @@ void FraudDetector::TrainWithRecovery(
   if (config_.use_classifier) {
     recovery::PhaseHooks hooks;
     if (rc != nullptr) {
-      hooks = rc->HooksFor(recovery::kPhaseClassifier, "classifier",
+      hooks = rc->HooksFor(recovery::kPhaseClassifier,
                            config_.budget.classifier_epochs);
     }
     TrainClassifierOnFeatures(&classifier_, features, corrected_labels,
@@ -96,7 +91,9 @@ void FraudDetector::SupervisedPretrain(
   std::vector<ag::Var> params = encoder_.Parameters();
   nn::Adam optimizer(params, config_.learning_rate);
   ShardedEncoderTrainer trainer(&encoder_);
-  recovery::PhaseBegin(hooks, &optimizer);
+  if (hooks != nullptr) {
+    hooks->checkpointer->BeginPhase(hooks->phase, &optimizer);
+  }
 
   // T-tilde^1: sessions the corrector predicted malicious (Algorithm 1
   // line 2), from which the auxiliary batches S^1 are drawn.
@@ -163,8 +160,11 @@ void FraudDetector::SupervisedPretrain(
                     << obs::Kv("loss", epoch_loss);
     // No loop-local state beyond params/optimizer/rng: batches and aux
     // sampling are re-derived from the rng stream each epoch.
-    recovery::PhaseEpochEnd(hooks, epoch, static_cast<float>(epoch_loss),
-                            &optimizer, std::string());
+    if (hooks != nullptr) {
+      hooks->checkpointer->EndEpoch(hooks->phase, epoch,
+                                    static_cast<float>(epoch_loss),
+                                    &optimizer, std::string());
+    }
   }
   CLFD_LOG(INFO) << "fraud detector pretrain done"
                  << obs::Kv("epochs", config_.budget.contrastive_epochs)

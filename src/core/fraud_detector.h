@@ -8,12 +8,12 @@
 #include "data/session.h"
 #include "encoders/session_encoder.h"
 #include "nn/classifier.h"
-#include "recovery/phase.h"
 #include "tensor/matrix.h"
 
 namespace clfd {
 namespace recovery {
 class RunCheckpointer;
+struct PhaseHooks;
 }  // namespace recovery
 
 // The CLFD fraud detector (Sec. III-B, Algorithm 1).
@@ -34,20 +34,17 @@ class FraudDetector {
  public:
   FraudDetector(const ClfdConfig& config, uint64_t seed);
 
+  // Trains both stages on the corrected labels. A non-null `rc` (with this
+  // detector's state registered and any snapshot restored) runs both
+  // stages with checkpoint/resume and the watchdog.
   void Train(const SessionDataset& train,
              const std::vector<Correction>& corrections,
-             const Matrix& embeddings);
+             const Matrix& embeddings,
+             recovery::RunCheckpointer* rc = nullptr);
 
   // Registers this detector's mutable state (encoder/classifier params and
   // the Rng stream) with the run checkpointer. Call before LoadSnapshot.
   void RegisterState(recovery::RunCheckpointer* rc);
-
-  // Train with checkpoint/resume and watchdog hooks. `rc` may be null, in
-  // which case this is exactly Train.
-  void TrainWithRecovery(const SessionDataset& train,
-                         const std::vector<Correction>& corrections,
-                         const Matrix& embeddings,
-                         recovery::RunCheckpointer* rc);
 
   // Malicious-class probability (or centroid score in (0,1)) per session.
   std::vector<double> Score(const SessionDataset& data) const;

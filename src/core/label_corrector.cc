@@ -18,11 +18,6 @@ LabelCorrector::LabelCorrector(const ClfdConfig& config, uint64_t seed)
       projection_(config.hidden_dim, config.hidden_dim, &rng_),
       classifier_(config.hidden_dim, config.hidden_dim, 2, &rng_) {}
 
-void LabelCorrector::Train(const SessionDataset& train,
-                           const Matrix& embeddings) {
-  TrainWithRecovery(train, embeddings, nullptr);
-}
-
 void LabelCorrector::RegisterState(recovery::RunCheckpointer* rc) {
   rc->RegisterParams("corrector.encoder", encoder_.Parameters());
   rc->RegisterParams("corrector.projection", projection_.Parameters());
@@ -30,9 +25,9 @@ void LabelCorrector::RegisterState(recovery::RunCheckpointer* rc) {
   rc->RegisterRng("corrector.rng", &rng_);
 }
 
-void LabelCorrector::TrainWithRecovery(const SessionDataset& train,
-                                       const Matrix& embeddings,
-                                       recovery::RunCheckpointer* rc) {
+void LabelCorrector::Train(const SessionDataset& train,
+                           const Matrix& embeddings,
+                           recovery::RunCheckpointer* rc) {
   RequireTrainingSessions(train);
   embeddings_ = embeddings;
   {
@@ -52,7 +47,7 @@ void LabelCorrector::TrainWithRecovery(const SessionDataset& train,
   }
   recovery::PhaseHooks hooks;
   if (rc != nullptr) {
-    hooks = rc->HooksFor(recovery::kPhaseCorrector, "corrector",
+    hooks = rc->HooksFor(recovery::kPhaseCorrector,
                          config_.budget.classifier_epochs);
   }
   TrainClassifierOnFeatures(&classifier_, features, noisy_labels, config_,
@@ -74,7 +69,7 @@ void LabelCorrector::SelfSupervisedPretrain(const SessionDataset& train,
   options.metric_scope = "corrector.simclr";
   recovery::PhaseHooks hooks;
   if (rc != nullptr) {
-    hooks = rc->HooksFor(recovery::kPhasePretrain, "pretrain",
+    hooks = rc->HooksFor(recovery::kPhasePretrain,
                          config_.budget.contrastive_epochs);
     options.hooks = &hooks;
   }

@@ -34,18 +34,16 @@ class LabelCorrector {
  public:
   LabelCorrector(const ClfdConfig& config, uint64_t seed);
 
-  // Trains both stages on the noisy training set.
-  void Train(const SessionDataset& train, const Matrix& embeddings);
+  // Trains both stages on the noisy training set. A non-null `rc` (with
+  // this corrector's state registered and any snapshot restored) runs both
+  // stages with checkpoint/resume and the watchdog.
+  void Train(const SessionDataset& train, const Matrix& embeddings,
+             recovery::RunCheckpointer* rc = nullptr);
 
   // Registers this corrector's mutable state (encoder/projection/classifier
   // params and the Rng stream) with the run checkpointer. Call before
   // LoadSnapshot.
   void RegisterState(recovery::RunCheckpointer* rc);
-
-  // Train with checkpoint/resume and watchdog hooks. `rc` may be null, in
-  // which case this is exactly Train.
-  void TrainWithRecovery(const SessionDataset& train, const Matrix& embeddings,
-                         recovery::RunCheckpointer* rc);
 
   // Predicted (corrected) labels + confidences for all sessions in `data`.
   std::vector<Correction> Correct(const SessionDataset& data) const;

@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "parallel/thread_pool.h"
+#include "recovery/run_checkpointer.h"
 
 namespace clfd {
 
@@ -25,9 +26,11 @@ void SimclrPretrain(SessionEncoder* encoder, ProjectionHead* projection,
       std::string(options.metric_scope) + ".loss");
 
   ShardedEncoderTrainer trainer(encoder);
-  recovery::PhaseBegin(options.hooks, &optimizer);
-  const int start_epoch =
-      options.hooks != nullptr ? options.hooks->start_epoch : 0;
+  const recovery::PhaseHooks* hooks = options.hooks;
+  if (hooks != nullptr) {
+    hooks->checkpointer->BeginPhase(hooks->phase, &optimizer);
+  }
+  const int start_epoch = hooks != nullptr ? hooks->start_epoch : 0;
   for (int epoch = start_epoch; epoch < options.epochs; ++epoch) {
     obs::prof::Scope epoch_span(obs::prof::kSpan, "simclr.epoch");
     double loss_sum = 0.0;
@@ -57,7 +60,7 @@ void SimclrPretrain(SessionEncoder* encoder, ProjectionHead* projection,
 
       float loss = 0.0f;
       bool ran = recovery::RunStep(
-          options.hooks, &optimizer,
+          hooks, &optimizer,
           [&]() -> float {
             float batch_loss = trainer.Step(
                 views, embeddings, [&](const ag::Var& z) {
@@ -84,9 +87,11 @@ void SimclrPretrain(SessionEncoder* encoder, ProjectionHead* projection,
                     << obs::Kv("batches", batches);
     // No loop-local state beyond params/optimizer/rng: batches and
     // augmentations are re-derived from the rng stream each epoch.
-    recovery::PhaseEpochEnd(options.hooks, epoch,
-                            static_cast<float>(epoch_loss), &optimizer,
-                            std::string());
+    if (hooks != nullptr) {
+      hooks->checkpointer->EndEpoch(hooks->phase, epoch,
+                                    static_cast<float>(epoch_loss),
+                                    &optimizer, std::string());
+    }
   }
   CLFD_LOG(INFO) << "simclr pretrain done"
                  << obs::Kv("scope", options.metric_scope)

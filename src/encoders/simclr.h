@@ -3,9 +3,11 @@
 #include "common/rng.h"
 #include "data/session.h"
 #include "encoders/session_encoder.h"
-#include "recovery/phase.h"
 
 namespace clfd {
+namespace recovery {
+struct PhaseHooks;
+}  // namespace recovery
 
 // Options for self-supervised SimCLR pre-training of a session encoder with
 // the session-reordering augmentation [3] and the NT-Xent loss [50].

@@ -2,10 +2,8 @@
 
 #include <cassert>
 #include <mutex>
-#include <new>
 
 #include "baselines/registry.h"
-#include "common/check.h"
 #include "common/env.h"
 #include "core/label_corrector.h"
 #include "embedding/word2vec.h"
@@ -15,8 +13,6 @@
 #include "obs/prof.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
-#include "recovery/fault_plan.h"
-#include "recovery/watchdog.h"
 
 namespace clfd {
 
@@ -95,62 +91,6 @@ class ResultsStore {
   std::mutex mu_;
 };
 
-// Runs `body(rc)` under the recovery policy: when the watchdog is enabled,
-// a recoverable failure (divergence, invariant violation, allocation
-// failure) rolls the run back to its last good snapshot — each attempt
-// constructs a fresh RunCheckpointer, which resumes from disk — and
-// retries up the ladder (plain -> skip batches -> skip + halved LR) before
-// aborting with a structured report. SimulatedCrash and CheckpointError
-// always propagate: a crash is process-fatal by definition, and a hostile
-// checkpoint must never be silently retried over.
-template <typename Body>
-auto RunWithRecovery(const recovery::RecoveryOptions& recovery,
-                     const std::string& stem, Body&& body) {
-  if (!recovery.enabled() && !recovery.watchdog.enabled) {
-    return body(static_cast<recovery::RunCheckpointer*>(nullptr));
-  }
-  recovery::WatchdogReport report;
-  const int max_attempts =
-      recovery.watchdog.enabled ? std::max(1, recovery.watchdog.max_attempts)
-                                : 1;
-  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    report.attempts = attempt;
-    recovery::RunCheckpointer rc(recovery, stem);
-    recovery::SkippingBatchGuard guard(attempt >= 2, &report);
-    if (recovery.watchdog.enabled) {
-      rc.SetBatchGuard(&guard);
-      rc.SetEpochSentinel(recovery::MakeEpochSentinel(recovery.watchdog));
-      if (attempt >= 3) rc.SetLrScale(0.5f);
-    }
-    try {
-      return body(&rc);
-    } catch (const recovery::SimulatedCrash&) {
-      throw;
-    } catch (const recovery::CheckpointError&) {
-      throw;
-    } catch (const recovery::WatchdogAbort&) {
-      throw;
-    } catch (const recovery::DivergenceError& e) {
-      if (!recovery.watchdog.enabled) throw;
-      report.last_error = e.what();
-    } catch (const check::InvariantError& e) {
-      if (!recovery.watchdog.enabled) throw;
-      report.last_error = e.what();
-    } catch (const std::bad_alloc& e) {
-      if (!recovery.watchdog.enabled) throw;
-      report.last_error = e.what();
-    }
-    ++report.rollbacks;
-    CLFD_METRIC_COUNT("recovery.watchdog.rollbacks", 1);
-    CLFD_LOG(WARN) << "watchdog rollback" << obs::Kv("stem", stem)
-                   << obs::Kv("attempt", attempt)
-                   << obs::Kv("error", report.last_error);
-  }
-  report.aborted = true;
-  CLFD_METRIC_COUNT("recovery.watchdog.aborts", 1);
-  throw recovery::WatchdogAbort(report);
-}
-
 }  // namespace
 
 ExperimentContext::ExperimentContext(DatasetKind kind, const SplitSpec& split,
@@ -176,11 +116,7 @@ RunMetrics TrainAndEvaluate(DetectorModel* model,
     obs::PhaseCapture capture;
     {
       CLFD_PROF_SPAN("train");
-      if (rc != nullptr && rc->active()) {
-        model->TrainWithRecovery(context.train(), context.embeddings(), rc);
-      } else {
-        model->Train(context.train(), context.embeddings());
-      }
+      model->TrainWithRecovery(context.train(), context.embeddings(), rc);
     }
     metrics.train_seconds = SecondsSince(start_us);
     metrics.phases.pretrain_seconds = capture.Micros("pretrain") / 1e6;
@@ -227,12 +163,12 @@ AggregatedMetrics RunExperimentWithFactory(
       uint64_t seed = base_seed + static_cast<uint64_t>(s);
       if (store.TryLoad(seed, &results[s])) continue;
       ExperimentContext context(kind, split, noise, emb_dim, seed);
-      results[s] = RunWithRecovery(
+      recovery::RunWithRecovery(
           recovery, "seed_" + std::to_string(seed),
           [&](recovery::RunCheckpointer* rc) {
             auto model = factory(seed * 31 + 7);
             assert(model != nullptr);
-            return TrainAndEvaluate(model.get(), context, rc);
+            results[s] = TrainAndEvaluate(model.get(), context, rc);
           });
       store.Save(seed, results[s]);
     }
@@ -264,7 +200,7 @@ CorrectorMetrics RunCorrectorExperiment(
     for (int64_t s = lo; s < hi; ++s) {
       uint64_t seed = base_seed + static_cast<uint64_t>(s);
       ExperimentContext context(kind, split, noise, config.emb_dim, seed);
-      counts[s] = RunWithRecovery(
+      recovery::RunWithRecovery(
           recovery, "corrector_seed_" + std::to_string(seed),
           [&](recovery::RunCheckpointer* rc) {
             // Top-level profiler node for the run: the ≥95%-attribution
@@ -272,22 +208,19 @@ CorrectorMetrics RunCorrectorExperiment(
             // wall-time the phase/op scopes below account for.
             CLFD_PROF_SCOPE("corrector_run");
             LabelCorrector corrector(config, seed * 31 + 7);
-            if (rc != nullptr && rc->active()) {
+            if (rc != nullptr) {
               corrector.RegisterState(rc);
               if (rc->LoadSnapshot()) rc->RestoreRegistered();
-              corrector.TrainWithRecovery(context.train(),
-                                          context.embeddings(), rc);
-              rc->MarkTrainingComplete();
-            } else {
-              corrector.Train(context.train(), context.embeddings());
             }
+            corrector.Train(context.train(), context.embeddings(), rc);
+            if (rc != nullptr) rc->MarkTrainingComplete();
             auto corrections = corrector.Correct(context.train());
 
             std::vector<int> preds(corrections.size());
             for (size_t i = 0; i < corrections.size(); ++i) {
               preds[i] = corrections[i].label;
             }
-            return Confusion(preds, TrueLabels(context.train()));
+            counts[s] = Confusion(preds, TrueLabels(context.train()));
           });
     }
   });

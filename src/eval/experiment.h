@@ -84,9 +84,9 @@ class ExperimentContext {
 };
 
 // Trains `model` on the context's training split (timed) and computes
-// F1 / FPR / AUC-ROC on its test split. When `rc` is non-null and active,
-// training runs through the fault-tolerant path (checkpoint/resume +
-// watchdog hooks); a null/inactive `rc` is the plain path.
+// F1 / FPR / AUC-ROC on its test split. A non-null `rc` (one attempt of
+// recovery::RunWithRecovery) trains with checkpoint/resume and the
+// watchdog; a null `rc` is the plain path.
 RunMetrics TrainAndEvaluate(DetectorModel* model,
                             const ExperimentContext& context,
                             recovery::RunCheckpointer* rc = nullptr);

@@ -63,7 +63,15 @@ void AppendJsonString(std::ostringstream* os, const std::string& s) {
   *os << '"';
 }
 
-void AppendHistogramJson(std::ostringstream* os, const Histogram& h) {
+void AppendJsonValue(std::ostringstream* os, const Counter& c) {
+  *os << c.value();
+}
+
+void AppendJsonValue(std::ostringstream* os, const Gauge& g) {
+  AppendJsonNumber(os, g.value());
+}
+
+void AppendJsonValue(std::ostringstream* os, const Histogram& h) {
   *os << "{\"count\":" << h.count() << ",\"sum\":";
   AppendJsonNumber(os, h.sum());
   *os << ",\"min\":";
@@ -91,7 +99,7 @@ void AppendHistogramJson(std::ostringstream* os, const Histogram& h) {
   *os << "]}";
 }
 
-void AppendSeriesJson(std::ostringstream* os, const Series& s) {
+void AppendJsonValue(std::ostringstream* os, const Series& s) {
   *os << '[';
   bool first = true;
   for (const auto& [step, value] : s.Points()) {
@@ -104,6 +112,21 @@ void AppendSeriesJson(std::ostringstream* os, const Series& s) {
     *os << ']';
   }
   *os << ']';
+}
+
+// Appends `"name":value` for every instrument whose name starts with
+// `prefix`, comma-separated once `*first` is false.
+template <typename Instruments>
+void AppendJsonEntries(std::ostringstream* os, const Instruments& instruments,
+                       const std::string& prefix, bool* first) {
+  for (const auto& [name, instrument] : instruments) {
+    if (name.compare(0, prefix.size(), prefix) != 0) continue;
+    if (!*first) *os << ',';
+    *first = false;
+    AppendJsonString(os, name);
+    *os << ':';
+    AppendJsonValue(os, *instrument);
+  }
 }
 
 bool WriteFile(const std::string& path, const std::string& content) {
@@ -242,42 +265,32 @@ Series* MetricsRegistry::GetSeries(const std::string& name) {
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream os;
-  os << "{\"counters\":{";
   bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) os << ',';
-    first = false;
-    AppendJsonString(&os, name);
-    os << ':' << c->value();
-  }
+  os << "{\"counters\":{";
+  AppendJsonEntries(&os, counters_, "", &first);
   os << "},\"gauges\":{";
   first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) os << ',';
-    first = false;
-    AppendJsonString(&os, name);
-    os << ':';
-    AppendJsonNumber(&os, g->value());
-  }
+  AppendJsonEntries(&os, gauges_, "", &first);
   os << "},\"histograms\":{";
   first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) os << ',';
-    first = false;
-    AppendJsonString(&os, name);
-    os << ':';
-    AppendHistogramJson(&os, *h);
-  }
+  AppendJsonEntries(&os, histograms_, "", &first);
   os << "},\"series\":{";
   first = true;
-  for (const auto& [name, s] : series_) {
-    if (!first) os << ',';
-    first = false;
-    AppendJsonString(&os, name);
-    os << ':';
-    AppendSeriesJson(&os, *s);
-  }
+  AppendJsonEntries(&os, series_, "", &first);
   os << "}}";
+  return os.str();
+}
+
+std::string MetricsRegistry::ToFlatJson(const std::string& prefix) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::ostringstream os;
+  bool first = true;
+  os << '{';
+  AppendJsonEntries(&os, counters_, prefix, &first);
+  AppendJsonEntries(&os, gauges_, prefix, &first);
+  AppendJsonEntries(&os, histograms_, prefix, &first);
+  AppendJsonEntries(&os, series_, prefix, &first);
+  os << '}';
   return os.str();
 }
 
@@ -300,14 +313,14 @@ std::string MetricsRegistry::ToJsonLines() const {
     os << "{\"type\":\"histogram\",\"name\":";
     AppendJsonString(&os, name);
     os << ",\"value\":";
-    AppendHistogramJson(&os, *h);
+    AppendJsonValue(&os, *h);
     os << "}\n";
   }
   for (const auto& [name, s] : series_) {
     os << "{\"type\":\"series\",\"name\":";
     AppendJsonString(&os, name);
     os << ",\"value\":";
-    AppendSeriesJson(&os, *s);
+    AppendJsonValue(&os, *s);
     os << "}\n";
   }
   return os.str();

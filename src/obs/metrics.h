@@ -114,6 +114,9 @@ class MetricsRegistry {
   // One JSON object: {"counters":{...},"gauges":{...},"histograms":{...},
   // "series":{...}}.
   std::string ToJson() const;
+  // One flat JSON object {"<name>":<value>,...} of the instruments whose
+  // names start with `prefix`: counters, then gauges, histograms, series.
+  std::string ToFlatJson(const std::string& prefix) const;
   // One self-describing JSON object per line — the sidecar format.
   std::string ToJsonLines() const;
   bool WriteJson(const std::string& path) const;

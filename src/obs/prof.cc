@@ -407,35 +407,6 @@ void NodeToJson(const ReportNode& node, bool include_timing, int indent,
   *os << "}";
 }
 
-// End offset (exclusive) of the JSON value starting at `pos`. Scalars end
-// at the first top-level ',' or '}'; objects and arrays are walked
-// brace/bracket-balanced with string contents skipped, so nested values
-// (the shard-skew histogram serializes as an object) are copied whole.
-size_t JsonValueEnd(const std::string& s, size_t pos) {
-  int depth = 0;
-  bool in_string = false;
-  for (size_t i = pos; i < s.size(); ++i) {
-    const char c = s[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-    } else if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      if (depth == 0) return i;
-      --depth;
-    } else if (c == ',' && depth == 0) {
-      return i;
-    }
-  }
-  return s.size();
-}
-
 void CollapseNode(const ReportNode& node, const std::string& prefix,
                   std::ostringstream* os) {
   std::string path =
@@ -477,25 +448,11 @@ std::string ToJson(const ReportNode& root, bool include_timing) {
   os << "\"tree\":\n";
   NodeToJson(root, include_timing, 1, &os);
   if (include_timing) {
-    // Thread-pool utilization, scraped from the parallel.* instruments the
-    // pool maintains (worker busy time, shard-skew histogram). Scanned from
-    // the registry's JSON export so obs stays independent of src/parallel.
-    os << ",\n\"thread_pool\":{";
-    const std::string metrics = MetricsRegistry::Get().ToJson();
-    bool first = true;
-    size_t pos = 0;
-    while ((pos = metrics.find("\"parallel.", pos)) != std::string::npos) {
-      size_t key_end = metrics.find('"', pos + 1);
-      size_t colon = key_end == std::string::npos ? std::string::npos
-                                                  : metrics.find(':', key_end);
-      if (colon == std::string::npos) break;
-      size_t val_end = JsonValueEnd(metrics, colon + 1);
-      if (!first) os << ",";
-      first = false;
-      os << metrics.substr(pos, val_end - pos);
-      pos = val_end;
-    }
-    os << "}";
+    // Thread-pool utilization: the parallel.* instruments the pool
+    // maintains (worker busy time, shard-skew histogram), read by name so
+    // obs stays independent of src/parallel.
+    os << ",\n\"thread_pool\":"
+       << MetricsRegistry::Get().ToFlatJson("parallel.");
   }
   os << "\n}\n";
   return os.str();

@@ -226,8 +226,8 @@ class ScopedEnabled {
 // ---- Report rendering (operate on a Snapshot) ----
 
 // Timing JSON: full tree with ns, achieved GFLOP/s and arithmetic
-// intensity per node, plus a "thread_pool" utilization section scraped
-// from the "parallel.*" metrics counters. include_timing=false emits the
+// intensity per node, plus a "thread_pool" utilization section holding
+// the "parallel.*" metrics instruments. include_timing=false emits the
 // deterministic form: structure, counts, flops, bytes only — byte-identical
 // across runs and thread widths for identical workloads.
 std::string ToJson(const ReportNode& root, bool include_timing = true);

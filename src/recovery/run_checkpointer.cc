@@ -1,8 +1,11 @@
 #include "recovery/run_checkpointer.h"
 
 #include <algorithm>
+#include <cmath>
+#include <new>
 #include <utility>
 
+#include "common/check.h"
 #include "common/fault.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -12,9 +15,73 @@
 namespace clfd {
 namespace recovery {
 
+namespace {
+
+const char* const kPhaseNames[kPhaseDone] = {"pretrain", "corrector",
+                                             "detector", "classifier"};
+
+// The one recoverable-vs-fatal catch list. Runs `fn` and returns true when
+// it completes. When it throws DivergenceError, check::InvariantError or
+// std::bad_alloc and `recover` is set, stores the message in `*error`
+// (when non-null) and returns false; without `recover` the failure
+// propagates. Everything else always propagates — SimulatedCrash,
+// CheckpointError and WatchdogAbort derive from none of the three.
+template <typename Fn>
+bool RunRecoverable(bool recover, std::string* error, Fn&& fn) {
+  try {
+    fn();
+    return true;
+  } catch (const DivergenceError& e) {
+    if (!recover) throw;
+    if (error != nullptr) *error = e.what();
+  } catch (const check::InvariantError& e) {
+    if (!recover) throw;
+    if (error != nullptr) *error = e.what();
+  } catch (const std::bad_alloc& e) {
+    if (!recover) throw;
+    if (error != nullptr) *error = e.what();
+  }
+  return false;
+}
+
+}  // namespace
+
+void RunWithRecovery(const RecoveryOptions& options, const std::string& stem,
+                     const std::function<void(RunCheckpointer* rc)>& body) {
+  if (!options.enabled() && !options.watchdog.enabled) {
+    body(nullptr);
+    return;
+  }
+  const bool watchdog = options.watchdog.enabled;
+  const int max_attempts =
+      watchdog ? std::max(1, options.watchdog.max_attempts) : 1;
+  RecoveryOptions attempt_options = options;
+  WatchdogReport report;
+  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+    report.attempts = attempt;
+    RunCheckpointer rc(attempt_options, stem, attempt, &report);
+    if (RunRecoverable(watchdog, &report.last_error, [&] { body(&rc); })) {
+      return;
+    }
+    // Rollback is "resume from the last good snapshot": the next attempt's
+    // checkpointer loads it from disk. Once this run has written one, that
+    // holds even when the run started with resume off.
+    if (rc.WroteSnapshot()) attempt_options.resume = true;
+    ++report.rollbacks;
+    CLFD_METRIC_COUNT("recovery.watchdog.rollbacks", 1);
+    CLFD_LOG(WARN) << "watchdog rollback" << obs::Kv("stem", stem)
+                   << obs::Kv("attempt", attempt)
+                   << obs::Kv("error", report.last_error);
+  }
+  report.aborted = true;
+  CLFD_METRIC_COUNT("recovery.watchdog.aborts", 1);
+  throw WatchdogAbort(report);
+}
+
 RunCheckpointer::RunCheckpointer(const RecoveryOptions& options,
-                                 const std::string& stem)
-    : options_(options) {
+                                 const std::string& stem, int attempt,
+                                 WatchdogReport* report)
+    : options_(options), attempt_(attempt), report_(report) {
   options_.interval_epochs = std::max(1, options_.interval_epochs);
   if (options_.enabled()) {
     EnsureDirs(options_.dir);
@@ -55,6 +122,12 @@ void RunCheckpointer::DrainCommits() {
                   [this] { return !pending_bytes_.has_value() && !committing_; });
 }
 
+bool RunCheckpointer::WroteSnapshot() {
+  DrainCommits();
+  std::lock_guard<std::mutex> lock(commit_mu_);
+  return committed_;
+}
+
 // No obs::prof::Scope here or in WriteFileAtomic: this raw thread is not a
 // pool lane, so nothing orders its scope tree against prof::Snapshot() and
 // prof::Reset(), which read and prune every thread's tree from the
@@ -71,8 +144,10 @@ void RunCheckpointer::CommitterLoop() {
     pending_bytes_.reset();
     committing_ = true;
     lock.unlock();
+    bool ok = false;
     try {
       WriteFileAtomic(path_, bytes);
+      ok = true;
     } catch (const CheckpointError& e) {
       // A failed snapshot must not kill training: the previous snapshot is
       // still intact on disk (the atomic-commit protocol never damages it),
@@ -82,6 +157,7 @@ void RunCheckpointer::CommitterLoop() {
                      << obs::Kv("path", path_) << obs::Kv("error", e.what());
     }
     lock.lock();
+    committed_ = committed_ || ok;
     committing_ = false;
     commit_cv_.notify_all();
   }
@@ -187,8 +263,7 @@ void RunCheckpointer::RestoreRegistered() {
   }
 }
 
-PhaseHooks RunCheckpointer::HooksFor(int phase, const char* phase_name,
-                                     int total_epochs) {
+PhaseHooks RunCheckpointer::HooksFor(int phase, int total_epochs) {
   PhaseHooks hooks;
   int start = 0;
   if (has_snapshot_) {
@@ -202,7 +277,7 @@ PhaseHooks RunCheckpointer::HooksFor(int phase, const char* phase_name,
     } else if (start > 0) {
       CLFD_METRIC_COUNT("recovery.run.phase_resumes", 1);
       CLFD_LOG(INFO) << "phase resumed mid-way"
-                     << obs::Kv("phase", phase_name)
+                     << obs::Kv("phase", kPhaseNames[phase])
                      << obs::Kv("start_epoch", start);
     }
     if (phase == loaded_phase_ && !loaded_complete_ &&
@@ -211,38 +286,95 @@ PhaseHooks RunCheckpointer::HooksFor(int phase, const char* phase_name,
     }
   }
   hooks.start_epoch = start;
-  hooks.guard = guard_;
-
-  hooks.on_begin = [this, phase](nn::Adam* optimizer) {
-    if (optimizer == nullptr) return;
-    if (has_snapshot_ && !loaded_complete_ && phase == loaded_phase_ &&
-        loaded_->HasSection("optimizer")) {
-      RestoreOptimizer(optimizer);
-    }
-    if (lr_scale_ != 1.0f) {
-      optimizer->set_learning_rate(optimizer->learning_rate() * lr_scale_);
-    }
-  };
-
-  hooks.on_epoch_end = [this, phase, phase_name, total_epochs](
-                           int epoch, float mean_loss, nn::Adam* optimizer,
-                           const std::string& local) {
-    // Sentinel first: a diverged epoch must never be snapshotted, so the
-    // last on-disk state is always healthy rollback material.
-    if (sentinel_) sentinel_(phase_name, epoch, mean_loss);
-    // Crash probe before the snapshot: a simulated crash at epoch k loses
-    // everything since the previous snapshot, exactly like a real one, and
-    // resume has to replay those epochs bitwise.
-    if (fault::At("run.epoch")) {
-      throw SimulatedCrash(std::string(phase_name) + " epoch " +
-                           std::to_string(epoch));
-    }
-    if (!options_.enabled()) return;
-    bool due = ((epoch + 1) % options_.interval_epochs == 0) ||
-               (epoch + 1 >= total_epochs);
-    if (due) Snapshot(phase, epoch + 1, false, optimizer, local);
-  };
+  hooks.checkpointer = this;
+  hooks.phase = phase;
+  phase_epochs_[phase] = total_epochs;
   return hooks;
+}
+
+void RunCheckpointer::BeginPhase(int phase, nn::Adam* optimizer) {
+  if (has_snapshot_ && !loaded_complete_ && phase == loaded_phase_ &&
+      loaded_->HasSection("optimizer")) {
+    RestoreOptimizer(optimizer);
+  }
+  if (attempt_ >= 3) {
+    optimizer->set_learning_rate(optimizer->learning_rate() * 0.5f);
+  }
+}
+
+bool RunCheckpointer::RunBatch(nn::Adam* optimizer,
+                               const std::function<float()>& step,
+                               float* loss) {
+  if (!options_.watchdog.enabled) {
+    *loss = step();
+    return true;
+  }
+  ++epoch_batches_;
+  const bool ran = RunRecoverable(attempt_ >= 2, nullptr, [&] {
+    const float batch_loss = step();
+    if (!std::isfinite(batch_loss)) {
+      throw DivergenceError("non-finite batch loss");
+    }
+    *loss = batch_loss;
+  });
+  if (ran) return true;
+  // Skip: the batch's partial gradient accumulation must not leak into the
+  // next batch's update.
+  optimizer->ZeroGrad();
+  ++epoch_skipped_;
+  if (report_ != nullptr) ++report_->batches_skipped;
+  CLFD_METRIC_COUNT("recovery.watchdog.batches_skipped", 1);
+  return false;
+}
+
+void RunCheckpointer::EndEpoch(int phase, int epoch, float mean_loss,
+                               nn::Adam* optimizer,
+                               const std::string& local_state) {
+  const std::string where =
+      std::string(kPhaseNames[phase]) + " epoch " + std::to_string(epoch);
+  // Sentinel first: a diverged epoch must never be snapshotted, so the
+  // last on-disk state is always healthy rollback material.
+  if (options_.watchdog.enabled) CheckEpochLoss(phase, where, mean_loss);
+  // Crash probe before the snapshot: a simulated crash at epoch k loses
+  // everything since the previous snapshot, exactly like a real one, and
+  // resume has to replay those epochs bitwise.
+  if (fault::At("run.epoch")) throw SimulatedCrash(where);
+  if (!options_.enabled()) return;
+  bool due = ((epoch + 1) % options_.interval_epochs == 0) ||
+             (epoch + 1 >= phase_epochs_[phase]);
+  if (due) Snapshot(phase, epoch + 1, false, optimizer, local_state);
+}
+
+// Divergence: a non-finite mean loss, an epoch in which every batch that
+// ran was skipped (its mean loss of 0 is no measurement, so it must not
+// become the baseline either), or a loss spiking above the phase's
+// baseline, its first healthy epoch loss in this attempt. An epoch that
+// ran no batch at all passes.
+void RunCheckpointer::CheckEpochLoss(int phase, const std::string& where,
+                                     float mean_loss) {
+  const bool all_skipped =
+      epoch_batches_ > 0 && epoch_skipped_ == epoch_batches_;
+  epoch_batches_ = 0;
+  epoch_skipped_ = 0;
+  std::string problem;
+  std::optional<float>& baseline = baselines_[phase];
+  if (!std::isfinite(mean_loss)) {
+    problem = "non-finite epoch loss";
+  } else if (all_skipped) {
+    problem = "every batch skipped";
+  } else if (!baseline.has_value()) {
+    baseline = mean_loss;
+  } else {
+    const float threshold =
+        options_.watchdog.spike_factor * std::max(std::fabs(*baseline), 1e-3f);
+    if (mean_loss > threshold) {
+      problem = "loss " + std::to_string(mean_loss) + " spiked above " +
+                std::to_string(threshold);
+    }
+  }
+  if (problem.empty()) return;
+  CLFD_METRIC_COUNT("recovery.watchdog.divergence_detected", 1);
+  throw DivergenceError(where + ": " + problem);
 }
 
 void RunCheckpointer::MarkTrainingComplete() {

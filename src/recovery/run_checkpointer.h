@@ -11,8 +11,8 @@
 
 #include "autograd/var.h"
 #include "common/rng.h"
+#include "nn/optimizer.h"
 #include "recovery/checkpoint.h"
-#include "recovery/phase.h"
 #include "recovery/watchdog.h"
 
 namespace clfd {
@@ -34,22 +34,47 @@ struct RecoveryOptions {
   std::string dir;
   // Snapshot every N completed epochs (and always at a phase boundary).
   int interval_epochs = 5;
-  // When false, existing checkpoints are ignored (fresh run that will
-  // overwrite them).
+  // When false, checkpoints left by an earlier process are ignored (fresh
+  // run that will overwrite them). A watchdog retry still resumes from the
+  // snapshots this run wrote.
   bool resume = true;
   WatchdogOptions watchdog;
 
   bool enabled() const { return !dir.empty(); }
 };
 
-// Orchestrates exact-resume for one training run (one model, one seed).
+class RunCheckpointer;
+
+// What a training loop needs to support recovery, handed out by
+// RunCheckpointer::HooksFor. A loop that supports recovery (1) starts at
+// `start_epoch` instead of 0, (2) routes each optimizer step through
+// RunStep, (3) calls checkpointer->BeginPhase once its optimizer exists
+// and checkpointer->EndEpoch after every executed epoch. A null hooks
+// pointer (the default everywhere) is the plain path and changes nothing.
+struct PhaseHooks {
+  // First epoch index the loop should execute; epochs [0, start_epoch)
+  // were completed by a previous run and are restored, not replayed. Equal
+  // to the loop's total epoch count when the whole phase is already done.
+  int start_epoch = 0;
+
+  // Loop-local mutable state (beyond params/optimizer/rng) captured at the
+  // snapshot boundary — e.g. the classifier trainer's persistent shuffle
+  // order. Empty when the phase starts fresh; the loop owns the encoding.
+  std::string local_state;
+
+  RunCheckpointer* checkpointer = nullptr;
+  int phase = kPhasePretrain;
+};
+
+// Orchestrates exact-resume and the watchdog for one attempt of one
+// training run (one model, one seed).
 //
 // Usage (ClfdModel::TrainWithRecovery):
-//   RunCheckpointer rc(options, "seed_42");
 //   <RegisterParams / RegisterRng / RegisterBlob for all mutable state>
-//   if (rc.LoadSnapshot()) rc.RestoreRegistered();
-//   <for each phase: run its loop with rc.HooksFor(phase, ...)>
-//   rc.MarkTrainingComplete();
+//   if (rc->LoadSnapshot()) rc->RestoreRegistered();
+//   <for each phase: run its loop with rc->HooksFor(phase, epochs)>
+//   rc->MarkTrainingComplete();
+// RunWithRecovery constructs one RunCheckpointer per attempt.
 //
 // Every snapshot captures the complete registered state — all parameter
 // tensors, every Rng stream, the corrections blob — plus the in-progress
@@ -63,7 +88,10 @@ struct RecoveryOptions {
 // used after the training call that owns them returns.
 class RunCheckpointer {
  public:
-  RunCheckpointer(const RecoveryOptions& options, const std::string& stem);
+  // `attempt` (1-based) is the watchdog rung this checkpointer applies;
+  // skipped batches are added to `report` when it is non-null.
+  RunCheckpointer(const RecoveryOptions& options, const std::string& stem,
+                  int attempt = 1, WatchdogReport* report = nullptr);
   // Drains pending snapshot commits (see Snapshot) before returning, so
   // after destruction the newest enqueued snapshot is durable on disk.
   ~RunCheckpointer();
@@ -88,37 +116,38 @@ class RunCheckpointer {
   // committing any of it; throws CheckpointError on any defect.
   void RestoreRegistered();
 
-  // Hooks for one phase loop. `phase_name` must be a string literal (it
-  // outlives the hooks). Encodes the resume decision in start_epoch and
-  // wires snapshotting, the crash probe, and the watchdog sentinel into
-  // on_epoch_end.
-  PhaseHooks HooksFor(int phase, const char* phase_name, int total_epochs);
+  // Hooks for one phase loop of `total_epochs` epochs: the resume decision
+  // in start_epoch and the loop-local state of a phase resumed mid-way.
+  PhaseHooks HooksFor(int phase, int total_epochs);
+
+  // --- calls from a phase loop ---
+  // Once, after the loop built its optimizer and before its first epoch:
+  // restores the Adam moments and step count of a phase resumed mid-way,
+  // and halves the learning rate from attempt 3 on.
+  void BeginPhase(int phase, nn::Adam* optimizer);
+  // One optimizer step: `step` runs forward, backward and the update and
+  // returns the batch loss. Under the watchdog a non-finite loss is a
+  // DivergenceError, and from attempt 2 on a recoverable failure skips the
+  // batch: its gradients are zeroed and false is returned, loss untouched.
+  bool RunBatch(nn::Adam* optimizer, const std::function<float()>& step,
+                float* loss);
+  // After every executed epoch, with the epoch's mean loss and the loop's
+  // freshly encoded local state: the divergence sentinel, the run.epoch
+  // crash probe, then the interval snapshot. Throws DivergenceError or
+  // SimulatedCrash; the loop must not catch.
+  void EndEpoch(int phase, int epoch, float mean_loss, nn::Adam* optimizer,
+                const std::string& local_state);
 
   // Final snapshot marking all phases complete, so a crash between the end
   // of training and the recording of results resumes straight to
   // evaluation with every phase skipped.
   void MarkTrainingComplete();
 
-  // --- watchdog wiring (per attempt) ---
-  void SetBatchGuard(BatchGuard* guard) { guard_ = guard; }
-  void SetEpochSentinel(EpochSentinel sentinel) {
-    sentinel_ = std::move(sentinel);
-  }
-  // Learning-rate multiplier applied at each phase begin (retry policy).
-  void SetLrScale(float scale) { lr_scale_ = scale; }
+  // Drains pending commits; true when one of them reached the disk.
+  bool WroteSnapshot();
 
-  // True when any hook surface is live (checkpointing or watchdog);
-  // callers fall back to the plain Train path when false.
-  bool active() const {
-    return options_.enabled() || guard_ != nullptr ||
-           static_cast<bool>(sentinel_);
-  }
-
-  bool enabled() const { return options_.enabled(); }
   bool has_snapshot() const { return has_snapshot_; }
   int loaded_phase() const { return loaded_phase_; }
-  int loaded_next_epoch() const { return loaded_next_epoch_; }
-  const std::string& path() const { return path_; }
 
  private:
   struct ParamsEntry {
@@ -135,6 +164,7 @@ class RunCheckpointer {
     std::function<void(const std::string&)> decode;
   };
 
+  void CheckEpochLoss(int phase, const std::string& where, float mean_loss);
   void Snapshot(int phase, int next_epoch, bool complete,
                 nn::Adam* optimizer, const std::string& local);
   void RestoreOptimizer(nn::Adam* optimizer) const;
@@ -157,6 +187,7 @@ class RunCheckpointer {
   std::condition_variable commit_cv_;
   std::optional<std::string> pending_bytes_;
   bool committing_ = false;
+  bool committed_ = false;
   bool stop_committer_ = false;
 
   RecoveryOptions options_;
@@ -166,16 +197,47 @@ class RunCheckpointer {
   std::vector<RngEntry> rngs_;
   std::vector<BlobEntry> blobs_;
 
-  BatchGuard* guard_ = nullptr;
-  EpochSentinel sentinel_;
-  float lr_scale_ = 1.0f;
+  // Watchdog state of this attempt.
+  int attempt_;
+  WatchdogReport* report_;
+  std::optional<float> baselines_[kPhaseDone];  // first epoch loss per phase
+  int epoch_batches_ = 0;  // batches RunBatch ran in the current epoch
+  int epoch_skipped_ = 0;  // ... and of those, skipped
 
+  int phase_epochs_[kPhaseDone] = {};  // epochs per phase, from HooksFor
   std::optional<Checkpoint> loaded_;
   bool has_snapshot_ = false;
   int loaded_phase_ = 0;
   int loaded_next_epoch_ = 0;
   bool loaded_complete_ = false;
 };
+
+// Runs one optimizer step through `hooks`. With null hooks (every run
+// without recovery) this is a plain inlined call; otherwise the attempt's
+// RunCheckpointer guards it. Returns false when the watchdog skipped the
+// batch.
+template <typename Step>
+bool RunStep(const PhaseHooks* hooks, nn::Adam* optimizer, Step&& step,
+             float* loss) {
+  if (hooks == nullptr) {
+    *loss = step();
+    return true;
+  }
+  return hooks->checkpointer->RunBatch(optimizer, step, loss);
+}
+
+// Runs `body` under the retry ladder of the divergence watchdog (see
+// recovery/watchdog.h), one fresh RunCheckpointer per attempt. A
+// recoverable failure — DivergenceError, check::InvariantError,
+// std::bad_alloc — rolls the run back to its last good snapshot (the next
+// attempt resumes from disk) and retries; an exhausted budget throws
+// WatchdogAbort. Without the watchdog the one attempt's failure
+// propagates, and without checkpointing either `body` gets a null
+// checkpointer. SimulatedCrash and CheckpointError always propagate: a
+// crash is process-fatal by definition, and a hostile checkpoint must
+// never be silently retried over.
+void RunWithRecovery(const RecoveryOptions& options, const std::string& stem,
+                     const std::function<void(RunCheckpointer* rc)>& body);
 
 }  // namespace recovery
 }  // namespace clfd

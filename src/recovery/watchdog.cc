@@ -1,14 +1,7 @@
 #include "recovery/watchdog.h"
 
-#include <cmath>
-#include <map>
-#include <memory>
 #include <sstream>
-
-#include "common/check.h"
-#include "obs/metrics.h"
-#include "recovery/checkpoint.h"
-#include "recovery/fault_plan.h"
+#include <utility>
 
 namespace clfd {
 namespace recovery {
@@ -25,64 +18,6 @@ std::string WatchdogReport::Summary() const {
 
 WatchdogAbort::WatchdogAbort(WatchdogReport report)
     : std::runtime_error(report.Summary()), report_(std::move(report)) {}
-
-bool SkippingBatchGuard::RunBatch(nn::Adam* optimizer,
-                                  const std::function<float()>& step,
-                                  float* loss) {
-  try {
-    float l = step();
-    if (!std::isfinite(l)) {
-      throw DivergenceError("non-finite batch loss");
-    }
-    *loss = l;
-    return true;
-  } catch (const SimulatedCrash&) {
-    throw;  // a crash is a crash, never a skippable batch
-  } catch (const CheckpointError&) {
-    throw;  // checkpoint IO problems are not training failures
-  } catch (const DivergenceError&) {
-    if (!skip_enabled_) throw;
-  } catch (const check::InvariantError&) {
-    if (!skip_enabled_) throw;
-  } catch (const std::bad_alloc&) {
-    if (!skip_enabled_) throw;
-  }
-  // Skip: the batch's partial gradient accumulation must not leak into the
-  // next batch's update.
-  if (optimizer != nullptr) optimizer->ZeroGrad();
-  if (report_ != nullptr) ++report_->batches_skipped;
-  CLFD_METRIC_COUNT("recovery.watchdog.batches_skipped", 1);
-  return false;
-}
-
-EpochSentinel MakeEpochSentinel(const WatchdogOptions& options) {
-  // Per-phase baseline: the first finite epoch loss observed. Shared state
-  // lives behind a shared_ptr so the sentinel stays copyable.
-  auto baselines = std::make_shared<std::map<std::string, float>>();
-  float spike_factor = options.spike_factor;
-  return [baselines, spike_factor](const char* phase, int epoch,
-                                   float mean_loss) {
-    if (!std::isfinite(mean_loss)) {
-      CLFD_METRIC_COUNT("recovery.watchdog.divergence_detected", 1);
-      throw DivergenceError(std::string(phase) + " epoch " +
-                            std::to_string(epoch) +
-                            ": non-finite epoch loss");
-    }
-    auto it = baselines->find(phase);
-    if (it == baselines->end()) {
-      (*baselines)[phase] = mean_loss;
-      return;
-    }
-    float threshold = spike_factor * std::max(std::fabs(it->second), 1e-3f);
-    if (mean_loss > threshold) {
-      CLFD_METRIC_COUNT("recovery.watchdog.divergence_detected", 1);
-      throw DivergenceError(std::string(phase) + " epoch " +
-                            std::to_string(epoch) + ": loss " +
-                            std::to_string(mean_loss) + " spiked above " +
-                            std::to_string(threshold));
-    }
-  };
-}
 
 }  // namespace recovery
 }  // namespace clfd

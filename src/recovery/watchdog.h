@@ -1,10 +1,7 @@
 #pragma once
 
-#include <functional>
 #include <stdexcept>
 #include <string>
-
-#include "recovery/phase.h"
 
 namespace clfd {
 namespace recovery {
@@ -14,14 +11,17 @@ namespace recovery {
 // Wraps the four CLFD training phases with a bounded recovery policy.
 // Failure signals — check::InvariantError from the runtime invariant
 // layer, std::bad_alloc from the arena/heap path, non-finite batch or
-// epoch loss, an epoch loss spiking far above the phase's baseline — are
-// converted into a rollback to the last good checkpoint and a retry:
+// epoch loss, an epoch loss spiking far above the phase's baseline, an
+// epoch whose every batch was skipped — are converted into a rollback to
+// the last good checkpoint and a retry:
 //
 //   attempt 1: run normally
 //   attempt 2: resume from the last snapshot, skip offending batches
 //   attempt 3: resume, skip offending batches, halve the learning rate
 //   then:      abort cleanly with a structured WatchdogReport
 //
+// The ladder is RunWithRecovery (recovery/run_checkpointer.h); each
+// attempt's RunCheckpointer applies its rung to every batch and epoch.
 // Every rollback / skipped batch / retry / abort is counted in the obs
 // metrics registry (recovery.watchdog.*) and visible in the Chrome trace.
 
@@ -63,32 +63,6 @@ class WatchdogAbort : public std::runtime_error {
  private:
   WatchdogReport report_;
 };
-
-// BatchGuard that catches recoverable per-batch failures. When skipping is
-// allowed (attempt >= 2), a failed batch zeroes the half-accumulated
-// gradients and is dropped; otherwise the failure propagates so the run
-// driver rolls back and retries. SimulatedCrash and CheckpointError are
-// always rethrown — a crash is not a batch-level event.
-class SkippingBatchGuard : public BatchGuard {
- public:
-  SkippingBatchGuard(bool skip_enabled, WatchdogReport* report)
-      : skip_enabled_(skip_enabled), report_(report) {}
-
-  bool RunBatch(nn::Adam* optimizer, const std::function<float()>& step,
-                float* loss) override;
-
- private:
-  bool skip_enabled_;
-  WatchdogReport* report_;
-};
-
-// Per-epoch divergence check installed on the RunCheckpointer: throws
-// DivergenceError on a non-finite epoch loss or a spike above the phase
-// baseline. Runs before the epoch's snapshot, so a diverged model state is
-// never checkpointed — rollback always lands on a healthy snapshot.
-using EpochSentinel =
-    std::function<void(const char* phase, int epoch, float mean_loss)>;
-EpochSentinel MakeEpochSentinel(const WatchdogOptions& options);
 
 }  // namespace recovery
 }  // namespace clfd

@@ -19,6 +19,7 @@
 #include "core/clfd.h"
 #include "eval/experiment.h"
 #include "nn/optimizer.h"
+#include "obs/metrics.h"
 #include "parallel/thread_pool.h"
 #include "recovery/checkpoint.h"
 #include "recovery/fault_plan.h"
@@ -340,9 +341,17 @@ TEST(FaultPlanTest, CheckpointIoFaultLeavesSnapshotIntact) {
 
 // ---- Watchdog units ----
 
+recovery::RecoveryOptions WatchdogOnly() {
+  recovery::RecoveryOptions options;
+  options.watchdog.enabled = true;
+  return options;
+}
+
 TEST(WatchdogTest, SkippingGuardSkipsOrPropagates) {
   recovery::WatchdogReport report;
-  recovery::SkippingBatchGuard skipper(/*skip_enabled=*/true, &report);
+  // Attempt 2 of the ladder skips failing batches.
+  recovery::RunCheckpointer skipper(WatchdogOnly(), "skip", /*attempt=*/2,
+                                    &report);
   std::vector<ag::Var> params{ag::Param(Matrix(1, 1))};
   nn::Adam optimizer(params, 0.01f);
 
@@ -362,7 +371,8 @@ TEST(WatchdogTest, SkippingGuardSkipsOrPropagates) {
   EXPECT_EQ(loss, 1.0f);  // skipped batches leave the loss untouched
 
   // With skipping off (attempt 1) the failure propagates to the run driver.
-  recovery::SkippingBatchGuard strict(/*skip_enabled=*/false, &report);
+  recovery::RunCheckpointer strict(WatchdogOnly(), "strict", /*attempt=*/1,
+                                   &report);
   EXPECT_THROW(
       strict.RunBatch(&optimizer, []() -> float { throw std::bad_alloc(); },
                       &loss),
@@ -380,20 +390,57 @@ TEST(WatchdogTest, SkippingGuardSkipsOrPropagates) {
       recovery::SimulatedCrash);
 }
 
-TEST(WatchdogTest, EpochSentinelCatchesNaNAndSpike) {
-  recovery::WatchdogOptions options;
-  options.enabled = true;
-  options.spike_factor = 10.0f;
-  recovery::EpochSentinel sentinel = recovery::MakeEpochSentinel(options);
-  sentinel("pretrain", 0, 1.0f);  // establishes the phase baseline
-  sentinel("pretrain", 1, 5.0f);  // within 10x
-  EXPECT_THROW(
-      sentinel("pretrain", 2, std::numeric_limits<float>::quiet_NaN()),
-      recovery::DivergenceError);
-  EXPECT_THROW(sentinel("pretrain", 3, 11.0f), recovery::DivergenceError);
+// The epoch sentinel: RunCheckpointer::EndEpoch for `phase` with no
+// optimizer, no local state and no checkpoint dir.
+void EndEpoch(recovery::RunCheckpointer* rc, int phase, int epoch,
+              float loss) {
+  rc->EndEpoch(phase, epoch, loss, nullptr, std::string());
+}
+
+TEST(WatchdogTest, EndEpochCatchesNaNAndSpike) {
+  recovery::RecoveryOptions options = WatchdogOnly();
+  options.watchdog.spike_factor = 10.0f;
+  recovery::RunCheckpointer sentinel(options, "sentinel");
+  const int pretrain = recovery::kPhasePretrain;
+  const int detector = recovery::kPhaseDetector;
+  EndEpoch(&sentinel, pretrain, 0, 1.0f);  // establishes the phase baseline
+  EndEpoch(&sentinel, pretrain, 1, 5.0f);  // within 10x
+  EXPECT_THROW(EndEpoch(&sentinel, pretrain, 2,
+                        std::numeric_limits<float>::quiet_NaN()),
+               recovery::DivergenceError);
+  EXPECT_THROW(EndEpoch(&sentinel, pretrain, 3, 11.0f),
+               recovery::DivergenceError);
   // Phases have independent baselines.
-  sentinel("detector", 0, 100.0f);
-  EXPECT_THROW(sentinel("detector", 1, 1001.0f), recovery::DivergenceError);
+  EndEpoch(&sentinel, detector, 0, 100.0f);
+  EXPECT_THROW(EndEpoch(&sentinel, detector, 1, 1001.0f),
+               recovery::DivergenceError);
+}
+
+TEST(WatchdogTest, EpochOfOnlySkippedBatchesIsDivergence) {
+  recovery::RecoveryOptions options = WatchdogOnly();
+  options.watchdog.spike_factor = 10.0f;
+  recovery::RunCheckpointer rc(options, "all_skipped", /*attempt=*/2);
+  std::vector<ag::Var> params{ag::Param(Matrix(1, 1))};
+  nn::Adam optimizer(params, 0.01f);
+  const int pretrain = recovery::kPhasePretrain;
+  float loss = 0.0f;
+  auto nan_step = [] { return std::numeric_limits<float>::quiet_NaN(); };
+
+  // Every batch the epoch ran was skipped: its mean loss of 0 measures
+  // nothing, so the epoch is divergence and sets no baseline.
+  EXPECT_FALSE(rc.RunBatch(&optimizer, nan_step, &loss));
+  EXPECT_FALSE(rc.RunBatch(&optimizer, nan_step, &loss));
+  EXPECT_THROW(EndEpoch(&rc, pretrain, 0, 0.0f), recovery::DivergenceError);
+  // One healthy batch among skipped ones is a measurement and sets the
+  // baseline; after a baseline of 0, a loss of 5 would be a spike.
+  EXPECT_FALSE(rc.RunBatch(&optimizer, nan_step, &loss));
+  EXPECT_TRUE(rc.RunBatch(&optimizer, [] { return 1.0f; }, &loss));
+  EndEpoch(&rc, pretrain, 1, 1.0f);
+  EXPECT_TRUE(rc.RunBatch(&optimizer, [] { return 5.0f; }, &loss));
+  EndEpoch(&rc, pretrain, 2, 5.0f);
+  // An epoch that ran no batch at all passes: SimCLR and SupCon drop
+  // batches of fewer than 2 sessions.
+  EndEpoch(&rc, recovery::kPhaseDetector, 0, 0.0f);
 }
 
 // ---- End-to-end: crash/resume and fault recovery ----
@@ -566,6 +613,61 @@ TEST(WatchdogE2ETest, PersistentDivergenceAbortsWithReport) {
     EXPECT_FALSE(e.report().last_error.empty());
     EXPECT_FALSE(e.report().Summary().empty());
   }
+}
+
+TEST(WatchdogE2ETest, AttemptsThatSkipEveryBatchAbort) {
+  // Sticky NaN poisoning under the default ladder: attempts 2 and 3 skip
+  // every batch they run, which is divergence, not a success — the run
+  // aborts instead of returning an untrained model. The invariant layer is
+  // off, as in a Release run, so the NaNs that scoring and encoding meet
+  // outside the guarded batches do not stop the run by themselves.
+  check::ScopedEnable checks(false);
+  recovery::RecoveryOptions options;
+  options.watchdog.enabled = true;
+  recovery::ScopedFaultPlan faults("op.nan@1+", 7);
+  try {
+    RunOne(options);
+    FAIL() << "a run that skipped every batch did not abort";
+  } catch (const recovery::WatchdogAbort& e) {
+    EXPECT_EQ(e.report().attempts, 3);
+    EXPECT_GT(e.report().batches_skipped, 0);
+  }
+}
+
+TEST(WatchdogE2ETest, NoResumeRetriesResumeOnlyFromThisRunsSnapshots) {
+  // With resume off, a snapshot left by an earlier process is never read,
+  // but a watchdog retry still rolls back to the snapshots this run wrote.
+  check::ScopedEnable checks;
+  recovery::RecoveryOptions options;
+  options.dir = ScratchDir("no_resume");
+  options.interval_epochs = 1;
+  options.resume = false;
+  options.watchdog.enabled = true;
+  {
+    // The earlier process trained a wider model: reading its snapshot
+    // would throw kShapeMismatch.
+    ClfdConfig wider = TinyConfig();
+    wider.hidden_dim += 4;
+    LabelCorrector earlier(wider, 1);
+    recovery::RunCheckpointer stale(options, "seed_100");
+    earlier.RegisterState(&stale);
+    stale.MarkTrainingComplete();
+  }
+  const obs::Counter* resumes =
+      obs::MetricsRegistry::Get().GetCounter("recovery.run.resumes");
+  const int64_t before = resumes->value();
+  {
+    // Attempt 1 fails before its first snapshot; attempt 2 starts afresh.
+    recovery::ScopedFaultPlan fault("op.nan@1", 7);
+    RunOne(options);
+  }
+  EXPECT_EQ(resumes->value(), before);
+  {
+    // Attempt 1 fails after its first snapshots; attempt 2 resumes.
+    recovery::ScopedFaultPlan fault("op.nan@3000", 7);
+    RunOne(options);
+  }
+  EXPECT_EQ(resumes->value(), before + 1);
 }
 
 // ---- RunCheckpointer state capture ----

@@ -15,7 +15,8 @@
 # suite there (heap misuse across the crash/restore boundary is where ASan
 # earns its keep), then builds the `check` preset (runtime invariant checks
 # on) and runs the fault-injection + watchdog suite, where injected NaNs
-# must surface as check::InvariantError at the op boundary.
+# must surface as check::InvariantError at the op boundary, and the
+# `cli.recovery` ctest, which drives the same paths through clfd_cli.
 #
 # When the default preset is in the run, the end-to-end benchmark's own
 # tests run too (e2ebench/test_benchlib.py: its metric logic, plus a smoke
@@ -76,9 +77,10 @@ for preset in "${presets[@]}"; do
   ./build-asan/tests/recovery_test --gtest_filter='CrashResumeTest.*'
   echo "==== [crash-resume] fault-injection suite under the check preset"
   cmake --preset check
-  cmake --build --preset check -j "${jobs}" --target recovery_test
+  cmake --build --preset check -j "${jobs}" --target recovery_test clfd_cli
   ./build-check/tests/recovery_test \
       --gtest_filter='FaultPlanTest.*:WatchdogTest.*:WatchdogE2ETest.*'
+  ctest --preset check -R cli.recovery
 done
 
 for preset in "${presets[@]}"; do

@@ -25,7 +25,7 @@
 // Fault-tolerance flags:
 //   --checkpoint-dir=DIR      (run) checkpoint/resume training under DIR
 //   --checkpoint-interval=N   (run) snapshot every N epochs (default 5)
-//   --no-resume               (run) ignore existing checkpoints
+//   --no-resume               (run) ignore checkpoints of earlier runs
 //   --watchdog                (run) divergence watchdog with rollback/retry
 //   --fault-plan=SPEC         deterministic fault injection, e.g.
 //                             "run.epoch@3;ckpt.io@2" (see recovery/fault_plan.h)
@@ -48,7 +48,6 @@
 #include <string>
 
 #include "baselines/registry.h"
-#include "common/check.h"
 #include "core/noise_estimator.h"
 #include "data/dataset_io.h"
 #include "data/noise.h"
@@ -274,57 +273,19 @@ int Run(const Args& args) {
 
   std::printf("training %s on %d sessions...\n", model_name.c_str(),
               train.size());
-  std::unique_ptr<DetectorModel> model;
-  recovery::WatchdogReport report;
-  const int max_attempts =
-      ropts.watchdog.enabled ? std::max(1, ropts.watchdog.max_attempts) : 1;
-  for (int attempt = 1; attempt <= max_attempts && !model; ++attempt) {
-    report.attempts = attempt;
-    auto candidate = MakeModel(model_name, config, seed);
-    if (!candidate) {
-      std::fprintf(stderr, "unknown model '%s'\n", model_name.c_str());
-      return 2;
-    }
-    // Each attempt gets a fresh checkpointer: rollback is "resume from the
-    // last good snapshot", which LoadSnapshot performs from disk.
-    recovery::RunCheckpointer rc(ropts, "cli_seed_" + std::to_string(seed));
-    recovery::SkippingBatchGuard guard(attempt >= 2, &report);
-    if (ropts.watchdog.enabled) {
-      rc.SetBatchGuard(&guard);
-      rc.SetEpochSentinel(recovery::MakeEpochSentinel(ropts.watchdog));
-      if (attempt >= 3) rc.SetLrScale(0.5f);
-    }
-    try {
-      if (rc.active()) {
-        candidate->TrainWithRecovery(train, embeddings, &rc);
-      } else {
-        candidate->Train(train, embeddings);
-      }
-      model = std::move(candidate);
-    } catch (const recovery::SimulatedCrash&) {
-      throw;
-    } catch (const recovery::CheckpointError&) {
-      throw;
-    } catch (const recovery::DivergenceError& e) {
-      if (!ropts.watchdog.enabled) throw;
-      report.last_error = e.what();
-    } catch (const check::InvariantError& e) {
-      if (!ropts.watchdog.enabled) throw;
-      report.last_error = e.what();
-    } catch (const std::bad_alloc& e) {
-      if (!ropts.watchdog.enabled) throw;
-      report.last_error = e.what();
-    }
-    if (!model) {
-      ++report.rollbacks;
-      std::fprintf(stderr, "watchdog: attempt %d failed (%s); rolling back\n",
-                   attempt, report.last_error.c_str());
-    }
-  }
+  std::unique_ptr<DetectorModel> model = MakeModel(model_name, config, seed);
   if (!model) {
-    report.aborted = true;
-    throw recovery::WatchdogAbort(report);
+    std::fprintf(stderr, "unknown model '%s'\n", model_name.c_str());
+    return 2;
   }
+  recovery::RunWithRecovery(
+      ropts, "cli_seed_" + std::to_string(seed),
+      [&](recovery::RunCheckpointer* rc) {
+        // Each attempt trains a fresh model; a rollback restores its state
+        // from the last good snapshot.
+        model = MakeModel(model_name, config, seed);
+        model->TrainWithRecovery(train, embeddings, rc);
+      });
 
   std::vector<int> truths = TrueLabels(test);
   auto scores = model->Score(test);
