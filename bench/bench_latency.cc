@@ -8,16 +8,11 @@
 #include "baselines/registry.h"
 #include "bench/bench_util.h"
 #include "common/table.h"
-#include "eval/experiment.h"
 
 namespace clfd {
 namespace {
 
-void RunLatency() {
-  BenchScale scale = ReadBenchScale(0.02, 1, 0.4);
-  std::printf("=== Training latency (Sec. IV-B3) ===\n");
-  bench::PrintScaleBanner(scale);
-
+void RunLatency(const BenchScale& scale) {
   for (DatasetKind kind : bench::AllDatasets()) {
     ScaledSetup setup = MakeScaledSetup(kind, scale);
     std::printf("--- %s ---\n", DatasetName(kind).c_str());
@@ -29,10 +24,12 @@ void RunLatency() {
     double non_supcon_sum = 0.0;
     int non_supcon_count = 0;
     for (const std::string& model : AllModelNames()) {
-      AggregatedMetrics m =
-          RunExperiment(model, kind, setup.split, NoiseSpec::Uniform(0.2),
-                        setup.config, scale.seeds);
-      double seconds = m.train_seconds.mean();
+      // One sweep per model: the models never train side by side, so each
+      // one's timing is its own.
+      SweepCell cell{DatasetName(kind) + " " + model, model, setup.config,
+                     kind, setup.split, NoiseSpec::Uniform(0.2)};
+      double seconds =
+          RunSweep({cell}, scale.seeds)[0].metrics.train_seconds.mean();
       latencies.emplace_back(model, seconds);
       if (model != "CLFD" && model != "Sel-CL" && model != "CTRR" &&
           model != "CLDet") {
@@ -57,7 +54,6 @@ void RunLatency() {
 }  // namespace clfd
 
 int main() {
-  clfd::RunLatency();
-  clfd::bench::WriteMetricsSidecar("bench_latency");
-  return 0;
+  return clfd::bench::Main("bench_latency", "Training latency (Sec. IV-B3)",
+                           clfd::RunLatency, /*def_seeds=*/1);
 }

@@ -7,109 +7,63 @@
 //   (d) auxiliary malicious batch size M (imbalance handling).
 // All on the CERT simulation at uniform eta = 0.45.
 
-#include <cstdio>
-
 #include "bench/bench_util.h"
-#include "common/table.h"
-#include "core/clfd.h"
-#include "eval/experiment.h"
 
 namespace clfd {
 namespace {
 
-AggregatedMetrics RunVariant(const ClfdConfig& config, const SplitSpec& split,
-                             int seeds) {
-  return RunExperimentWithFactory(
-      [&](uint64_t seed) { return std::make_unique<ClfdModel>(config, seed); },
-      DatasetKind::kCert, split, NoiseSpec::Uniform(0.45), config.emb_dim,
-      seeds);
-}
-
-void Run() {
-  BenchScale scale = ReadBenchScale();
-  std::printf("=== Loss-variant & hyperparameter ablations (CERT, eta=0.45) "
-              "===\n");
-  bench::PrintScaleBanner(scale);
+void Run(const BenchScale& scale) {
   ScaledSetup setup = MakeScaledSetup(DatasetKind::kCert, scale);
 
-  {
-    std::printf("--- (a) supervised contrastive variants (Sec. VII) ---\n");
-    TextTable table({"Variant", "F1", "FPR", "AUC-ROC"});
-    ClfdConfig weighted = setup.config;
-    AggregatedMetrics m = RunVariant(weighted, setup.split, scale.seeds);
-    table.AddRow({"L_Sup (weighted)", bench::Cell(m.f1), bench::Cell(m.fpr),
-                  bench::Cell(m.auc)});
+  bench::SweepTables tables;
+  // A row keyed `key` whose cell, labelled `prefix` + `key`, trains CLFD
+  // with the base config as `vary` changes it.
+  auto row = [&](const std::string& prefix, const std::string& key,
+                 auto vary) {
+    ClfdConfig config = setup.config;
+    vary(config);
+    tables.Row({key}, {prefix + key, "CLFD", config, DatasetKind::kCert,
+                       setup.split, NoiseSpec::Uniform(0.45)});
+  };
 
-    ClfdConfig unweighted = setup.config;
-    unweighted.supcon_variant = SupConVariant::kUnweighted;
-    m = RunVariant(unweighted, setup.split, scale.seeds);
-    table.AddRow({"L_Sup^uw", bench::Cell(m.f1), bench::Cell(m.fpr),
-                  bench::Cell(m.auc)});
-
-    for (double tau : {0.5, 0.7, 0.8, 0.9, 0.95}) {
-      ClfdConfig filtered = setup.config;
-      filtered.supcon_variant = SupConVariant::kFiltered;
-      filtered.filter_tau = tau;
-      m = RunVariant(filtered, setup.split, scale.seeds);
-      char name[40];
-      std::snprintf(name, sizeof(name), "L_Sup^ftr tau=%.2f", tau);
-      table.AddRow({name, bench::Cell(m.f1), bench::Cell(m.fpr),
-                    bench::Cell(m.auc)});
-    }
-    std::printf("%s\n", table.Render().c_str());
+  tables.Table("--- (a) supervised contrastive variants (Sec. VII) ---",
+               {"Variant"});
+  row("", "L_Sup (weighted)", [](ClfdConfig&) {});
+  row("", "L_Sup^uw", [](ClfdConfig& c) {
+    c.supcon_variant = SupConVariant::kUnweighted;
+  });
+  for (double tau : {0.5, 0.7, 0.8, 0.9, 0.95}) {
+    row("", "L_Sup^ftr tau=" + bench::Fixed(tau, 2), [tau](ClfdConfig& c) {
+      c.supcon_variant = SupConVariant::kFiltered;
+      c.filter_tau = tau;
+    });
   }
 
-  {
-    std::printf("--- (b) mixup beta sweep (paper: 16) ---\n");
-    TextTable table({"beta", "F1", "FPR", "AUC-ROC"});
-    for (float beta : {0.16f, 1.0f, 4.0f, 16.0f}) {
-      ClfdConfig config = setup.config;
-      config.mixup_beta = beta;
-      AggregatedMetrics m = RunVariant(config, setup.split, scale.seeds);
-      char name[16];
-      std::snprintf(name, sizeof(name), "%.1f", beta);
-      table.AddRow({name, bench::Cell(m.f1), bench::Cell(m.fpr),
-                    bench::Cell(m.auc)});
-    }
-    std::printf("%s\n", table.Render().c_str());
+  tables.Table("--- (b) mixup beta sweep (paper: 16) ---", {"beta"});
+  for (float beta : {0.16f, 1.0f, 4.0f, 16.0f}) {
+    row("beta=", bench::Fixed(beta, 1),
+        [beta](ClfdConfig& c) { c.mixup_beta = beta; });
   }
 
-  {
-    std::printf("--- (c) GCE q sweep (paper: 0.7) ---\n");
-    TextTable table({"q", "F1", "FPR", "AUC-ROC"});
-    for (float q : {0.1f, 0.4f, 0.7f, 1.0f}) {
-      ClfdConfig config = setup.config;
-      config.gce_q = q;
-      AggregatedMetrics m = RunVariant(config, setup.split, scale.seeds);
-      char name[16];
-      std::snprintf(name, sizeof(name), "%.1f", q);
-      table.AddRow({name, bench::Cell(m.f1), bench::Cell(m.fpr),
-                    bench::Cell(m.auc)});
-    }
-    std::printf("%s\n", table.Render().c_str());
+  tables.Table("--- (c) GCE q sweep (paper: 0.7) ---", {"q"});
+  for (float q : {0.1f, 0.4f, 0.7f, 1.0f}) {
+    row("q=", bench::Fixed(q, 1), [q](ClfdConfig& c) { c.gce_q = q; });
   }
 
-  {
-    std::printf("--- (d) auxiliary malicious batch size M (paper: 20) ---\n");
-    TextTable table({"M", "F1", "FPR", "AUC-ROC"});
-    for (int m_size : {0, 4, 8, 16}) {
-      ClfdConfig config = setup.config;
-      config.aux_batch_size = m_size;
-      AggregatedMetrics m = RunVariant(config, setup.split, scale.seeds);
-      char name[16];
-      std::snprintf(name, sizeof(name), "%d", m_size);
-      table.AddRow({name, bench::Cell(m.f1), bench::Cell(m.fpr),
-                    bench::Cell(m.auc)});
-    }
-    std::printf("%s\n", table.Render().c_str());
+  tables.Table("--- (d) auxiliary malicious batch size M (paper: 20) ---",
+               {"M"});
+  for (int m_size : {0, 4, 8, 16}) {
+    row("M=", std::to_string(m_size),
+        [m_size](ClfdConfig& c) { c.aux_batch_size = m_size; });
   }
+  tables.Print(scale.seeds);
 }
 
 }  // namespace
 }  // namespace clfd
 
 int main() {
-  clfd::Run();
-  clfd::bench::WriteMetricsSidecar("bench_loss_variants");
-  return 0;
+  return clfd::bench::Main(
+      "bench_loss_variants",
+      "Loss-variant & hyperparameter ablations (CERT, eta=0.45)", clfd::Run);
 }

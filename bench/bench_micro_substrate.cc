@@ -369,29 +369,35 @@ void BM_CorrectorE2E(benchmark::State& state) {
 }
 BENCHMARK(BM_CorrectorE2E)->Unit(benchmark::kMillisecond);
 
-// Same corrector experiment with crash-consistent checkpointing armed at
-// the interval given by the arg (0 = checkpointing disabled, the control).
-// resume is off so every iteration retrains from scratch while paying the
-// full snapshot-encode + fsync cost; the acceptance target is <= 5%
-// wall-clock overhead at the default interval (5 epochs) versus arg 0.
-void BM_CorrectorE2ECheckpointed(benchmark::State& state) {
-  SplitSpec split{60, 6, 30, 6};
+// The one-cell sweep that BM_CorrectorE2ECheckpointed and
+// BM_ProfCorrectorE2E time: the label corrector on a small Wikipedia world.
+SweepCell SmallCorrectorCell() {
   ClfdConfig config = ClfdConfig::Fast();
   config.emb_dim = 16;
   config.hidden_dim = 16;
   config.batch_size = 24;
   config.aux_batch_size = 4;
   config.budget = {2, 30, 2};
+  return {"corrector", kLabelCorrector, config, DatasetKind::kWiki,
+          SplitSpec{60, 6, 30, 6}, NoiseSpec::Uniform(0.45)};
+}
+
+// Same corrector experiment with crash-consistent checkpointing armed at
+// the interval given by the arg (0 = checkpointing disabled, the control).
+// resume is off so every iteration retrains from scratch while paying the
+// full snapshot-encode + fsync cost and the results-store write; the
+// acceptance target is <= 5% wall-clock overhead at the default interval
+// (5 epochs) versus arg 0.
+void BM_CorrectorE2ECheckpointed(benchmark::State& state) {
   recovery::RecoveryOptions recovery;
   if (state.range(0) > 0) {
     recovery.dir = "/tmp/clfd_bench_ckpt";
     recovery.interval_epochs = static_cast<int>(state.range(0));
     recovery.resume = false;
   }
+  const SweepCell cell = SmallCorrectorCell();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunCorrectorExperiment(
-        DatasetKind::kWiki, split, NoiseSpec::Uniform(0.45), config,
-        /*seeds=*/1, /*base_seed=*/100, recovery));
+    benchmark::DoNotOptimize(RunSweep({cell}, /*seeds=*/1, recovery));
   }
 }
 BENCHMARK(BM_CorrectorE2ECheckpointed)
@@ -512,17 +518,9 @@ BENCHMARK(BM_ProfScopeNested);
 
 void BM_ProfCorrectorE2E(benchmark::State& state) {
   obs::prof::ScopedEnabled prof(state.range(0) != 0);
-  SplitSpec split{60, 6, 30, 6};
-  ClfdConfig config = ClfdConfig::Fast();
-  config.emb_dim = 16;
-  config.hidden_dim = 16;
-  config.batch_size = 24;
-  config.aux_batch_size = 4;
-  config.budget = {2, 30, 2};
+  const SweepCell cell = SmallCorrectorCell();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunCorrectorExperiment(
-        DatasetKind::kWiki, split, NoiseSpec::Uniform(0.45), config,
-        /*seeds=*/1));
+    benchmark::DoNotOptimize(RunSweep({cell}, /*seeds=*/1));
   }
 }
 BENCHMARK(BM_ProfCorrectorE2E)

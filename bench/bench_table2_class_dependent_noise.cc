@@ -1,43 +1,32 @@
 // Regenerates Table II: CLFD vs. the eight baselines under class-dependent
 // label noise (eta10 = 0.3, eta01 = 0.45) on the three simulated datasets.
 
-#include <cstdio>
-
 #include "baselines/registry.h"
 #include "bench/bench_util.h"
-#include "common/table.h"
-#include "eval/experiment.h"
 
 namespace clfd {
 namespace {
 
-void RunTable2() {
-  BenchScale scale = ReadBenchScale();
-  std::printf(
-      "=== Table II: class-dependent noise (eta10=0.3, eta01=0.45) ===\n");
-  bench::PrintScaleBanner(scale);
-
+void RunTable2(const BenchScale& scale) {
+  bench::SweepTables tables;
   for (DatasetKind kind : bench::AllDatasets()) {
     ScaledSetup setup = MakeScaledSetup(kind, scale);
-    std::printf("--- %s ---\n", DatasetName(kind).c_str());
-    TextTable table({"Model", "F1", "FPR", "AUC-ROC"});
+    tables.Table("--- " + DatasetName(kind) + " ---", {"Model"});
     for (const std::string& model : AllModelNames()) {
-      AggregatedMetrics m =
-          RunExperiment(model, kind, setup.split,
-                        bench::ClassDependentSetting(), setup.config,
-                        scale.seeds);
-      table.AddRow({model, bench::Cell(m.f1), bench::Cell(m.fpr),
-                    bench::Cell(m.auc)});
+      tables.Row({model}, {DatasetName(kind) + " " + model, model,
+                           setup.config, kind, setup.split,
+                           bench::ClassDependentSetting()});
     }
-    std::printf("%s\n", table.Render().c_str());
   }
+  tables.Print(scale.seeds);
 }
 
 }  // namespace
 }  // namespace clfd
 
 int main() {
-  clfd::RunTable2();
-  clfd::bench::WriteMetricsSidecar("bench_table2_class_dependent_noise");
-  return 0;
+  return clfd::bench::Main(
+      "bench_table2_class_dependent_noise",
+      "Table II: class-dependent noise (eta10=0.3, eta01=0.45)",
+      clfd::RunTable2);
 }

@@ -5,31 +5,25 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "common/table.h"
-#include "eval/experiment.h"
 
 namespace clfd {
 namespace {
 
-void RunTable3() {
-  BenchScale scale = ReadBenchScale();
-  std::printf("=== Table III: label corrector TPR/TNR on T-tilde ===\n");
-  bench::PrintScaleBanner(scale);
-
-  TextTable table({"Dataset", "Noise", "TPR", "TNR"});
+void RunTable3(const BenchScale& scale) {
+  bench::SweepTables tables;
+  tables.Table("", {"Dataset", "Noise"});
   for (DatasetKind kind : bench::AllDatasets()) {
     ScaledSetup setup = MakeScaledSetup(kind, scale);
     for (const auto& [label, noise] :
          std::vector<std::pair<std::string, NoiseSpec>>{
              {"eta=0.45", NoiseSpec::Uniform(0.45)},
              {"eta10=0.3,eta01=0.45", bench::ClassDependentSetting()}}) {
-      CorrectorMetrics m = RunCorrectorExperiment(kind, setup.split, noise,
-                                                  setup.config, scale.seeds);
-      table.AddRow({DatasetName(kind), label, bench::Cell(m.tpr),
-                    bench::Cell(m.tnr)});
+      tables.Row({DatasetName(kind), label},
+                 {DatasetName(kind) + " " + label, kLabelCorrector,
+                  setup.config, kind, setup.split, noise});
     }
   }
-  std::printf("%s\n", table.Render().c_str());
+  tables.Print(scale.seeds);
   std::printf(
       "(raw noisy labels at eta=0.45 would give TPR=TNR=55; the corrector "
       "must land well above that to reduce the dataset noise.)\n");
@@ -39,7 +33,7 @@ void RunTable3() {
 }  // namespace clfd
 
 int main() {
-  clfd::RunTable3();
-  clfd::bench::WriteMetricsSidecar("bench_table3_label_corrector");
-  return 0;
+  return clfd::bench::Main("bench_table3_label_corrector",
+                           "Table III: label corrector TPR/TNR on T-tilde",
+                           clfd::RunTable3);
 }

@@ -3,44 +3,13 @@
 // loss entirely, the fraud detector, the confidence weighting of L_Sup,
 // and the FCNN classifier (centroid inference instead).
 
-#include <cstdio>
-
 #include "bench/bench_util.h"
-#include "common/table.h"
-#include "core/clfd.h"
-#include "eval/experiment.h"
-
-namespace clfd {
-namespace {
-
-void RunTable4() {
-  BenchScale scale = ReadBenchScale();
-  std::printf("=== Table IV: ablations at uniform eta = 0.45 ===\n");
-  bench::PrintScaleBanner(scale);
-
-  for (DatasetKind kind : bench::AllDatasets()) {
-    ScaledSetup setup = MakeScaledSetup(kind, scale);
-    std::printf("--- %s ---\n", DatasetName(kind).c_str());
-    TextTable table({"Variant", "F1", "FPR", "AUC-ROC"});
-    for (const auto& [name, config] : bench::AblationVariants(setup.config)) {
-      AggregatedMetrics m = RunExperimentWithFactory(
-          [&config = config](uint64_t seed) {
-            return std::make_unique<ClfdModel>(config, seed);
-          },
-          kind, setup.split, NoiseSpec::Uniform(0.45), config.emb_dim,
-          scale.seeds);
-      table.AddRow({name, bench::Cell(m.f1), bench::Cell(m.fpr),
-                    bench::Cell(m.auc)});
-    }
-    std::printf("%s\n", table.Render().c_str());
-  }
-}
-
-}  // namespace
-}  // namespace clfd
 
 int main() {
-  clfd::RunTable4();
-  clfd::bench::WriteMetricsSidecar("bench_table4_ablation_uniform");
-  return 0;
+  return clfd::bench::Main(
+      "bench_table4_ablation_uniform",
+      "Table IV: ablations at uniform eta = 0.45",
+      [](const clfd::BenchScale& scale) {
+        clfd::bench::PrintAblationTables(scale, clfd::NoiseSpec::Uniform(0.45));
+      });
 }

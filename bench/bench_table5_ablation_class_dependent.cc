@@ -1,46 +1,14 @@
 // Regenerates Table V: the same ablation matrix as Table IV under
 // class-dependent noise (eta10 = 0.3, eta01 = 0.45).
 
-#include <cstdio>
-
 #include "bench/bench_util.h"
-#include "common/table.h"
-#include "core/clfd.h"
-#include "eval/experiment.h"
-
-namespace clfd {
-namespace {
-
-void RunTable5() {
-  BenchScale scale = ReadBenchScale();
-  std::printf(
-      "=== Table V: ablations at class-dependent eta10=0.3, eta01=0.45 "
-      "===\n");
-  bench::PrintScaleBanner(scale);
-
-  for (DatasetKind kind : bench::AllDatasets()) {
-    ScaledSetup setup = MakeScaledSetup(kind, scale);
-    std::printf("--- %s ---\n", DatasetName(kind).c_str());
-    TextTable table({"Variant", "F1", "FPR", "AUC-ROC"});
-    for (const auto& [name, config] : bench::AblationVariants(setup.config)) {
-      AggregatedMetrics m = RunExperimentWithFactory(
-          [&config = config](uint64_t seed) {
-            return std::make_unique<ClfdModel>(config, seed);
-          },
-          kind, setup.split, bench::ClassDependentSetting(), config.emb_dim,
-          scale.seeds);
-      table.AddRow({name, bench::Cell(m.f1), bench::Cell(m.fpr),
-                    bench::Cell(m.auc)});
-    }
-    std::printf("%s\n", table.Render().c_str());
-  }
-}
-
-}  // namespace
-}  // namespace clfd
 
 int main() {
-  clfd::RunTable5();
-  clfd::bench::WriteMetricsSidecar("bench_table5_ablation_class_dependent");
-  return 0;
+  return clfd::bench::Main(
+      "bench_table5_ablation_class_dependent",
+      "Table V: ablations at class-dependent eta10=0.3, eta01=0.45",
+      [](const clfd::BenchScale& scale) {
+        clfd::bench::PrintAblationTables(scale,
+                                         clfd::bench::ClassDependentSetting());
+      });
 }

@@ -5,9 +5,8 @@
 namespace clfd {
 
 // Reads an integer environment variable, returning `fallback` when the
-// variable is unset or unparsable. Used by the benchmark harness for scale
-// knobs (CLFD_SCALE, CLFD_SEEDS) so the paper's tables can be regenerated at
-// reduced or full scale without recompiling.
+// variable is unset or unparsable. Used for infrastructure knobs such as
+// CLFD_THREADS, whose bad values clamp instead of failing.
 int GetEnvInt(const std::string& name, int fallback);
 
 // Same for doubles.
@@ -21,5 +20,28 @@ std::string GetEnvString(const std::string& name, const std::string& fallback);
 // on/off (case-insensitive); anything else falls back.
 bool GetEnvBool(const std::string& name, bool fallback);
 
-}  // namespace clfd
+// Whole-text numeric parsing, shared by clfd_cli's flags and the bench
+// scale knobs so each range rule exists once. `what` names the value in
+// the error: a parser throws std::invalid_argument("bad <what> value
+// '<text>': want <range>") unless all of `text` is a number in its range.
 
+// True when a strto* call, made with errno cleared, consumed all of the
+// non-empty `text` without overflow.
+bool ParsedWhole(const std::string& text, const char* end);
+
+// Throws the error above.
+[[noreturn]] void BadValue(const std::string& what, const std::string& text,
+                           const std::string& want);
+
+// A number in (0, 1].
+double ParseFraction(const std::string& what, const std::string& text);
+
+// An integer in [1, INT_MAX].
+int ParsePositiveInt(const std::string& what, const std::string& text);
+
+// The two parsers applied to environment variable `name`; `fallback` when
+// it is unset. A set but empty variable is malformed.
+double GetEnvFraction(const std::string& name, double fallback);
+int GetEnvPositiveInt(const std::string& name, int fallback);
+
+}  // namespace clfd

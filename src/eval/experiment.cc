@@ -1,7 +1,15 @@
 #include "eval/experiment.h"
 
 #include <cassert>
+#include <cctype>
+#include <cstdio>
+#include <map>
 #include <mutex>
+#include <optional>
+#include <set>
+#include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "baselines/registry.h"
 #include "common/env.h"
@@ -26,56 +34,53 @@ double SecondsSince(int64_t start_us) {
   return static_cast<double>(obs::UptimeMicros() - start_us) / 1e6;
 }
 
-// Persists completed per-seed results so a restarted experiment re-trains
-// only the interrupted seed. Sections are "seed.<seed>" in a checkpoint
-// container at <dir>/results.ckpt; seed workers touch it under a mutex.
+// A file-safe, injective form of (label, seed): every byte of the label
+// outside [A-Za-z0-9._-] becomes %XX, and the seed follows the last '.'.
+// It names the run's checkpoint file and its results-store entry.
+std::string RunStem(const std::string& label, uint64_t seed) {
+  std::string stem;
+  for (unsigned char c : label) {
+    if (std::isalnum(c) || c == '.' || c == '_' || c == '-') {
+      stem += static_cast<char>(c);
+    } else {
+      char escaped[4];
+      std::snprintf(escaped, sizeof(escaped), "%%%02X", c);
+      stem += escaped;
+    }
+  }
+  return stem + "." + std::to_string(seed);
+}
+
+// Finished runs, one section per run stem in a checkpoint container at
+// <dir>/results.ckpt. Lookups happen before the jobs start; workers save
+// under a mutex.
 class ResultsStore {
  public:
-  ResultsStore(const std::string& dir, bool resume) {
-    if (dir.empty()) return;
-    recovery::EnsureDirs(dir);
-    path_ = dir + "/results.ckpt";
-    if (!resume) return;
-    try {
-      ckpt_ = recovery::LoadCheckpoint(path_);
-    } catch (const recovery::CheckpointError&) {
-      // Absent or invalid: start with an empty store; the first Save
-      // rewrites it atomically.
-      ckpt_ = recovery::Checkpoint();
+  explicit ResultsStore(const recovery::RecoveryOptions& options) {
+    if (!options.enabled()) return;
+    recovery::EnsureDirs(options.dir);
+    path_ = options.dir + "/results.ckpt";
+    // Absent or unusable: start empty; the first Save rewrites it.
+    if (options.resume) {
+      ckpt_ = recovery::LoadCheckpointWithFallback(path_).value_or(
+          recovery::Checkpoint());
     }
   }
 
-  bool TryLoad(uint64_t seed, RunMetrics* out) {
-    if (path_.empty()) return false;
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::string name = "seed." + std::to_string(seed);
-    if (!ckpt_.HasSection(name)) return false;
-    recovery::ByteReader r(ckpt_.Section(name));
-    out->f1 = r.GetF64();
-    out->fpr = r.GetF64();
-    out->auc = r.GetF64();
-    out->train_seconds = r.GetF64();
-    out->phases.pretrain_seconds = r.GetF64();
-    out->phases.corrector_seconds = r.GetF64();
-    out->phases.detector_seconds = r.GetF64();
-    out->phases.classifier_seconds = r.GetF64();
+  bool TryLoad(const std::string& stem, SeedResult* out) const {
+    if (path_.empty() || !ckpt_.HasSection(stem)) return false;
+    recovery::ByteReader r(ckpt_.Section(stem));
+    for (double* field : Fields(out)) *field = r.GetF64();
     CLFD_METRIC_COUNT("recovery.run.seeds_skipped", 1);
     return true;
   }
 
-  void Save(uint64_t seed, const RunMetrics& m) {
+  void Save(const std::string& stem, SeedResult result) {
     if (path_.empty()) return;
     recovery::ByteWriter w;
-    w.PutF64(m.f1);
-    w.PutF64(m.fpr);
-    w.PutF64(m.auc);
-    w.PutF64(m.train_seconds);
-    w.PutF64(m.phases.pretrain_seconds);
-    w.PutF64(m.phases.corrector_seconds);
-    w.PutF64(m.phases.detector_seconds);
-    w.PutF64(m.phases.classifier_seconds);
+    for (double* field : Fields(&result)) w.PutF64(*field);
     std::lock_guard<std::mutex> lock(mu_);
-    ckpt_.SetSection("seed." + std::to_string(seed), w.Take());
+    ckpt_.SetSection(stem, w.Take());
     try {
       recovery::WriteFileAtomic(path_, ckpt_.Encode());
     } catch (const recovery::CheckpointError& e) {
@@ -86,10 +91,56 @@ class ResultsStore {
   }
 
  private:
+  // The stored fields, in wire order.
+  static std::vector<double*> Fields(SeedResult* r) {
+    RunMetrics& m = r->run;
+    return {&m.f1, &m.fpr, &m.auc, &m.train_seconds,
+            &m.phases.pretrain_seconds, &m.phases.corrector_seconds,
+            &m.phases.detector_seconds, &m.phases.classifier_seconds,
+            &r->tpr, &r->tnr};
+  }
+
   std::string path_;
   recovery::Checkpoint ckpt_;
   std::mutex mu_;
 };
+
+// A corrector cell's run: trains only the label corrector and scores its
+// corrected labels against the true labels of the training split.
+SeedResult RunCorrector(const ClfdConfig& config, uint64_t seed,
+                        const ExperimentContext& world,
+                        recovery::RunCheckpointer* rc) {
+  // The run's top-level profiler node: tests/prof_test.cc checks that the
+  // scopes below it account for >= 95% of its wall-time.
+  CLFD_PROF_SCOPE("corrector_run");
+  LabelCorrector corrector(config, seed * 31 + 7);
+  if (rc != nullptr) {
+    corrector.RegisterState(rc);
+    if (rc->LoadSnapshot()) rc->RestoreRegistered();
+  }
+  corrector.Train(world.train(), world.embeddings(), rc);
+  if (rc != nullptr) rc->MarkTrainingComplete();
+  std::vector<int> preds;
+  for (const Correction& c : corrector.Correct(world.train())) {
+    preds.push_back(c.label);
+  }
+  const ConfusionCounts counts = Confusion(preds, TrueLabels(world.train()));
+  return {RunMetrics(), TruePositiveRate(counts), TrueNegativeRate(counts)};
+}
+
+// Everything ExperimentContext reads, ordered so that world lookup does
+// not depend on hash order.
+using WorldKey =
+    std::tuple<DatasetKind, int, int, int, int, NoiseSpec::Kind, double,
+               double, double, int, uint64_t>;
+
+WorldKey WorldOf(const SweepCell& cell, uint64_t seed) {
+  const SplitSpec& s = cell.split;
+  const NoiseSpec& n = cell.noise;
+  return {cell.dataset, s.train_normal, s.train_malicious, s.test_normal,
+          s.test_malicious, n.kind, n.eta, n.eta10, n.eta01,
+          cell.config.emb_dim, seed};
+}
 
 }  // namespace
 
@@ -143,101 +194,98 @@ RunMetrics TrainAndEvaluate(DetectorModel* model,
   return metrics;
 }
 
-AggregatedMetrics RunExperimentWithFactory(
-    const std::function<std::unique_ptr<DetectorModel>(uint64_t seed)>&
-        factory,
-    DatasetKind kind, const SplitSpec& split, const NoiseSpec& noise,
-    int emb_dim, int seeds, uint64_t base_seed,
-    const recovery::RecoveryOptions& recovery) {
-  // Seeds are embarrassingly parallel: each builds its world and model from
-  // its own seed-derived Rngs, so runs share no mutable state. Workers
-  // write into per-seed slots; aggregation then walks the slots in seed
-  // order (MeanStd accumulation is order-sensitive and not thread-safe),
-  // making the aggregate identical at any thread count. Under a recovery
-  // dir, each seed trains with its own checkpoint file (seed_<seed>.ckpt)
-  // and finished seeds are served from the results store on restart.
-  ResultsStore store(recovery.dir, recovery.resume);
-  std::vector<RunMetrics> results(seeds);
-  parallel::ParallelFor(0, seeds, 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t s = lo; s < hi; ++s) {
-      uint64_t seed = base_seed + static_cast<uint64_t>(s);
-      if (store.TryLoad(seed, &results[s])) continue;
-      ExperimentContext context(kind, split, noise, emb_dim, seed);
-      recovery::RunWithRecovery(
-          recovery, "seed_" + std::to_string(seed),
-          [&](recovery::RunCheckpointer* rc) {
-            auto model = factory(seed * 31 + 7);
-            assert(model != nullptr);
-            results[s] = TrainAndEvaluate(model.get(), context, rc);
-          });
-      store.Save(seed, results[s]);
-    }
-  });
-  AggregatedMetrics aggregated;
-  for (const RunMetrics& m : results) aggregated.Add(m);
-  return aggregated;
-}
-
-AggregatedMetrics RunExperiment(const std::string& model_name,
-                                DatasetKind kind, const SplitSpec& split,
-                                const NoiseSpec& noise,
-                                const ClfdConfig& config, int seeds,
-                                uint64_t base_seed,
-                                const recovery::RecoveryOptions& recovery) {
-  return RunExperimentWithFactory(
-      [&](uint64_t seed) { return MakeModel(model_name, config, seed); },
-      kind, split, noise, config.emb_dim, seeds, base_seed, recovery);
-}
-
-CorrectorMetrics RunCorrectorExperiment(
-    DatasetKind kind, const SplitSpec& split, const NoiseSpec& noise,
-    const ClfdConfig& config, int seeds, uint64_t base_seed,
-    const recovery::RecoveryOptions& recovery) {
-  // Same seed-parallel pattern as RunExperimentWithFactory: per-seed slots,
-  // ordered aggregation.
-  std::vector<ConfusionCounts> counts(seeds);
-  parallel::ParallelFor(0, seeds, 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t s = lo; s < hi; ++s) {
-      uint64_t seed = base_seed + static_cast<uint64_t>(s);
-      ExperimentContext context(kind, split, noise, config.emb_dim, seed);
-      recovery::RunWithRecovery(
-          recovery, "corrector_seed_" + std::to_string(seed),
-          [&](recovery::RunCheckpointer* rc) {
-            // Top-level profiler node for the run: the ≥95%-attribution
-            // check in tests/prof_test.cc measures how much of this scope's
-            // wall-time the phase/op scopes below account for.
-            CLFD_PROF_SCOPE("corrector_run");
-            LabelCorrector corrector(config, seed * 31 + 7);
-            if (rc != nullptr) {
-              corrector.RegisterState(rc);
-              if (rc->LoadSnapshot()) rc->RestoreRegistered();
-            }
-            corrector.Train(context.train(), context.embeddings(), rc);
-            if (rc != nullptr) rc->MarkTrainingComplete();
-            auto corrections = corrector.Correct(context.train());
-
-            std::vector<int> preds(corrections.size());
-            for (size_t i = 0; i < corrections.size(); ++i) {
-              preds[i] = corrections[i].label;
-            }
-            counts[s] = Confusion(preds, TrueLabels(context.train()));
-          });
-    }
-  });
-  CorrectorMetrics metrics;
-  for (const ConfusionCounts& c : counts) {
-    metrics.tpr.Add(TruePositiveRate(c));
-    metrics.tnr.Add(TrueNegativeRate(c));
+std::vector<CellResult> RunSweep(const std::vector<SweepCell>& cells,
+                                 int seeds,
+                                 const recovery::RecoveryOptions& recovery) {
+  if (seeds < 1) {
+    throw std::invalid_argument("RunSweep: seeds must be >= 1, got " +
+                                std::to_string(seeds));
   }
-  return metrics;
+  std::set<std::string> labels;
+  for (const SweepCell& cell : cells) {
+    if (!labels.insert(cell.label).second) {
+      throw std::invalid_argument("RunSweep: duplicate cell label '" +
+                                  cell.label + "'");
+    }
+  }
+
+  // Job j runs cell j / seeds at seed kBaseSeed + j % seeds. Stored runs
+  // are done; each world a pending job needs is built once.
+  const int64_t num_jobs = static_cast<int64_t>(cells.size()) * seeds;
+  auto seed_of = [seeds](int64_t job) {
+    return kBaseSeed + static_cast<uint64_t>(job % seeds);
+  };
+  ResultsStore store(recovery);
+  std::vector<SeedResult> slots(num_jobs);
+  std::vector<std::pair<int64_t, size_t>> pending;  // (job, world)
+  std::vector<int64_t> world_first_job;
+  std::map<WorldKey, size_t> world_index;
+  for (int64_t job = 0; job < num_jobs; ++job) {
+    const SweepCell& cell = cells[job / seeds];
+    if (store.TryLoad(RunStem(cell.label, seed_of(job)), &slots[job])) {
+      continue;
+    }
+    auto [it, added] = world_index.emplace(WorldOf(cell, seed_of(job)),
+                                           world_first_job.size());
+    if (added) world_first_job.push_back(job);
+    pending.emplace_back(job, it->second);
+  }
+
+  // Worlds are built before any job runs and then only read: cells that
+  // share one train on it concurrently.
+  const int64_t num_worlds = static_cast<int64_t>(world_first_job.size());
+  std::vector<std::optional<ExperimentContext>> worlds(num_worlds);
+  parallel::ParallelFor(0, num_worlds, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t w = lo; w < hi; ++w) {
+      const int64_t job = world_first_job[w];
+      const SweepCell& cell = cells[job / seeds];
+      worlds[w].emplace(cell.dataset, cell.split, cell.noise,
+                        cell.config.emb_dim, seed_of(job));
+    }
+  });
+
+  // One job per pending (cell, seed) pair, each writing its own slot.
+  const int64_t num_pending = static_cast<int64_t>(pending.size());
+  parallel::ParallelFor(0, num_pending, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t p = lo; p < hi; ++p) {
+      const auto [job, w] = pending[p];
+      const SweepCell& cell = cells[job / seeds];
+      const uint64_t seed = seed_of(job);
+      const ExperimentContext& world = *worlds[w];
+      const std::string stem = RunStem(cell.label, seed);
+      recovery::RunWithRecovery(
+          recovery, stem, [&](recovery::RunCheckpointer* rc) {
+            if (cell.model == kLabelCorrector) {
+              slots[job] = RunCorrector(cell.config, seed, world, rc);
+              return;
+            }
+            auto model = MakeModel(cell.model, cell.config, seed * 31 + 7);
+            assert(model != nullptr);
+            slots[job].run = TrainAndEvaluate(model.get(), world, rc);
+          });
+      store.Save(stem, slots[job]);
+    }
+  });
+
+  // Aggregation walks each cell's slots in seed order: MeanStd is
+  // order-sensitive, so the aggregate is the same at any thread count.
+  std::vector<CellResult> results(cells.size());
+  for (int64_t job = 0; job < num_jobs; ++job) {
+    CellResult& result = results[job / seeds];
+    result.seeds.push_back(slots[job]);
+    result.metrics.Add(slots[job].run);
+    result.tpr.Add(slots[job].tpr);
+    result.tnr.Add(slots[job].tnr);
+  }
+  return results;
 }
 
 BenchScale ReadBenchScale(double def_scale, int def_seeds,
                           double def_epoch_scale) {
   BenchScale scale;
-  scale.split_scale = GetEnvDouble("CLFD_SCALE", def_scale);
-  scale.seeds = GetEnvInt("CLFD_SEEDS", def_seeds);
-  scale.epoch_scale = GetEnvDouble("CLFD_EPOCH_SCALE", def_epoch_scale);
+  scale.split_scale = GetEnvFraction("CLFD_SCALE", def_scale);
+  scale.seeds = GetEnvPositiveInt("CLFD_SEEDS", def_seeds);
+  scale.epoch_scale = GetEnvFraction("CLFD_EPOCH_SCALE", def_epoch_scale);
   return scale;
 }
 

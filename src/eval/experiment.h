@@ -1,7 +1,5 @@
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,9 +62,10 @@ struct AggregatedMetrics {
 
 // One fully materialized experiment world: a simulated dataset with noise
 // injected into the training labels, plus word2vec activity embeddings
-// trained on the noisy training split. All models evaluated under the same
-// (dataset, noise, seed) triple share the same context, as in the paper's
-// protocol ("we employ the same training set ... to train all baselines").
+// trained on the noisy training split. RunSweep builds each distinct world
+// once and trains every model of a (dataset, noise, seed) on it, as in the
+// paper's protocol ("we employ the same training set ... to train all
+// baselines").
 class ExperimentContext {
  public:
   ExperimentContext(DatasetKind kind, const SplitSpec& split,
@@ -91,45 +90,65 @@ RunMetrics TrainAndEvaluate(DetectorModel* model,
                             const ExperimentContext& context,
                             recovery::RunCheckpointer* rc = nullptr);
 
-// Runs `model_name` across `seeds` seeds (base_seed, base_seed+1, ...) on
-// fresh contexts and aggregates. With `recovery.dir` set, each seed
-// checkpoints to `<dir>/seed_<seed>.ckpt`, completed seeds are recorded in
-// `<dir>/results.ckpt` and skipped on restart, and an interrupted run
-// resumes to bitwise-identical metrics (Recovery.CrashResume tests). With
-// `recovery.watchdog.enabled`, divergence triggers rollback and the
-// bounded retry ladder; an exhausted budget throws WatchdogAbort.
-AggregatedMetrics RunExperiment(const std::string& model_name,
-                                DatasetKind kind, const SplitSpec& split,
-                                const NoiseSpec& noise,
-                                const ClfdConfig& config, int seeds,
-                                uint64_t base_seed = 100,
-                                const recovery::RecoveryOptions& recovery = {});
+// The model name of a label-corrector cell (Table III): it trains only the
+// corrector and scores its corrections of the noisy training labels.
+inline constexpr char kLabelCorrector[] = "label corrector";
 
-// Generalized runner taking a model factory; used by the ablation benches
-// (Tables IV/V) to evaluate CLFD variants that differ only in config flags.
-AggregatedMetrics RunExperimentWithFactory(
-    const std::function<std::unique_ptr<DetectorModel>(uint64_t seed)>&
-        factory,
-    DatasetKind kind, const SplitSpec& split, const NoiseSpec& noise,
-    int emb_dim, int seeds, uint64_t base_seed = 100,
-    const recovery::RecoveryOptions& recovery = {});
+// One table row: a model trained with one config on one (dataset, split,
+// noise) world, over every seed of the sweep.
+struct SweepCell {
+  std::string label;  // unique within the sweep; keys its recovery state
+  std::string model;  // a MakeModel name, or kLabelCorrector
+  ClfdConfig config;
+  DatasetKind dataset;
+  SplitSpec split;
+  NoiseSpec noise;
+};
 
-// Label-corrector quality on the noisy training set (Table III): trains
-// only the corrector and reports TPR/TNR of its corrections against the
-// ground-truth labels.
-struct CorrectorMetrics {
+// One (cell, seed) run. A detector cell fills `run`; a corrector cell fills
+// `tpr` and `tnr`, the shares (0-100) of truly malicious and truly normal
+// training sessions whose corrected label is right.
+struct SeedResult {
+  RunMetrics run;
+  double tpr = 0.0;
+  double tnr = 0.0;
+};
+
+// One cell's runs in seed order and the mean +/- std of each field; the
+// fields its kind of cell does not fill stay 0.
+struct CellResult {
+  std::vector<SeedResult> seeds;
+  AggregatedMetrics metrics;
   MeanStd tpr;
   MeanStd tnr;
 };
-CorrectorMetrics RunCorrectorExperiment(
-    DatasetKind kind, const SplitSpec& split, const NoiseSpec& noise,
-    const ClfdConfig& config, int seeds, uint64_t base_seed = 100,
+
+// Seed s (0-based) of a sweep is kBaseSeed + s; its world is built from
+// Rng(seed * 7919 + 17) and its model or corrector from seed * 31 + 7.
+inline constexpr uint64_t kBaseSeed = 100;
+
+// Runs every cell over `seeds` seeds and returns one result per cell, in
+// cell order. Each distinct world (dataset, split, noise, config.emb_dim,
+// seed) is built once and read by all of its cells. Every (cell, seed)
+// pair is one job of a single parallel::ParallelFor whose nested calls run
+// inline, so every metric is bit-identical to the run alone, at any thread
+// width. With `recovery.dir` set, a run checkpoints to `<dir>/<stem>.ckpt`,
+// the stem a file-safe form of (label, seed) ("w/o LC" at seed 100 is
+// "w%2Fo%20LC.100"); finished runs are stored by stem in
+// `<dir>/results.ckpt`, and a rerun serves them without building their
+// worlds. `recovery.watchdog` arms the rollback ladder (WatchdogAbort once
+// exhausted). Throws std::invalid_argument before any work when `seeds` <
+// 1 or two cells share a label.
+std::vector<CellResult> RunSweep(
+    const std::vector<SweepCell>& cells, int seeds,
     const recovery::RecoveryOptions& recovery = {});
 
 // Benchmark-harness scale knobs, read from the environment:
 //   CLFD_SCALE  — fraction of the paper's split sizes (default `def_scale`)
 //   CLFD_SEEDS  — number of seeds per cell (default `def_seeds`)
 //   CLFD_EPOCH_SCALE — fraction of the paper's epoch budget
+// The fractions must lie in (0, 1] and the seed count must be at least 1;
+// a malformed or out-of-range value throws std::invalid_argument.
 struct BenchScale {
   double split_scale;
   int seeds;

@@ -353,20 +353,25 @@ Checkpoint LoadCheckpoint(const std::string& path) {
 }
 
 std::optional<Checkpoint> LoadCheckpointWithFallback(const std::string& path) {
-  try {
-    return LoadCheckpoint(path);
-  } catch (const CheckpointError&) {
-    // Fall through to the previous snapshot: either the primary never
-    // existed (fresh run) or it is damaged (crash mid-commit, bit rot).
+  // A missing file is a fresh run, not a failure: only a file that exists
+  // and cannot be used counts toward recovery.ckpt.load_failures.
+  bool existed = false;
+  for (const std::string& candidate : {path, path + ".prev"}) {
+    struct stat st;
+    if (::stat(candidate.c_str(), &st) != 0) continue;
+    existed = true;
+    try {
+      Checkpoint ckpt = LoadCheckpoint(candidate);
+      if (candidate != path) {
+        CLFD_METRIC_COUNT("recovery.ckpt.load_fallbacks", 1);
+      }
+      return ckpt;
+    } catch (const CheckpointError&) {
+      // Damaged (crash mid-commit, bit rot): try the previous snapshot.
+    }
   }
-  try {
-    Checkpoint ckpt = LoadCheckpoint(path + ".prev");
-    CLFD_METRIC_COUNT("recovery.ckpt.load_fallbacks", 1);
-    return ckpt;
-  } catch (const CheckpointError&) {
-    CLFD_METRIC_COUNT("recovery.ckpt.load_failures", 1);
-    return std::nullopt;
-  }
+  if (existed) CLFD_METRIC_COUNT("recovery.ckpt.load_failures", 1);
+  return std::nullopt;
 }
 
 }  // namespace recovery

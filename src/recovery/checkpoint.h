@@ -147,7 +147,8 @@ Checkpoint LoadCheckpoint(const std::string& path);
 // Tries `path`, then `path.prev` when the primary is absent or fails
 // validation. Returns nullopt when neither yields a valid checkpoint.
 // Fallbacks and terminal failures are counted in the metrics registry
-// (recovery.ckpt.load_fallbacks / recovery.ckpt.load_failures).
+// (recovery.ckpt.load_fallbacks / recovery.ckpt.load_failures); when
+// neither file exists, nothing failed and nothing is counted.
 std::optional<Checkpoint> LoadCheckpointWithFallback(const std::string& path);
 
 }  // namespace recovery

@@ -63,6 +63,8 @@ void RunWithRecovery(const RecoveryOptions& options, const std::string& stem,
     if (RunRecoverable(watchdog, &report.last_error, [&] { body(&rc); })) {
       return;
     }
+    // The last failed attempt rolls nothing back: the run aborts below.
+    if (attempt == max_attempts) break;
     // Rollback is "resume from the last good snapshot": the next attempt's
     // checkpointer loads it from disk. Once this run has written one, that
     // holds even when the run started with resume off.

@@ -46,7 +46,7 @@ class DivergenceError : public std::runtime_error {
 struct WatchdogReport {
   int attempts = 0;
   int batches_skipped = 0;
-  int rollbacks = 0;
+  int rollbacks = 0;  // failed attempts that another attempt followed
   bool aborted = false;
   std::string last_error;
   std::string Summary() const;

@@ -234,6 +234,28 @@ TEST(AnalyzeIwyu, ReferencedIncludeIsClean) {
   EXPECT_EQ(CountRule(ds, kRuleIncludeUnused), 0);
 }
 
+TEST(AnalyzeIwyu, InlineFunctionDefinitionsAreExports) {
+  // A header that also declares a type: calling only one of its inline
+  // functions still uses it, and an out-of-class member definition exports
+  // nothing.
+  const std::string header = Lines(
+      {"struct X { int Get() const; };",
+       "inline int X::Get() const { return 1; }",
+       "inline X MakeX() { return X{}; }"});
+  auto used = Analyze({
+      {"src/b/user.cc", Lines({"#include \"a/x.h\"",
+                                "int Use() { MakeX(); return 0; }"})},
+      {"src/a/x.h", header},
+  });
+  EXPECT_EQ(CountRule(used, kRuleIncludeUnused), 0);
+  auto member_only = Analyze({
+      {"src/b/user.cc",
+       Lines({"#include \"a/x.h\"", "int Get() { return 0; }"})},
+      {"src/a/x.h", header},
+  });
+  EXPECT_EQ(CountRule(member_only, kRuleIncludeUnused), 1);
+}
+
 TEST(AnalyzeIwyu, MacroUseCountsAsReference) {
   auto ds = Analyze({
       {"src/b/user.cc",

@@ -3,9 +3,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "baselines/registry.h"
 #include "core/clfd.h"
+#include "core/label_corrector.h"
 #include "eval/experiment.h"
+#include "metrics/metrics.h"
 #include "obs/prof.h"
 #include "parallel/thread_pool.h"
 
@@ -48,16 +54,33 @@ TEST(ExperimentContextTest, DeterministicPerSeed) {
   }
 }
 
-TEST(RunExperimentTest, AggregatesAcrossSeeds) {
+TEST(RunSweepTest, AggregatesAcrossSeeds) {
   SplitSpec split{60, 6, 30, 6};
-  AggregatedMetrics m =
-      RunExperiment("CLDet", DatasetKind::kWiki, split,
-                    NoiseSpec::Uniform(0.1), TinyConfig(), /*seeds=*/2);
+  std::vector<CellResult> results =
+      RunSweep({{"CLDet", "CLDet", TinyConfig(), DatasetKind::kWiki, split,
+                 NoiseSpec::Uniform(0.1)}},
+               /*seeds=*/2);
+  ASSERT_EQ(results.size(), 1u);
+  const AggregatedMetrics& m = results[0].metrics;
   EXPECT_EQ(m.f1.count(), 2);
   EXPECT_EQ(m.auc.count(), 2);
   EXPECT_GE(m.auc.mean(), 0.0);
   EXPECT_LE(m.auc.mean(), 100.0);
   EXPECT_GT(m.train_seconds.mean(), 0.0);
+  ASSERT_EQ(results[0].seeds.size(), 2u);
+  EXPECT_EQ(results[0].seeds[1].run.auc, m.auc.values()[1]);
+}
+
+TEST(RunSweepTest, RejectsBadSweepsBeforeAnyWork) {
+  SplitSpec split{60, 6, 30, 6};
+  SweepCell cell{"a", "CLDet", TinyConfig(), DatasetKind::kWiki, split,
+                 NoiseSpec::Uniform(0.1)};
+  EXPECT_THROW(RunSweep({cell}, 0), std::invalid_argument);
+  EXPECT_THROW(RunSweep({cell}, -1), std::invalid_argument);
+  SweepCell twin = cell;
+  twin.model = "DeepLog";
+  EXPECT_THROW(RunSweep({cell, twin}, 1), std::invalid_argument);
+  EXPECT_TRUE(RunSweep({}, 1).empty());
 }
 
 // FNV-1a over the low `bytes` bytes of `v`, byte order fixed, as
@@ -119,46 +142,95 @@ TEST(ThreadInvarianceTest, RunFingerprintMatchesCommittedHash) {
   parallel::SetGlobalThreads(0);
 }
 
-TEST(ThreadInvarianceTest, SeedParallelAggregateBitwiseIdentical) {
-  // Seed-parallel execution (seeds run concurrently at width 4) must
-  // aggregate to the same per-seed values as fully serial execution.
-  SplitSpec split{40, 6, 20, 4};
-  ClfdConfig config = TinyConfig();
-  AggregatedMetrics per_width[3];
-  int widths[3] = {1, 2, 4};
-  for (int i = 0; i < 3; ++i) {
-    parallel::SetGlobalThreads(widths[i]);
-    per_width[i] = RunExperiment("CLFD", DatasetKind::kWiki, split,
-                                 NoiseSpec::Uniform(0.3), config,
-                                 /*seeds=*/2);
+// The run a sweep's (cell, seed) job must reproduce, on a freshly built
+// world: TPR/TNR of the corrected training labels for a corrector cell,
+// the model's RunMetrics otherwise.
+SeedResult FreshRun(const SweepCell& cell, uint64_t seed) {
+  ExperimentContext context(cell.dataset, cell.split, cell.noise,
+                            cell.config.emb_dim, seed);
+  SeedResult result;
+  if (cell.model == kLabelCorrector) {
+    LabelCorrector corrector(cell.config, seed * 31 + 7);
+    corrector.Train(context.train(), context.embeddings());
+    std::vector<int> preds;
+    for (const Correction& c : corrector.Correct(context.train())) {
+      preds.push_back(c.label);
+    }
+    ConfusionCounts counts = Confusion(preds, TrueLabels(context.train()));
+    result.tpr = TruePositiveRate(counts);
+    result.tnr = TrueNegativeRate(counts);
+  } else {
+    auto model = MakeModel(cell.model, cell.config, seed * 31 + 7);
+    result.run = TrainAndEvaluate(model.get(), context);
   }
-  parallel::SetGlobalThreads(0);
-  for (int i = 1; i < 3; ++i) {
-    EXPECT_EQ(per_width[i].f1.values(), per_width[0].f1.values())
-        << "threads=" << widths[i];
-    EXPECT_EQ(per_width[i].fpr.values(), per_width[0].fpr.values())
-        << "threads=" << widths[i];
-    EXPECT_EQ(per_width[i].auc.values(), per_width[0].auc.values())
-        << "threads=" << widths[i];
-  }
-  // Phase accounting stays per-run even when seeds train concurrently: the
-  // per-seed breakdown must never exceed that seed's own wall-clock.
-  const AggregatedMetrics& wide = per_width[2];
-  for (int s = 0; s < 2; ++s) {
-    double phase_total = wide.pretrain_seconds.values()[s] +
-                         wide.corrector_seconds.values()[s] +
-                         wide.detector_seconds.values()[s] +
-                         wide.classifier_seconds.values()[s];
-    EXPECT_GT(phase_total, 0.0);
-    EXPECT_LE(phase_total, wide.train_seconds.values()[s] * 1.001);
-  }
+  return result;
 }
 
-TEST(RunCorrectorExperimentTest, ProducesTprTnr) {
+TEST(ThreadInvarianceTest, SweepMatchesFreshContextsAtEveryWidth) {
+  // Cells that share a world, a cell on a second world and a corrector
+  // cell, run as concurrent (cell, seed) jobs: every per-seed metric must
+  // equal, bit for bit, the same run on its own freshly built context.
+  SplitSpec split{40, 6, 20, 4};
+  ClfdConfig config = TinyConfig();
+  const std::vector<SweepCell> cells = {
+      {"CLFD", "CLFD", config, DatasetKind::kWiki, split,
+       NoiseSpec::Uniform(0.3)},
+      {"CLDet", "CLDet", config, DatasetKind::kWiki, split,
+       NoiseSpec::Uniform(0.3)},
+      {"CLFD classdep", "CLFD", config, DatasetKind::kWiki, split,
+       NoiseSpec::ClassDependent(0.3, 0.45)},
+      {"corrector", kLabelCorrector, config, DatasetKind::kWiki, split,
+       NoiseSpec::Uniform(0.3)}};
+  constexpr int kSeeds = 2;
+  std::vector<std::vector<SeedResult>> fresh(cells.size());
+  for (size_t c = 0; c < cells.size(); ++c) {
+    for (int s = 0; s < kSeeds; ++s) {
+      fresh[c].push_back(FreshRun(cells[c], kBaseSeed + s));
+    }
+  }
+  for (int width : {1, 2, 4}) {
+    parallel::SetGlobalThreads(width);
+    std::vector<CellResult> results = RunSweep(cells, kSeeds);
+    ASSERT_EQ(results.size(), cells.size());
+    for (size_t c = 0; c < cells.size(); ++c) {
+      ASSERT_EQ(results[c].seeds.size(), static_cast<size_t>(kSeeds));
+      for (int s = 0; s < kSeeds; ++s) {
+        SCOPED_TRACE(cells[c].label + " seed " + std::to_string(s) +
+                     " threads=" + std::to_string(width));
+        const SeedResult& got = results[c].seeds[s];
+        const SeedResult& want = fresh[c][s];
+        EXPECT_EQ(got.run.f1, want.run.f1);
+        EXPECT_EQ(got.run.fpr, want.run.fpr);
+        EXPECT_EQ(got.run.auc, want.run.auc);
+        EXPECT_EQ(got.tpr, want.tpr);
+        EXPECT_EQ(got.tnr, want.tnr);
+      }
+    }
+    // The aggregates hold the per-seed values in seed order.
+    EXPECT_EQ(results[0].metrics.auc.values(),
+              (std::vector<double>{fresh[0][0].run.auc, fresh[0][1].run.auc}));
+    EXPECT_EQ(results[3].tpr.values(),
+              (std::vector<double>{fresh[3][0].tpr, fresh[3][1].tpr}));
+    // Phase accounting stays per-run while runs train concurrently: a
+    // run's breakdown never exceeds its own wall-clock.
+    for (size_t c : {size_t{0}, size_t{2}}) {
+      for (const SeedResult& seed : results[c].seeds) {
+        EXPECT_GT(seed.run.phases.TotalSeconds(), 0.0);
+        EXPECT_LE(seed.run.phases.TotalSeconds(),
+                  seed.run.train_seconds * 1.001);
+      }
+    }
+  }
+  parallel::SetGlobalThreads(0);
+}
+
+TEST(RunSweepTest, CorrectorCellProducesTprTnr) {
   SplitSpec split{60, 8, 30, 6};
-  CorrectorMetrics m =
-      RunCorrectorExperiment(DatasetKind::kCert, split,
-                             NoiseSpec::Uniform(0.3), TinyConfig(), 2);
+  std::vector<CellResult> results =
+      RunSweep({{"corrector", kLabelCorrector, TinyConfig(),
+                 DatasetKind::kCert, split, NoiseSpec::Uniform(0.3)}},
+               2);
+  const CellResult& m = results[0];
   EXPECT_EQ(m.tpr.count(), 2);
   EXPECT_GE(m.tnr.mean(), 0.0);
   EXPECT_LE(m.tnr.mean(), 100.0);

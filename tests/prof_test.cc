@@ -357,8 +357,9 @@ TEST(ProfAttribution, CorrectorRunIsAtLeast95PercentAttributed) {
   config.batch_size = 24;
   config.aux_batch_size = 4;
   config.budget = {2, 30, 2};
-  RunCorrectorExperiment(DatasetKind::kWiki, split, NoiseSpec::Uniform(0.45),
-                         config, /*seeds=*/1);
+  RunSweep({{"corrector", kLabelCorrector, config, DatasetKind::kWiki, split,
+             NoiseSpec::Uniform(0.45)}},
+           /*seeds=*/1);
   ReportNode root = obs::prof::Snapshot();
   const ReportNode* run = FindNode(root, "corrector_run");
   ASSERT_NE(run, nullptr);

@@ -53,6 +53,10 @@ std::string ScratchDir(const std::string& name) {
   return dir;
 }
 
+int64_t CounterValue(const std::string& name) {
+  return obs::MetricsRegistry::Get().GetCounter(name)->value();
+}
+
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(static_cast<bool>(in)) << path;
@@ -259,6 +263,21 @@ TEST(CheckpointFileTest, MissingFileAndDirCreation) {
   EXPECT_NO_THROW(recovery::LoadCheckpoint(dir + "/a/b/c/x.ckpt"));
 }
 
+TEST(CheckpointFileTest, OnlyFilesThatExistCanFailToLoad) {
+  const std::string dir = ScratchDir("load_failures");
+  recovery::EnsureDirs(dir);
+  const int64_t failures = CounterValue("recovery.ckpt.load_failures");
+  // Neither the primary nor .prev exists: a fresh run, not a failure.
+  EXPECT_FALSE(
+      recovery::LoadCheckpointWithFallback(dir + "/absent.ckpt").has_value());
+  EXPECT_EQ(CounterValue("recovery.ckpt.load_failures"), failures);
+  // A corrupt primary with no .prev is one failure.
+  WriteFileBytes(dir + "/corrupt.ckpt", "not a checkpoint");
+  EXPECT_FALSE(
+      recovery::LoadCheckpointWithFallback(dir + "/corrupt.ckpt").has_value());
+  EXPECT_EQ(CounterValue("recovery.ckpt.load_failures"), failures + 1);
+}
+
 // ---- Fault plans ----
 
 TEST(FaultPlanTest, ParsesAndFiresDeterministically) {
@@ -445,20 +464,15 @@ TEST(WatchdogTest, EpochOfOnlySkippedBatchesIsDivergence) {
 
 // ---- End-to-end: crash/resume and fault recovery ----
 
-// Single-seed experiment; with seeds==1 the aggregate mean is the run.
+// A one-cell, one-seed sweep of CLFD. Its run stem, which names its
+// checkpoint file, is "CLFD.100".
 RunMetrics RunOne(const recovery::RecoveryOptions& options) {
   SplitSpec split{40, 6, 20, 4};
-  AggregatedMetrics agg = RunExperimentWithFactory(
-      [](uint64_t seed) {
-        return std::make_unique<ClfdModel>(TinyConfig(), seed);
-      },
-      DatasetKind::kWiki, split, NoiseSpec::Uniform(0.3),
-      TinyConfig().emb_dim, /*seeds=*/1, /*base_seed=*/100, options);
-  RunMetrics m;
-  m.f1 = agg.f1.mean();
-  m.fpr = agg.fpr.mean();
-  m.auc = agg.auc.mean();
-  return m;
+  std::vector<CellResult> results =
+      RunSweep({{"CLFD", "CLFD", TinyConfig(), DatasetKind::kWiki, split,
+                 NoiseSpec::Uniform(0.3)}},
+               /*seeds=*/1, options);
+  return results[0].seeds[0].run;
 }
 
 TEST(CrashResumeTest, KillAndResumeBitwiseIdenticalAtEveryWidth) {
@@ -479,7 +493,7 @@ TEST(CrashResumeTest, KillAndResumeBitwiseIdenticalAtEveryWidth) {
       recovery::ScopedFaultPlan crash("run.epoch@20", 1);
       EXPECT_THROW(RunOne(options), recovery::SimulatedCrash);
     }
-    // Restart: resumes from <dir>/seed_100.ckpt and replays the rest.
+    // Restart: resumes from <dir>/CLFD.100.ckpt and replays the rest.
     RunMetrics resumed = RunOne(options);
     parallel::SetGlobalThreads(0);
 
@@ -516,7 +530,10 @@ TEST(CrashResumeTest, CheckpointingItselfDoesNotChangeResults) {
   recovery::RecoveryOptions options;
   options.dir = ScratchDir("observer");
   options.interval_epochs = 1;  // snapshot after every epoch
+  const int64_t failures = CounterValue("recovery.ckpt.load_failures");
   RunMetrics checkpointed = RunOne(options);
+  // A fresh run into an empty dir finds nothing to load; nothing failed.
+  EXPECT_EQ(CounterValue("recovery.ckpt.load_failures"), failures);
   EXPECT_EQ(plain.f1, checkpointed.f1);
   EXPECT_EQ(plain.fpr, checkpointed.fpr);
   EXPECT_EQ(plain.auc, checkpointed.auc);
@@ -526,12 +543,51 @@ TEST(CrashResumeTest, CompletedRunIsServedFromResultsStore) {
   recovery::RecoveryOptions options;
   options.dir = ScratchDir("results_store");
   RunMetrics first = RunOne(options);
-  // The second invocation finds seed 100 in results.ckpt and skips
+  // The second invocation finds CLFD.100 in results.ckpt and skips
   // training; identical numbers come straight from the store.
   RunMetrics second = RunOne(options);
   EXPECT_EQ(first.f1, second.f1);
   EXPECT_EQ(first.fpr, second.fpr);
   EXPECT_EQ(first.auc, second.auc);
+}
+
+TEST(CrashResumeTest, CellsKeepTheirOwnRecoveryState) {
+  // Two detector cells on one world and corrector cells at two noise specs
+  // share one recovery dir. Each cell's runs are stored and checkpointed
+  // under its own label, so a second pass serves every cell from the store
+  // with that cell's own bits.
+  const ClfdConfig config = TinyConfig();
+  const SplitSpec wiki{60, 6, 30, 6};
+  const SplitSpec cert{60, 8, 30, 6};
+  const std::vector<SweepCell> cells = {
+      {"CLDet", "CLDet", config, DatasetKind::kWiki, wiki,
+       NoiseSpec::Uniform(0.3)},
+      {"DeepLog", "DeepLog", config, DatasetKind::kWiki, wiki,
+       NoiseSpec::Uniform(0.3)},
+      {"LC eta=0.45", kLabelCorrector, config, DatasetKind::kCert, cert,
+       NoiseSpec::Uniform(0.45)},
+      {"LC eta10/eta01", kLabelCorrector, config, DatasetKind::kCert, cert,
+       NoiseSpec::ClassDependent(0.3, 0.45)}};
+  const std::vector<CellResult> plain = RunSweep(cells, 1);
+  recovery::RecoveryOptions options;
+  options.dir = ScratchDir("cells");
+  const int64_t skipped = CounterValue("recovery.run.seeds_skipped");
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    const std::vector<CellResult> got = RunSweep(cells, 1, options);
+    for (size_t c = 0; c < cells.size(); ++c) {
+      SCOPED_TRACE(cells[c].label);
+      const SeedResult& a = got[c].seeds[0];
+      const SeedResult& b = plain[c].seeds[0];
+      EXPECT_EQ(a.run.f1, b.run.f1);
+      EXPECT_EQ(a.run.fpr, b.run.fpr);
+      EXPECT_EQ(a.run.auc, b.run.auc);
+      EXPECT_EQ(a.tpr, b.tpr);
+      EXPECT_EQ(a.tnr, b.tnr);
+    }
+    EXPECT_EQ(CounterValue("recovery.run.seeds_skipped") - skipped,
+              pass == 0 ? 0 : 4);
+  }
 }
 
 TEST(CrashResumeTest, RepeatedCrashesStillConverge) {
@@ -565,7 +621,7 @@ TEST(CrashResumeTest, CorruptSnapshotFallsBackToPrevious) {
   // protected): resume must reject it typed — never half-restore — and
   // restart from the .prev snapshot, losing a few epochs but never
   // correctness.
-  std::string path = options.dir + "/seed_100.ckpt";
+  std::string path = options.dir + "/CLFD.100.ckpt";
   std::string bytes = ReadFileBytes(path);
   ASSERT_FALSE(bytes.empty());
   bytes[bytes.size() / 3] ^= 0x10;
@@ -604,12 +660,16 @@ TEST(WatchdogE2ETest, PersistentDivergenceAbortsWithReport) {
   options.watchdog.enabled = true;
   options.watchdog.max_attempts = 1;
   recovery::ScopedFaultPlan faults("op.nan@1+", 7);
+  const int64_t rollbacks = CounterValue("recovery.watchdog.rollbacks");
   try {
     RunOne(options);
     FAIL() << "persistent divergence did not abort";
   } catch (const recovery::WatchdogAbort& e) {
     EXPECT_TRUE(e.report().aborted);
     EXPECT_EQ(e.report().attempts, 1);
+    // The one attempt failed and nothing followed it: no rollback.
+    EXPECT_EQ(e.report().rollbacks, 0);
+    EXPECT_EQ(CounterValue("recovery.watchdog.rollbacks") - rollbacks, 0);
     EXPECT_FALSE(e.report().last_error.empty());
     EXPECT_FALSE(e.report().Summary().empty());
   }
@@ -625,12 +685,16 @@ TEST(WatchdogE2ETest, AttemptsThatSkipEveryBatchAbort) {
   recovery::RecoveryOptions options;
   options.watchdog.enabled = true;
   recovery::ScopedFaultPlan faults("op.nan@1+", 7);
+  const int64_t rollbacks = CounterValue("recovery.watchdog.rollbacks");
   try {
     RunOne(options);
     FAIL() << "a run that skipped every batch did not abort";
   } catch (const recovery::WatchdogAbort& e) {
     EXPECT_EQ(e.report().attempts, 3);
     EXPECT_GT(e.report().batches_skipped, 0);
+    // Attempts 1 and 2 rolled back; attempt 3 aborted the run.
+    EXPECT_EQ(e.report().rollbacks, 2);
+    EXPECT_EQ(CounterValue("recovery.watchdog.rollbacks") - rollbacks, 2);
   }
 }
 
@@ -649,7 +713,7 @@ TEST(WatchdogE2ETest, NoResumeRetriesResumeOnlyFromThisRunsSnapshots) {
     ClfdConfig wider = TinyConfig();
     wider.hidden_dim += 4;
     LabelCorrector earlier(wider, 1);
-    recovery::RunCheckpointer stale(options, "seed_100");
+    recovery::RunCheckpointer stale(options, "CLFD.100");
     earlier.RegisterState(&stale);
     stale.MarkTrainingComplete();
   }

@@ -313,6 +313,7 @@ class DeclarationScanner {
     }
     for (const Token& t : stmt) {
       if (t.kind == Token::Kind::kPunct && t.text == ")") {
+        RecordFunctionDef();
         return Scope::kFunction;
       }
     }
@@ -328,6 +329,20 @@ class DeclarationScanner {
     if (exports_ == nullptr || Cur().scope != Scope::kNamespace) return;
     std::string name = TypeNameOf(Cur().stmt);
     if (!name.empty()) exports_->insert(name);
+  }
+
+  // A free function defined at namespace scope (an inline function in a
+  // header) exports its name like a declaration does. An out-of-class
+  // member definition (`T::f(...) {`) exports nothing.
+  void RecordFunctionDef() {
+    if (exports_ == nullptr || Cur().scope != Scope::kNamespace) return;
+    const std::vector<Token>& stmt = Cur().stmt;
+    const std::string name = DeclaredNameOf(stmt);
+    if (name.empty()) return;
+    for (size_t i = 1; i < stmt.size(); ++i) {
+      if (stmt[i].text == name && stmt[i - 1].text == "::") return;
+    }
+    exports_->insert(name);
   }
 
   void ProcessEnumerator() {

@@ -18,8 +18,10 @@
 # must surface as check::InvariantError at the op boundary, and the
 # `cli.recovery` ctest, which drives the same paths through clfd_cli.
 #
-# When the default preset is in the run, the end-to-end benchmark's own
-# tests run too (e2ebench/test_benchlib.py: its metric logic, plus a smoke
+# When the default preset is in the run, the seven table benches run once
+# at a tiny scale (CLFD_SCALE=0.01 CLFD_SEEDS=1 CLFD_EPOCH_SCALE=0.05), so a
+# sweep that crashes or exits non-zero fails the gate; the end-to-end
+# benchmark's own tests run too (e2ebench/test_benchlib.py: its metric logic, plus a smoke
 # run of every workload, which fails when a single-session score is not
 # bitwise the score the full-pool pass gave that session), and the
 # substrate micro-benchmarks run in smoke mode (short min-time): kernel
@@ -85,6 +87,14 @@ done
 
 for preset in "${presets[@]}"; do
   if [[ "${preset}" == "default" ]]; then
+    echo "==== [default] table benches (tiny scale)"
+    for b in bench_table1_uniform_noise bench_table2_class_dependent_noise \
+             bench_table3_label_corrector bench_table4_ablation_uniform \
+             bench_table5_ablation_class_dependent bench_latency \
+             bench_loss_variants; do
+      CLFD_SCALE=0.01 CLFD_SEEDS=1 CLFD_EPOCH_SCALE=0.05 \
+          CLFD_METRICS_SIDECAR=0 "./build/bench/${b}"
+    done
     echo "==== [default] e2ebench self-tests (logic + smoke runs)"
     python3 e2ebench/test_benchlib.py
     echo "==== [default] substrate micro-bench (smoke)"

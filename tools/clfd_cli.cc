@@ -41,7 +41,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -67,21 +66,6 @@
 namespace clfd {
 namespace {
 
-// A numeric flag whose text is malformed or outside the range its usage
-// line states; main() prints the message and exits 2.
-[[noreturn]] void BadFlag(const std::string& key, const std::string& text,
-                          const char* want) {
-  throw std::invalid_argument("bad --" + key + " value '" + text +
-                              "': want " + want);
-}
-
-// True when a strto* call consumed all of the non-empty `text` without
-// overflow.
-bool ParsedWhole(const std::string& text, const char* end) {
-  return !text.empty() && end == text.c_str() + text.size() &&
-         errno != ERANGE;
-}
-
 struct Args {
   std::string command;
   std::map<std::string, std::string> values;
@@ -91,33 +75,17 @@ struct Args {
     return it == values.end() ? fallback : it->second.c_str();
   }
   // The numeric getters parse a flag's whole text, as NoiseSpec parses a
-  // rate, and throw BadFlag outside the range the usage line states.
-  // A number in (0, 1].
+  // rate, and throw std::invalid_argument outside the range the usage line
+  // states; main() prints the message and exits 2.
   double GetFraction(const std::string& key, double fallback) const {
     auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    const std::string& text = it->second;
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (!ParsedWhole(text, end) || !(value > 0.0 && value <= 1.0)) {
-      BadFlag(key, text, "a number in (0, 1]");
-    }
-    return value;
+    return it == values.end() ? fallback
+                              : ParseFraction("--" + key, it->second);
   }
-  // An integer of at least 1.
   int GetPositiveInt(const std::string& key, int fallback) const {
     auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    const std::string& text = it->second;
-    errno = 0;
-    char* end = nullptr;
-    const long value = std::strtol(text.c_str(), &end, 10);
-    if (!ParsedWhole(text, end) || value < 1 ||
-        value > std::numeric_limits<int>::max()) {
-      BadFlag(key, text, "an integer >= 1");
-    }
-    return static_cast<int>(value);
+    return it == values.end() ? fallback
+                              : ParsePositiveInt("--" + key, it->second);
   }
   // An integer in [0, 2^64). strtoull would negate a leading '-', so the
   // text must start with a digit.
@@ -130,7 +98,7 @@ struct Args {
     const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
     if (!ParsedWhole(text, end) ||
         !std::isdigit(static_cast<unsigned char>(text[0]))) {
-      BadFlag(key, text, "an integer in [0, 2^64)");
+      BadValue("--" + key, text, "an integer in [0, 2^64)");
     }
     return value;
   }
