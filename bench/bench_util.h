@@ -129,14 +129,17 @@ inline void PrintAblationTables(const BenchScale& scale,
   tables.Print(scale.seeds);
 }
 
-// The body of a bench's main(): reads the scale knobs, prints `title` and
-// the scale, runs `run` and writes the metrics sidecar. A bad knob
-// value prints its message and returns 2 before any work.
+// The body of a bench's main(): reads the scale knobs and the pool width,
+// prints `title` and the scale, runs `run` and writes the metrics sidecar.
+// A bad knob value (CLFD_THREADS included) prints its message and returns 2
+// before any work.
 inline int Main(const std::string& name, const std::string& title,
                 void (*run)(const BenchScale&), int def_seeds = 2) {
   BenchScale scale{};
+  int threads = 0;
   try {
     scale = ReadBenchScale(0.02, def_seeds, 0.4);
+    threads = parallel::GlobalThreadCount();
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
@@ -146,7 +149,7 @@ inline int Main(const std::string& name, const std::string& title,
       "paper epochs | %d thread(s) (override with CLFD_SCALE / CLFD_SEEDS / "
       "CLFD_EPOCH_SCALE / CLFD_THREADS)\n\n",
       title.c_str(), scale.split_scale, scale.seeds, scale.epoch_scale,
-      parallel::GlobalThreadCount());
+      threads);
   run(scale);
   WriteMetricsSidecar(name);
   return 0;

@@ -10,25 +10,27 @@ namespace ag {
 // Interception points that let an execution-plan engine (src/plan) observe
 // or replace the dynamic tape (DESIGN.md §15).
 //
-// Every op builder in var.cc calls OnOp() before doing any work; every leaf
-// builder calls OnLeaf(). A hook that returns true has satisfied the call
-// from a previously captured plan (replay): the builder returns the plan's
-// node and constructs nothing. A hook that returns false lets the dynamic
-// builder run; MakeOp/Constant/Param then report the freshly created node
-// through OnNodeCreated() so a capturing hook can pair it with the OpDesc
-// it saw in OnOp(). Backward() consults OnBackward() the same way, and the
-// dynamic engine reports its execution order through OnBackwardOrder().
+// Every op builder in var.cc ends in one MakeOp(), which calls OnOp()
+// before building anything; the one leaf builder behind Constant and Param
+// calls OnLeaf(). A hook that returns true has satisfied the call from a
+// previously captured plan (replay): the builder returns the plan's node
+// and constructs nothing. A hook that returns false lets the dynamic
+// builder run: MakeOp fills a fresh node through OpDesc::forward, and the
+// builder reports the node through OnNodeCreated() so a capturing hook can
+// pair it with the OpDesc it saw in OnOp(). Backward() consults
+// OnBackward() the same way, and the dynamic engine reports its execution
+// order through OnBackwardOrder().
 //
 // Hooks are installed per *thread* (SetTapeHooks), because the sharded
 // trainer runs one independent capture/replay stream per shard worker. The
 // cost when no hook is installed is a single thread-local load and branch
 // per op.
 
-// Per-call payload for a planned forward body: the op's captured scalar
-// arguments plus the pointers to this step's per-call auxiliary matrices
-// (RowScaleConst's scale column, LstmInputProjection's input block). The
-// aux pointers are only meaningful during replay; `aux_move` may be moved
-// from by the forward body.
+// Per-call payload for an op's forward body: the op's scalar arguments
+// plus pointers to this call's auxiliary matrices (RowScaleConst's scale
+// column, LstmInputProjection's input block). The aux pointers are valid
+// only during the builder call; `aux_move` may be moved from by the forward
+// body.
 struct OpCall {
   float f0 = 0.0f;
   int i0 = 0;
@@ -37,10 +39,11 @@ struct OpCall {
   Matrix* aux_move = nullptr;
 };
 
-// Recomputes `out`'s value (and `out->aux` where the op uses it) from the
-// parent nodes, running exactly the kernel calls the dynamic builder runs.
-// One function per op kind, defined in var.cc next to the builder so the
-// two bodies cannot drift apart.
+// Computes `out`'s value (and `out->aux` where the op uses it) from the
+// parent nodes. One function per op kind, defined in var.cc next to its
+// builder; it is the op's only forward body: MakeOp runs it on a fresh node
+// and the replayer on the plan's node, so a dynamic and a replayed step run
+// the same kernel calls.
 using PlanForwardFn = void (*)(Node* out, Node* const* parents,
                                int num_parents, const OpCall& call);
 
@@ -49,7 +52,7 @@ using PlanForwardFn = void (*)(Node* out, Node* const* parents,
 // kind comparison is cheap. `inputs` is an array of *pointers* to the
 // builder's Var arguments — pointers rather than copies so a replayed op
 // pays zero shared_ptr refcount traffic — and is only valid for the
-// duration of the OnOp() call.
+// duration of the builder call.
 struct OpDesc {
   const char* op = nullptr;
   PlanForwardFn forward = nullptr;
@@ -91,6 +94,12 @@ class TapeHooks {
 // the previously installed value so scopes can nest.
 TapeHooks* SetTapeHooks(TapeHooks* hooks);
 TapeHooks* CurrentTapeHooks();
+
+// Ends every op forward, dynamic or replayed: the `op.nan` fault probe on
+// out->value, then (checks on) its finite check with out->op as provenance.
+// MakeOp and the replayer both call it after OpDesc::forward, so fault
+// injection and the watchdog see the same op boundary in either mode.
+void FinishForward(Node* out);
 
 }  // namespace ag
 }  // namespace clfd

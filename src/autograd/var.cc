@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <unordered_set>
 
@@ -32,75 +31,124 @@ TapeHooks* SetTapeHooks(TapeHooks* hooks) {
 
 TapeHooks* CurrentTapeHooks() { return g_tape_hooks; }
 
+void FinishForward(Node* out) {
+  // Fault probe: poisons one op output with NaN to rehearse numeric
+  // corruption. With checks on, CheckFinite below turns it into an
+  // InvariantError at the op boundary; with checks off it propagates to a
+  // non-finite loss — both paths are watchdog-recoverable.
+  if (fault::At("op.nan") && out->value.size() > 0) {
+    out->value.at(0, 0) = std::numeric_limits<float>::quiet_NaN();
+  }
+  if (check::Enabled()) CheckFinite(out->value, out->op);
+}
+
 namespace {
 
-// Pointer view over a contiguous Var array for OpDesc::inputs (the hooks
-// take pointers to the builder's arguments, not copies; see tape_hooks.h).
-// Stack storage covers every current call site — heap only beyond 64 blocks.
-struct VarPtrArray {
-  const Var* stack[64];
-  std::vector<const Var*> heap;
-  const Var* const* data;
-  explicit VarPtrArray(const std::vector<Var>& vars) {
-    const Var** out = stack;
-    if (vars.size() > 64) {
-      heap.resize(vars.size());
-      out = heap.data();
+// `n` pointers on the stack; heap storage only beyond 64, which no current
+// call site reaches.
+template <typename T>
+class PtrArray {
+ public:
+  explicit PtrArray(int n) : data_(stack_) {
+    if (n > kStack) {
+      heap_.resize(n);
+      data_ = heap_.data();
     }
-    for (size_t i = 0; i < vars.size(); ++i) out[i] = &vars[i];
-    data = out;
   }
+  T*& operator[](int i) { return data_[i]; }
+  T* const* data() const { return data_; }
+
+ private:
+  static constexpr int kStack = 64;
+  T* stack_[kStack];
+  std::vector<T*> heap_;
+  T** data_;
 };
 
 OpDesc Desc(const char* op, PlanForwardFn forward, const Var* const* inputs,
-            int num_inputs) {
+            int num_inputs, OpCall call = {}) {
   OpDesc d;
   d.op = op;
   d.forward = forward;
   d.inputs = inputs;
   d.num_inputs = num_inputs;
+  d.call = call;
   return d;
 }
 
-// Creates an interior node whose requires_grad is inherited from parents.
-// `op` is the provenance tag the invariant checker reports; when checks are
-// enabled every op output is scanned for NaN/Inf and every parent is
-// verified to come from a tape that has not already been consumed by a
-// backward pass (reusing one would double-propagate its gradients).
-Var MakeOp(const char* op, Matrix value, std::vector<NodePtr> parents,
-           std::function<void(Node*)> backward_fn) {
-  // Fault probe: poisons one op output with NaN to rehearse numeric
-  // corruption. With checks on, CheckFinite below turns it into an
-  // InvariantError at the op boundary; with checks off it propagates to a
-  // non-finite loss — both paths are watchdog-recoverable.
-  if (fault::At("op.nan") && value.size() > 0) {
-    value.at(0, 0) = std::numeric_limits<float>::quiet_NaN();
+// Counts a freshly built node and reports it to the hooks.
+Var Publish(NodePtr node) {
+  Var out(std::move(node));
+  CLFD_METRIC_COUNT("autograd.tape.nodes_created", 1);
+  if (TapeHooks* h = CurrentTapeHooks()) h->OnNodeCreated(out.node());
+  return out;
+}
+
+// The dynamic half of MakeOp: a node whose value (and aux) desc.forward
+// fills, followed by the shared post-forward probe and finite check. With
+// checks on, every parent is also verified to come from a tape that has not
+// already been consumed by a backward pass (reusing one would
+// double-propagate its gradients). The node keeps its parents only when one
+// of them requires a gradient.
+NodePtr NewOpNode(const OpDesc& desc) {
+  const int n = desc.num_inputs;
+  PtrArray<Node> parents(n);
+  bool any_grad = false;
+  for (int i = 0; i < n; ++i) {
+    parents[i] = desc.inputs[i]->node().get();
+    any_grad = any_grad || parents[i]->requires_grad;
   }
+  auto node = std::make_shared<Node>();
+  node->op = desc.op;
+  desc.forward(node.get(), parents.data(), n, desc.call);
+  FinishForward(node.get());
   if (check::Enabled()) {
-    CheckFinite(value, op);
-    for (const NodePtr& p : parents) {
-      if (p->backward_runs > 0) {
-        check::Fail(std::string("autograd tape misuse: op '") + op +
-                    "' built on the output of '" + p->op +
+    for (int i = 0; i < n; ++i) {
+      if (parents[i]->backward_runs > 0) {
+        check::Fail(std::string("autograd tape misuse: op '") + desc.op +
+                    "' built on the output of '" + parents[i]->op +
                     "' whose tape was already consumed by a backward pass; "
                     "rebuild the forward graph instead of reusing it");
       }
     }
   }
-  auto node = std::make_shared<Node>();
-  node->op = op;
-  node->value = std::move(value);
-  bool any_grad = false;
-  for (const NodePtr& p : parents) any_grad = any_grad || p->requires_grad;
   node->requires_grad = any_grad;
   if (any_grad) {
-    node->parents = std::move(parents);
-    node->backward_fn = std::move(backward_fn);
+    node->parents.reserve(n);
+    for (int i = 0; i < n; ++i) node->parents.push_back(desc.inputs[i]->node());
   }
-  Var out(std::move(node));
-  CLFD_METRIC_COUNT("autograd.tape.nodes_created", 1);
-  if (TapeHooks* h = CurrentTapeHooks()) h->OnNodeCreated(out.node());
-  return out;
+  return node;
+}
+
+// Every op builder ends here. The hooks are asked once; a replaying plan
+// satisfies the op and nothing is built. Otherwise the node is filled by
+// desc.forward, the function the replayer calls, so a dynamic and a
+// replayed step run one forward body. `backward` reads the op's inputs from
+// out->parents and captures at most the op's scalar arguments; it becomes
+// the node's std::function only when an input requires a gradient.
+template <typename Backward>
+Var MakeOp(const OpDesc& desc, Backward&& backward) {
+  if (TapeHooks* h = CurrentTapeHooks()) {
+    Var out;
+    if (h->OnOp(desc, &out)) return out;
+  }
+  NodePtr node = NewOpNode(desc);
+  if (node->requires_grad) node->backward_fn = std::forward<Backward>(backward);
+  return Publish(std::move(node));
+}
+
+// Constant and Param: the hooks may bind *value into a plan's leaf slot.
+Var MakeLeaf(const char* op, Matrix* value, bool requires_grad) {
+  if (TapeHooks* h = CurrentTapeHooks()) {
+    Var out;
+    if (h->OnLeaf(op, value, requires_grad, &out)) return out;
+  }
+  CheckFinite(*value, op);
+  auto node = std::make_shared<Node>();
+  node->op = op;
+  node->value = std::move(*value);
+  node->requires_grad = requires_grad;
+  return Publish(std::move(node));
 }
 
 void TopoSort(const NodePtr& root, std::vector<Node*>* order) {
@@ -130,39 +178,11 @@ void TopoSort(const NodePtr& root, std::vector<Node*>* order) {
 }  // namespace
 
 Var Constant(Matrix value) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    Var out;
-    if (h->OnLeaf("ag::Constant", &value, /*requires_grad=*/false, &out)) {
-      return out;
-    }
-  }
-  CheckFinite(value, "ag::Constant");
-  auto node = std::make_shared<Node>();
-  node->op = "ag::Constant";
-  node->value = std::move(value);
-  node->requires_grad = false;
-  Var out(std::move(node));
-  CLFD_METRIC_COUNT("autograd.tape.nodes_created", 1);
-  if (TapeHooks* h = CurrentTapeHooks()) h->OnNodeCreated(out.node());
-  return out;
+  return MakeLeaf("ag::Constant", &value, /*requires_grad=*/false);
 }
 
 Var Param(Matrix value) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    Var out;
-    if (h->OnLeaf("ag::Param", &value, /*requires_grad=*/true, &out)) {
-      return out;
-    }
-  }
-  CheckFinite(value, "ag::Param");
-  auto node = std::make_shared<Node>();
-  node->op = "ag::Param";
-  node->value = std::move(value);
-  node->requires_grad = true;
-  Var out(std::move(node));
-  CLFD_METRIC_COUNT("autograd.tape.nodes_created", 1);
-  if (TapeHooks* h = CurrentTapeHooks()) h->OnNodeCreated(out.node());
-  return out;
+  return MakeLeaf("ag::Param", &value, /*requires_grad=*/true);
 }
 
 namespace {
@@ -232,11 +252,10 @@ void BackwardWithGrad(const Var& root, const Matrix& seed) {
 
 namespace {
 
-// Planned forward bodies write through the *Into kernels so replay reuses
-// the plan's persistent output buffers instead of allocating fresh ones
-// each step (DESIGN.md §15). The Into kernels share loop bodies with the
-// value-returning kernels the dynamic builders call, so both modes stay
-// bitwise identical.
+// Each op's one forward body: MakeOp calls it on a fresh node, the plan
+// replayer on the node's persistent buffers (DESIGN.md §15). Both write
+// through the *Into kernels, which reuse a same-shape output and allocate
+// exactly as a value-returning kernel would otherwise.
 void FwdMatMul(Node* out, Node* const* p, int, const OpCall&) {
   clfd::MatMulInto(p[0]->value, p[1]->value, &out->value);
 }
@@ -244,26 +263,19 @@ void FwdMatMul(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var MatMul(const Var& a, const Var& b) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a, &b};
-    Var out;
-    if (h->OnOp(Desc("ag::MatMul", &FwdMatMul, ins, 2),
-                                 &out)) {
-      return out;
+  const Var* ins[] = {&a, &b};
+  return MakeOp(Desc("ag::MatMul", &FwdMatMul, ins, 2), [](Node* out) {
+    Node* an = out->parents[0].get();
+    Node* bn = out->parents[1].get();
+    if (an->requires_grad) {
+      an->EnsureGrad();
+      an->grad.AddInPlace(MatMulTransposeB(out->grad, bn->value));
     }
-  }
-  NodePtr an = a.node(), bn = b.node();
-  return MakeOp("ag::MatMul", clfd::MatMul(an->value, bn->value), {an, bn},
-                [an, bn](Node* out) {
-                  if (an->requires_grad) {
-                    an->EnsureGrad();
-                    an->grad.AddInPlace(MatMulTransposeB(out->grad, bn->value));
-                  }
-                  if (bn->requires_grad) {
-                    bn->EnsureGrad();
-                    bn->grad.AddInPlace(MatMulTransposeA(an->value, out->grad));
-                  }
-                });
+    if (bn->requires_grad) {
+      bn->EnsureGrad();
+      bn->grad.AddInPlace(MatMulTransposeA(an->value, out->grad));
+    }
+  });
 }
 
 namespace {
@@ -275,28 +287,22 @@ void FwdMatMulTransposeB(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var MatMulTransposeB(const Var& a, const Var& b) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a, &b};
-    Var out;
-    if (h->OnOp(
-            Desc("ag::MatMulTransposeB", &FwdMatMulTransposeB, ins, 2),
-            &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node(), bn = b.node();
-  return MakeOp("ag::MatMulTransposeB", clfd::MatMulTransposeB(an->value, bn->value), {an, bn},
-                [an, bn](Node* out) {
-                  // out = a b^T; d a = g b; d b = g^T a.
-                  if (an->requires_grad) {
-                    an->EnsureGrad();
-                    an->grad.AddInPlace(clfd::MatMul(out->grad, bn->value));
-                  }
-                  if (bn->requires_grad) {
-                    bn->EnsureGrad();
-                    bn->grad.AddInPlace(MatMulTransposeA(out->grad, an->value));
-                  }
-                });
+  const Var* ins[] = {&a, &b};
+  return MakeOp(
+      Desc("ag::MatMulTransposeB", &FwdMatMulTransposeB, ins, 2),
+      [](Node* out) {
+        // out = a b^T; d a = g b; d b = g^T a.
+        Node* an = out->parents[0].get();
+        Node* bn = out->parents[1].get();
+        if (an->requires_grad) {
+          an->EnsureGrad();
+          an->grad.AddInPlace(clfd::MatMul(out->grad, bn->value));
+        }
+        if (bn->requires_grad) {
+          bn->EnsureGrad();
+          bn->grad.AddInPlace(MatMulTransposeA(out->grad, an->value));
+        }
+      });
 }
 
 namespace {
@@ -308,15 +314,10 @@ void FwdAdd(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var Add(const Var& a, const Var& b) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a, &b};
-    Var out;
-    if (h->OnOp(Desc("ag::Add", &FwdAdd, ins, 2), &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node(), bn = b.node();
-  return MakeOp("ag::Add", clfd::Add(an->value, bn->value), {an, bn}, [an, bn](Node* out) {
+  const Var* ins[] = {&a, &b};
+  return MakeOp(Desc("ag::Add", &FwdAdd, ins, 2), [](Node* out) {
+    Node* an = out->parents[0].get();
+    Node* bn = out->parents[1].get();
     if (an->requires_grad) {
       an->EnsureGrad();
       an->grad.AddInPlace(out->grad);
@@ -337,15 +338,10 @@ void FwdSub(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var Sub(const Var& a, const Var& b) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a, &b};
-    Var out;
-    if (h->OnOp(Desc("ag::Sub", &FwdSub, ins, 2), &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node(), bn = b.node();
-  return MakeOp("ag::Sub", clfd::Sub(an->value, bn->value), {an, bn}, [an, bn](Node* out) {
+  const Var* ins[] = {&a, &b};
+  return MakeOp(Desc("ag::Sub", &FwdSub, ins, 2), [](Node* out) {
+    Node* an = out->parents[0].get();
+    Node* bn = out->parents[1].get();
     if (an->requires_grad) {
       an->EnsureGrad();
       an->grad.AddInPlace(out->grad);
@@ -366,15 +362,10 @@ void FwdMul(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var Mul(const Var& a, const Var& b) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a, &b};
-    Var out;
-    if (h->OnOp(Desc("ag::Mul", &FwdMul, ins, 2), &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node(), bn = b.node();
-  return MakeOp("ag::Mul", clfd::Mul(an->value, bn->value), {an, bn}, [an, bn](Node* out) {
+  const Var* ins[] = {&a, &b};
+  return MakeOp(Desc("ag::Mul", &FwdMul, ins, 2), [](Node* out) {
+    Node* an = out->parents[0].get();
+    Node* bn = out->parents[1].get();
     if (an->requires_grad) {
       an->EnsureGrad();
       an->grad.AddInPlace(clfd::Mul(out->grad, bn->value));
@@ -395,18 +386,13 @@ void FwdAddScalar(Node* out, Node* const* p, int, const OpCall& call) {
 }  // namespace
 
 Var AddScalar(const Var& a, float s) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    OpDesc d = Desc("ag::AddScalar", &FwdAddScalar, ins, 1);
-    d.call.f0 = s;
-    Var out;
-    if (h->OnOp(d, &out)) return out;
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::AddScalar", clfd::AddScalar(an->value, s), {an}, [an](Node* out) {
-    an->EnsureGrad();
-    an->grad.AddInPlace(out->grad);
-  });
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::AddScalar", &FwdAddScalar, ins, 1, {.f0 = s}),
+                [](Node* out) {
+                  Node* an = out->parents[0].get();
+                  an->EnsureGrad();
+                  an->grad.AddInPlace(out->grad);
+                });
 }
 
 namespace {
@@ -418,18 +404,13 @@ void FwdScale(Node* out, Node* const* p, int, const OpCall& call) {
 }  // namespace
 
 Var Scale(const Var& a, float s) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    OpDesc d = Desc("ag::Scale", &FwdScale, ins, 1);
-    d.call.f0 = s;
-    Var out;
-    if (h->OnOp(d, &out)) return out;
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::Scale", clfd::MulScalar(an->value, s), {an}, [an, s](Node* out) {
-    an->EnsureGrad();
-    an->grad.AddScaled(out->grad, s);
-  });
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::Scale", &FwdScale, ins, 1, {.f0 = s}),
+                [s](Node* out) {
+                  Node* an = out->parents[0].get();
+                  an->EnsureGrad();
+                  an->grad.AddScaled(out->grad, s);
+                });
 }
 
 namespace {
@@ -441,83 +422,59 @@ void FwdAddRowBroadcast(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var AddRowBroadcast(const Var& a, const Var& bias) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a, &bias};
-    Var out;
-    if (h->OnOp(
-            Desc("ag::AddRowBroadcast", &FwdAddRowBroadcast, ins, 2), &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node(), bn = bias.node();
-  return MakeOp("ag::AddRowBroadcast", clfd::AddRowBroadcast(an->value, bn->value), {an, bn},
-                [an, bn](Node* out) {
-                  if (an->requires_grad) {
-                    an->EnsureGrad();
-                    an->grad.AddInPlace(out->grad);
-                  }
-                  if (bn->requires_grad) {
-                    bn->EnsureGrad();
-                    for (int r = 0; r < out->grad.rows(); ++r) {
-                      const float* grow = out->grad.row(r);
-                      for (int c = 0; c < out->grad.cols(); ++c) {
-                        bn->grad[c] += grow[c];
-                      }
-                    }
-                  }
-                });
+  const Var* ins[] = {&a, &bias};
+  return MakeOp(
+      Desc("ag::AddRowBroadcast", &FwdAddRowBroadcast, ins, 2),
+      [](Node* out) {
+        Node* an = out->parents[0].get();
+        Node* bn = out->parents[1].get();
+        if (an->requires_grad) {
+          an->EnsureGrad();
+          an->grad.AddInPlace(out->grad);
+        }
+        if (bn->requires_grad) {
+          bn->EnsureGrad();
+          for (int r = 0; r < out->grad.rows(); ++r) {
+            const float* grow = out->grad.row(r);
+            for (int c = 0; c < out->grad.cols(); ++c) bn->grad[c] += grow[c];
+          }
+        }
+      });
 }
 
 namespace {
 
-void RowScaleForwardInto(const Matrix& a, const Matrix& col, Matrix* out) {
-  clfd::CopyInto(a, out);
-  for (int r = 0; r < out->rows(); ++r) {
-    float s = col.at(r, 0);
-    float* row = out->row(r);
-    for (int c = 0; c < out->cols(); ++c) row[c] *= s;
-  }
-}
-
-Matrix RowScaleForward(const Matrix& a, const Matrix& col) {
-  Matrix value;
-  RowScaleForwardInto(a, col, &value);
-  return value;
-}
-
 void FwdRowScaleConst(Node* out, Node* const* p, int, const OpCall& call) {
-  RowScaleForwardInto(p[0]->value, *call.aux_copy, &out->value);
+  const Matrix& col = *call.aux_copy;
+  clfd::CopyInto(p[0]->value, &out->value);
+  for (int r = 0; r < out->value.rows(); ++r) {
+    float s = col.at(r, 0);
+    float* row = out->value.row(r);
+    for (int c = 0; c < out->value.cols(); ++c) row[c] *= s;
+  }
   // CopyInto (not assignment) so replay reuses the node's persistent aux
   // buffer instead of reallocating it from the current arena context.
-  clfd::CopyInto(*call.aux_copy, &out->aux);
+  clfd::CopyInto(col, &out->aux);
 }
 
 }  // namespace
 
 Var RowScaleConst(const Var& a, const Matrix& col) {
   assert(col.cols() == 1 && col.rows() == a.rows());
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    OpDesc d = Desc("ag::RowScaleConst", &FwdRowScaleConst, ins, 1);
-    d.call.aux_copy = &col;
-    Var out;
-    if (h->OnOp(d, &out)) return out;
-  }
-  NodePtr an = a.node();
-  Var v = MakeOp("ag::RowScaleConst", RowScaleForward(an->value, col), {an},
-                 [an](Node* out) {
-                   an->EnsureGrad();
-                   for (int r = 0; r < out->grad.rows(); ++r) {
-                     float s = out->aux.at(r, 0);
-                     const float* grow = out->grad.row(r);
-                     float* arow = an->grad.row(r);
-                     for (int c = 0; c < out->grad.cols(); ++c) {
-                       arow[c] += s * grow[c];
-                     }
-                   }
-                 });
-  v.node()->aux = col;
-  return v;
+  const Var* ins[] = {&a};
+  return MakeOp(
+      Desc("ag::RowScaleConst", &FwdRowScaleConst, ins, 1,
+           {.aux_copy = &col}),
+      [](Node* out) {
+        Node* an = out->parents[0].get();
+        an->EnsureGrad();
+        for (int r = 0; r < out->grad.rows(); ++r) {
+          float s = out->aux.at(r, 0);
+          const float* grow = out->grad.row(r);
+          float* arow = an->grad.row(r);
+          for (int c = 0; c < out->grad.cols(); ++c) arow[c] += s * grow[c];
+        }
+      });
 }
 
 namespace {
@@ -529,15 +486,9 @@ void FwdExp(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var Exp(const Var& a) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    Var out;
-    if (h->OnOp(Desc("ag::Exp", &FwdExp, ins, 1), &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::Exp", clfd::Exp(an->value), {an}, [an](Node* out) {
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::Exp", &FwdExp, ins, 1), [](Node* out) {
+    Node* an = out->parents[0].get();
     an->EnsureGrad();
     an->grad.AddInPlace(clfd::Mul(out->grad, out->value));
   });
@@ -552,15 +503,9 @@ void FwdLog(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var Log(const Var& a) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    Var out;
-    if (h->OnOp(Desc("ag::Log", &FwdLog, ins, 1), &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::Log", clfd::Log(an->value), {an}, [an](Node* out) {
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::Log", &FwdLog, ins, 1), [](Node* out) {
+    Node* an = out->parents[0].get();
     an->EnsureGrad();
     for (int i = 0; i < out->grad.size(); ++i) {
       an->grad[i] += out->grad[i] / std::max(an->value[i], 1e-12f);
@@ -577,15 +522,9 @@ void FwdPow(Node* out, Node* const* p, int, const OpCall& call) {
 }  // namespace
 
 Var Pow(const Var& a, float p) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    OpDesc d = Desc("ag::Pow", &FwdPow, ins, 1);
-    d.call.f0 = p;
-    Var out;
-    if (h->OnOp(d, &out)) return out;
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::Pow", clfd::Pow(an->value, p), {an}, [an, p](Node* out) {
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::Pow", &FwdPow, ins, 1, {.f0 = p}), [p](Node* out) {
+    Node* an = out->parents[0].get();
     an->EnsureGrad();
     for (int i = 0; i < out->grad.size(); ++i) {
       // d/dx x^p = p x^(p-1); clamp the base so p < 1 stays finite at 0.
@@ -604,15 +543,9 @@ void FwdTanh(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var Tanh(const Var& a) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    Var out;
-    if (h->OnOp(Desc("ag::Tanh", &FwdTanh, ins, 1), &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::Tanh", clfd::Tanh(an->value), {an}, [an](Node* out) {
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::Tanh", &FwdTanh, ins, 1), [](Node* out) {
+    Node* an = out->parents[0].get();
     an->EnsureGrad();
     for (int i = 0; i < out->grad.size(); ++i) {
       float y = out->value[i];
@@ -630,16 +563,9 @@ void FwdSigmoid(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var Sigmoid(const Var& a) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    Var out;
-    if (h->OnOp(Desc("ag::Sigmoid", &FwdSigmoid, ins, 1),
-                                 &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::Sigmoid", clfd::Sigmoid(an->value), {an}, [an](Node* out) {
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::Sigmoid", &FwdSigmoid, ins, 1), [](Node* out) {
+    Node* an = out->parents[0].get();
     an->EnsureGrad();
     for (int i = 0; i < out->grad.size(); ++i) {
       float y = out->value[i];
@@ -657,15 +583,9 @@ void FwdRelu(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var Relu(const Var& a) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    Var out;
-    if (h->OnOp(Desc("ag::Relu", &FwdRelu, ins, 1), &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::Relu", clfd::Relu(an->value), {an}, [an](Node* out) {
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::Relu", &FwdRelu, ins, 1), [](Node* out) {
+    Node* an = out->parents[0].get();
     an->EnsureGrad();
     for (int i = 0; i < out->grad.size(); ++i) {
       if (an->value[i] > 0.0f) an->grad[i] += out->grad[i];
@@ -682,20 +602,16 @@ void FwdLeakyRelu(Node* out, Node* const* p, int, const OpCall& call) {
 }  // namespace
 
 Var LeakyRelu(const Var& a, float slope) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    OpDesc d = Desc("ag::LeakyRelu", &FwdLeakyRelu, ins, 1);
-    d.call.f0 = slope;
-    Var out;
-    if (h->OnOp(d, &out)) return out;
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::LeakyRelu", clfd::LeakyRelu(an->value, slope), {an}, [an, slope](Node* out) {
-    an->EnsureGrad();
-    for (int i = 0; i < out->grad.size(); ++i) {
-      an->grad[i] += out->grad[i] * (an->value[i] > 0.0f ? 1.0f : slope);
-    }
-  });
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::LeakyRelu", &FwdLeakyRelu, ins, 1, {.f0 = slope}),
+                [slope](Node* out) {
+                  Node* an = out->parents[0].get();
+                  an->EnsureGrad();
+                  for (int i = 0; i < out->grad.size(); ++i) {
+                    an->grad[i] +=
+                        out->grad[i] * (an->value[i] > 0.0f ? 1.0f : slope);
+                  }
+                });
 }
 
 namespace {
@@ -707,29 +623,25 @@ void FwdSoftmaxRows(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var SoftmaxRows(const Var& a) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    Var out;
-    if (h->OnOp(
-            Desc("ag::SoftmaxRows", &FwdSoftmaxRows, ins, 1), &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::SoftmaxRows", clfd::SoftmaxRows(an->value), {an}, [an](Node* out) {
-    an->EnsureGrad();
-    // d x_j = s_j * (g_j - sum_k g_k s_k) per row.
-    for (int r = 0; r < out->value.rows(); ++r) {
-      const float* s = out->value.row(r);
-      const float* g = out->grad.row(r);
-      float* ar = an->grad.row(r);
-      double dot = 0.0;
-      for (int c = 0; c < out->value.cols(); ++c) dot += g[c] * s[c];
-      for (int c = 0; c < out->value.cols(); ++c) {
-        ar[c] += s[c] * (g[c] - static_cast<float>(dot));
-      }
-    }
-  });
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::SoftmaxRows", &FwdSoftmaxRows, ins, 1),
+                [](Node* out) {
+                  Node* an = out->parents[0].get();
+                  an->EnsureGrad();
+                  // d x_j = s_j * (g_j - sum_k g_k s_k) per row.
+                  for (int r = 0; r < out->value.rows(); ++r) {
+                    const float* s = out->value.row(r);
+                    const float* g = out->grad.row(r);
+                    float* ar = an->grad.row(r);
+                    double dot = 0.0;
+                    for (int c = 0; c < out->value.cols(); ++c) {
+                      dot += g[c] * s[c];
+                    }
+                    for (int c = 0; c < out->value.cols(); ++c) {
+                      ar[c] += s[c] * (g[c] - static_cast<float>(dot));
+                    }
+                  }
+                });
 }
 
 namespace {
@@ -742,18 +654,9 @@ void FwdSumAll(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var SumAll(const Var& a) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    Var out;
-    if (h->OnOp(Desc("ag::SumAll", &FwdSumAll, ins, 1),
-                                 &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node();
-  Matrix value(1, 1);
-  value[0] = clfd::SumAll(an->value);
-  return MakeOp("ag::SumAll", std::move(value), {an}, [an](Node* out) {
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::SumAll", &FwdSumAll, ins, 1), [](Node* out) {
+    Node* an = out->parents[0].get();
     an->EnsureGrad();
     float g = out->grad[0];
     for (int i = 0; i < an->grad.size(); ++i) an->grad[i] += g;
@@ -776,16 +679,9 @@ void FwdSumRows(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var SumRows(const Var& a) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    Var out;
-    if (h->OnOp(Desc("ag::SumRows", &FwdSumRows, ins, 1),
-                                 &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::SumRows", clfd::SumRows(an->value), {an}, [an](Node* out) {
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::SumRows", &FwdSumRows, ins, 1), [](Node* out) {
+    Node* an = out->parents[0].get();
     an->EnsureGrad();
     for (int r = 0; r < an->grad.rows(); ++r) {
       float g = out->grad.at(r, 0);
@@ -797,64 +693,38 @@ Var SumRows(const Var& a) {
 
 namespace {
 
-// Pointer view over the parents' values for the pointer-based concat
-// kernels — no per-call Matrix copies. Stack storage covers every current
-// call site; heap only beyond 64 blocks (mirrors VarPtrArray above).
-struct MatrixPtrArray {
-  const Matrix* stack[64];
-  std::vector<const Matrix*> heap;
-  const Matrix* const* data;
-  MatrixPtrArray(Node* const* p, int np) {
-    const Matrix** out = stack;
-    if (np > 64) {
-      heap.resize(np);
-      out = heap.data();
-    }
-    for (int i = 0; i < np; ++i) out[i] = &p[i]->value;
-    data = out;
-  }
-};
-
+// The concat forwards read the parents' values through pointers — no
+// per-call Matrix copies.
 void FwdConcatRows(Node* out, Node* const* p, int np, const OpCall&) {
-  MatrixPtrArray blocks(p, np);
-  clfd::ConcatRowsInto(blocks.data, np, &out->value);
+  PtrArray<const Matrix> blocks(np);
+  for (int i = 0; i < np; ++i) blocks[i] = &p[i]->value;
+  clfd::ConcatRowsInto(blocks.data(), np, &out->value);
 }
 
 }  // namespace
 
 Var ConcatRows(const std::vector<Var>& blocks) {
   assert(!blocks.empty());
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    VarPtrArray ins(blocks);
-    Var out;
-    if (h->OnOp(
-            Desc("ag::ConcatRows", &FwdConcatRows, ins.data,
-                 static_cast<int>(blocks.size())),
-            &out)) {
-      return out;
-    }
-  }
-  std::vector<Matrix> values;
-  std::vector<NodePtr> parents;
-  values.reserve(blocks.size());
-  for (const Var& b : blocks) {
-    values.push_back(b.value());
-    parents.push_back(b.node());
-  }
-  return MakeOp("ag::ConcatRows", clfd::ConcatRows(values), parents, [parents](Node* out) {
-    int r = 0;
-    for (const NodePtr& p : parents) {
-      if (p->requires_grad) {
-        p->EnsureGrad();
-        for (int pr = 0; pr < p->value.rows(); ++pr) {
-          const float* grow = out->grad.row(r + pr);
-          float* prow = p->grad.row(pr);
-          for (int c = 0; c < p->value.cols(); ++c) prow[c] += grow[c];
-        }
-      }
-      r += p->value.rows();
-    }
-  });
+  const int n = static_cast<int>(blocks.size());
+  PtrArray<const Var> ins(n);
+  for (int i = 0; i < n; ++i) ins[i] = &blocks[i];
+  return MakeOp(Desc("ag::ConcatRows", &FwdConcatRows, ins.data(), n),
+                [](Node* out) {
+                  int r = 0;
+                  for (const NodePtr& p : out->parents) {
+                    if (p->requires_grad) {
+                      p->EnsureGrad();
+                      for (int pr = 0; pr < p->value.rows(); ++pr) {
+                        const float* grow = out->grad.row(r + pr);
+                        float* prow = p->grad.row(pr);
+                        for (int c = 0; c < p->value.cols(); ++c) {
+                          prow[c] += grow[c];
+                        }
+                      }
+                    }
+                    r += p->value.rows();
+                  }
+                });
 }
 
 namespace {
@@ -866,60 +736,39 @@ void FwdSliceRows(Node* out, Node* const* p, int, const OpCall& call) {
 }  // namespace
 
 Var SliceRows(const Var& a, int begin, int end) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    OpDesc d = Desc("ag::SliceRows", &FwdSliceRows, ins, 1);
-    d.call.i0 = begin;
-    d.call.i1 = end;
-    Var out;
-    if (h->OnOp(d, &out)) return out;
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::SliceRows", clfd::SliceRows(an->value, begin, end), {an},
-                [an, begin](Node* out) {
-                  an->EnsureGrad();
-                  for (int r = 0; r < out->grad.rows(); ++r) {
-                    const float* grow = out->grad.row(r);
-                    float* arow = an->grad.row(begin + r);
-                    for (int c = 0; c < out->grad.cols(); ++c) {
-                      arow[c] += grow[c];
-                    }
-                  }
-                });
+  const Var* ins[] = {&a};
+  return MakeOp(
+      Desc("ag::SliceRows", &FwdSliceRows, ins, 1, {.i0 = begin, .i1 = end}),
+      [begin](Node* out) {
+        Node* an = out->parents[0].get();
+        an->EnsureGrad();
+        for (int r = 0; r < out->grad.rows(); ++r) {
+          const float* grow = out->grad.row(r);
+          float* arow = an->grad.row(begin + r);
+          for (int c = 0; c < out->grad.cols(); ++c) arow[c] += grow[c];
+        }
+      });
 }
 
 namespace {
 
 void FwdConcatCols(Node* out, Node* const* p, int np, const OpCall&) {
-  MatrixPtrArray blocks(p, np);
-  clfd::ConcatColsInto(blocks.data, np, &out->value);
+  PtrArray<const Matrix> blocks(np);
+  for (int i = 0; i < np; ++i) blocks[i] = &p[i]->value;
+  clfd::ConcatColsInto(blocks.data(), np, &out->value);
 }
 
 }  // namespace
 
 Var ConcatCols(const std::vector<Var>& blocks) {
   assert(!blocks.empty());
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    VarPtrArray ins(blocks);
-    Var out;
-    if (h->OnOp(
-            Desc("ag::ConcatCols", &FwdConcatCols, ins.data,
-                 static_cast<int>(blocks.size())),
-            &out)) {
-      return out;
-    }
-  }
-  std::vector<Matrix> values;
-  std::vector<NodePtr> parents;
-  values.reserve(blocks.size());
-  for (const Var& b : blocks) {
-    values.push_back(b.value());
-    parents.push_back(b.node());
-  }
-  return MakeOp("ag::ConcatCols", clfd::ConcatCols(values), parents,
-                [parents](Node* out) {
+  const int n = static_cast<int>(blocks.size());
+  PtrArray<const Var> ins(n);
+  for (int i = 0; i < n; ++i) ins[i] = &blocks[i];
+  return MakeOp(Desc("ag::ConcatCols", &FwdConcatCols, ins.data(), n),
+                [](Node* out) {
                   int c0 = 0;
-                  for (const NodePtr& p : parents) {
+                  for (const NodePtr& p : out->parents) {
                     if (p->requires_grad) {
                       p->EnsureGrad();
                       for (int r = 0; r < p->value.rows(); ++r) {
@@ -944,26 +793,18 @@ void FwdSliceCols(Node* out, Node* const* p, int, const OpCall& call) {
 }  // namespace
 
 Var SliceCols(const Var& a, int begin, int end) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    OpDesc d = Desc("ag::SliceCols", &FwdSliceCols, ins, 1);
-    d.call.i0 = begin;
-    d.call.i1 = end;
-    Var out;
-    if (h->OnOp(d, &out)) return out;
-  }
-  NodePtr an = a.node();
-  return MakeOp("ag::SliceCols", clfd::SliceCols(an->value, begin, end), {an},
-                [an, begin](Node* out) {
-                  an->EnsureGrad();
-                  for (int r = 0; r < out->grad.rows(); ++r) {
-                    const float* grow = out->grad.row(r);
-                    float* arow = an->grad.row(r);
-                    for (int c = 0; c < out->grad.cols(); ++c) {
-                      arow[begin + c] += grow[c];
-                    }
-                  }
-                });
+  const Var* ins[] = {&a};
+  return MakeOp(
+      Desc("ag::SliceCols", &FwdSliceCols, ins, 1, {.i0 = begin, .i1 = end}),
+      [begin](Node* out) {
+        Node* an = out->parents[0].get();
+        an->EnsureGrad();
+        for (int r = 0; r < out->grad.rows(); ++r) {
+          const float* grow = out->grad.row(r);
+          float* arow = an->grad.row(r);
+          for (int c = 0; c < out->grad.cols(); ++c) arow[begin + c] += grow[c];
+        }
+      });
 }
 
 namespace {
@@ -975,28 +816,21 @@ void FwdLstmPackedMatMul(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var LstmPackedMatMul(const Var& x, const Var& w) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&x, &w};
-    Var out;
-    if (h->OnOp(
-            Desc("ag::LstmPackedMatMul", &FwdLstmPackedMatMul, ins, 2),
-            &out)) {
-      return out;
-    }
-  }
-  NodePtr xn = x.node(), wn = w.node();
-  return MakeOp("ag::LstmPackedMatMul", clfd::MatMul(xn->value, wn->value),
-                {xn, wn}, [xn, wn](Node* out) {
-                  if (xn->requires_grad) {
-                    xn->EnsureGrad();
-                    MatMulTransposeBGateBlockedAddInto(out->grad, wn->value,
-                                                       &xn->grad);
-                  }
-                  if (wn->requires_grad) {
-                    wn->EnsureGrad();
-                    wn->grad.AddInPlace(MatMulTransposeA(xn->value, out->grad));
-                  }
-                });
+  const Var* ins[] = {&x, &w};
+  return MakeOp(
+      Desc("ag::LstmPackedMatMul", &FwdLstmPackedMatMul, ins, 2),
+      [](Node* out) {
+        Node* xn = out->parents[0].get();
+        Node* wn = out->parents[1].get();
+        if (xn->requires_grad) {
+          xn->EnsureGrad();
+          MatMulTransposeBGateBlockedAddInto(out->grad, wn->value, &xn->grad);
+        }
+        if (wn->requires_grad) {
+          wn->EnsureGrad();
+          wn->grad.AddInPlace(MatMulTransposeA(xn->value, out->grad));
+        }
+      });
 }
 
 namespace {
@@ -1012,24 +846,16 @@ void FwdLstmInputProjection(Node* out, Node* const* p, int,
 }  // namespace
 
 Var LstmInputProjection(Matrix xcat, const Var& w, int block_rows) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&w};
-    OpDesc d = Desc("ag::LstmInputProjection", &FwdLstmInputProjection, ins, 1);
-    d.call.i0 = block_rows;
-    d.call.aux_move = &xcat;
-    Var out;
-    if (h->OnOp(d, &out)) return out;
-  }
-  NodePtr wn = w.node();
-  Matrix value = clfd::MatMul(xcat, wn->value);
-  Var v = MakeOp("ag::LstmInputProjection", std::move(value), {wn},
-                 [wn, block_rows](Node* out) {
-                   wn->EnsureGrad();
-                   MatMulTransposeATimeBlockedAddInto(out->aux, out->grad,
-                                                      block_rows, &wn->grad);
-                 });
-  v.node()->aux = std::move(xcat);
-  return v;
+  const Var* ins[] = {&w};
+  return MakeOp(
+      Desc("ag::LstmInputProjection", &FwdLstmInputProjection, ins, 1,
+           {.i0 = block_rows, .aux_move = &xcat}),
+      [block_rows](Node* out) {
+        Node* wn = out->parents[0].get();
+        wn->EnsureGrad();
+        MatMulTransposeATimeBlockedAddInto(out->aux, out->grad, block_rows,
+                                           &wn->grad);
+      });
 }
 
 namespace {
@@ -1041,96 +867,66 @@ void FwdLstmGates(Node* out, Node* const* p, int, const OpCall&) {
 }  // namespace
 
 Var LstmGates(const Var& pre, const Var& hc_prev) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&pre, &hc_prev};
-    Var out;
-    if (h->OnOp(Desc("ag::LstmGates", &FwdLstmGates, ins, 2),
-                                 &out)) {
-      return out;
+  const Var* ins[] = {&pre, &hc_prev};
+  return MakeOp(Desc("ag::LstmGates", &FwdLstmGates, ins, 2), [](Node* out) {
+    Node* pn = out->parents[0].get();
+    Node* hn = out->parents[1].get();
+    Matrix scratch;
+    Matrix* dpre = nullptr;
+    if (pn->requires_grad) {
+      pn->EnsureGrad();
+      dpre = &pn->grad;
+    } else {
+      scratch = Matrix(pn->value.rows(), pn->value.cols());
+      dpre = &scratch;
     }
-  }
-  NodePtr pn = pre.node(), hn = hc_prev.node();
-  Matrix hc, acts;
-  clfd::LstmGatesForward(pn->value, hn->value, &hc, &acts);
-  Var v = MakeOp("ag::LstmGates", std::move(hc), {pn, hn},
-                 [pn, hn](Node* out) {
-                   Matrix scratch;
-                   Matrix* dpre = nullptr;
-                   if (pn->requires_grad) {
-                     pn->EnsureGrad();
-                     dpre = &pn->grad;
-                   } else {
-                     scratch = Matrix(pn->value.rows(), pn->value.cols());
-                     dpre = &scratch;
-                   }
-                   Matrix* dhc = nullptr;
-                   if (hn->requires_grad) {
-                     hn->EnsureGrad();
-                     dhc = &hn->grad;
-                   }
-                   clfd::LstmGatesBackward(out->grad, out->aux, hn->value,
-                                           dpre, dhc);
-                 });
-  v.node()->aux = std::move(acts);
-  return v;
+    Matrix* dhc = nullptr;
+    if (hn->requires_grad) {
+      hn->EnsureGrad();
+      dhc = &hn->grad;
+    }
+    clfd::LstmGatesBackward(out->grad, out->aux, hn->value, dpre, dhc);
+  });
 }
 
 namespace {
 
-void NormalizeRowsForwardInto(const Matrix& a, Matrix* value, Matrix* norms) {
-  clfd::CopyInto(a, value);
-  clfd::EnsureShape(norms, a.rows(), 1, /*zeroed=*/false);
+void FwdNormalizeRows(Node* out, Node* const* p, int, const OpCall&) {
+  const Matrix& a = p[0]->value;
+  clfd::CopyInto(a, &out->value);
+  clfd::EnsureShape(&out->aux, a.rows(), 1, /*zeroed=*/false);
   for (int r = 0; r < a.rows(); ++r) {
     float n = RowNorm(a, r);
-    norms->at(r, 0) = n;
-    float* row = value->row(r);
+    out->aux.at(r, 0) = n;
+    float* row = out->value.row(r);
     for (int c = 0; c < a.cols(); ++c) row[c] /= n;
   }
-}
-
-Matrix NormalizeRowsForward(const Matrix& a, Matrix* norms) {
-  Matrix value;
-  NormalizeRowsForwardInto(a, &value, norms);
-  return value;
-}
-
-void FwdNormalizeRows(Node* out, Node* const* p, int, const OpCall&) {
-  NormalizeRowsForwardInto(p[0]->value, &out->value, &out->aux);
 }
 
 }  // namespace
 
 Var NormalizeRows(const Var& a) {
-  if (TapeHooks* h = CurrentTapeHooks()) {
-    const Var* ins[] = {&a};
-    Var out;
-    if (h->OnOp(
-            Desc("ag::NormalizeRows", &FwdNormalizeRows, ins, 1), &out)) {
-      return out;
-    }
-  }
-  NodePtr an = a.node();
-  Matrix norms;
-  Var v = MakeOp("ag::NormalizeRows", NormalizeRowsForward(an->value, &norms),
-                 {an}, [an](Node* out) {
-                   an->EnsureGrad();
-                   // For y = x / |x|: dx = (g - y (g . y)) / |x|.
-                   for (int r = 0; r < out->grad.rows(); ++r) {
-                     const float* g = out->grad.row(r);
-                     const float* x = an->value.row(r);
-                     float* ar = an->grad.row(r);
-                     float inv = 1.0f / out->aux.at(r, 0);
-                     double dot = 0.0;
-                     for (int c = 0; c < out->grad.cols(); ++c) {
-                       dot += g[c] * x[c] * inv;
-                     }
-                     for (int c = 0; c < out->grad.cols(); ++c) {
-                       ar[c] += inv * (g[c] - static_cast<float>(dot) * x[c] * inv);
-                     }
-                   }
-                 });
-  v.node()->aux = std::move(norms);
-  return v;
+  const Var* ins[] = {&a};
+  return MakeOp(Desc("ag::NormalizeRows", &FwdNormalizeRows, ins, 1),
+                [](Node* out) {
+                  Node* an = out->parents[0].get();
+                  an->EnsureGrad();
+                  // For y = x / |x|: dx = (g - y (g . y)) / |x|.
+                  for (int r = 0; r < out->grad.rows(); ++r) {
+                    const float* g = out->grad.row(r);
+                    const float* x = an->value.row(r);
+                    float* ar = an->grad.row(r);
+                    float inv = 1.0f / out->aux.at(r, 0);
+                    double dot = 0.0;
+                    for (int c = 0; c < out->grad.cols(); ++c) {
+                      dot += g[c] * x[c] * inv;
+                    }
+                    for (int c = 0; c < out->grad.cols(); ++c) {
+                      ar[c] +=
+                          inv * (g[c] - static_cast<float>(dot) * x[c] * inv);
+                    }
+                  }
+                });
 }
 
 }  // namespace ag

@@ -2,9 +2,9 @@
 
 // Minimal zero-dependency JSON reader for tooling: parses the
 // google-benchmark --benchmark_out format and the profiler's ToJson output
-// into a plain value tree. Writer-side JSON stays hand-rolled at each
-// producer (obs/metrics, obs/prof); this is the read side for tools that
-// must diff those artifacts (tools/perf_diff).
+// into a plain value tree. The write side is obs/json_writer.h, shared by
+// the obs exporters; this is the read side for tools that must diff those
+// artifacts (tools/perf_diff).
 //
 //   json::Value v;
 //   std::string err;

@@ -1,6 +1,7 @@
 #include "core/classifier_trainer.h"
 
 #include <cassert>
+#include <functional>
 
 #include "autograd/var.h"
 #include "losses/mixup.h"
@@ -88,6 +89,34 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
   // Mixup partner candidates: the whole training table, grouped by label.
   const MixupPartners partners(labels);
 
+  // The batch loss, picked once; the three mixup variants share one step.
+  const bool mixup = config.classifier_loss == ClassifierLoss::kMixupGce ||
+                     config.classifier_loss == ClassifierLoss::kMixupMae ||
+                     config.classifier_loss == ClassifierLoss::kMixupSce;
+  std::function<ag::Var(const ag::Var&, const Matrix&)> loss_of;
+  switch (config.classifier_loss) {
+    case ClassifierLoss::kMixupGce:
+    case ClassifierLoss::kVanillaGce:
+      loss_of = [q = config.gce_q](const ag::Var& probs,
+                                   const Matrix& targets) {
+        return GceLoss(probs, targets, q);
+      };
+      break;
+    case ClassifierLoss::kCce:
+      loss_of = CceLoss;
+      break;
+    case ClassifierLoss::kMixupMae:
+      // Future-work extension: mixup unhinged/MAE (GCE at q = 1).
+      loss_of = MaeLoss;
+      break;
+    case ClassifierLoss::kMixupSce:
+      // Future-work extension: mixup Symmetric Cross Entropy.
+      loss_of = [](const ag::Var& probs, const Matrix& targets) {
+        return SceLoss(probs, targets);
+      };
+      break;
+  }
+
   obs::Series* loss_series = obs::MetricsRegistry::Get().GetSeries(
       std::string(metric_scope) + ".loss");
 
@@ -130,69 +159,28 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
       }
 
       ag::Var loss;
-      switch (config.classifier_loss) {
-        case ClassifierLoss::kMixupGce: {
-          // Mixup GCE (Eq. 2-3) applied as an augmentation: the batch loss
-          // averages the GCE loss on the mixed samples with the GCE loss on
-          // the pure samples. The pure term keeps the per-region label
-          // votes (without it the minority cluster's recall collapses at
-          // reduced data scales); the mixed term supplies the label-
-          // memorization protection the paper credits mixup with.
-          MixupBatch mixed =
-              MakeMixupBatch(batch_features, batch_labels, features, partners,
-                             config.mixup_beta, rng);
-          ag::Var mixed_probs =
-              classifier->ForwardProbs(ag::Constant(mixed.features));
-          ag::Var pure_probs =
-              classifier->ForwardProbs(ag::Constant(batch_features));
-          loss = ag::Scale(
-              ag::Add(GceLoss(mixed_probs, mixed.targets, config.gce_q),
-                      GceLoss(pure_probs, OneHot(batch_labels), config.gce_q)),
-              0.5f);
-          break;
-        }
-        case ClassifierLoss::kVanillaGce: {
-          ag::Var probs =
-              classifier->ForwardProbs(ag::Constant(batch_features));
-          loss = GceLoss(probs, OneHot(batch_labels), config.gce_q);
-          break;
-        }
-        case ClassifierLoss::kCce: {
-          ag::Var probs =
-              classifier->ForwardProbs(ag::Constant(batch_features));
-          loss = CceLoss(probs, OneHot(batch_labels));
-          break;
-        }
-        case ClassifierLoss::kMixupMae: {
-          // Future-work extension: mixup unhinged/MAE (GCE at q = 1).
-          MixupBatch mixed =
-              MakeMixupBatch(batch_features, batch_labels, features, partners,
-                             config.mixup_beta, rng);
-          ag::Var mixed_probs =
-              classifier->ForwardProbs(ag::Constant(mixed.features));
-          ag::Var pure_probs =
-              classifier->ForwardProbs(ag::Constant(batch_features));
-          loss = ag::Scale(
-              ag::Add(MaeLoss(mixed_probs, mixed.targets),
-                      MaeLoss(pure_probs, OneHot(batch_labels))),
-              0.5f);
-          break;
-        }
-        case ClassifierLoss::kMixupSce: {
-          // Future-work extension: mixup Symmetric Cross Entropy.
-          MixupBatch mixed =
-              MakeMixupBatch(batch_features, batch_labels, features, partners,
-                             config.mixup_beta, rng);
-          ag::Var mixed_probs =
-              classifier->ForwardProbs(ag::Constant(mixed.features));
-          ag::Var pure_probs =
-              classifier->ForwardProbs(ag::Constant(batch_features));
-          loss = ag::Scale(
-              ag::Add(SceLoss(mixed_probs, mixed.targets),
-                      SceLoss(pure_probs, OneHot(batch_labels))),
-              0.5f);
-          break;
-        }
+      if (mixup) {
+        // Mixup (Eq. 2-3) applied as an augmentation: the batch loss
+        // averages the loss on the mixed samples with the loss on the pure
+        // samples. The pure term keeps the per-region label votes (without
+        // it the minority cluster's recall collapses at reduced data
+        // scales); the mixed term supplies the label-memorization
+        // protection the paper credits mixup with.
+        MixupBatch mixed =
+            MakeMixupBatch(batch_features, batch_labels, features, partners,
+                           config.mixup_beta, rng);
+        ag::Var mixed_probs =
+            classifier->ForwardProbs(ag::Constant(mixed.features));
+        ag::Var pure_probs =
+            classifier->ForwardProbs(ag::Constant(batch_features));
+        loss = ag::Scale(
+            ag::Add(loss_of(mixed_probs, mixed.targets),
+                    loss_of(pure_probs, OneHot(batch_labels))),
+            0.5f);
+      } else {
+        ag::Var probs =
+            classifier->ForwardProbs(ag::Constant(batch_features));
+        loss = loss_of(probs, OneHot(batch_labels));
       }
       ag::Backward(loss);
       optimizer.Step();

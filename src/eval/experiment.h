@@ -43,20 +43,12 @@ struct AggregatedMetrics {
   MeanStd fpr;
   MeanStd auc;
   MeanStd train_seconds;
-  MeanStd pretrain_seconds;
-  MeanStd corrector_seconds;
-  MeanStd detector_seconds;
-  MeanStd classifier_seconds;
 
   void Add(const RunMetrics& m) {
     f1.Add(m.f1);
     fpr.Add(m.fpr);
     auc.Add(m.auc);
     train_seconds.Add(m.train_seconds);
-    pretrain_seconds.Add(m.phases.pretrain_seconds);
-    corrector_seconds.Add(m.phases.corrector_seconds);
-    detector_seconds.Add(m.phases.detector_seconds);
-    classifier_seconds.Add(m.phases.classifier_seconds);
   }
 };
 

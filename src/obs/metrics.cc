@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
+
+#include "obs/json_writer.h"
 
 namespace clfd {
 namespace obs {
@@ -35,32 +36,6 @@ void AtomicMax(std::atomic<double>* target, double value) {
          !target->compare_exchange_weak(current, value,
                                         std::memory_order_relaxed)) {
   }
-}
-
-// JSON numbers must stay finite; clamp the sentinels tests never hit.
-void AppendJsonNumber(std::ostringstream* os, double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[40];
-  // %.12g round-trips every value this registry stores while keeping
-  // integers rendered without an exponent.
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  *os << buf;
-}
-
-void AppendJsonString(std::ostringstream* os, const std::string& s) {
-  *os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      *os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *os << buf;
-    } else {
-      *os << c;
-    }
-  }
-  *os << '"';
 }
 
 void AppendJsonValue(std::ostringstream* os, const Counter& c) {

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/env.h"
+#include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -278,11 +279,15 @@ void Scope::CloseSpan() {
   if (tls_capture != nullptr) tls_capture->ns_[span_] += ns;
   if (!TraceRecorder::Get().enabled()) return;
   std::string args;
-  for (int i = 0; i < num_args_; ++i) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s\"%s\":%.12g", i > 0 ? "," : "",
-                  arg_keys_[i], arg_values_[i]);
-    args += buf;
+  if (num_args_ > 0) {
+    std::ostringstream os;
+    for (int i = 0; i < num_args_; ++i) {
+      if (i > 0) os << ',';
+      AppendJsonString(&os, arg_keys_[i]);
+      os << ':';
+      AppendJsonNumber(&os, arg_values_[i]);
+    }
+    args = os.str();
   }
   TraceRecorder::Get().RecordComplete(span_, start_ns_, end_ns, args);
 }
@@ -302,13 +307,16 @@ ScopedContext::~ScopedContext() {
   if (path_ == nullptr) return;
   tls_profile->current = static_cast<Node*>(saved_);
   if (start_ns_ < 0) return;
-  std::string ctx = "\"ctx\":\"";
+  std::string joined;
   for (size_t i = 0; i < path_->size(); ++i) {
-    if (i > 0) ctx += ";";
-    ctx += (*path_)[i];
+    if (i > 0) joined += ";";
+    joined += (*path_)[i];
   }
-  ctx += "\"";
-  TraceRecorder::Get().RecordComplete(path_->back(), start_ns_, NowNs(), ctx);
+  std::ostringstream ctx;
+  ctx << "\"ctx\":";
+  AppendJsonString(&ctx, joined);
+  TraceRecorder::Get().RecordComplete(path_->back(), start_ns_, NowNs(),
+                                      ctx.str());
 }
 
 namespace {
@@ -356,44 +364,29 @@ void WriteExitReports() {
 
 namespace {
 
-void JsonEscape(const std::string& s, std::ostringstream* os) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      *os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *os << buf;
-    } else {
-      *os << c;
-    }
-  }
-}
-
 void NodeToJson(const ReportNode& node, bool include_timing, int indent,
                 std::ostringstream* os) {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
-  *os << pad << "{\"name\":\"";
-  JsonEscape(node.name, os);
-  *os << "\"";
+  *os << pad << "{\"name\":";
+  AppendJsonString(os, node.name);
   if (include_timing) {
     *os << ",\"ns\":" << node.ns;
     if (node.flops > 0 && node.ns > 0) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.4g",
-                    static_cast<double>(node.flops) /
-                        static_cast<double>(node.ns));
-      *os << ",\"gflops\":" << buf;
+      *os << ",\"gflops\":";
+      AppendJsonNumber(os,
+                       static_cast<double>(node.flops) /
+                           static_cast<double>(node.ns),
+                       /*digits=*/4);
     }
   }
   *os << ",\"count\":" << node.count << ",\"flops\":" << node.flops
       << ",\"bytes\":" << node.bytes;
   if (node.flops > 0 && node.bytes > 0) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.4g",
-                  static_cast<double>(node.flops) /
-                      static_cast<double>(node.bytes));
-    *os << ",\"ai\":" << buf;
+    *os << ",\"ai\":";
+    AppendJsonNumber(os,
+                     static_cast<double>(node.flops) /
+                         static_cast<double>(node.bytes),
+                     /*digits=*/4);
   }
   if (!node.children.empty()) {
     *os << ",\"children\":[\n";

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "common/env.h"
+#include "obs/json_writer.h"
 #include "obs/prof.h"
 
 namespace clfd {
@@ -57,8 +58,10 @@ bool TraceRecorder::Stop() {
   for (const Event& e : events_) {
     if (!first) out << ",";
     first = false;
-    out << "\n{\"name\":\"" << e.name << "\",\"ph\":\"X\",\"pid\":1,\"tid\":"
-        << e.tid << ",\"ts\":" << e.ts_us << ",\"dur\":" << e.dur_us;
+    out << "\n{\"name\":";
+    AppendJsonString(&out, e.name);
+    out << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << e.tid
+        << ",\"ts\":" << e.ts_us << ",\"dur\":" << e.dur_us;
     if (!e.args_json.empty()) out << ",\"args\":{" << e.args_json << "}";
     out << "}";
   }

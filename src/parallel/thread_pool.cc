@@ -263,9 +263,10 @@ int HardwareThreads() {
   return n > 0 ? static_cast<int>(n) : 1;
 }
 
+// A malformed CLFD_THREADS, or one below 1, throws std::invalid_argument
+// like every other numeric knob.
 int DefaultThreads() {
-  int n = GetEnvInt("CLFD_THREADS", HardwareThreads());
-  return std::min(std::max(n, 1), 1024);
+  return std::min(GetEnvPositiveInt("CLFD_THREADS", HardwareThreads()), 1024);
 }
 
 std::mutex g_pool_mutex;

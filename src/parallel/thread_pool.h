@@ -96,6 +96,7 @@ class ThreadPool {
 
 // The process-wide pool, created on first use. Sized by SetGlobalThreads if
 // called before first use, else by CLFD_THREADS, else hardware concurrency.
+// A malformed CLFD_THREADS, or one below 1, throws std::invalid_argument.
 ThreadPool& GlobalPool();
 
 // Resizes the global pool (tears down the old one; must not be called from

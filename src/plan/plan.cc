@@ -2,9 +2,7 @@
 
 #include <atomic>
 #include <cstring>
-#include <limits>
 
-#include "common/fault.h"
 #include "obs/metrics.h"
 #include "tensor/arena.h"
 #include "tensor/matrix.h"
@@ -148,9 +146,9 @@ std::unique_ptr<ExecutionPlan> Capturer::Finalize() {
       if (!entry.interior && entry.node->backward_fn) return nullptr;
     }
   }
-  // Shapes are read now rather than in OnNodeCreated because ops that carry
-  // auxiliary state (RowScaleConst, LstmGates, ...) attach it to the node
-  // after MakeOp returns.
+  // Every op's forward has filled its value and aux before OnNodeCreated
+  // sees the node, so the shapes are final there already; they are read
+  // here, once per slot, next to the heap materialization that follows.
   for (auto& slot : plan_->slots_) {
     slot.value_rows = slot.node->value.rows();
     slot.value_cols = slot.node->value.cols();
@@ -233,13 +231,11 @@ bool Replayer::OnOp(const ag::OpDesc& desc, ag::Var* out) {
       break;
   }
   ag::Node* n = slot.node.get();
+  // The op's one forward body, then the probe and finite check the dynamic
+  // MakeOp runs after it, so fault injection and the watchdog behave
+  // identically under replay.
   slot.forward(n, parents, static_cast<int>(slot.parent_count), desc.call);
-  // Same fault probe + finite check the dynamic MakeOp applies, so fault
-  // injection and the watchdog behave identically under replay.
-  if (fault::At("op.nan") && n->value.size() > 0) {
-    n->value.at(0, 0) = std::numeric_limits<float>::quiet_NaN();
-  }
-  if (check::Enabled()) CheckFinite(n->value, slot.op);
+  ag::FinishForward(n);
   ++cursor_;
   *out = ag::Var(slot.node);
   return true;

@@ -111,10 +111,11 @@ class Matrix {
 //
 // Every value-returning kernel below is a thin wrapper over an in-place
 // `*Into` variant further down: `X(args)` is exactly
-// `{ Matrix c; XInto(args, &c); return c; }`. The Into forms exist for the
-// execution-plan replayer (src/plan), which recomputes a captured graph's
-// node values into persistent buffers every step — sharing one body per
-// kernel is what keeps replayed and dynamic steps bitwise identical.
+// `{ Matrix c; XInto(args, &c); return c; }`. The Into forms are what every
+// ag:: op forward calls: on a fresh tape node they allocate exactly like
+// `X(args)`, and under the execution-plan replayer (src/plan) they
+// recompute a captured graph's node values into its persistent buffers
+// every step.
 
 // The matmul kernels split their output rows across the global thread pool
 // when the nominal flop count (2*M*K*N) reaches this threshold; below it
@@ -248,7 +249,7 @@ void MatMulTransposeATimeBlockedAddInto(const Matrix& x, const Matrix& g,
                                         int block_rows, Matrix* acc);
 }  // namespace reference
 
-// ---- In-place kernel variants (execution-plan replay; DESIGN.md §15). ----
+// ---- In-place kernel variants (every ag:: op forward; DESIGN.md §15). ----
 //
 // Each `XInto(args, out)` runs the same shape checks, metrics and per-row
 // kernel body as `X(args)` but writes the result into *out. When *out

@@ -1,5 +1,6 @@
-# Runs a table bench with each malformed or out-of-range scale knob and
-# checks that every case exits 2 with its message before doing any work:
+# Runs a table bench with each malformed or out-of-range scale knob or
+# CLFD_THREADS value and checks that every case exits 2 with its message
+# before doing any work:
 #   cmake -DBENCH=path/to/bench_table3_label_corrector -DWORK_DIR=dir
 #         -P bench_bad_env.cmake
 
@@ -25,4 +26,8 @@ foreach(scale -1 0 abc 1.5)
 endforeach()
 foreach(epoch_scale 0 abc)
   expect_rejected(CLFD_EPOCH_SCALE ${epoch_scale} "a number in (0, 1]")
+endforeach()
+# Only malformed values and values below 1: none of them starts a thread.
+foreach(threads abc 0 -3 2x)
+  expect_rejected(CLFD_THREADS ${threads} "an integer >= 1")
 endforeach()

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "autograd/grad_check.h"
@@ -64,6 +65,46 @@ TEST(SceLossTest, GradCheck) {
 class MixupLossVariantTest
     : public ::testing::TestWithParam<ClassifierLoss> {};
 
+// FNV-1a over the shape and raw float bits of `m`.
+uint64_t BitsHash(const Matrix& m) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](uint32_t v) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(static_cast<uint32_t>(m.rows()));
+  mix(static_cast<uint32_t>(m.cols()));
+  for (int i = 0; i < m.size(); ++i) {
+    uint32_t bits;
+    std::memcpy(&bits, m.data() + i, sizeof(bits));
+    mix(bits);
+  }
+  return h;
+}
+
+// The trained classifier's PredictProbs bits per loss. They pin every step
+// of the run, including the operand order of a mixup step's Add(mixed,
+// pure), which fixes the order in which the two loss subgraphs accumulate
+// gradients. A change is a deliberate, reviewed event: the failure prints
+// the new value.
+uint64_t CommittedProbsHash(ClassifierLoss loss) {
+  switch (loss) {
+    case ClassifierLoss::kMixupGce:
+      return 0xe1d9c32b1f831db2ull;
+    case ClassifierLoss::kVanillaGce:
+      return 0xa2e9c2a0ae02c611ull;
+    case ClassifierLoss::kCce:
+      return 0xfe5c2955a3882df9ull;
+    case ClassifierLoss::kMixupMae:
+      return 0xb6aa39835127e6f6ull;
+    case ClassifierLoss::kMixupSce:
+      return 0xbf1db0ef833cc180ull;
+  }
+  return 0;
+}
+
 TEST_P(MixupLossVariantTest, TrainsOnNoisyFeatures) {
   Rng rng(2);
   int n = 120;
@@ -89,6 +130,8 @@ TEST_P(MixupLossVariantTest, TrainsOnNoisyFeatures) {
     correct += ((probs.at(i, 1) > 0.5f ? 1 : 0) == clean[i]);
   }
   EXPECT_GT(correct, n * 70 / 100);
+  EXPECT_EQ(BitsHash(probs), CommittedProbsHash(GetParam()))
+      << std::hex << "0x" << BitsHash(probs);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLosses, MixupLossVariantTest,

@@ -4,10 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -425,6 +427,63 @@ TEST(TraceTest, ConcurrentSpansAllRecordedAndJsonWellFormed) {
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
+}
+
+// JSON has no NaN or infinity: every exporter writes a non-finite value as
+// null, so the metrics JSON, its JSONL form and the trace file all parse.
+TEST(TraceTest, NonFiniteValuesExportAsNull) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto& registry = MetricsRegistry::Get();
+  registry.GetGauge("test.nonfinite.gauge")->Set(nan);
+  registry.GetSeries("test.nonfinite.series")
+      ->Append(0, std::numeric_limits<double>::infinity());
+  const char* path = "obs_test_trace_nonfinite.json";
+  auto& recorder = TraceRecorder::Get();
+  recorder.Start(path);
+  {
+    prof::Scope span(prof::kSpan, "test.nonfinite.span");
+    span.Arg("loss", nan);
+  }
+  ASSERT_TRUE(recorder.Stop());
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open());
+  std::stringstream trace;
+  trace << in.rdbuf();
+  std::remove(path);
+
+  const auto is_null = [](const json::Value* v) {
+    return v != nullptr && v->type == json::Value::Type::kNull;
+  };
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::Parse(registry.ToJson(), &doc, &error)) << error;
+  EXPECT_TRUE(is_null(doc.Find("gauges")->Find("test.nonfinite.gauge")));
+  const json::Value* series =
+      doc.Find("series")->Find("test.nonfinite.series");
+  ASSERT_NE(series, nullptr);
+  ASSERT_EQ(series->array.size(), 1u);
+  EXPECT_TRUE(is_null(&series->array[0].array[1]));
+
+  std::istringstream lines(registry.ToJsonLines());
+  std::string line;
+  int nulls = 0;
+  while (std::getline(lines, line)) {
+    ASSERT_TRUE(json::Parse(line, &doc, &error)) << error << "\n" << line;
+    const std::string name = doc.StringOr("name", "");
+    if (name == "test.nonfinite.gauge") {
+      nulls += is_null(doc.Find("value"));
+    } else if (name == "test.nonfinite.series") {
+      nulls += is_null(&doc.Find("value")->array[0].array[1]);
+    }
+  }
+  EXPECT_EQ(nulls, 2);
+
+  ASSERT_TRUE(json::Parse(trace.str(), &doc, &error)) << error;
+  const json::Value* events = doc.Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array.size(), 1u);
+  EXPECT_EQ(events->array[0].StringOr("name", ""), "test.nonfinite.span");
+  EXPECT_TRUE(is_null(events->array[0].Find("args")->Find("loss")));
 }
 
 TEST(PhaseCaptureTest, CapturesOnlyTheOwningThread) {

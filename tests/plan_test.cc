@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/var.h"
@@ -389,6 +393,150 @@ TEST(PlanTest, SplitForwardBackwardMatchesDynamic) {
                      head_b.Parameters()[0].grad(), "split weight grad");
   ExpectBitwiseEqual(head_a.Parameters()[1].grad(),
                      head_b.Parameters()[1].grad(), "split bias grad");
+}
+
+// One row per ag:: op kind: the shapes of its Param inputs and how to build
+// the op from them. `aux` is a per-step constant matrix for the two ops that
+// take one (RowScaleConst's scale column, LstmInputProjection's input
+// block); `positive` keeps Log's and Pow's inputs in [0.5, 1.5).
+struct OpCase {
+  const char* op;
+  std::vector<std::pair<int, int>> shapes;
+  std::function<ag::Var(const std::vector<ag::Var>&, const Matrix& aux)> build;
+  std::pair<int, int> aux = {0, 0};
+  bool positive = false;
+};
+
+std::vector<OpCase> OpCases() {
+  using In = const std::vector<ag::Var>&;
+  return {
+      {"ag::MatMul", {{3, 4}, {4, 2}},
+       [](In in, const Matrix&) { return ag::MatMul(in[0], in[1]); }},
+      {"ag::MatMulTransposeB", {{3, 4}, {2, 4}},
+       [](In in, const Matrix&) { return ag::MatMulTransposeB(in[0], in[1]); }},
+      {"ag::Add", {{3, 4}, {3, 4}},
+       [](In in, const Matrix&) { return ag::Add(in[0], in[1]); }},
+      {"ag::Sub", {{3, 4}, {3, 4}},
+       [](In in, const Matrix&) { return ag::Sub(in[0], in[1]); }},
+      {"ag::Mul", {{3, 4}, {3, 4}},
+       [](In in, const Matrix&) { return ag::Mul(in[0], in[1]); }},
+      {"ag::AddScalar", {{3, 4}},
+       [](In in, const Matrix&) { return ag::AddScalar(in[0], 0.25f); }},
+      {"ag::Scale", {{3, 4}},
+       [](In in, const Matrix&) { return ag::Scale(in[0], -1.5f); }},
+      {"ag::AddRowBroadcast", {{3, 4}, {1, 4}},
+       [](In in, const Matrix&) { return ag::AddRowBroadcast(in[0], in[1]); }},
+      {"ag::RowScaleConst", {{3, 4}},
+       [](In in, const Matrix& aux) { return ag::RowScaleConst(in[0], aux); },
+       {3, 1}},
+      {"ag::Exp", {{3, 4}},
+       [](In in, const Matrix&) { return ag::Exp(in[0]); }},
+      {"ag::Log", {{3, 4}},
+       [](In in, const Matrix&) { return ag::Log(in[0]); }, {0, 0}, true},
+      {"ag::Pow", {{3, 4}},
+       [](In in, const Matrix&) { return ag::Pow(in[0], 1.5f); }, {0, 0},
+       true},
+      {"ag::Tanh", {{3, 4}},
+       [](In in, const Matrix&) { return ag::Tanh(in[0]); }},
+      {"ag::Sigmoid", {{3, 4}},
+       [](In in, const Matrix&) { return ag::Sigmoid(in[0]); }},
+      {"ag::Relu", {{3, 4}},
+       [](In in, const Matrix&) { return ag::Relu(in[0]); }},
+      {"ag::LeakyRelu", {{3, 4}},
+       [](In in, const Matrix&) { return ag::LeakyRelu(in[0], 0.1f); }},
+      {"ag::SoftmaxRows", {{3, 4}},
+       [](In in, const Matrix&) { return ag::SoftmaxRows(in[0]); }},
+      {"ag::SumAll", {{3, 4}},
+       [](In in, const Matrix&) { return ag::SumAll(in[0]); }},
+      {"ag::SumRows", {{3, 4}},
+       [](In in, const Matrix&) { return ag::SumRows(in[0]); }},
+      {"ag::ConcatRows", {{2, 3}, {1, 3}, {3, 3}},
+       [](In in, const Matrix&) { return ag::ConcatRows(in); }},
+      {"ag::SliceRows", {{5, 3}},
+       [](In in, const Matrix&) { return ag::SliceRows(in[0], 1, 4); }},
+      {"ag::ConcatCols", {{3, 2}, {3, 1}, {3, 3}},
+       [](In in, const Matrix&) { return ag::ConcatCols(in); }},
+      {"ag::SliceCols", {{3, 5}},
+       [](In in, const Matrix&) { return ag::SliceCols(in[0], 1, 4); }},
+      {"ag::LstmPackedMatMul", {{3, 4}, {4, 8}},
+       [](In in, const Matrix&) { return ag::LstmPackedMatMul(in[0], in[1]); }},
+      {"ag::LstmInputProjection", {{4, 8}},
+       [](In in, const Matrix& aux) {
+         return ag::LstmInputProjection(aux, in[0], /*block_rows=*/2);
+       },
+       {6, 4}},
+      {"ag::LstmGates", {{2, 8}, {2, 4}},
+       [](In in, const Matrix&) { return ag::LstmGates(in[0], in[1]); }},
+      {"ag::NormalizeRows", {{3, 4}},
+       [](In in, const Matrix&) { return ag::NormalizeRows(in[0]); }},
+  };
+}
+
+struct OpStepResult {
+  Matrix value;
+  std::vector<Matrix> grads;
+};
+
+// Builds `c` on step-`step` inputs (fixed per step, fresh each step) and
+// backpropagates a fixed seed through it.
+OpStepResult RunOpStep(const OpCase& c, int step) {
+  Rng rng(static_cast<uint64_t>(53 + step));
+  auto input = [&](int rows, int cols, bool positive) {
+    Matrix m = RandomMatrix(rows, cols, &rng);
+    if (positive) {
+      for (int i = 0; i < m.size(); ++i) {
+        m[i] = 0.5f + static_cast<float>(rng.Uniform());
+      }
+    }
+    return m;
+  };
+  std::vector<ag::Var> in;
+  for (auto [rows, cols] : c.shapes) {
+    in.push_back(ag::Param(input(rows, cols, c.positive)));
+  }
+  Matrix aux = input(c.aux.first, c.aux.second, false);
+  ag::Var out = c.build(in, aux);
+  ag::BackwardWithGrad(out, input(out.rows(), out.cols(), false));
+  OpStepResult r{out.value(), {}};
+  for (const ag::Var& v : in) r.grads.push_back(v.grad());
+  return r;
+}
+
+// Every op kind, one at a time: a step captured and then replayed twice
+// through a Planner gives the dynamic tape's values and input gradients bit
+// for bit.
+TEST(PlanTest, EveryOpKindReplaysBitwise) {
+  check::ScopedEnable checks(true);
+  std::set<std::string> kinds;
+  for (const OpCase& c : OpCases()) {
+    plan::Planner planner;
+    for (int step = 0; step < 3; ++step) {
+      OpStepResult planned;
+      planner.Step(plan::MakeKey(1), nullptr, [&]() -> float {
+        planned = RunOpStep(c, step);
+        return 0.0f;
+      });
+      OpStepResult dynamic = RunOpStep(c, step);
+      std::string what = std::string(c.op) + " step " + std::to_string(step);
+      ExpectBitwiseEqual(planned.value, dynamic.value, what.c_str());
+      ASSERT_EQ(planned.grads.size(), dynamic.grads.size()) << what;
+      for (size_t i = 0; i < planned.grads.size(); ++i) {
+        std::string grad = what + " input " + std::to_string(i) + " grad";
+        ExpectBitwiseEqual(planned.grads[i], dynamic.grads[i], grad.c_str());
+      }
+    }
+    EXPECT_EQ(planner.captures(), 1) << c.op;
+    EXPECT_EQ(planner.replays(), 2) << c.op;
+    const plan::ExecutionPlan* plan = planner.plan(plan::MakeKey(1));
+    ASSERT_NE(plan, nullptr) << c.op;
+    for (const auto& slot : plan->slots()) {
+      if (!slot.leaf) {
+        EXPECT_STREQ(slot.op, c.op);
+        kinds.insert(slot.op);
+      }
+    }
+  }
+  EXPECT_EQ(kinds.size(), 27u);
 }
 
 }  // namespace
