@@ -133,7 +133,7 @@ void Capturer::OnBackwardOrder(const ag::Var& root, const Matrix* seed,
   plan_->backwards_.push_back(std::move(rec));
 }
 
-std::unique_ptr<ExecutionPlan> Capturer::Finalize() {
+std::unique_ptr<ExecutionPlan> Capturer::Finalize(arena::Arena* workspace) {
   if (broken_ || pending_valid_ || plan_->slots_.empty()) return nullptr;
   for (const auto& rec : plan_->backwards_) {
     if (rec.root->plan_tag != interior_tag_) {
@@ -148,7 +148,8 @@ std::unique_ptr<ExecutionPlan> Capturer::Finalize() {
   }
   // Every op's forward has filled its value and aux before OnNodeCreated
   // sees the node, so the shapes are final there already; they are read
-  // here, once per slot, next to the heap materialization that follows.
+  // here, once per slot, next to the workspace materialization that
+  // follows.
   for (auto& slot : plan_->slots_) {
     slot.value_rows = slot.node->value.rows();
     slot.value_cols = slot.node->value.cols();
@@ -157,15 +158,19 @@ std::unique_ptr<ExecutionPlan> Capturer::Finalize() {
       slot.aux_cols = slot.node->aux.cols();
     }
   }
-  // Materialize every slot's buffers on the heap. The capture step ran on
-  // the trainer's step arena, whose storage is recycled at the next step's
-  // Reset — but the plan outlives it by thousands of steps, and replay
-  // recomputes each value *into* these buffers (FwdX → EnsureShape reuses a
-  // same-shape matrix), which is what drives per-step tape allocations to
-  // zero. Copy rather than re-zero: the capture step's outputs (e.g. the
-  // loss the trainer just read) must stay intact.
+  // Materialize every slot's buffers in the Planner's workspace. The
+  // capture step ran on the trainer's step arena, whose storage is recycled
+  // at the next step's Reset — but the plan outlives it by thousands of
+  // steps, and replay recomputes each value *into* these buffers (FwdX →
+  // EnsureShape reuses a same-shape matrix), which is what drives per-step
+  // tape allocations to zero. The Reset lays this plan out from the
+  // workspace's start, over the Planner's other plans: none of them holds
+  // anything between steps (plan.h, "Workspace sharing"). Copy rather than
+  // re-zero: the capture step's outputs (e.g. the loss the trainer just
+  // read) must stay intact.
   {
-    arena::ScopedArena heap_scope(nullptr);  // force heap storage
+    workspace->Reset();
+    arena::ScopedArena workspace_scope(workspace);
     for (auto& slot : plan_->slots_) {
       ag::Node* n = slot.node.get();
       n->value = Matrix(n->value);
@@ -291,11 +296,11 @@ bool Replayer::OnBackward(const ag::Var& root, const Matrix* seed) {
     if (entry.interior) {
       entry.node->backward_runs = 0;
       // Interior tape grads must start from zero every step, exactly like a
-      // fresh node's. Finalize materialized them on the heap at the value's
-      // shape, so the steady state is a pure Fill — no allocation. The
-      // fallback only runs if a grad was never touched at capture (then the
-      // null scope keeps the new buffer off the step arena, where it would
-      // die at the next Reset).
+      // fresh node's. Finalize materialized them in the workspace at the
+      // value's shape, so the steady state is a pure Fill — no allocation.
+      // The fallback only runs if a grad was never touched at capture (then
+      // the null scope keeps the new buffer off the step arena, where it
+      // would die at the next Reset).
       ag::Node* n = entry.node;
       if (n->grad.SameShape(n->value)) {
         n->grad.Fill(0.0f);

@@ -12,6 +12,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "obs/prof.h"
+#include "tensor/arena.h"
 
 namespace clfd {
 namespace plan {
@@ -25,15 +26,27 @@ namespace plan {
 // (autograd/tape_hooks.h): the flat construction-ordered node list with
 // resolved forward bodies, scalar op arguments, parent wiring and leaf
 // binding shapes, plus the backward pass's exact post-order execution
-// sequence. At Finalize the plan moves every slot's value/grad/aux into
-// persistent heap buffers it owns. Every later step with the same shape
-// key REPLAYS that plan: leaves are rebound by move, each node's value is
-// recomputed *in place* into its persistent buffer by a plain function
+// sequence. At Finalize the plan copies every slot's value/grad/aux into
+// its Planner's workspace arena. Every later step with the same shape key
+// REPLAYS that plan: leaves are rebound by move, each node's value is
+// recomputed *in place* into its workspace buffer by a plain function
 // pointer (the *Into kernels in tensor/matrix.h), interior gradients are
 // re-zeroed in place, and the backward runs the captured closures in the
 // captured order — zero graph construction and zero per-step tape
 // allocations (kernel-internal compute scratch aside), all structural
 // validation hoisted to cheap identity/shape comparisons.
+//
+// Workspace sharing: all plans of one Planner live in one workspace, and
+// each capture lays its plan out from the workspace's start, so a Planner
+// holds its largest plan rather than the sum of its plans. The plans
+// therefore overlap in memory, which is safe because a Planner runs one
+// plan per step and no plan buffer carries anything into the next step:
+// values are recomputed, interior gradients are re-zeroed, leaves are
+// rebound by move, aux is copied or moved in, and parameters are external
+// (never in the workspace). The caller's side of the contract is stated on
+// Planner below. Under check::Enabled() every capture NaN-poisons the
+// workspace (Arena::Reset), so a stale read across plans fails the next
+// CheckFinite.
 //
 // Bitwise contract: a replayed step runs exactly the kernel calls of the
 // dynamic step, in the same order, on the same buffers — including
@@ -74,7 +87,8 @@ class Replayer;
 
 // One captured step: the slot list in construction order plus the recorded
 // backward pass(es). Owns its interior nodes (and pins external inputs such
-// as model parameters) for the lifetime of the plan.
+// as model parameters) for the lifetime of the plan; the nodes' buffers
+// live in the owning Planner's workspace.
 class ExecutionPlan {
  public:
   enum class Aux { kNone, kCopy, kMove };
@@ -146,8 +160,9 @@ class Capturer : public ag::TapeHooks {
 
   // Completes the capture; null when the step was not capturable (a node
   // was created outside the interception protocol, or an already-consumed
-  // external subgraph leaked into the backward order).
-  std::unique_ptr<ExecutionPlan> Finalize();
+  // external subgraph leaked into the backward order). Otherwise Resets
+  // `workspace` and copies every slot's buffers into it.
+  std::unique_ptr<ExecutionPlan> Finalize(arena::Arena* workspace);
 
  private:
   struct Pending {
@@ -230,6 +245,12 @@ inline uint64_t MakeKey(uint64_t a, uint64_t b = 0) {
 // is NOT thread-safe — each instance must be driven by one worker at a time
 // (the sharded trainer's per-shard ownership plus the pool join's
 // happens-before give exactly that).
+//
+// Buffer lifetime: every plan's buffers live in the Planner's one
+// workspace, shared by all of its keys (see "Workspace sharing" above). A
+// Var built inside a planned step — its value, grad and aux — stays valid
+// until this Planner's next Step or ForwardStep, whatever that step's key,
+// and never past the Planner's life. Copy out anything needed longer.
 class Planner {
  public:
   Planner() = default;
@@ -254,7 +275,7 @@ class Planner {
         detail::HooksGuard guard(&cap);
         loss = body();
       }
-      NoteCapture(&e, cap.Finalize());
+      NoteCapture(&e, cap.Finalize(&workspace_));
       return loss;
     }
     // Plain object copy, not SaveState(): the text round-trip formats the
@@ -340,7 +361,7 @@ class Planner {
           detail::HooksGuard guard(capturer_.get());
           body();
         }
-        NoteCapture(split_entry_, capturer_->Finalize());
+        NoteCapture(split_entry_, capturer_->Finalize(&workspace_));
         capturer_.reset();
         split_entry_ = nullptr;
         split_mode_ = SplitMode::kDynamic;
@@ -393,6 +414,9 @@ class Planner {
   void NoteInvalidation(Entry* e);
   void NoteReplay();
 
+  // Backing store of every plan's slot buffers. Declared before entries_
+  // so it outlives the plans whose nodes point into it.
+  arena::Arena workspace_;
   // Key lookup only; never iterated.
   // clfd-analyze: allow(determinism-unordered)
   std::unordered_map<uint64_t, Entry> entries_;

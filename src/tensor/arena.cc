@@ -14,6 +14,9 @@ namespace {
 
 constexpr size_t kBlockFloats = 16;  // 64-byte granularity
 
+// Under check::Enabled(), fresh and recycled chunk memory reads as this.
+constexpr float kPoison = std::numeric_limits<float>::quiet_NaN();
+
 size_t RoundUp(size_t n) {
   return (n + kBlockFloats - 1) / kBlockFloats * kBlockFloats;
 }
@@ -44,7 +47,11 @@ float* Arena::Allocate(size_t count) {
   }
   size_t cap = std::max(next_capacity_, need);
   next_capacity_ = std::min(cap * 2, kMaxChunkFloats);
-  chunks_.push_back(Chunk{std::make_unique<float[]>(cap), cap, need});
+  // Left uninitialized: zero-filling would make the chunk's never-used tail
+  // resident. Under checks it reads NaN instead, like recycled memory.
+  auto data = std::make_unique_for_overwrite<float[]>(cap);
+  if (check::Enabled()) std::fill(data.get(), data.get() + cap, kPoison);
+  chunks_.push_back(Chunk{std::move(data), cap, need});
   active_ = chunks_.size() - 1;
   return chunks_.back().data.get();
 }
@@ -53,9 +60,8 @@ void Arena::Reset() {
   if (check::Enabled()) {
     // Poison the recycled region so a Matrix that escaped its step reads
     // as NaN and fails the next CheckFinite with clear provenance.
-    const float qnan = std::numeric_limits<float>::quiet_NaN();
     for (Chunk& c : chunks_) {
-      std::fill(c.data.get(), c.data.get() + c.used, qnan);
+      std::fill(c.data.get(), c.data.get() + c.used, kPoison);
     }
   }
   for (Chunk& c : chunks_) c.used = 0;

@@ -32,6 +32,11 @@ namespace arena {
 // Reset(); when runtime checks are enabled (common/check.h), Reset()
 // poisons the recycled region with quiet NaNs so any Matrix that escaped
 // its step is caught by the very next CheckFinite that touches it.
+//
+// Chunks are never zero-filled: a new chunk is left uninitialized, so only
+// the pages a step actually uses become resident. Under checks a new chunk
+// is NaN-filled instead, so a read before a write trips CheckFinite just
+// as a read of recycled memory does.
 class Arena {
  public:
   // Initial chunk capacity in floats. Further chunks double until

@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
+
 namespace clfd {
 namespace analyze {
 namespace {
@@ -1045,9 +1047,9 @@ TEST(AnalyzeDot, UndeclaredModulesRenderInUnknownBand) {
 // JSON output
 
 TEST(AnalyzeJson, EscapesAndShapesDiagnostics) {
+  const std::string message = "say \"hi\" back\\slash\nnewline";
   std::vector<Diagnostic> ds = {
-      {"src/a/x.cc", 3, "include-unused",
-       "say \"hi\" back\\slash\nnewline"},
+      {"src/a/x.cc", 3, "include-unused", message},
   };
   std::ostringstream os;
   WriteJsonDiagnostics(ds, os);
@@ -1057,7 +1059,13 @@ TEST(AnalyzeJson, EscapesAndShapesDiagnostics) {
   EXPECT_NE(out.find("\"line\": 3"), std::string::npos);
   EXPECT_NE(out.find("\\\"hi\\\""), std::string::npos);
   EXPECT_NE(out.find("back\\\\slash"), std::string::npos);
-  EXPECT_NE(out.find("\\n"), std::string::npos);
+  // The escaped newline reads back as the message's own newline.
+  json::Value v;
+  std::string err;
+  ASSERT_TRUE(json::Parse(out, &v, &err)) << err;
+  ASSERT_TRUE(v.IsArray());
+  ASSERT_EQ(v.array.size(), 1u);
+  EXPECT_EQ(v.array[0].StringOr("message", ""), message);
 }
 
 TEST(AnalyzeJson, EmptyDiagnosticsIsEmptyArray) {

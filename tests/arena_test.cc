@@ -63,6 +63,9 @@ TEST(ArenaTest, ResetPoisonsRecycledMemoryUnderChecks) {
   check::ScopedEnable checks(true);
   arena::Arena a(64);
   float* p = a.Allocate(16);
+  // A fresh chunk is not zero-filled; under checks it reads NaN, so a
+  // Matrix read before its first write fails CheckFinite too.
+  for (int i = 0; i < 16; ++i) EXPECT_TRUE(std::isnan(p[i])) << i;
   for (int i = 0; i < 16; ++i) p[i] = 1.0f;
   a.Reset();
   // Same block, but the old values are gone: a Matrix that escaped its

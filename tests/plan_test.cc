@@ -40,7 +40,7 @@ void ExpectBitwiseEqual(const Matrix& a, const Matrix& b, const char* what) {
 }
 
 // One classifier training step: mini-batch forward, GCE loss, backward,
-// Adam update. The same shape every call, so a Planner captures it once.
+// Adam update. A Planner captures it once per batch row count.
 float ClassifierStep(nn::FeedForwardClassifier* model, nn::Adam* optimizer,
                      const Matrix& features, const Matrix& targets) {
   ag::Var probs = model->ForwardProbs(ag::Constant(features));
@@ -50,26 +50,29 @@ float ClassifierStep(nn::FeedForwardClassifier* model, nn::Adam* optimizer,
   return loss.value()[0];
 }
 
-// Runs `steps` classifier training steps, planned or dynamic, and returns
-// the per-step losses. Models are seeded identically by the caller.
+// Runs one classifier training step per entry of `rows_per_step` (the
+// batch's row count, which is also the plan key), planned or dynamic, and
+// returns the per-step losses. Models are seeded identically by the caller.
 std::vector<float> TrainClassifier(nn::FeedForwardClassifier* model,
-                                   bool planned, int steps,
+                                   bool planned,
+                                   const std::vector<int>& rows_per_step,
                                    plan::Planner* planner) {
   Rng data_rng(99);
   nn::Adam optimizer(model->Parameters(), 0.01f);
   arena::Arena step_arena;
   std::vector<float> losses;
-  for (int i = 0; i < steps; ++i) {
-    Matrix features = RandomMatrix(6, 5, &data_rng);
-    Matrix targets(6, 2);
-    for (int r = 0; r < 6; ++r) targets.at(r, r % 2) = 1.0f;
+  for (int rows : rows_per_step) {
+    Matrix features = RandomMatrix(rows, 5, &data_rng);
+    Matrix targets(rows, 2);
+    for (int r = 0; r < rows; ++r) targets.at(r, r % 2) = 1.0f;
     auto body = [&]() -> float {
       step_arena.Reset();
       arena::ScopedArena scope(&step_arena);
       return ClassifierStep(model, &optimizer, features, targets);
     };
     if (planned) {
-      losses.push_back(planner->Step(plan::MakeKey(6), nullptr, body));
+      losses.push_back(planner->Step(
+          plan::MakeKey(static_cast<uint64_t>(rows)), nullptr, body));
     } else {
       losses.push_back(body());
     }
@@ -77,16 +80,28 @@ std::vector<float> TrainClassifier(nn::FeedForwardClassifier* model,
   return losses;
 }
 
+void ExpectParametersBitwiseEqual(nn::FeedForwardClassifier* a,
+                                  nn::FeedForwardClassifier* b) {
+  auto pa = a->Parameters();
+  auto pb = b->Parameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    ExpectBitwiseEqual(pa[i].value(), pb[i].value(), "parameter value");
+    ExpectBitwiseEqual(pa[i].grad(), pb[i].grad(), "parameter gradient");
+  }
+}
+
 TEST(PlanTest, ClassifierStepsBitwiseIdenticalToDynamic) {
   Rng init_a(7), init_b(7);
   nn::FeedForwardClassifier planned_model(5, 8, 2, &init_a);
   nn::FeedForwardClassifier dynamic_model(5, 8, 2, &init_b);
 
+  const std::vector<int> rows(5, 6);
   plan::Planner planner;
   std::vector<float> planned_losses =
-      TrainClassifier(&planned_model, true, 5, &planner);
+      TrainClassifier(&planned_model, true, rows, &planner);
   std::vector<float> dynamic_losses =
-      TrainClassifier(&dynamic_model, false, 5, nullptr);
+      TrainClassifier(&dynamic_model, false, rows, nullptr);
 
   EXPECT_EQ(planner.captures(), 1);
   EXPECT_EQ(planner.replays(), 4);
@@ -95,13 +110,52 @@ TEST(PlanTest, ClassifierStepsBitwiseIdenticalToDynamic) {
   for (size_t i = 0; i < planned_losses.size(); ++i) {
     EXPECT_EQ(planned_losses[i], dynamic_losses[i]) << "step " << i;
   }
-  auto pp = planned_model.Parameters();
-  auto dp = dynamic_model.Parameters();
-  ASSERT_EQ(pp.size(), dp.size());
-  for (size_t i = 0; i < pp.size(); ++i) {
-    ExpectBitwiseEqual(pp[i].value(), dp[i].value(), "parameter value");
-    ExpectBitwiseEqual(pp[i].grad(), dp[i].grad(), "parameter gradient");
+  ExpectParametersBitwiseEqual(&planned_model, &dynamic_model);
+}
+
+// True when some op-slot value buffer of `a` shares memory with one of `b`.
+bool OpSlotBuffersOverlap(const plan::ExecutionPlan& a,
+                          const plan::ExecutionPlan& b) {
+  for (const auto& sa : a.slots()) {
+    const Matrix& va = sa.node->value;
+    if (sa.leaf || va.empty()) continue;
+    for (const auto& sb : b.slots()) {
+      const Matrix& vb = sb.node->value;
+      if (sb.leaf || vb.empty()) continue;
+      if (va.data() < vb.data() + vb.size() &&
+          vb.data() < va.data() + va.size()) {
+        return true;
+      }
+    }
   }
+  return false;
+}
+
+// Two keys of one Planner, stepped alternately, share the Planner's
+// workspace: each capture lays its plan over the other's buffers, and every
+// step must still match a plan-free twin bit for bit. Checks stay on, so
+// each capture NaN-poisons the workspace and a buffer that carried state
+// from one step into the next would trip CheckFinite.
+TEST(PlanTest, PlansOfOnePlannerShareOneWorkspaceBitwise) {
+  check::ScopedEnable checks(true);
+  Rng init_a(7), init_b(7);
+  nn::FeedForwardClassifier planned_model(5, 8, 2, &init_a);
+  nn::FeedForwardClassifier dynamic_model(5, 8, 2, &init_b);
+
+  const std::vector<int> rows = {6, 9, 6, 9, 6, 9};
+  plan::Planner planner;
+  EXPECT_EQ(TrainClassifier(&planned_model, true, rows, &planner),
+            TrainClassifier(&dynamic_model, false, rows, nullptr));
+  EXPECT_EQ(planner.captures(), 2);
+  EXPECT_EQ(planner.replays(), 4);
+  EXPECT_EQ(planner.invalidations(), 0);
+  ExpectParametersBitwiseEqual(&planned_model, &dynamic_model);
+  const plan::ExecutionPlan* plan6 = planner.plan(plan::MakeKey(6));
+  const plan::ExecutionPlan* plan9 = planner.plan(plan::MakeKey(9));
+  ASSERT_NE(plan6, nullptr);
+  ASSERT_NE(plan9, nullptr);
+  EXPECT_TRUE(OpSlotBuffersOverlap(*plan6, *plan9))
+      << "the two plans hold disjoint buffers, not one shared workspace";
 }
 
 TEST(PlanTest, AdamStateBitwiseIdenticalAfterFiveSteps) {
@@ -328,11 +382,11 @@ TEST(PlanTest, ReplayStepsAllocateNothingForTheTape) {
     });
     end_marks[i] = step_arena.Position();
     if (i > 0) {
-      // In-place replay recomputes every node into the plan's persistent
-      // heap buffers and re-zeros interior gradients in place; Tanh/SumAll
-      // backwards are pure loops. The only allocation left in a replayed
-      // step is the fresh batch matrix built inside the body (the leaf
-      // rebind), and nothing touches the heap.
+      // In-place replay recomputes every node into the plan's buffers in
+      // the Planner's workspace and re-zeros interior gradients in place;
+      // Tanh/SumAll backwards are pure loops. The only allocation left in a
+      // replayed step is the fresh batch matrix built inside the body (the
+      // leaf rebind), and nothing touches the heap.
       EXPECT_EQ(arena_allocs->value() - arena_before, 1)
           << "replay step " << i << " allocated from the step arena";
       EXPECT_EQ(heap_allocs->value() - heap_before, 0)
@@ -352,26 +406,33 @@ TEST(PlanTest, ReplayStepsAllocateNothingForTheTape) {
 
 TEST(PlanTest, SplitForwardBackwardMatchesDynamic) {
   // The sharded trainer's shape: forward in one region, an external seed,
-  // then BackwardWithGrad in another region.
+  // then BackwardWithGrad in another region. Two row counts alternate, as
+  // shard lengths do, so the two keys' plans share the Planner's workspace.
+  check::ScopedEnable checks(true);
   Rng init_a(37), init_b(37);
   nn::Linear head_a(3, 2, &init_a);
   nn::Linear head_b(3, 2, &init_b);
   Rng data_rng(41);
-  Matrix x = RandomMatrix(4, 3, &data_rng);
-  Matrix seed(4, 2, 1.0f);
+  const int rows_per_step[] = {4, 7, 4, 7, 4, 7};
+  std::vector<Matrix> xs;
+  for (int rows : rows_per_step) xs.push_back(RandomMatrix(rows, 3, &data_rng));
 
-  auto run = [&](nn::Linear* head, plan::Planner* planner) {
+  // Per step: the root value, then the weight and bias grads.
+  auto run = [&](nn::Linear* head,
+                 plan::Planner* planner) -> std::vector<Matrix> {
     arena::Arena step_arena;
-    for (int i = 0; i < 3; ++i) {
+    std::vector<Matrix> out;
+    for (const Matrix& x : xs) {
       nn::ZeroGrads(head->Parameters());
       auto fwd = [&]() -> ag::Var {
         step_arena.Reset();
         arena::ScopedArena scope(&step_arena);
         return head->Forward(ag::Constant(x));
       };
-      ag::Var root = planner != nullptr
-                         ? planner->ForwardStep(plan::MakeKey(4), fwd)
-                         : fwd();
+      const uint64_t key = plan::MakeKey(static_cast<uint64_t>(x.rows()));
+      ag::Var root = planner != nullptr ? planner->ForwardStep(key, fwd)
+                                        : fwd();
+      Matrix seed(x.rows(), 2, 1.0f);
       auto bwd = [&]() {
         arena::ScopedArena scope(&step_arena);
         ag::BackwardWithGrad(root, seed);
@@ -381,18 +442,25 @@ TEST(PlanTest, SplitForwardBackwardMatchesDynamic) {
       } else {
         bwd();
       }
+      out.push_back(root.value());
+      for (const ag::Var& p : head->Parameters()) out.push_back(p.grad());
     }
+    return out;
   };
 
   plan::Planner planner;
-  run(&head_a, &planner);
-  run(&head_b, nullptr);
-  EXPECT_EQ(planner.captures(), 1);
-  EXPECT_EQ(planner.replays(), 2);
-  ExpectBitwiseEqual(head_a.Parameters()[0].grad(),
-                     head_b.Parameters()[0].grad(), "split weight grad");
-  ExpectBitwiseEqual(head_a.Parameters()[1].grad(),
-                     head_b.Parameters()[1].grad(), "split bias grad");
+  std::vector<Matrix> planned = run(&head_a, &planner);
+  std::vector<Matrix> dynamic = run(&head_b, nullptr);
+  EXPECT_EQ(planner.captures(), 2);
+  EXPECT_EQ(planner.replays(), 4);
+  ASSERT_EQ(planned.size(), dynamic.size());
+  for (size_t i = 0; i < planned.size(); ++i) {
+    std::string what = "step " + std::to_string(i / 3) +
+                       (i % 3 == 0   ? " root value"
+                        : i % 3 == 1 ? " weight grad"
+                                     : " bias grad");
+    ExpectBitwiseEqual(planned[i], dynamic[i], what.c_str());
+  }
 }
 
 // One row per ag:: op kind: the shapes of its Param inputs and how to build

@@ -25,9 +25,6 @@ struct Diagnostic {
 // "path:line: rule: message".
 std::string FormatCompilerStyle(const Diagnostic& d);
 
-// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string JsonEscape(const std::string& s);
-
 // Writes `[{"path": ..., "line": ..., "rule": ..., "message": ...}, ...]`
 // with one object per line, trailing newline included.
 void WriteJsonDiagnostics(const std::vector<Diagnostic>& diags,

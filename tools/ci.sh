@@ -4,19 +4,23 @@
 # criteria describe — run it before pushing anything that touches src/.
 #
 #   tools/ci.sh                 # default+Werror, asan, ubsan, tsan,
-#                               # crash-resume, clfd_analyze
+#                               # check, crash-resume, clfd_analyze
 #   tools/ci.sh default ubsan   # just those presets (+ clfd_analyze)
 #   tools/ci.sh crash-resume    # just the fault-tolerance job
 #                               # (+ clfd_analyze)
 #   CLFD_CI_JOBS=8 tools/ci.sh
 #
+# `check` builds with runtime invariant checks on and runs the whole ctest
+# suite: arenas NaN-poison fresh and recycled memory, so a read of stale
+# plan or step memory fails CheckFinite, and the fault-injection + watchdog
+# suite (all of recovery_test, plus the `cli.recovery` ctest that drives
+# the same paths through clfd_cli) sees injected NaNs surface as
+# check::InvariantError at the op boundary.
+#
 # `crash-resume` is a pseudo-preset, not a CMake preset: it builds the
 # recovery test under ASan and runs the kill-and-resume bitwise-equivalence
 # suite there (heap misuse across the crash/restore boundary is where ASan
-# earns its keep), then builds the `check` preset (runtime invariant checks
-# on) and runs the fault-injection + watchdog suite, where injected NaNs
-# must surface as check::InvariantError at the op boundary, and the
-# `cli.recovery` ctest, which drives the same paths through clfd_cli.
+# earns its keep).
 #
 # When the default preset is in the run, the seven table benches run once
 # at a tiny scale (CLFD_SCALE=0.01 CLFD_SEEDS=1 CLFD_EPOCH_SCALE=0.05), so a
@@ -54,7 +58,7 @@ cd "${repo_root}"
 jobs="${CLFD_CI_JOBS:-$(nproc)}"
 presets=("$@")
 if [[ ${#presets[@]} -eq 0 ]]; then
-  presets=(default asan ubsan tsan crash-resume)
+  presets=(default asan ubsan tsan check crash-resume)
 fi
 
 for preset in "${presets[@]}"; do
@@ -77,12 +81,6 @@ for preset in "${presets[@]}"; do
   cmake --preset asan
   cmake --build --preset asan -j "${jobs}" --target recovery_test
   ./build-asan/tests/recovery_test --gtest_filter='CrashResumeTest.*'
-  echo "==== [crash-resume] fault-injection suite under the check preset"
-  cmake --preset check
-  cmake --build --preset check -j "${jobs}" --target recovery_test clfd_cli
-  ./build-check/tests/recovery_test \
-      --gtest_filter='FaultPlanTest.*:WatchdogTest.*:WatchdogE2ETest.*'
-  ctest --preset check -R cli.recovery
 done
 
 for preset in "${presets[@]}"; do
