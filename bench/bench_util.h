@@ -11,6 +11,7 @@
 #include "eval/experiment.h"
 #include "obs/metrics.h"
 #include "parallel/thread_pool.h"
+#include "recovery/run_checkpointer.h"
 
 namespace clfd {
 namespace bench {
@@ -132,7 +133,9 @@ inline void PrintAblationTables(const BenchScale& scale,
 // The body of a bench's main(): reads the scale knobs and the pool width,
 // prints `title` and the scale, runs `run` and writes the metrics sidecar.
 // A bad knob value (CLFD_THREADS included) prints its message and returns 2
-// before any work.
+// before any work. A training failure that nothing retried (a diverged
+// run, an invariant violation, an allocation failure) prints its message
+// and returns 4, as clfd_cli does.
 inline int Main(const std::string& name, const std::string& title,
                 void (*run)(const BenchScale&), int def_seeds = 2) {
   BenchScale scale{};
@@ -150,7 +153,12 @@ inline int Main(const std::string& name, const std::string& title,
       "CLFD_EPOCH_SCALE / CLFD_THREADS)\n\n",
       title.c_str(), scale.split_scale, scale.seeds, scale.epoch_scale,
       threads);
-  run(scale);
+  std::string failure;
+  if (!recovery::RunRecoverable(/*recover=*/true, &failure,
+                                [&] { run(scale); })) {
+    std::fprintf(stderr, "%s failed: %s\n", name.c_str(), failure.c_str());
+    return 4;
+  }
   WriteMetricsSidecar(name);
   return 0;
 }

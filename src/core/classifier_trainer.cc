@@ -9,8 +9,6 @@
 #include "losses/sce.h"
 #include "nn/optimizer.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
-#include "obs/prof.h"
 #include "plan/plan.h"
 #include "recovery/checkpoint.h"
 #include "recovery/run_checkpointer.h"
@@ -23,7 +21,7 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
                                const std::vector<int>& labels,
                                const ClfdConfig& config, Rng* rng,
                                const char* metric_scope,
-                               const recovery::PhaseHooks* hooks) {
+                               recovery::RunCheckpointer* rc, int phase) {
   assert(features.rows() == static_cast<int>(labels.size()));
   int n = features.rows();
   if (n == 0) return;
@@ -41,10 +39,8 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
   // the call, so a resume-from-checkpoint naturally re-captures — plan
   // state is derived, never serialized.
   plan::Planner planner;
-
-  if (hooks != nullptr) {
-    hooks->checkpointer->BeginPhase(hooks->phase, &optimizer);
-  }
+  recovery::PhaseLoop loop(rc, phase, config.budget.classifier_epochs,
+                           &optimizer, "classifier.epoch", metric_scope);
 
   // The shuffle order is mutated in place every epoch (consecutive
   // Fisher-Yates passes), so on resume it must come back from the snapshot
@@ -52,8 +48,8 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
   // composition and break exact resume.
   std::vector<int> order(n);
   for (int i = 0; i < n; ++i) order[i] = i;
-  if (hooks != nullptr && !hooks->local_state.empty()) {
-    recovery::ByteReader reader(hooks->local_state);
+  if (!loop.local_state().empty()) {
+    recovery::ByteReader reader(loop.local_state());
     std::vector<int> restored = reader.GetInts();
     if (static_cast<int>(restored.size()) != n) {
       throw recovery::CheckpointError(
@@ -117,19 +113,15 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
       break;
   }
 
-  obs::Series* loss_series = obs::MetricsRegistry::Get().GetSeries(
-      std::string(metric_scope) + ".loss");
-
-  const int start_epoch = hooks != nullptr ? hooks->start_epoch : 0;
-  for (int epoch = start_epoch; epoch < config.budget.classifier_epochs;
-       ++epoch) {
-    obs::prof::Scope epoch_span(obs::prof::kSpan, "classifier.epoch");
-    double loss_sum = 0.0;
-    int batches = 0;
+  auto save_order = [&order] {
+    recovery::ByteWriter writer;
+    writer.PutInts(order);
+    return writer.Take();
+  };
+  loop.Run([&] {
     rng->Shuffle(&order);
     for (int start = 0; start < n; start += config.batch_size) {
-      float batch_loss = 0.0f;
-      bool ran = recovery::RunStep(hooks, &optimizer, [&]() -> float {
+      loop.Batch([&]() -> float {
       int end = std::min(start + config.batch_size, n);
       int b = end - start + (end - start == config.batch_size ? aux : 0);
       // The whole step — batch assembly, RNG draws, forward, backward,
@@ -186,27 +178,9 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
       optimizer.Step();
       return loss.value()[0];
       });
-      }, &batch_loss);
-      if (!ran) continue;
-      loss_sum += batch_loss;
-      ++batches;
+      });
     }
-    double epoch_loss = batches > 0 ? loss_sum / batches : 0.0;
-    epoch_span.Arg("epoch", epoch);
-    epoch_span.Arg("loss", epoch_loss);
-    loss_series->Append(epoch, epoch_loss);
-    CLFD_LOG(DEBUG) << "classifier epoch done"
-                    << obs::Kv("scope", metric_scope)
-                    << obs::Kv("epoch", epoch)
-                    << obs::Kv("loss", epoch_loss);
-    if (hooks != nullptr) {
-      recovery::ByteWriter writer;
-      writer.PutInts(order);
-      hooks->checkpointer->EndEpoch(hooks->phase, epoch,
-                                    static_cast<float>(epoch_loss),
-                                    &optimizer, writer.Take());
-    }
-  }
+  }, save_order);
   CLFD_LOG(INFO) << "classifier training done"
                  << obs::Kv("scope", metric_scope)
                  << obs::Kv("epochs", config.budget.classifier_epochs)

@@ -5,12 +5,10 @@
 #include "common/rng.h"
 #include "core/config.h"
 #include "nn/classifier.h"
+#include "recovery/run_checkpointer.h"
 #include "tensor/matrix.h"
 
 namespace clfd {
-namespace recovery {
-struct PhaseHooks;
-}  // namespace recovery
 
 // Mixup-based classifier training (Sec. III-A1 / III-B2, Algorithm 1 lines
 // 13-19), shared by the label corrector (features = v_i from the
@@ -28,17 +26,20 @@ struct PhaseHooks;
 // series and the loop's log lines carry the scope name. Each epoch is a
 // "classifier.epoch" span under the enclosing phase.
 //
-// `hooks` (optional) is the recovery surface. The loop's only persistent
-// state beyond params/optimizer/rng is the shuffle `order` vector, which
-// accumulates in-place Fisher-Yates passes across epochs; it is serialized
-// as the phase-local blob so a resumed run replays the identical batch
-// composition.
+// A non-null `rc` runs the loop as pipeline phase `phase` (the corrector's
+// or the detector's classifier) with checkpoint/resume and the watchdog;
+// without one, `phase` only names the phase in a divergence message. The
+// loop's only persistent state beyond params/optimizer/rng is the shuffle
+// `order` vector, which accumulates in-place Fisher-Yates passes across
+// epochs; it is serialized as the phase-local blob so a resumed run
+// replays the identical batch composition.
 void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
                                const Matrix& features,
                                const std::vector<int>& labels,
                                const ClfdConfig& config, Rng* rng,
                                const char* metric_scope = "classifier",
-                               const recovery::PhaseHooks* hooks = nullptr);
+                               recovery::RunCheckpointer* rc = nullptr,
+                               int phase = recovery::kPhaseCorrector);
 
 }  // namespace clfd
 

@@ -10,7 +10,6 @@
 #include "nn/module.h"
 #include "nn/optimizer.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/prof.h"
 #include "recovery/run_checkpointer.h"
 
@@ -35,13 +34,7 @@ void FraudDetector::Train(const SessionDataset& train,
   embeddings_ = embeddings;
   {
     CLFD_PROF_SPAN("detector");
-    recovery::PhaseHooks hooks;
-    if (rc != nullptr) {
-      hooks = rc->HooksFor(recovery::kPhaseDetector,
-                           config_.budget.contrastive_epochs);
-    }
-    SupervisedPretrain(train, corrections, embeddings,
-                       rc != nullptr ? &hooks : nullptr);
+    SupervisedPretrain(train, corrections, embeddings, rc);
   }
 
   CLFD_PROF_SPAN("classifier");
@@ -55,14 +48,9 @@ void FraudDetector::Train(const SessionDataset& train,
   }
 
   if (config_.use_classifier) {
-    recovery::PhaseHooks hooks;
-    if (rc != nullptr) {
-      hooks = rc->HooksFor(recovery::kPhaseClassifier,
-                           config_.budget.classifier_epochs);
-    }
     TrainClassifierOnFeatures(&classifier_, features, corrected_labels,
-                              config_, &rng_, "detector.classifier",
-                              rc != nullptr ? &hooks : nullptr);
+                              config_, &rng_, "detector.classifier", rc,
+                              recovery::kPhaseClassifier);
   } else {
     // "w/o classifier (FD)": per-class centroids of the corrected labels in
     // the encoded representation space [4].
@@ -87,13 +75,13 @@ void FraudDetector::Train(const SessionDataset& train,
 
 void FraudDetector::SupervisedPretrain(
     const SessionDataset& train, const std::vector<Correction>& corrections,
-    const Matrix& embeddings, const recovery::PhaseHooks* hooks) {
+    const Matrix& embeddings, recovery::RunCheckpointer* rc) {
   std::vector<ag::Var> params = encoder_.Parameters();
   nn::Adam optimizer(params, config_.learning_rate);
   ShardedEncoderTrainer trainer(&encoder_);
-  if (hooks != nullptr) {
-    hooks->checkpointer->BeginPhase(hooks->phase, &optimizer);
-  }
+  recovery::PhaseLoop loop(rc, recovery::kPhaseDetector,
+                           config_.budget.contrastive_epochs, &optimizer,
+                           "supcon.epoch", "detector.supcon");
 
   // T-tilde^1: sessions the corrector predicted malicious (Algorithm 1
   // line 2), from which the auxiliary batches S^1 are drawn.
@@ -102,15 +90,9 @@ void FraudDetector::SupervisedPretrain(
     if (corrections[i].label == kMalicious) corrected_malicious.push_back(i);
   }
 
-  obs::Series* loss_series =
-      obs::MetricsRegistry::Get().GetSeries("detector.supcon.loss");
-
-  const int start_epoch = hooks != nullptr ? hooks->start_epoch : 0;
-  for (int epoch = start_epoch; epoch < config_.budget.contrastive_epochs;
-       ++epoch) {
-    obs::prof::Scope epoch_span(obs::prof::kSpan, "supcon.epoch");
-    double loss_sum = 0.0;
-    int batches = 0;
+  // No loop-local state beyond params/optimizer/rng: batches and aux
+  // sampling are re-derived from the rng stream each epoch.
+  loop.Run([&] {
     for (const auto& batch : train.MakeBatches(config_.batch_size, &rng_)) {
       if (batch.size() < 2) continue;
       std::vector<int> indices = batch;  // S, the anchors
@@ -132,40 +114,19 @@ void FraudDetector::SupervisedPretrain(
         confidences.push_back(corrections[idx].confidence);
       }
 
-      float loss = 0.0f;
-      bool ran = recovery::RunStep(
-          hooks, &optimizer,
-          [&]() -> float {
-            float batch_loss = trainer.Step(
-                sessions, embeddings, [&](const ag::Var& z) {
-                  return SupConLoss(z, labels, confidences, num_anchors,
-                                    config_.supcon_alpha,
-                                    config_.supcon_variant,
-                                    config_.filter_tau);
-                });
-            nn::ClipGradNorm(params, config_.grad_clip);
-            optimizer.Step();
-            return batch_loss;
-          },
-          &loss);
-      if (!ran) continue;
-      loss_sum += loss;
-      ++batches;
+      loop.Batch([&]() -> float {
+        float batch_loss =
+            trainer.Step(sessions, embeddings, [&](const ag::Var& z) {
+              return SupConLoss(z, labels, confidences, num_anchors,
+                                config_.supcon_alpha, config_.supcon_variant,
+                                config_.filter_tau);
+            });
+        nn::ClipGradNorm(params, config_.grad_clip);
+        optimizer.Step();
+        return batch_loss;
+      });
     }
-    double epoch_loss = batches > 0 ? loss_sum / batches : 0.0;
-    epoch_span.Arg("epoch", epoch);
-    epoch_span.Arg("loss", epoch_loss);
-    loss_series->Append(epoch, epoch_loss);
-    CLFD_LOG(DEBUG) << "supcon epoch done" << obs::Kv("epoch", epoch)
-                    << obs::Kv("loss", epoch_loss);
-    // No loop-local state beyond params/optimizer/rng: batches and aux
-    // sampling are re-derived from the rng stream each epoch.
-    if (hooks != nullptr) {
-      hooks->checkpointer->EndEpoch(hooks->phase, epoch,
-                                    static_cast<float>(epoch_loss),
-                                    &optimizer, std::string());
-    }
-  }
+  });
   CLFD_LOG(INFO) << "fraud detector pretrain done"
                  << obs::Kv("epochs", config_.budget.contrastive_epochs)
                  << obs::Kv("corrected_malicious",

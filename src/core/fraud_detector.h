@@ -13,7 +13,6 @@
 namespace clfd {
 namespace recovery {
 class RunCheckpointer;
-struct PhaseHooks;
 }  // namespace recovery
 
 // The CLFD fraud detector (Sec. III-B, Algorithm 1).
@@ -56,7 +55,7 @@ class FraudDetector {
   void SupervisedPretrain(const SessionDataset& train,
                           const std::vector<Correction>& corrections,
                           const Matrix& embeddings,
-                          const recovery::PhaseHooks* hooks);
+                          recovery::RunCheckpointer* rc);
 
   ClfdConfig config_;
   mutable Rng rng_;

@@ -45,14 +45,9 @@ void LabelCorrector::Train(const SessionDataset& train,
   for (int i = 0; i < train.size(); ++i) {
     noisy_labels[i] = train.sessions[i].noisy_label;
   }
-  recovery::PhaseHooks hooks;
-  if (rc != nullptr) {
-    hooks = rc->HooksFor(recovery::kPhaseCorrector,
-                         config_.budget.classifier_epochs);
-  }
   TrainClassifierOnFeatures(&classifier_, features, noisy_labels, config_,
-                            &rng_, "corrector.classifier",
-                            rc != nullptr ? &hooks : nullptr);
+                            &rng_, "corrector.classifier", rc,
+                            recovery::kPhaseCorrector);
   CLFD_LOG(INFO) << "label corrector trained"
                  << obs::Kv("sessions", train.size());
 }
@@ -67,13 +62,8 @@ void LabelCorrector::SelfSupervisedPretrain(const SessionDataset& train,
   options.learning_rate = config_.simclr_learning_rate;
   options.grad_clip = config_.grad_clip;
   options.metric_scope = "corrector.simclr";
-  recovery::PhaseHooks hooks;
-  if (rc != nullptr) {
-    hooks = rc->HooksFor(recovery::kPhasePretrain,
-                         config_.budget.contrastive_epochs);
-    options.hooks = &hooks;
-  }
-  SimclrPretrain(&encoder_, &projection_, train, embeddings, options, &rng_);
+  SimclrPretrain(&encoder_, &projection_, train, embeddings, options, &rng_,
+                 rc);
 }
 
 std::vector<Correction> LabelCorrector::Correct(

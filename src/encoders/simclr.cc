@@ -7,8 +7,6 @@
 #include "nn/module.h"
 #include "nn/optimizer.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
-#include "obs/prof.h"
 #include "parallel/thread_pool.h"
 #include "recovery/run_checkpointer.h"
 
@@ -16,25 +14,19 @@ namespace clfd {
 
 void SimclrPretrain(SessionEncoder* encoder, ProjectionHead* projection,
                     const SessionDataset& train, const Matrix& embeddings,
-                    const SimclrOptions& options, Rng* rng) {
+                    const SimclrOptions& options, Rng* rng,
+                    recovery::RunCheckpointer* rc) {
   std::vector<ag::Var> params = encoder->Parameters();
   auto proj_params = projection->Parameters();
   params.insert(params.end(), proj_params.begin(), proj_params.end());
   nn::Adam optimizer(params, options.learning_rate);
 
-  obs::Series* loss_series = obs::MetricsRegistry::Get().GetSeries(
-      std::string(options.metric_scope) + ".loss");
-
   ShardedEncoderTrainer trainer(encoder);
-  const recovery::PhaseHooks* hooks = options.hooks;
-  if (hooks != nullptr) {
-    hooks->checkpointer->BeginPhase(hooks->phase, &optimizer);
-  }
-  const int start_epoch = hooks != nullptr ? hooks->start_epoch : 0;
-  for (int epoch = start_epoch; epoch < options.epochs; ++epoch) {
-    obs::prof::Scope epoch_span(obs::prof::kSpan, "simclr.epoch");
-    double loss_sum = 0.0;
-    int batches = 0;
+  recovery::PhaseLoop loop(rc, recovery::kPhasePretrain, options.epochs,
+                           &optimizer, "simclr.epoch", options.metric_scope);
+  // No loop-local state beyond params/optimizer/rng: batches and
+  // augmentations are re-derived from the rng stream each epoch.
+  loop.Run([&] {
     for (const auto& batch : train.MakeBatches(options.batch_size, rng)) {
       if (batch.size() < 2) continue;
       const int b = static_cast<int>(batch.size());
@@ -58,41 +50,17 @@ void SimclrPretrain(SessionEncoder* encoder, ProjectionHead* projection,
       views.reserve(augmented.size());
       for (const Session& s : augmented) views.push_back(&s);
 
-      float loss = 0.0f;
-      bool ran = recovery::RunStep(
-          hooks, &optimizer,
-          [&]() -> float {
-            float batch_loss = trainer.Step(
-                views, embeddings, [&](const ag::Var& z) {
-                  return NtXentLoss(projection->Forward(z),
-                                    options.temperature);
-                });
-            nn::ClipGradNorm(params, options.grad_clip);
-            optimizer.Step();
-            return batch_loss;
-          },
-          &loss);
-      if (!ran) continue;
-      loss_sum += loss;
-      ++batches;
+      loop.Batch([&]() -> float {
+        float batch_loss =
+            trainer.Step(views, embeddings, [&](const ag::Var& z) {
+              return NtXentLoss(projection->Forward(z), options.temperature);
+            });
+        nn::ClipGradNorm(params, options.grad_clip);
+        optimizer.Step();
+        return batch_loss;
+      });
     }
-    double epoch_loss = batches > 0 ? loss_sum / batches : 0.0;
-    epoch_span.Arg("epoch", epoch);
-    epoch_span.Arg("loss", epoch_loss);
-    loss_series->Append(epoch, epoch_loss);
-    CLFD_LOG(DEBUG) << "simclr epoch done"
-                    << obs::Kv("scope", options.metric_scope)
-                    << obs::Kv("epoch", epoch)
-                    << obs::Kv("loss", epoch_loss)
-                    << obs::Kv("batches", batches);
-    // No loop-local state beyond params/optimizer/rng: batches and
-    // augmentations are re-derived from the rng stream each epoch.
-    if (hooks != nullptr) {
-      hooks->checkpointer->EndEpoch(hooks->phase, epoch,
-                                    static_cast<float>(epoch_loss),
-                                    &optimizer, std::string());
-    }
-  }
+  });
   CLFD_LOG(INFO) << "simclr pretrain done"
                  << obs::Kv("scope", options.metric_scope)
                  << obs::Kv("epochs", options.epochs)

@@ -6,7 +6,7 @@
 
 namespace clfd {
 namespace recovery {
-struct PhaseHooks;
+class RunCheckpointer;
 }  // namespace recovery
 
 // Options for self-supervised SimCLR pre-training of a session encoder with
@@ -23,16 +23,17 @@ struct SimclrOptions {
   // is a "simclr.epoch" span). Must be a string literal (stored, not
   // copied).
   const char* metric_scope = "simclr";
-  // Recovery surface (checkpoint/resume + watchdog); null = plain run.
-  const recovery::PhaseHooks* hooks = nullptr;
 };
 
 // Runs SimCLR pre-training in place on (encoder, projection). Label-free:
 // uses only the session sequences, so the result is unaffected by label
 // noise — the property the CLFD label corrector builds on (Sec. III-A).
+// A non-null `rc` runs it as the pipeline's pretrain phase with
+// checkpoint/resume and the watchdog.
 void SimclrPretrain(SessionEncoder* encoder, ProjectionHead* projection,
                     const SessionDataset& train, const Matrix& embeddings,
-                    const SimclrOptions& options, Rng* rng);
+                    const SimclrOptions& options, Rng* rng,
+                    recovery::RunCheckpointer* rc = nullptr);
 
 }  // namespace clfd
 

@@ -20,14 +20,23 @@ namespace {
 const char* const kPhaseNames[kPhaseDone] = {"pretrain", "corrector",
                                              "detector", "classifier"};
 
-// The one recoverable-vs-fatal catch list. Runs `fn` and returns true when
-// it completes. When it throws DivergenceError, check::InvariantError or
-// std::bad_alloc and `recover` is set, stores the message in `*error`
-// (when non-null) and returns false; without `recover` the failure
-// propagates. Everything else always propagates — SimulatedCrash,
-// CheckpointError and WatchdogAbort derive from none of the three.
-template <typename Fn>
-bool RunRecoverable(bool recover, std::string* error, Fn&& fn) {
+std::string EpochName(int phase, int epoch) {
+  return std::string(kPhaseNames[phase]) + " epoch " + std::to_string(epoch);
+}
+
+// The one non-finite check of an epoch's mean loss, made in every run:
+// PhaseLoop makes it without a checkpointer and RunCheckpointer::EndEpoch
+// with one, so a diverged run never reports a result, watchdog or not.
+void RequireFiniteEpochLoss(int phase, int epoch, float mean_loss) {
+  if (std::isfinite(mean_loss)) return;
+  CLFD_METRIC_COUNT("recovery.watchdog.divergence_detected", 1);
+  throw DivergenceError(EpochName(phase, epoch) + ": non-finite epoch loss");
+}
+
+}  // namespace
+
+bool RunRecoverable(bool recover, std::string* error,
+                    const std::function<void()>& fn) {
   try {
     fn();
     return true;
@@ -43,8 +52,6 @@ bool RunRecoverable(bool recover, std::string* error, Fn&& fn) {
   }
   return false;
 }
-
-}  // namespace
 
 void RunWithRecovery(const RecoveryOptions& options, const std::string& stem,
                      const std::function<void(RunCheckpointer* rc)>& body) {
@@ -265,8 +272,10 @@ void RunCheckpointer::RestoreRegistered() {
   }
 }
 
-PhaseHooks RunCheckpointer::HooksFor(int phase, int total_epochs) {
-  PhaseHooks hooks;
+int RunCheckpointer::BeginPhase(int phase, int total_epochs,
+                                nn::Adam* optimizer,
+                                std::string* local_state) {
+  phase_epochs_[phase] = total_epochs;
   int start = 0;
   if (has_snapshot_) {
     if (loaded_complete_ || phase < loaded_phase_) {
@@ -282,26 +291,17 @@ PhaseHooks RunCheckpointer::HooksFor(int phase, int total_epochs) {
                      << obs::Kv("phase", kPhaseNames[phase])
                      << obs::Kv("start_epoch", start);
     }
-    if (phase == loaded_phase_ && !loaded_complete_ &&
-        loaded_->HasSection("phase.local")) {
-      hooks.local_state = loaded_->Section("phase.local");
+    if (phase == loaded_phase_ && !loaded_complete_) {
+      if (loaded_->HasSection("phase.local")) {
+        *local_state = loaded_->Section("phase.local");
+      }
+      if (loaded_->HasSection("optimizer")) RestoreOptimizer(optimizer);
     }
-  }
-  hooks.start_epoch = start;
-  hooks.checkpointer = this;
-  hooks.phase = phase;
-  phase_epochs_[phase] = total_epochs;
-  return hooks;
-}
-
-void RunCheckpointer::BeginPhase(int phase, nn::Adam* optimizer) {
-  if (has_snapshot_ && !loaded_complete_ && phase == loaded_phase_ &&
-      loaded_->HasSection("optimizer")) {
-    RestoreOptimizer(optimizer);
   }
   if (attempt_ >= 3) {
     optimizer->set_learning_rate(optimizer->learning_rate() * 0.5f);
   }
+  return start;
 }
 
 bool RunCheckpointer::RunBatch(nn::Adam* optimizer,
@@ -332,37 +332,34 @@ bool RunCheckpointer::RunBatch(nn::Adam* optimizer,
 void RunCheckpointer::EndEpoch(int phase, int epoch, float mean_loss,
                                nn::Adam* optimizer,
                                const std::string& local_state) {
-  const std::string where =
-      std::string(kPhaseNames[phase]) + " epoch " + std::to_string(epoch);
   // Sentinel first: a diverged epoch must never be snapshotted, so the
   // last on-disk state is always healthy rollback material.
-  if (options_.watchdog.enabled) CheckEpochLoss(phase, where, mean_loss);
+  CheckEpochLoss(phase, epoch, mean_loss);
   // Crash probe before the snapshot: a simulated crash at epoch k loses
   // everything since the previous snapshot, exactly like a real one, and
   // resume has to replay those epochs bitwise.
-  if (fault::At("run.epoch")) throw SimulatedCrash(where);
+  if (fault::At("run.epoch")) throw SimulatedCrash(EpochName(phase, epoch));
   if (!options_.enabled()) return;
   bool due = ((epoch + 1) % options_.interval_epochs == 0) ||
              (epoch + 1 >= phase_epochs_[phase]);
   if (due) Snapshot(phase, epoch + 1, false, optimizer, local_state);
 }
 
-// Divergence: a non-finite mean loss, an epoch in which every batch that
-// ran was skipped (its mean loss of 0 is no measurement, so it must not
-// become the baseline either), or a loss spiking above the phase's
-// baseline, its first healthy epoch loss in this attempt. An epoch that
-// ran no batch at all passes.
-void RunCheckpointer::CheckEpochLoss(int phase, const std::string& where,
-                                     float mean_loss) {
+// Divergence: a non-finite mean loss in every run; under the watchdog also
+// an epoch in which every batch that ran was skipped (its mean loss of 0
+// is no measurement, so it must not become the baseline either), or a loss
+// spiking above the phase's baseline, its first healthy epoch loss in this
+// attempt. An epoch that ran no batch at all passes.
+void RunCheckpointer::CheckEpochLoss(int phase, int epoch, float mean_loss) {
   const bool all_skipped =
       epoch_batches_ > 0 && epoch_skipped_ == epoch_batches_;
   epoch_batches_ = 0;
   epoch_skipped_ = 0;
+  RequireFiniteEpochLoss(phase, epoch, mean_loss);
+  if (!options_.watchdog.enabled) return;
   std::string problem;
   std::optional<float>& baseline = baselines_[phase];
-  if (!std::isfinite(mean_loss)) {
-    problem = "non-finite epoch loss";
-  } else if (all_skipped) {
+  if (all_skipped) {
     problem = "every batch skipped";
   } else if (!baseline.has_value()) {
     baseline = mean_loss;
@@ -376,7 +373,7 @@ void RunCheckpointer::CheckEpochLoss(int phase, const std::string& where,
   }
   if (problem.empty()) return;
   CLFD_METRIC_COUNT("recovery.watchdog.divergence_detected", 1);
-  throw DivergenceError(where + ": " + problem);
+  throw DivergenceError(EpochName(phase, epoch) + ": " + problem);
 }
 
 void RunCheckpointer::MarkTrainingComplete() {
@@ -452,6 +449,45 @@ void RunCheckpointer::RestoreOptimizer(nn::Adam* optimizer) const {
                           "optimizer moment shapes do not match parameters");
   }
   optimizer->set_learning_rate(lr);
+}
+
+PhaseLoop::PhaseLoop(RunCheckpointer* rc, int phase, int epochs,
+                     nn::Adam* optimizer, const char* span,
+                     const char* scope)
+    : rc_(rc),
+      phase_(phase),
+      epochs_(epochs),
+      optimizer_(optimizer),
+      span_(span),
+      scope_(scope) {
+  if (rc_ != nullptr) {
+    start_epoch_ = rc_->BeginPhase(phase, epochs, optimizer, &local_state_);
+  }
+}
+
+void PhaseLoop::Run(const std::function<void()>& epoch_body,
+                    const std::function<std::string()>& save_state) {
+  obs::Series* loss_series = obs::MetricsRegistry::Get().GetSeries(
+      std::string(scope_) + ".loss");
+  for (int epoch = start_epoch_; epoch < epochs_; ++epoch) {
+    obs::prof::Scope epoch_span(obs::prof::kSpan, span_);
+    loss_sum_ = 0.0;
+    batches_ = 0;
+    epoch_body();
+    const double mean = batches_ > 0 ? loss_sum_ / batches_ : 0.0;
+    epoch_span.Arg("epoch", epoch);
+    epoch_span.Arg("loss", mean);
+    loss_series->Append(epoch, mean);
+    CLFD_LOG(DEBUG) << "epoch done" << obs::Kv("scope", scope_)
+                    << obs::Kv("epoch", epoch) << obs::Kv("loss", mean)
+                    << obs::Kv("batches", batches_);
+    if (rc_ == nullptr) {
+      RequireFiniteEpochLoss(phase_, epoch, static_cast<float>(mean));
+    } else {
+      rc_->EndEpoch(phase_, epoch, static_cast<float>(mean), optimizer_,
+                    save_state ? save_state() : std::string());
+    }
+  }
 }
 
 }  // namespace recovery

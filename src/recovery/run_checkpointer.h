@@ -43,36 +43,13 @@ struct RecoveryOptions {
   bool enabled() const { return !dir.empty(); }
 };
 
-class RunCheckpointer;
-
-// What a training loop needs to support recovery, handed out by
-// RunCheckpointer::HooksFor. A loop that supports recovery (1) starts at
-// `start_epoch` instead of 0, (2) routes each optimizer step through
-// RunStep, (3) calls checkpointer->BeginPhase once its optimizer exists
-// and checkpointer->EndEpoch after every executed epoch. A null hooks
-// pointer (the default everywhere) is the plain path and changes nothing.
-struct PhaseHooks {
-  // First epoch index the loop should execute; epochs [0, start_epoch)
-  // were completed by a previous run and are restored, not replayed. Equal
-  // to the loop's total epoch count when the whole phase is already done.
-  int start_epoch = 0;
-
-  // Loop-local mutable state (beyond params/optimizer/rng) captured at the
-  // snapshot boundary — e.g. the classifier trainer's persistent shuffle
-  // order. Empty when the phase starts fresh; the loop owns the encoding.
-  std::string local_state;
-
-  RunCheckpointer* checkpointer = nullptr;
-  int phase = kPhasePretrain;
-};
-
 // Orchestrates exact-resume and the watchdog for one attempt of one
 // training run (one model, one seed).
 //
 // Usage (ClfdModel::TrainWithRecovery):
 //   <RegisterParams / RegisterRng / RegisterBlob for all mutable state>
 //   if (rc->LoadSnapshot()) rc->RestoreRegistered();
-//   <for each phase: run its loop with rc->HooksFor(phase, epochs)>
+//   <for each phase: run its epochs through a PhaseLoop over rc>
 //   rc->MarkTrainingComplete();
 // RunWithRecovery constructs one RunCheckpointer per attempt.
 //
@@ -116,15 +93,17 @@ class RunCheckpointer {
   // committing any of it; throws CheckpointError on any defect.
   void RestoreRegistered();
 
-  // Hooks for one phase loop of `total_epochs` epochs: the resume decision
-  // in start_epoch and the loop-local state of a phase resumed mid-way.
-  PhaseHooks HooksFor(int phase, int total_epochs);
-
-  // --- calls from a phase loop ---
-  // Once, after the loop built its optimizer and before its first epoch:
-  // restores the Adam moments and step count of a phase resumed mid-way,
-  // and halves the learning rate from attempt 3 on.
-  void BeginPhase(int phase, nn::Adam* optimizer);
+  // --- calls from a phase loop (PhaseLoop makes them) ---
+  // Once, after the loop built its optimizer and before its first epoch,
+  // for a phase of `total_epochs` epochs. Returns the first epoch the loop
+  // runs: epochs before it were completed by an earlier process or attempt
+  // and are restored, not replayed; `total_epochs` when the whole phase is
+  // done. For the phase a snapshot was taken in, it restores the Adam
+  // moments and step count and sets `*local_state` to the loop-local state
+  // the snapshot carries (left empty otherwise). From attempt 3 on it halves
+  // the learning rate.
+  int BeginPhase(int phase, int total_epochs, nn::Adam* optimizer,
+                 std::string* local_state);
   // One optimizer step: `step` runs forward, backward and the update and
   // returns the batch loss. Under the watchdog a non-finite loss is a
   // DivergenceError, and from attempt 2 on a recoverable failure skips the
@@ -132,9 +111,10 @@ class RunCheckpointer {
   bool RunBatch(nn::Adam* optimizer, const std::function<float()>& step,
                 float* loss);
   // After every executed epoch, with the epoch's mean loss and the loop's
-  // freshly encoded local state: the divergence sentinel, the run.epoch
-  // crash probe, then the interval snapshot. Throws DivergenceError or
-  // SimulatedCrash; the loop must not catch.
+  // freshly encoded local state: the divergence sentinel (a non-finite mean
+  // in every run; under the watchdog also an all-skipped epoch or a spike),
+  // the run.epoch crash probe, then the interval snapshot. Throws
+  // DivergenceError or SimulatedCrash; the loop must not catch.
   void EndEpoch(int phase, int epoch, float mean_loss, nn::Adam* optimizer,
                 const std::string& local_state);
 
@@ -164,7 +144,7 @@ class RunCheckpointer {
     std::function<void(const std::string&)> decode;
   };
 
-  void CheckEpochLoss(int phase, const std::string& where, float mean_loss);
+  void CheckEpochLoss(int phase, int epoch, float mean_loss);
   void Snapshot(int phase, int next_epoch, bool complete,
                 nn::Adam* optimizer, const std::string& local);
   void RestoreOptimizer(nn::Adam* optimizer) const;
@@ -204,7 +184,7 @@ class RunCheckpointer {
   int epoch_batches_ = 0;  // batches RunBatch ran in the current epoch
   int epoch_skipped_ = 0;  // ... and of those, skipped
 
-  int phase_epochs_[kPhaseDone] = {};  // epochs per phase, from HooksFor
+  int phase_epochs_[kPhaseDone] = {};  // epochs per phase, from BeginPhase
   std::optional<Checkpoint> loaded_;
   bool has_snapshot_ = false;
   int loaded_phase_ = 0;
@@ -212,19 +192,73 @@ class RunCheckpointer {
   bool loaded_complete_ = false;
 };
 
-// Runs one optimizer step through `hooks`. With null hooks (every run
-// without recovery) this is a plain inlined call; otherwise the attempt's
-// RunCheckpointer guards it. Returns false when the watchdog skipped the
-// batch.
-template <typename Step>
-bool RunStep(const PhaseHooks* hooks, nn::Adam* optimizer, Step&& step,
-             float* loss) {
-  if (hooks == nullptr) {
-    *loss = step();
-    return true;
+// The epoch driver of the four CLFD training phases (Algorithm 1: epochs
+// of mini-batch Adam steps, each epoch's mean loss tracked). SimclrPretrain,
+// FraudDetector's SupCon stage and TrainClassifierOnFeatures run their
+// epochs through it. Each epoch runs inside a `span` profiler span; at its
+// end the mean batch loss goes to the span's args, the "<scope>.loss"
+// series and a DEBUG log line, then to the divergence sentinel, so a
+// non-finite mean throws DivergenceError in every run. With a checkpointer
+// the loop starts where a snapshot left off, each step goes through
+// RunCheckpointer::RunBatch and each epoch through EndEpoch; with a null
+// one it runs every epoch from 0 and each step is a direct call.
+class PhaseLoop {
+ public:
+  // `span` and `scope` must be string literals (stored, not copied).
+  PhaseLoop(RunCheckpointer* rc, int phase, int epochs, nn::Adam* optimizer,
+            const char* span, const char* scope);
+  PhaseLoop(const PhaseLoop&) = delete;
+  PhaseLoop& operator=(const PhaseLoop&) = delete;
+
+  // The loop-local state `save_state` encoded into the snapshot of a phase
+  // resumed mid-way; empty when the phase starts fresh.
+  const std::string& local_state() const { return local_state_; }
+
+  // Runs the phase's remaining epochs. `epoch_body` runs one epoch's
+  // batches, each through Batch. `save_state` (optional) encodes the
+  // loop-local state a snapshot carries beyond params, optimizer and Rng
+  // streams; it is called only with a checkpointer.
+  void Run(const std::function<void()>& epoch_body,
+           const std::function<std::string()>& save_state = nullptr);
+
+  // One optimizer step: `step` runs forward, backward and the update and
+  // returns the batch loss, which joins the epoch's mean unless the
+  // watchdog skipped the batch.
+  template <typename Step>
+  void Batch(Step&& step) {
+    float loss = 0.0f;
+    if (rc_ == nullptr) {
+      loss = step();
+    } else if (!rc_->RunBatch(optimizer_, step, &loss)) {
+      return;
+    }
+    loss_sum_ += loss;
+    ++batches_;
   }
-  return hooks->checkpointer->RunBatch(optimizer, step, loss);
-}
+
+ private:
+  RunCheckpointer* rc_;
+  int phase_;
+  int epochs_;
+  nn::Adam* optimizer_;
+  const char* span_;
+  const char* scope_;
+  int start_epoch_ = 0;
+  std::string local_state_;
+  double loss_sum_ = 0.0;  // of the current epoch's batches that ran
+  int batches_ = 0;
+};
+
+// The one recoverable-vs-fatal catch list. Runs `fn` and returns true when
+// it completes. When it throws DivergenceError, check::InvariantError or
+// std::bad_alloc and `recover` is set, stores the message in `*error`
+// (when non-null) and returns false; without `recover` the failure
+// propagates. Everything else always propagates: SimulatedCrash,
+// CheckpointError and WatchdogAbort derive from none of the three. Besides
+// the watchdog, clfd_cli and the bench harness use it to report such a
+// failure that no attempt retried.
+bool RunRecoverable(bool recover, std::string* error,
+                    const std::function<void()>& fn);
 
 // Runs `body` under the retry ladder of the divergence watchdog (see
 // recovery/watchdog.h), one fresh RunCheckpointer per attempt. A

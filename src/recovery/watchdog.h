@@ -24,6 +24,11 @@ namespace recovery {
 // attempt's RunCheckpointer applies its rung to every batch and epoch.
 // Every rollback / skipped batch / retry / abort is counted in the obs
 // metrics registry (recovery.watchdog.*) and visible in the Chrome trace.
+//
+// A non-finite epoch loss fails every run, watchdog or not (PhaseLoop's
+// epoch end); the watchdog adds the retry, the spike rule and the
+// all-skipped rule. Without it a failure propagates unretried, and
+// clfd_cli and the table benches exit 4 on it, as on an abort.
 
 struct WatchdogOptions {
   bool enabled = false;

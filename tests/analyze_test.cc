@@ -873,8 +873,8 @@ TEST(AnalyzeUncheckedStreamWrite, CleanReadsAndCommentsPass) {
 
 TEST(AnalyzeUncheckedStreamWrite, IoAllowlistAndPragmaSuppress) {
   // The audited IO layer may open files however it needs to.
-  for (const char* path : {"src/nn/serialize.cc", "src/data/dataset_io.cc",
-                           "src/recovery/checkpoint.cc"}) {
+  for (const char* path :
+       {"src/data/dataset_io.cc", "src/recovery/checkpoint.cc"}) {
     EXPECT_EQ(Hits(path, "std::ofstream out(path);",
                    kRuleUncheckedStreamWrite),
               0)

@@ -5,7 +5,10 @@
 # - an injected allocation failure under --watchdog is rolled back once,
 #   counted in recovery.watchdog.rollbacks, and the run exits 0;
 # - sticky NaN poisoning under --watchdog exhausts the retry ladder and
-#   exits 4 instead of returning an untrained model.
+#   exits 4 instead of returning an untrained model;
+# - without --watchdog nothing retries, so sticky NaN poisoning and an
+#   injected allocation failure each exit 4 with a one-line message and
+#   print no result line.
 
 set(dir "${WORK_DIR}/cli_recovery")
 file(REMOVE_RECURSE "${dir}")
@@ -77,3 +80,16 @@ string(FIND "${err}" "watchdog abort" at)
 if(at EQUAL -1)
   message(SEND_ERROR "sticky NaN run: stderr lacks 'watchdog abort': ${err}")
 endif()
+
+foreach(fault "op.nan@1+" "arena.alloc@300")
+  cli(${run} "--fault-plan=${fault}")
+  expect_exit(4 "run with ${fault} and no watchdog")
+  result_line(line)
+  if(NOT line STREQUAL "")
+    message(SEND_ERROR "run with ${fault} and no watchdog printed '${line}'")
+  endif()
+  if(NOT err MATCHES "run failed: [^\n]+\n")
+    message(SEND_ERROR "run with ${fault} and no watchdog: stderr lacks "
+                       "'run failed: ...': ${err}")
+  endif()
+endforeach()

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
 
 #include "autograd/grad_check.h"
@@ -10,7 +9,6 @@
 #include "nn/lstm.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
-#include "nn/serialize.h"
 
 namespace clfd {
 namespace nn {
@@ -332,30 +330,6 @@ TEST(ModuleTest, ClipGradNorm) {
   // Below the cap: untouched.
   norm = ClipGradNorm({x}, 100.0f);
   EXPECT_NEAR(x.grad().at(0, 0), 3.0f, 1e-4f);
-}
-
-TEST(SerializeTest, RoundTrip) {
-  Rng rng(10);
-  Linear a(4, 3, &rng);
-  Linear b(4, 3, &rng);
-  std::string path = ::testing::TempDir() + "/clfd_params.bin";
-  ASSERT_TRUE(SaveParameters(a.Parameters(), path));
-  ASSERT_TRUE(LoadParameters(b.Parameters(), path));
-  auto pa = a.Parameters(), pb = b.Parameters();
-  for (size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_LT(MaxAbsDiff(pa[i].value(), pb[i].value()), 1e-7f);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SerializeTest, ShapeMismatchFails) {
-  Rng rng(11);
-  Linear a(4, 3, &rng);
-  Linear b(5, 3, &rng);
-  std::string path = ::testing::TempDir() + "/clfd_params2.bin";
-  ASSERT_TRUE(SaveParameters(a.Parameters(), path));
-  EXPECT_FALSE(LoadParameters(b.Parameters(), path));
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/var.h"
@@ -698,6 +701,22 @@ TEST(WatchdogE2ETest, AttemptsThatSkipEveryBatchAbort) {
   }
 }
 
+TEST(WatchdogE2ETest, DivergedRunWithoutWatchdogThrows) {
+  // Nothing retries a run without the watchdog, but its divergence still
+  // ends it: sticky NaN poisoning makes the first epoch's mean loss NaN,
+  // and the sweep throws instead of returning the metrics of an untrained
+  // model. The invariant layer is off, as in a Release run, so the NaNs
+  // reach the epoch sentinel.
+  check::ScopedEnable checks(false);
+  recovery::ScopedFaultPlan faults("op.nan@1+", 7);
+  try {
+    RunOne(recovery::RecoveryOptions{});
+    FAIL() << "a diverged run returned metrics";
+  } catch (const recovery::DivergenceError& e) {
+    EXPECT_STREQ(e.what(), "pretrain epoch 0: non-finite epoch loss");
+  }
+}
+
 TEST(WatchdogE2ETest, NoResumeRetriesResumeOnlyFromThisRunsSnapshots) {
   // With resume off, a snapshot left by an earlier process is never read,
   // but a watchdog retry still rolls back to the snapshots this run wrote.
@@ -732,6 +751,89 @@ TEST(WatchdogE2ETest, NoResumeRetriesResumeOnlyFromThisRunsSnapshots) {
     RunOne(options);
   }
   EXPECT_EQ(resumes->value(), before + 1);
+}
+
+// ---- Per-epoch reports ----
+
+using SeriesPoints = std::vector<std::pair<double, double>>;
+
+// The per-epoch loss series of CLFD's four phases, in phase order.
+const char* const kPhaseLossSeries[] = {
+    "corrector.simclr.loss", "corrector.classifier.loss",
+    "detector.supcon.loss", "detector.classifier.loss"};
+
+// Runs `run` and returns the points each phase's loss series gained
+// meanwhile; the registry is process-wide, so only the deltas are this
+// run's.
+std::vector<SeriesPoints> AppendedLossPoints(
+    const std::function<void()>& run) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Get();
+  std::vector<size_t> before;
+  for (const char* name : kPhaseLossSeries) {
+    before.push_back(registry.GetSeries(name)->size());
+  }
+  run();
+  std::vector<SeriesPoints> appended;
+  for (size_t p = 0; p < before.size(); ++p) {
+    const SeriesPoints points =
+        registry.GetSeries(kPhaseLossSeries[p])->Points();
+    appended.emplace_back(points.begin() + before[p], points.end());
+  }
+  return appended;
+}
+
+// Points [from, to) of `points`.
+SeriesPoints Slice(const SeriesPoints& points, size_t from, size_t to) {
+  return SeriesPoints(points.begin() + from, points.begin() + to);
+}
+
+TEST(PhaseLoopTest, EveryPhaseReportsEachEpochItRunsOnce) {
+  const TrainingBudget budget = TinyConfig().budget;
+  const size_t epochs[] = {static_cast<size_t>(budget.contrastive_epochs),
+                           static_cast<size_t>(budget.classifier_epochs),
+                           static_cast<size_t>(budget.contrastive_epochs),
+                           static_cast<size_t>(budget.classifier_epochs)};
+
+  // A plain run reports each budgeted epoch once, in order, with a finite
+  // mean loss.
+  const std::vector<SeriesPoints> plain =
+      AppendedLossPoints([] { RunOne(recovery::RecoveryOptions{}); });
+  for (size_t p = 0; p < plain.size(); ++p) {
+    SCOPED_TRACE(kPhaseLossSeries[p]);
+    ASSERT_EQ(plain[p].size(), epochs[p]);
+    for (size_t e = 0; e < epochs[p]; ++e) {
+      EXPECT_EQ(plain[p][e].first, static_cast<double>(e));
+      EXPECT_TRUE(std::isfinite(plain[p][e].second)) << "epoch " << e;
+    }
+  }
+
+  // A run snapshotted after every epoch reports the same epochs and bits.
+  recovery::RecoveryOptions every_epoch;
+  every_epoch.dir = ScratchDir("series_every_epoch");
+  every_epoch.interval_epochs = 1;
+  EXPECT_EQ(AppendedLossPoints([&] { RunOne(every_epoch); }), plain);
+
+  // A crash at the 20th epoch end stops the corrector's classifier after
+  // its epoch 17, and the newest snapshot (every 4 epochs) resumes it at
+  // epoch 16. Each process reports exactly the epochs it runs, so epochs
+  // 16 and 17 are reported by both, with the same bits.
+  recovery::RecoveryOptions resumable;
+  resumable.dir = ScratchDir("series_resume");
+  resumable.interval_epochs = 4;
+  const std::vector<SeriesPoints> crashed = AppendedLossPoints([&] {
+    recovery::ScopedFaultPlan crash("run.epoch@20", 1);
+    EXPECT_THROW(RunOne(resumable), recovery::SimulatedCrash);
+  });
+  EXPECT_EQ(crashed[0], plain[0]);
+  EXPECT_EQ(crashed[1], Slice(plain[1], 0, 18));
+  EXPECT_TRUE(crashed[2].empty());
+  EXPECT_TRUE(crashed[3].empty());
+  const std::vector<SeriesPoints> resumed =
+      AppendedLossPoints([&] { RunOne(resumable); });
+  EXPECT_TRUE(resumed[0].empty());
+  EXPECT_EQ(resumed[1], Slice(plain[1], 16, epochs[1]));
+  EXPECT_EQ(resumed[2], plain[2]);
+  EXPECT_EQ(resumed[3], plain[3]);
 }
 
 // ---- RunCheckpointer state capture ----

@@ -75,12 +75,12 @@ const std::vector<std::string>& RuleNames() {
 // everything may use; `tensor` owns the kernels; `data`,
 // `metrics`, `augment`, and `embedding` are side substrates; `autograd`
 // sits on tensor; `nn` and `losses` are peer layers on autograd;
-// `recovery` hooks under the training loops (loops thread its PhaseHooks,
-// so it must sit *below* encoders/core); `encoders` -> `core` ->
-// `baselines` -> `eval` is the training/experiment stack. A new src/
-// directory must be added here (and the DOT regenerated) before the tree
-// passes `analyze.repo` — that is deliberate: layering is declared, not
-// inferred.
+// `recovery` sits under the training loops (they run their epochs
+// through its PhaseLoop, so it must sit *below* encoders/core);
+// `encoders` -> `core` -> `baselines` -> `eval` is the
+// training/experiment stack. A new src/ directory must be added here (and
+// the DOT regenerated) before the tree passes `analyze.repo` — that is
+// deliberate: layering is declared, not inferred.
 const std::map<std::string, int>& DefaultLayers() {
   static const std::map<std::string, int>* layers =
       new std::map<std::string, int>{

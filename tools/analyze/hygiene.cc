@@ -85,12 +85,12 @@ bool HasRawNewDelete(const std::string& code, std::string* what) {
 
 // Audited IO layer for unchecked-stream-write: the only src/ files allowed
 // to open output streams / call write syscalls. Each of these reports
-// failure through a typed error or a false return — serialize.cc returns
-// the final stream state from SaveParameters, dataset_io.cc validates on
-// both ends of the round trip, and recovery/checkpoint.cc fsyncs and
-// checks every POSIX write before the atomic rename commits anything.
+// failure through a typed error or a false return — dataset_io.cc
+// validates on both ends of the round trip, and recovery/checkpoint.cc
+// fsyncs and checks every POSIX write before the atomic rename commits
+// anything.
 bool IsIoAllowlisted(const std::string& path) {
-  return path == "src/nn/serialize.cc" || path == "src/data/dataset_io.cc" ||
+  return path == "src/data/dataset_io.cc" ||
          path == "src/recovery/checkpoint.cc";
 }
 
@@ -144,9 +144,9 @@ void CheckHygiene(const ParsedFile& file, Reporter* reporter) {
           reporter->Report(
               file, line, kRuleUncheckedStreamWrite,
               "file write outside the audited IO layer; durable output "
-              "must go through nn::serialize / data::dataset_io / "
-              "recovery::checkpoint, which validate stream state and "
-              "commit atomically (write-temp + fsync + rename)");
+              "must go through data::dataset_io / recovery::checkpoint, "
+              "which validate stream state and commit atomically "
+              "(write-temp + fsync + rename)");
           break;
         }
       }

@@ -33,7 +33,9 @@
 // Exit codes: 2 = bad input (usage, a malformed or out-of-range flag
 //                 value, an empty training split),
 //             3 = simulated crash (resume with the same command),
-//             4 = watchdog aborted after exhausting its retry budget.
+//             4 = training failed: it diverged, violated an invariant or
+//                 ran out of memory, and either no watchdog retried it or
+//                 the watchdog exhausted its retry budget.
 
 #include <cctype>
 #include <cerrno>
@@ -347,9 +349,18 @@ int Main(int argc, char** argv) {
                  fault_plan->plan().Describe().c_str());
   }
 
-  int rc;
+  int rc = 0;
   try {
-    rc = Dispatch(args);
+    // A failure the watchdog retries (divergence, an invariant violation,
+    // an allocation failure) that no attempt retried ends the run like an
+    // exhausted watchdog: exit 4, never a result or std::terminate.
+    std::string failure;
+    if (!recovery::RunRecoverable(/*recover=*/true, &failure,
+                                  [&] { rc = Dispatch(args); })) {
+      std::fprintf(stderr, "%s failed: %s\n", args.command.c_str(),
+                   failure.c_str());
+      rc = 4;
+    }
   } catch (const recovery::SimulatedCrash& e) {
     // Emulated hard crash: checkpoints are on disk; rerunning the same
     // command (without the crash trigger) resumes where it left off.
