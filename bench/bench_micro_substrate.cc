@@ -220,8 +220,8 @@ BENCHMARK(BM_LstmTrainStep)
     ->Unit(benchmark::kMillisecond);
 
 // One LSTM training step: arg plan=0 runs the body on the dynamic tape
-// without a Planner, plan=1 replays the captured execution plan
-// (src/plan). Identical numerics; the counters are the acceptance numbers
+// without a Planner, in a recycled arena of its own; plan=1 replays the
+// captured execution plan (src/plan) on the Planner's arenas. Identical numerics; the counters are the acceptance numbers
 // — replay must drive tape nodes created per step to zero while matmul
 // kernel calls stay unchanged (same math, no graph construction).
 void BM_PlanReplay(benchmark::State& state) {
@@ -237,8 +237,6 @@ void BM_PlanReplay(benchmark::State& state) {
   arena::Arena step_arena;
   plan::Planner planner;
   auto body = [&]() -> float {
-    step_arena.Reset();
-    arena::ScopedArena scope(&step_arena);
     std::vector<ag::Var> steps;
     for (const Matrix& m : inputs) steps.push_back(ag::Constant(m));
     auto hs = lstm.Forward(steps);
@@ -254,6 +252,8 @@ void BM_PlanReplay(benchmark::State& state) {
     if (planned) {
       planner.Step(plan::MakeKey(100, t_len), nullptr, body);
     } else {
+      step_arena.Reset();
+      arena::ScopedArena scope(&step_arena);
       body();
     }
   };
@@ -286,10 +286,11 @@ BENCHMARK(BM_PlanReplay)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Cost of capturing a plan: one full dynamic step plus the recording
-// overhead (slot list, arena cursors, backward order). Amortized over
-// thousands of replays per training phase, so capture time only has to be
-// "a step, roughly" — compare against the BM_PlanReplay/plan:0 row.
+// Cost of capturing a plan: one full dynamic step on the Planner's
+// workspace plus the recording overhead (slot list, backward order).
+// Amortized over thousands of replays per training phase, so capture time
+// only has to be "a step, roughly" — compare against the
+// BM_PlanReplay/plan:0 row.
 void BM_PlanCapture(benchmark::State& state) {
   const int t_len = 20;
   Rng rng(8);
@@ -299,10 +300,7 @@ void BM_PlanCapture(benchmark::State& state) {
   for (int t = 0; t < t_len; ++t) {
     inputs.push_back(Matrix::Randn(100, 50, 1.0f, &rng));
   }
-  arena::Arena step_arena;
   auto body = [&]() -> float {
-    step_arena.Reset();
-    arena::ScopedArena scope(&step_arena);
     std::vector<ag::Var> steps;
     for (const Matrix& m : inputs) steps.push_back(ag::Constant(m));
     auto hs = lstm.Forward(steps);
@@ -314,7 +312,7 @@ void BM_PlanCapture(benchmark::State& state) {
     opt.Step();
     return loss.value()[0];
   };
-  body();  // warm-up: arena chunks and recycled heap capacities
+  body();  // warm-up: one dynamic step touches the model and Adam state
   for (auto _ : state) {
     // A fresh Planner every iteration so each Step is a cold capture.
     plan::Planner planner;

@@ -12,7 +12,6 @@
 #include "plan/plan.h"
 #include "recovery/checkpoint.h"
 #include "recovery/run_checkpointer.h"
-#include "tensor/arena.h"
 
 namespace clfd {
 
@@ -26,18 +25,16 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
   int n = features.rows();
   if (n == 0) return;
 
-  // Constructed before the arena scope below so the parameter gradient and
+  // Constructed outside the planned steps so the parameter gradient and
   // moment buffers are heap-backed and survive the per-batch arena resets.
   nn::Adam optimizer(classifier->Parameters(), config.learning_rate);
-  // Recycled bump arena for the per-batch tape: batch matrices, forward
-  // activations and intermediate gradients all land here and are reclaimed
-  // with one Reset at the start of the next batch.
-  arena::Arena step_arena;
   // Plan cache for this training loop, keyed by batch row count (the only
   // shape degree of freedom here): the first full batch and the final
-  // partial batch each capture once, every other batch replays. Local to
-  // the call, so a resume-from-checkpoint naturally re-captures — plan
-  // state is derived, never serialized.
+  // partial batch each capture once, every other batch replays. The
+  // Planner's arenas hold each batch's tape: batch matrices, forward
+  // activations and intermediate gradients. Local to the call, so a
+  // resume-from-checkpoint naturally re-captures — plan state is derived,
+  // never serialized.
   plan::Planner planner;
   recovery::PhaseLoop loop(rc, phase, config.budget.classifier_epochs,
                            &optimizer, "classifier.epoch", metric_scope);
@@ -126,17 +123,10 @@ void TrainClassifierOnFeatures(nn::FeedForwardClassifier* classifier,
       int b = end - start + (end - start == config.batch_size ? aux : 0);
       // The whole step — batch assembly, RNG draws, forward, backward,
       // optimizer update — sits inside the plan body so a replay mismatch
-      // can rerun it on the dynamic tape from a clean slate (the arena
-      // Reset below makes the rerun idempotent, the planner restores the
-      // RNG snapshot).
+      // can rerun it on the dynamic tape from a clean slate (the planner
+      // resets its arena and restores the RNG snapshot).
       return planner.Step(plan::MakeKey(static_cast<uint64_t>(b)), rng,
                           [&]() -> float {
-      // Reset at batch *start*, not batch end: the previous batch's loss
-      // value has been read by then, and resetting here keeps the arena
-      // contract simple (everything allocated below lives until this line
-      // next executes).
-      step_arena.Reset();
-      arena::ScopedArena step_scope(&step_arena);
       Matrix batch_features(b, features.cols());
       std::vector<int> batch_labels(b);
       for (int i = 0; i < end - start; ++i) {

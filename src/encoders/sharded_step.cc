@@ -24,9 +24,8 @@ void ShardedEncoderTrainer::EnsureReplicas(int count) {
     replica_params_.push_back(replicas_.back()->Parameters());
     // Pre-allocate the replica gradients here, outside any arena scope, so
     // they are heap-backed: the per-step ZeroGrads/EnsureGrad calls then
-    // recycle these buffers in place and never touch the shard arena.
+    // recycle these buffers in place and never touch the shard's arenas.
     nn::ZeroGrads(replica_params_.back());
-    shard_arenas_.push_back(std::make_unique<arena::Arena>());
     shard_planners_.push_back(std::make_unique<plan::Planner>());
   }
 }
@@ -47,11 +46,10 @@ float ShardedEncoderTrainer::Step(
   for (ag::Var& p : live_params) p.node()->EnsureGrad();
 
   // Refresh replica weights from the live module and run the shard
-  // forwards, each on its own tape backed by the shard's recycled arena.
-  // Shards write disjoint slots. The tape (values and intermediate grads)
-  // lives on the arena until the shard's Reset at the start of the *next*
-  // step, so the root encodings and the resumed backward below both read
-  // valid memory.
+  // forwards, each on its own tape in its shard Planner's arenas. Shards
+  // write disjoint slots. The tape (values and intermediate grads) stays
+  // valid until the shard Planner's *next* step, so the root encodings and
+  // the resumed backward below both read valid memory.
   std::vector<ag::Var> shard_roots(num_shards);
   parallel::ParallelFor(0, num_shards, 1, [&](int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
@@ -61,8 +59,8 @@ float ShardedEncoderTrainer::Step(
                                         sessions.begin() + row1);
       // The shard tape's topology is a function of the shard's row count
       // and its padded (max) session length alone, so those two numbers
-      // form the plan key. The arena reset sits inside the plan body so a
-      // mismatch fallback reruns the shard from a clean slate.
+      // form the plan key. The forward draws nothing, so a mismatch
+      // fallback has no RNG to restore.
       int max_len = 0;
       for (const Session* sess : shard) {
         max_len = std::max(max_len, sess->length());
@@ -70,9 +68,7 @@ float ShardedEncoderTrainer::Step(
       shard_roots[s] = shard_planners_[s]->ForwardStep(
           plan::MakeKey(static_cast<uint64_t>(row1 - row0),
                         static_cast<uint64_t>(max_len)),
-          [&]() -> ag::Var {
-            shard_arenas_[s]->Reset();
-            arena::ScopedArena tape_scope(shard_arenas_[s].get());
+          nullptr, [&]() -> ag::Var {
             nn::CopyParameterValues(live_params, replica_params_[s]);
             return replicas_[s]->EncodeBatch(shard, embeddings);
           });
@@ -83,7 +79,8 @@ float ShardedEncoderTrainer::Step(
   // tape: Backward stops here and deposits dL/dz in the leaf's grad. The
   // head is its own plan stream (forward and backward together: any
   // mismatch throws during forward validation, before gradients move, so
-  // the dynamic rerun is safe).
+  // the dynamic rerun is safe), and dL/dz stays in the head Planner's
+  // arenas until its next step.
   std::vector<Matrix> shard_values;
   shard_values.reserve(num_shards);
   for (const ag::Var& r : shard_roots) shard_values.push_back(r.value());
@@ -98,15 +95,15 @@ float ShardedEncoderTrainer::Step(
       });
 
   // Resume each shard's tape from its slice of dL/dz, accumulating into
-  // the shard replica's private (heap-backed) gradient buffers. The scope
-  // re-enters the shard arena *without* resetting it: the forward tape is
-  // still live there, and the intermediate tape gradients join it.
+  // the shard replica's private (heap-backed) gradient buffers. The shard
+  // Planner re-enters the forward's arena *without* resetting it: the
+  // forward tape is still live there, and the intermediate tape gradients
+  // join it.
   parallel::ParallelFor(0, num_shards, 1, [&](int64_t lo, int64_t hi) {
     for (int64_t s = lo; s < hi; ++s) {
       int row0 = static_cast<int>(s) * kExampleShardGrain;
       int row1 = std::min(row0 + kExampleShardGrain, batch);
       shard_planners_[s]->BackwardStep([&]() {
-        arena::ScopedArena tape_scope(shard_arenas_[s].get());
         ag::BackwardWithGrad(shard_roots[s],
                              SliceRows(z.grad(), row0, row1));
       });

@@ -8,7 +8,6 @@
 #include "data/session.h"
 #include "encoders/session_encoder.h"
 #include "plan/plan.h"
-#include "tensor/arena.h"
 
 namespace clfd {
 
@@ -52,20 +51,17 @@ class ShardedEncoderTrainer {
 
   SessionEncoder* live_;
   std::vector<std::unique_ptr<SessionEncoder>> replicas_;
+  // Replica parameter values and gradients are deliberately heap-backed —
+  // allocated in EnsureReplicas outside any planned step and refreshed in
+  // place afterwards — because they must outlive the per-step tapes.
   std::vector<std::vector<ag::Var>> replica_params_;
-  // One arena per shard tape, recycled every step (Reset at the start of
-  // the shard's forward, so the previous step's tape memory is reused
-  // without touching the allocator). Replica parameter values and
-  // gradients are deliberately heap-backed — allocated in EnsureReplicas
-  // outside any arena scope and refreshed in place afterwards — because
-  // they must outlive the per-step tapes.
-  std::vector<std::unique_ptr<arena::Arena>> shard_arenas_;
   // Plan caches: one per shard replica (keyed by shard rows x max session
   // length, the only shape degrees of freedom of the shard tape) plus one
-  // for the serial loss head (keyed by total batch rows). Each shard
-  // planner is driven by exactly one pool worker per region and the pool
-  // joins order the forward->backward handoff, so no locks are needed.
-  // Plans are derived state — a trainer rebuilt on resume just re-captures.
+  // for the serial loss head (keyed by total batch rows). Each Planner's
+  // arenas hold its tape from one step to the next. Each shard planner is
+  // driven by exactly one pool worker per region and the pool joins order
+  // the forward->backward handoff, so no locks are needed. Plans are
+  // derived state — a trainer rebuilt on resume just re-captures.
   std::vector<std::unique_ptr<plan::Planner>> shard_planners_;
   plan::Planner head_planner_;
 };

@@ -72,19 +72,5 @@ bool Adam::RestoreState(std::vector<Matrix> m, std::vector<Matrix> v, int t) {
   return true;
 }
 
-Sgd::Sgd(std::vector<ag::Var> params, float lr)
-    : params_(std::move(params)), lr_(lr) {
-  ZeroGrad();
-}
-
-void Sgd::Step() {
-  for (ag::Var& p : params_) {
-    p.mutable_value().AddScaled(p.grad(), -lr_);
-  }
-  ZeroGrad();
-}
-
-void Sgd::ZeroGrad() { ZeroGrads(params_); }
-
 }  // namespace nn
 }  // namespace clfd

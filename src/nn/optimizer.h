@@ -44,18 +44,6 @@ class Adam {
   int t_ = 0;
 };
 
-// Plain SGD, used by the word2vec trainer and available for ablations.
-class Sgd {
- public:
-  explicit Sgd(std::vector<ag::Var> params, float lr = 0.01f);
-  void Step();
-  void ZeroGrad();
-
- private:
-  std::vector<ag::Var> params_;
-  float lr_;
-};
-
 }  // namespace nn
 }  // namespace clfd
 

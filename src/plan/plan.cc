@@ -31,7 +31,8 @@ std::atomic<uint64_t> g_capture_ids{0};
 
 }  // namespace
 
-Capturer::Capturer() : plan_(std::make_unique<ExecutionPlan>()) {
+Capturer::Capturer(const arena::Arena* workspace)
+    : workspace_(workspace), plan_(std::make_unique<ExecutionPlan>()) {
   uint64_t id = g_capture_ids.fetch_add(1, std::memory_order_relaxed) + 1;
   interior_tag_ = id * 2;
   external_tag_ = id * 2 + 1;
@@ -93,6 +94,13 @@ void Capturer::OnNodeCreated(const ag::NodePtr& node) {
     broken_ = true;  // a node was built outside the interception protocol
     return;
   }
+  if (!pending_.is_leaf && arena::Current() != workspace_) {
+    // The op's value (and aux) landed in an arena the plan does not own,
+    // whose owner would recycle it under the plan. Leaves are exempt:
+    // replay rebinds their values by move every step.
+    broken_ = true;
+    return;
+  }
   ExecutionPlan::Slot slot;
   slot.node = node;
   slot.op = pending_.op;
@@ -120,6 +128,10 @@ bool Capturer::OnBackward(const ag::Var&, const Matrix*) {
 void Capturer::OnBackwardOrder(const ag::Var& root, const Matrix* seed,
                                const std::vector<ag::Node*>& post_order) {
   if (broken_) return;
+  if (arena::Current() != workspace_) {
+    broken_ = true;  // the tape gradients would land off the workspace
+    return;
+  }
   ExecutionPlan::BackwardRecord rec;
   rec.root = root.node().get();
   rec.seeded = seed != nullptr;
@@ -133,7 +145,7 @@ void Capturer::OnBackwardOrder(const ag::Var& root, const Matrix* seed,
   plan_->backwards_.push_back(std::move(rec));
 }
 
-std::unique_ptr<ExecutionPlan> Capturer::Finalize(arena::Arena* workspace) {
+std::unique_ptr<ExecutionPlan> Capturer::Finalize() {
   if (broken_ || pending_valid_ || plan_->slots_.empty()) return nullptr;
   for (const auto& rec : plan_->backwards_) {
     if (rec.root->plan_tag != interior_tag_) {
@@ -146,36 +158,17 @@ std::unique_ptr<ExecutionPlan> Capturer::Finalize(arena::Arena* workspace) {
       if (!entry.interior && entry.node->backward_fn) return nullptr;
     }
   }
-  // Every op's forward has filled its value and aux before OnNodeCreated
-  // sees the node, so the shapes are final there already; they are read
-  // here, once per slot, next to the workspace materialization that
-  // follows.
+  // The plan keeps the buffers the capture step built in the workspace:
+  // replay recomputes each value *into* them (FwdX → EnsureShape reuses a
+  // same-shape matrix), which is what drives per-step tape allocations to
+  // zero. Every op's forward has filled its value and aux before
+  // OnNodeCreated sees the node, so the shapes read here are final.
   for (auto& slot : plan_->slots_) {
     slot.value_rows = slot.node->value.rows();
     slot.value_cols = slot.node->value.cols();
     if (slot.aux != ExecutionPlan::Aux::kNone) {
       slot.aux_rows = slot.node->aux.rows();
       slot.aux_cols = slot.node->aux.cols();
-    }
-  }
-  // Materialize every slot's buffers in the Planner's workspace. The
-  // capture step ran on the trainer's step arena, whose storage is recycled
-  // at the next step's Reset — but the plan outlives it by thousands of
-  // steps, and replay recomputes each value *into* these buffers (FwdX →
-  // EnsureShape reuses a same-shape matrix), which is what drives per-step
-  // tape allocations to zero. The Reset lays this plan out from the
-  // workspace's start, over the Planner's other plans: none of them holds
-  // anything between steps (plan.h, "Workspace sharing"). Copy rather than
-  // re-zero: the capture step's outputs (e.g. the loss the trainer just
-  // read) must stay intact.
-  {
-    workspace->Reset();
-    arena::ScopedArena workspace_scope(workspace);
-    for (auto& slot : plan_->slots_) {
-      ag::Node* n = slot.node.get();
-      n->value = Matrix(n->value);
-      if (!n->grad.empty()) n->grad = Matrix(n->grad);
-      if (!n->aux.empty()) n->aux = Matrix(n->aux);
     }
   }
   return std::move(plan_);
@@ -296,7 +289,7 @@ bool Replayer::OnBackward(const ag::Var& root, const Matrix* seed) {
     if (entry.interior) {
       entry.node->backward_runs = 0;
       // Interior tape grads must start from zero every step, exactly like a
-      // fresh node's. Finalize materialized them in the workspace at the
+      // fresh node's. The capture step built them in the workspace at the
       // value's shape, so the steady state is a pure Fill — no allocation.
       // The fallback only runs if a grad was never touched at capture (then
       // the null scope keeps the new buffer off the step arena, where it
@@ -355,29 +348,41 @@ const ExecutionPlan* Planner::plan(uint64_t key) const {
   return it != entries_.end() ? it->second.plan.get() : nullptr;
 }
 
-void Planner::NoteCapture(Entry* e, std::unique_ptr<ExecutionPlan> p) {
-  if (p != nullptr) {
-    e->plan = std::move(p);
-    ++captures_;
-    CLFD_METRIC_COUNT("plan.captures", 1);
-  } else {
-    // Not capturable (op built outside the protocol): pin this key to the
-    // dynamic tape instead of re-trying every step.
-    e->blacklisted = true;
-    CLFD_METRIC_COUNT("plan.uncapturable", 1);
+void Planner::EndStep() {
+  if (mode_ == Mode::kCapture) {
+    if (std::unique_ptr<ExecutionPlan> p = capturer_->Finalize()) {
+      entry_->plan = std::move(p);
+      ++captures_;
+      CLFD_METRIC_COUNT("plan.captures", 1);
+    } else {
+      // Not capturable (see Capturer::Finalize): pin this key to the
+      // dynamic tape instead of re-trying every step.
+      entry_->blacklisted = true;
+      CLFD_METRIC_COUNT("plan.uncapturable", 1);
+    }
+  } else if (mode_ == Mode::kReplay) {
+    ++replays_;
+    CLFD_METRIC_COUNT("plan.replays", 1);
   }
+  mode_ = Mode::kDynamic;
+  capturer_.reset();
+  replayer_.reset();
 }
 
-void Planner::NoteInvalidation(Entry* e) {
-  e->plan.reset();
+void Planner::Invalidate(const ReplayMismatch& m, bool fatal) {
+  mode_ = Mode::kDynamic;
+  replayer_.reset();
+  entry_->plan.reset();
   ++invalidations_;
   CLFD_METRIC_COUNT("plan.invalidations", 1);
-  if (++e->mismatches >= kMaxMismatchesPerKey) e->blacklisted = true;
-}
-
-void Planner::NoteReplay() {
-  ++replays_;
-  CLFD_METRIC_COUNT("plan.replays", 1);
+  if (++entry_->mismatches >= kMaxMismatchesPerKey) {
+    entry_->blacklisted = true;
+  }
+  if (fatal) {
+    check::Fail(std::string("execution plan invalidated once its backward "
+                            "began: ") +
+                m.what());
+  }
 }
 
 }  // namespace plan

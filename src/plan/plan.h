@@ -26,21 +26,29 @@ namespace plan {
 // (autograd/tape_hooks.h): the flat construction-ordered node list with
 // resolved forward bodies, scalar op arguments, parent wiring and leaf
 // binding shapes, plus the backward pass's exact post-order execution
-// sequence. At Finalize the plan copies every slot's value/grad/aux into
-// its Planner's workspace arena. Every later step with the same shape key
-// REPLAYS that plan: leaves are rebound by move, each node's value is
-// recomputed *in place* into its workspace buffer by a plain function
-// pointer (the *Into kernels in tensor/matrix.h), interior gradients are
-// re-zeroed in place, and the backward runs the captured closures in the
-// captured order — zero graph construction and zero per-step tape
-// allocations (kernel-internal compute scratch aside), all structural
-// validation hoisted to cheap identity/shape comparisons.
+// sequence. The capture step runs on its Planner's workspace arena, and the
+// plan keeps the buffers that step built there. Every later step with the
+// same shape key REPLAYS that plan: leaves are rebound by move, each node's
+// value is recomputed *in place* into its workspace buffer by a plain
+// function pointer (the *Into kernels in tensor/matrix.h), interior
+// gradients are re-zeroed in place, and the backward runs the captured
+// closures in the captured order — zero graph construction and zero
+// per-step tape allocations (kernel-internal compute scratch aside), all
+// structural validation hoisted to cheap identity/shape comparisons.
+//
+// Step memory: the Planner owns the memory its steps run on and opens the
+// arena scope around every step body itself. A capture runs on the
+// workspace; replayed steps, fallback reruns and dynamic-only keys run on
+// the Planner's step arena. A plan body therefore opens no ScopedArena of
+// its own: a plan would keep buffers in an arena whose owner recycles them
+// under it, so a capture that builds an op node or a backward pass on any
+// other arena is refused and its key pinned dynamic ("plan.uncapturable").
 //
 // Workspace sharing: all plans of one Planner live in one workspace, and
-// each capture lays its plan out from the workspace's start, so a Planner
-// holds its largest plan rather than the sum of its plans. The plans
-// therefore overlap in memory, which is safe because a Planner runs one
-// plan per step and no plan buffer carries anything into the next step:
+// each capture Resets it and lays its plan out from the workspace's start,
+// so a Planner holds its largest plan rather than the sum of its plans. The
+// plans therefore overlap in memory, which is safe because a Planner runs
+// one plan per step and no plan buffer carries anything into the next step:
 // values are recomputed, interior gradients are re-zeroed, leaves are
 // rebound by move, aux is copied or moved in, and parameters are external
 // (never in the workspace). The caller's side of the contract is stated on
@@ -144,10 +152,11 @@ class ExecutionPlan {
 namespace detail {
 
 // Capture-mode tape hooks: observe the dynamic step and record it. The
-// dynamic builders still run, so the capture step *is* a normal step.
+// dynamic builders still run, so the capture step *is* a normal step, and
+// it must run on `workspace`, where the plan keeps the buffers it builds.
 class Capturer : public ag::TapeHooks {
  public:
-  Capturer();
+  explicit Capturer(const arena::Arena* workspace);
   ~Capturer() override;
 
   bool OnOp(const ag::OpDesc& desc, ag::Var* out) override;
@@ -158,11 +167,11 @@ class Capturer : public ag::TapeHooks {
   void OnBackwardOrder(const ag::Var& root, const Matrix* seed,
                        const std::vector<ag::Node*>& post_order) override;
 
-  // Completes the capture; null when the step was not capturable (a node
-  // was created outside the interception protocol, or an already-consumed
-  // external subgraph leaked into the backward order). Otherwise Resets
-  // `workspace` and copies every slot's buffers into it.
-  std::unique_ptr<ExecutionPlan> Finalize(arena::Arena* workspace);
+  // Completes the capture and records every slot's shapes; null when the
+  // step was not capturable (a node was created outside the interception
+  // protocol, an op node or a backward pass ran off the workspace, or an
+  // already-consumed external subgraph leaked into the backward order).
+  std::unique_ptr<ExecutionPlan> Finalize();
 
  private:
   struct Pending {
@@ -179,6 +188,7 @@ class Capturer : public ag::TapeHooks {
     std::vector<ag::Node*> parents;
   };
 
+  const arena::Arena* workspace_;
   std::unique_ptr<ExecutionPlan> plan_;
   Pending pending_;
   bool pending_valid_ = false;
@@ -239,7 +249,8 @@ inline uint64_t MakeKey(uint64_t a, uint64_t b = 0) {
   return (a << 32) | (b & 0xffffffffu);
 }
 
-// Per-training-loop plan cache + capture/replay driver. One Planner per
+// Per-training-loop plan cache + capture/replay driver, and the owner of
+// the memory its steps run on (see "Step memory" above). One Planner per
 // logical tape stream: the classifier trainer owns one, the sharded trainer
 // owns one per shard replica plus one for the serial loss head. A Planner
 // is NOT thread-safe — each instance must be driven by one worker at a time
@@ -247,36 +258,57 @@ inline uint64_t MakeKey(uint64_t a, uint64_t b = 0) {
 // happens-before give exactly that).
 //
 // Buffer lifetime: every plan's buffers live in the Planner's one
-// workspace, shared by all of its keys (see "Workspace sharing" above). A
-// Var built inside a planned step — its value, grad and aux — stays valid
-// until this Planner's next Step or ForwardStep, whatever that step's key,
-// and never past the Planner's life. Copy out anything needed longer.
+// workspace, shared by all of its keys (see "Workspace sharing" above),
+// and every other step's tape lives in its step arena. A Var built inside
+// a planned step — its value, grad and aux — stays valid until this
+// Planner's next Step or ForwardStep, whatever that step's key, and never
+// past the Planner's life. Copy out anything needed longer.
 class Planner {
  public:
   Planner() = default;
   Planner(const Planner&) = delete;
   Planner& operator=(const Planner&) = delete;
 
-  // One-shot step (forward + backward inside `body`, which returns the step
-  // loss). First call per key captures, later calls replay. On a replay
-  // mismatch the plan is invalidated, `rng` (optional) is restored to its
-  // pre-step snapshot, and `body` is rerun on the dynamic tape — callers
-  // must therefore put the *whole* step inside `body`, including batch
-  // assembly and any RNG draws.
+  // One-shot step: the whole step — batch assembly, RNG draws, forward,
+  // backward, optimizer update — inside `body`, which returns the step
+  // loss. ForwardStep's rules apply to all of it.
   template <typename Body>
   float Step(uint64_t key, Rng* rng, Body&& body) {
+    float loss = ForwardStep(key, rng, body);
+    EndStep();
+    return loss;
+  }
+
+  // The one capture/replay driver. The first step per key captures, later
+  // steps replay. On a replay mismatch the plan is invalidated, `rng`
+  // (optional) is restored to its pre-step snapshot, and `body` is rerun
+  // on the dynamic tape — callers must therefore put the whole forward
+  // inside `body`, including batch assembly and any RNG draws. A mismatch
+  // after the planned backward ran, or in BackwardStep, is a check::Fail
+  // instead: a rerun would double-accumulate gradients (the fault watchdog
+  // zeroes grads and skips the batch). A key that mismatches twice is
+  // pinned to the dynamic tape.
+  //
+  // Split use, for the sharded trainer, whose forward and backward run in
+  // separate pool regions with a serial loss head in between: ForwardStep
+  // returns body()'s result (the shard's tape root), and BackwardStep runs
+  // the backward (the BackwardWithGrad call) in the forward's arena,
+  // without resetting it, and ends the step. The pool join between regions
+  // orders the Planner's internal state handoff.
+  template <typename Body>
+  auto ForwardStep(uint64_t key, Rng* rng, Body&& body) -> decltype(body()) {
     Entry& e = entries_[key];
-    if (e.blacklisted) return body();
+    entry_ = &e;
+    mode_ = Mode::kDynamic;
+    if (e.blacklisted) return RunDynamic(body);
     if (e.plan == nullptr) {
-      detail::Capturer cap;
-      float loss;
-      {
-        CLFD_PROF_SCOPE("plan.capture");
-        detail::HooksGuard guard(&cap);
-        loss = body();
-      }
-      NoteCapture(&e, cap.Finalize(&workspace_));
-      return loss;
+      mode_ = Mode::kCapture;
+      capturer_.emplace(&workspace_);
+      CLFD_PROF_SCOPE("plan.capture");
+      workspace_.Reset();
+      arena::ScopedArena scope(&workspace_);
+      detail::HooksGuard guard(&*capturer_);
+      return body();
     }
     // Plain object copy, not SaveState(): the text round-trip formats the
     // whole mt19937_64 state through a stringstream, which is orders of
@@ -284,112 +316,54 @@ class Planner {
     // step for the rare mismatch that actually needs the undo.
     std::optional<Rng> rng_snapshot;
     if (rng != nullptr) rng_snapshot = *rng;
-    detail::Replayer rep(e.plan.get());
+    replayer_.emplace(e.plan.get());
     try {
-      float loss;
-      {
-        CLFD_PROF_SCOPE("plan.replay");
-        detail::HooksGuard guard(&rep);
-        loss = body();
-      }
-      NoteReplay();
-      return loss;
-    } catch (const ReplayMismatch& m) {
-      if (rep.backward_ran()) {
-        // Gradients were already written by the planned backward; a rerun
-        // would double-accumulate. Surface as an invariant failure (the
-        // fault watchdog zeroes grads and skips the batch).
-        check::Fail(std::string("execution plan invalidated after its "
-                                "backward ran: ") +
-                    m.what());
-      }
-      NoteInvalidation(&e);
-      if (rng != nullptr) *rng = *rng_snapshot;
-      return body();
-    }
-  }
-
-  // Split step for the sharded trainer, whose forward and backward run in
-  // separate pool regions with a serial loss head in between. ForwardStep
-  // returns body()'s result (the shard's tape root); BackwardStep wraps the
-  // BackwardWithGrad call. The pool join between regions orders the
-  // planner's internal state handoff.
-  template <typename Body>
-  auto ForwardStep(uint64_t key, Body&& body) -> decltype(body()) {
-    split_mode_ = SplitMode::kDynamic;
-    split_entry_ = nullptr;
-    capturer_.reset();
-    replayer_.reset();
-    Entry& e = entries_[key];
-    if (e.blacklisted) return body();
-    if (e.plan == nullptr) {
-      capturer_ = std::make_unique<detail::Capturer>();
-      split_entry_ = &e;
-      split_mode_ = SplitMode::kCapture;
-      CLFD_PROF_SCOPE("plan.capture");
-      detail::HooksGuard guard(capturer_.get());
-      return body();
-    }
-    replayer_ = std::make_unique<detail::Replayer>(e.plan.get());
-    try {
-      auto out = [&] {
-        CLFD_PROF_SCOPE("plan.replay");
-        detail::HooksGuard guard(replayer_.get());
-        auto root = body();
-        replayer_->CheckForwardComplete();
-        return root;
-      }();
-      split_entry_ = &e;
-      split_mode_ = SplitMode::kReplay;
+      CLFD_PROF_SCOPE("plan.replay");
+      step_arena_.Reset();
+      arena::ScopedArena scope(&step_arena_);
+      detail::HooksGuard guard(&*replayer_);
+      auto out = body();
+      replayer_->CheckForwardComplete();
+      mode_ = Mode::kReplay;
       return out;
-    } catch (const ReplayMismatch&) {
-      NoteInvalidation(&e);
-      replayer_.reset();
-      return body();
+    } catch (const ReplayMismatch& m) {
+      Invalidate(m, replayer_->backward_ran());
+      if (rng != nullptr) *rng = *rng_snapshot;
+      return RunDynamic(body);
     }
   }
 
   template <typename Body>
   void BackwardStep(Body&& body) {
-    switch (split_mode_) {
-      case SplitMode::kDynamic:
+    switch (mode_) {
+      case Mode::kDynamic: {
+        arena::ScopedArena scope(&step_arena_);
         body();
-        return;
-      case SplitMode::kCapture: {
-        {
-          CLFD_PROF_SCOPE("plan.capture");
-          detail::HooksGuard guard(capturer_.get());
-          body();
-        }
-        NoteCapture(split_entry_, capturer_->Finalize(&workspace_));
-        capturer_.reset();
-        split_entry_ = nullptr;
-        split_mode_ = SplitMode::kDynamic;
-        return;
+        break;
       }
-      case SplitMode::kReplay: {
+      case Mode::kCapture: {
+        CLFD_PROF_SCOPE("plan.capture");
+        arena::ScopedArena scope(&workspace_);
+        detail::HooksGuard guard(&*capturer_);
+        body();
+        break;
+      }
+      case Mode::kReplay: {
         try {
           CLFD_PROF_SCOPE("plan.replay");
-          detail::HooksGuard guard(replayer_.get());
+          arena::ScopedArena scope(&step_arena_);
+          detail::HooksGuard guard(&*replayer_);
           body();
         } catch (const ReplayMismatch& m) {
           // The backward topology is fixed once the forward replayed; a
           // mismatch here cannot be silently retried (gradients may be in
-          // an intermediate state), so fail as an invariant violation.
-          NoteInvalidation(split_entry_);
-          replayer_.reset();
-          split_entry_ = nullptr;
-          split_mode_ = SplitMode::kDynamic;
-          check::Fail(std::string("execution plan backward mismatch: ") +
-                      m.what());
+          // an intermediate state).
+          Invalidate(m, /*fatal=*/true);
         }
-        NoteReplay();
-        replayer_.reset();
-        split_entry_ = nullptr;
-        split_mode_ = SplitMode::kDynamic;
-        return;
+        break;
       }
     }
+    EndStep();
   }
 
   // Introspection (tests, benchmarks).
@@ -404,19 +378,32 @@ class Planner {
     int mismatches = 0;
     bool blacklisted = false;
   };
-  enum class SplitMode { kDynamic, kCapture, kReplay };
+  // What the current step's forward did, so its backward and EndStep can
+  // finish it the same way.
+  enum class Mode { kDynamic, kCapture, kReplay };
 
   // A key that keeps invalidating is pinned dynamic-only so a shape-
   // thrashing loop does not pay capture cost every step.
   static constexpr int kMaxMismatchesPerKey = 2;
 
-  void NoteCapture(Entry* e, std::unique_ptr<ExecutionPlan> p);
-  void NoteInvalidation(Entry* e);
-  void NoteReplay();
+  template <typename Body>
+  auto RunDynamic(Body& body) -> decltype(body()) {
+    step_arena_.Reset();
+    arena::ScopedArena scope(&step_arena_);
+    return body();
+  }
+
+  // Finalizes a capture or counts a replay, and returns to kDynamic.
+  void EndStep();
+  // Discards the current step's plan after `m`; check::Fail when `fatal`.
+  void Invalidate(const ReplayMismatch& m, bool fatal);
 
   // Backing store of every plan's slot buffers. Declared before entries_
   // so it outlives the plans whose nodes point into it.
   arena::Arena workspace_;
+  // Every step that does not capture: replays, fallback reruns and
+  // dynamic-only keys.
+  arena::Arena step_arena_;
   // Key lookup only; never iterated.
   // clfd-analyze: allow(determinism-unordered)
   std::unordered_map<uint64_t, Entry> entries_;
@@ -424,10 +411,11 @@ class Planner {
   int64_t replays_ = 0;
   int64_t invalidations_ = 0;
 
-  SplitMode split_mode_ = SplitMode::kDynamic;
-  Entry* split_entry_ = nullptr;
-  std::unique_ptr<detail::Capturer> capturer_;
-  std::unique_ptr<detail::Replayer> replayer_;
+  Mode mode_ = Mode::kDynamic;
+  Entry* entry_ = nullptr;
+  // Held in place so a replayed step makes no heap allocation for them.
+  std::optional<detail::Capturer> capturer_;
+  std::optional<detail::Replayer> replayer_;
 };
 
 }  // namespace plan

@@ -18,20 +18,24 @@ namespace arena {
 // arena stops growing and allocation is just an offset add).
 //
 // Concurrency contract: an Arena has NO internal locking. Each arena must
-// be used by one logical stream of work at a time — the main training loop
-// uses one arena, and the sharded trainer gives every shard replica its
-// own (the handoff between the forward and backward ParallelFor regions is
-// ordered by the pool's join, which establishes the needed happens-before).
+// be used by one logical stream of work at a time. Every training step
+// runs in the arenas of its plan::Planner, one Planner per tape stream
+// (the classifier trainer's; each shard replica's and the loss head's in
+// the sharded trainer), and code that plans nothing (dataset encoding,
+// scoring) owns its own arena. The handoff between the sharded trainer's
+// forward and backward ParallelFor regions is ordered by the pool's join,
+// which establishes the needed happens-before.
 //
 // Lifetime contract: memory handed out by Allocate() stays valid until the
 // next Reset() of the same arena — NOT until the ScopedArena closes. A
-// training step therefore Reset()s its arena at the *start* of the step,
-// so values produced inside the previous scope (e.g. the loss scalar that
-// the caller reads after backward) remain readable until the next step
-// begins. Nothing allocated inside a step may be kept across the next
-// Reset(); when runtime checks are enabled (common/check.h), Reset()
-// poisons the recycled region with quiet NaNs so any Matrix that escaped
-// its step is caught by the very next CheckFinite that touches it.
+// step therefore Reset()s its arena at the *start* of the step (the
+// Planner does so for every training step), so values produced inside the
+// previous scope (e.g. the loss scalar that the caller reads after
+// backward) remain readable until the next step begins. Nothing allocated
+// inside a step may be kept across the next Reset(); when runtime checks
+// are enabled (common/check.h), Reset() poisons the recycled region with
+// quiet NaNs so any Matrix that escaped its step is caught by the very
+// next CheckFinite that touches it.
 //
 // Chunks are never zero-filled: a new chunk is left uninitialized, so only
 // the pages a step actually uses become resident. Under checks a new chunk

@@ -307,17 +307,6 @@ TEST(OptimizerTest, AdamReducesQuadratic) {
   EXPECT_LT(std::abs(x.value()[1]), 0.05f);
 }
 
-TEST(OptimizerTest, SgdReducesQuadratic) {
-  ag::Var x = ag::Param(Matrix::FromRows({{2.0f}}));
-  Sgd opt({x}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    ag::Var loss = ag::SumAll(ag::Mul(x, x));
-    ag::Backward(loss);
-    opt.Step();
-  }
-  EXPECT_LT(std::abs(x.value()[0]), 1e-3f);
-}
-
 TEST(ModuleTest, ClipGradNorm) {
   ag::Var x = ag::Param(Matrix::FromRows({{3.0f, 4.0f}}));
   ZeroGrads({x});

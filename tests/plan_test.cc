@@ -59,15 +59,12 @@ std::vector<float> TrainClassifier(nn::FeedForwardClassifier* model,
                                    plan::Planner* planner) {
   Rng data_rng(99);
   nn::Adam optimizer(model->Parameters(), 0.01f);
-  arena::Arena step_arena;
   std::vector<float> losses;
   for (int rows : rows_per_step) {
     Matrix features = RandomMatrix(rows, 5, &data_rng);
     Matrix targets(rows, 2);
     for (int r = 0; r < rows; ++r) targets.at(r, r % 2) = 1.0f;
     auto body = [&]() -> float {
-      step_arena.Reset();
-      arena::ScopedArena scope(&step_arena);
       return ClassifierStep(model, &optimizer, features, targets);
     };
     if (planned) {
@@ -167,15 +164,13 @@ TEST(PlanTest, AdamStateBitwiseIdenticalAfterFiveSteps) {
 
   Rng data_rng_a(5), data_rng_b(5);
   plan::Planner planner;
-  arena::Arena arena_a, arena_b;
+  arena::Arena arena_b;
   for (int i = 0; i < 5; ++i) {
     Matrix fa = RandomMatrix(6, 4, &data_rng_a);
     Matrix fb = RandomMatrix(6, 4, &data_rng_b);
     Matrix targets(6, 2);
     for (int r = 0; r < 6; ++r) targets.at(r, r % 2) = 1.0f;
     planner.Step(plan::MakeKey(6), nullptr, [&]() -> float {
-      arena_a.Reset();
-      arena::ScopedArena scope(&arena_a);
       return ClassifierStep(&planned_model, &planned_opt, fa, targets);
     });
     {
@@ -209,13 +204,10 @@ TEST(PlanTest, ContrastiveLossesReplayBitwise) {
                    plan::Planner* planner) -> std::vector<float> {
       Rng data_rng(31);
       nn::Adam optimizer(head->Parameters(), 0.05f);
-      arena::Arena step_arena;
       std::vector<float> losses;
       for (int i = 0; i < 4; ++i) {
         Matrix x = RandomMatrix(8, 6, &data_rng);
         auto body = [&]() -> float {
-          step_arena.Reset();
-          arena::ScopedArena scope(&step_arena);
           ag::Var z = head->Forward(ag::Constant(x));
           ag::Var loss =
               variant == 0
@@ -255,15 +247,12 @@ TEST(PlanTest, ReplayBuildsZeroTapeNodes) {
   for (int r = 0; r < 5; ++r) targets.at(r, r % 2) = 1.0f;
 
   plan::Planner planner;
-  arena::Arena step_arena;
   obs::Counter* nodes =
       obs::MetricsRegistry::Get().GetCounter("autograd.tape.nodes_created");
   for (int i = 0; i < 3; ++i) {
     Matrix features = RandomMatrix(5, 4, &data_rng);
     int64_t before = nodes->value();
     planner.Step(plan::MakeKey(5), nullptr, [&]() -> float {
-      step_arena.Reset();
-      arena::ScopedArena scope(&step_arena);
       return ClassifierStep(&model, &optimizer, features, targets);
     });
     int64_t created = nodes->value() - before;
@@ -282,7 +271,6 @@ TEST(PlanTest, ShapeChangeInvalidatesFallsBackThenBlacklists) {
   nn::Adam optimizer(model.Parameters(), 0.01f);
   Rng data_rng(19);
   plan::Planner planner;
-  arena::Arena step_arena;
 
   // Deliberately key every step the same while alternating the real batch
   // shape: 5 rows, 5 rows (replay), 7 rows (mismatch -> fallback),
@@ -295,8 +283,6 @@ TEST(PlanTest, ShapeChangeInvalidatesFallsBackThenBlacklists) {
     for (int r = 0; r < rows; ++r) targets.at(r, r % 2) = 1.0f;
     losses.push_back(
         planner.Step(plan::MakeKey(0), nullptr, [&]() -> float {
-          step_arena.Reset();
-          arena::ScopedArena scope(&step_arena);
           return ClassifierStep(&model, &optimizer, features, targets);
         }));
   }
@@ -330,14 +316,11 @@ TEST(PlanTest, RngRestoredOnFallbackRerun) {
   // change on invalidation.
   plan::Planner planner;
   Rng rng(23);
-  arena::Arena step_arena;
   std::vector<float> draws;
   int rows_per_step[] = {3, 4};
   for (int rows : rows_per_step) {
     planner.Step(plan::MakeKey(0), &rng, [&]() -> float {
       draws.push_back(static_cast<float>(rng.Uniform()));
-      step_arena.Reset();
-      arena::ScopedArena scope(&step_arena);
       ag::Var x = ag::Param(RandomMatrix(rows, 2, &rng));
       ag::Var loss = ag::SumAll(ag::Mul(x, x));
       ag::Backward(loss);
@@ -362,7 +345,6 @@ TEST(PlanTest, ReplayStepsAllocateNothingForTheTape) {
   // the CheckFinite every replayed op runs.
   check::ScopedEnable checks(true);
   plan::Planner planner;
-  arena::Arena step_arena;
 
   obs::Counter* arena_allocs =
       obs::MetricsRegistry::Get().GetCounter("tensor.alloc.arena_count");
@@ -373,20 +355,19 @@ TEST(PlanTest, ReplayStepsAllocateNothingForTheTape) {
     int64_t arena_before = arena_allocs->value();
     int64_t heap_before = heap_allocs->value();
     planner.Step(plan::MakeKey(5), nullptr, [&]() -> float {
-      step_arena.Reset();
-      arena::ScopedArena scope(&step_arena);
       ag::Var x = ag::Param(RandomMatrix(5, 2, &data_rng));
       ag::Var loss = ag::SumAll(ag::Tanh(x));
       ag::Backward(loss);
+      end_marks[i] = arena::Current()->Position();
       return loss.value()[0];
     });
-    end_marks[i] = step_arena.Position();
     if (i > 0) {
       // In-place replay recomputes every node into the plan's buffers in
       // the Planner's workspace and re-zeros interior gradients in place;
       // Tanh/SumAll backwards are pure loops. The only allocation left in a
       // replayed step is the fresh batch matrix built inside the body (the
-      // leaf rebind), and nothing touches the heap.
+      // leaf rebind), on the Planner's step arena, and nothing touches the
+      // heap.
       EXPECT_EQ(arena_allocs->value() - arena_before, 1)
           << "replay step " << i << " allocated from the step arena";
       EXPECT_EQ(heap_allocs->value() - heap_before, 0)
@@ -402,6 +383,84 @@ TEST(PlanTest, ReplayStepsAllocateNothingForTheTape) {
   const plan::ExecutionPlan* plan = planner.plan(plan::MakeKey(5));
   ASSERT_NE(plan, nullptr);
   EXPECT_GT(plan->num_slots(), 0u);
+}
+
+// A capture keeps the buffers its step built instead of copying them, so
+// capturing a classifier step allocates exactly what the same step
+// allocates on the dynamic tape.
+TEST(PlanTest, CaptureAllocatesWhatTheDynamicStepAllocates) {
+  Rng init_a(7), init_b(7);
+  nn::FeedForwardClassifier planned_model(5, 8, 2, &init_a);
+  nn::FeedForwardClassifier dynamic_model(5, 8, 2, &init_b);
+  nn::Adam planned_opt(planned_model.Parameters(), 0.01f);
+  nn::Adam dynamic_opt(dynamic_model.Parameters(), 0.01f);
+  Rng data_rng(99);
+  Matrix features = RandomMatrix(6, 5, &data_rng);
+  Matrix targets(6, 2);
+  for (int r = 0; r < 6; ++r) targets.at(r, r % 2) = 1.0f;
+
+  obs::Counter* heap_allocs =
+      obs::MetricsRegistry::Get().GetCounter("tensor.alloc.count");
+  obs::Counter* arena_allocs =
+      obs::MetricsRegistry::Get().GetCounter("tensor.alloc.arena_count");
+  auto allocs = [&] { return heap_allocs->value() + arena_allocs->value(); };
+
+  plan::Planner planner;
+  int64_t before = allocs();
+  float planned_loss =
+      planner.Step(plan::MakeKey(6), nullptr, [&]() -> float {
+        return ClassifierStep(&planned_model, &planned_opt, features,
+                              targets);
+      });
+  const int64_t captured = allocs() - before;
+  before = allocs();
+  float dynamic_loss =
+      ClassifierStep(&dynamic_model, &dynamic_opt, features, targets);
+  const int64_t dynamic = allocs() - before;
+
+  EXPECT_EQ(planner.captures(), 1);
+  EXPECT_EQ(planned_loss, dynamic_loss);
+  EXPECT_GT(dynamic, 0);
+  EXPECT_EQ(captured, dynamic);
+}
+
+// A plan body that opens an arena of its own would leave the plan holding
+// buffers that the arena's owner recycles under it: the Planner refuses
+// the capture and pins the key to the dynamic tape, whose steps still
+// match a plan-free twin bit for bit.
+TEST(PlanTest, CaptureOnAForeignArenaIsRefused) {
+  Rng init_a(7), init_b(7);
+  nn::FeedForwardClassifier planned_model(5, 8, 2, &init_a);
+  nn::FeedForwardClassifier dynamic_model(5, 8, 2, &init_b);
+  nn::Adam planned_opt(planned_model.Parameters(), 0.01f);
+  nn::Adam dynamic_opt(dynamic_model.Parameters(), 0.01f);
+  Rng data_rng(99);
+  obs::Counter* uncapturable =
+      obs::MetricsRegistry::Get().GetCounter("plan.uncapturable");
+  const int64_t uncapturable_before = uncapturable->value();
+
+  plan::Planner planner;
+  arena::Arena foreign;
+  for (int i = 0; i < 3; ++i) {
+    Matrix features = RandomMatrix(6, 5, &data_rng);
+    Matrix targets(6, 2);
+    for (int r = 0; r < 6; ++r) targets.at(r, r % 2) = 1.0f;
+    float planned_loss =
+        planner.Step(plan::MakeKey(6), nullptr, [&]() -> float {
+          foreign.Reset();
+          arena::ScopedArena scope(&foreign);
+          return ClassifierStep(&planned_model, &planned_opt, features,
+                                targets);
+        });
+    float dynamic_loss =
+        ClassifierStep(&dynamic_model, &dynamic_opt, features, targets);
+    EXPECT_EQ(planned_loss, dynamic_loss) << "step " << i;
+  }
+  EXPECT_EQ(planner.captures(), 0);
+  EXPECT_EQ(planner.replays(), 0);
+  EXPECT_EQ(planner.plan(plan::MakeKey(6)), nullptr);
+  EXPECT_EQ(uncapturable->value() - uncapturable_before, 1);
+  ExpectParametersBitwiseEqual(&planned_model, &dynamic_model);
 }
 
 TEST(PlanTest, SplitForwardBackwardMatchesDynamic) {
@@ -420,23 +479,18 @@ TEST(PlanTest, SplitForwardBackwardMatchesDynamic) {
   // Per step: the root value, then the weight and bias grads.
   auto run = [&](nn::Linear* head,
                  plan::Planner* planner) -> std::vector<Matrix> {
-    arena::Arena step_arena;
     std::vector<Matrix> out;
     for (const Matrix& x : xs) {
       nn::ZeroGrads(head->Parameters());
       auto fwd = [&]() -> ag::Var {
-        step_arena.Reset();
-        arena::ScopedArena scope(&step_arena);
         return head->Forward(ag::Constant(x));
       };
       const uint64_t key = plan::MakeKey(static_cast<uint64_t>(x.rows()));
-      ag::Var root = planner != nullptr ? planner->ForwardStep(key, fwd)
-                                        : fwd();
+      ag::Var root = planner != nullptr
+                         ? planner->ForwardStep(key, nullptr, fwd)
+                         : fwd();
       Matrix seed(x.rows(), 2, 1.0f);
-      auto bwd = [&]() {
-        arena::ScopedArena scope(&step_arena);
-        ag::BackwardWithGrad(root, seed);
-      };
+      auto bwd = [&]() { ag::BackwardWithGrad(root, seed); };
       if (planner != nullptr) {
         planner->BackwardStep(bwd);
       } else {
@@ -460,6 +514,56 @@ TEST(PlanTest, SplitForwardBackwardMatchesDynamic) {
                         : i % 3 == 1 ? " weight grad"
                                      : " bias grad");
     ExpectBitwiseEqual(planned[i], dynamic[i], what.c_str());
+  }
+}
+
+// Once a planned backward began, a mismatch cannot fall back to the
+// dynamic tape (gradients may already have moved): in both the one-shot
+// and the split step it drops the plan and fails as an invariant error.
+TEST(PlanTest, MismatchOnceTheBackwardBeganFails) {
+  Rng data_rng(43);
+  {
+    plan::Planner planner;
+    for (int step = 0; step < 2; ++step) {
+      auto body = [&]() -> float {
+        ag::Var x = ag::Param(RandomMatrix(3, 2, &data_rng));
+        ag::Var loss = ag::SumAll(ag::Mul(x, x));
+        ag::Backward(loss);
+        if (step == 1) loss = ag::Tanh(loss);  // one op past the plan
+        return loss.value()[0];
+      };
+      if (step == 0) {
+        planner.Step(plan::MakeKey(3), nullptr, body);
+      } else {
+        EXPECT_THROW(planner.Step(plan::MakeKey(3), nullptr, body),
+                     check::InvariantError);
+      }
+    }
+    EXPECT_EQ(planner.invalidations(), 1);
+    EXPECT_EQ(planner.plan(plan::MakeKey(3)), nullptr);
+  }
+  {
+    Rng init(47);
+    nn::Linear head(3, 2, &init);
+    Matrix x = RandomMatrix(4, 3, &data_rng);
+    plan::Planner planner;
+    for (int step = 0; step < 2; ++step) {
+      ag::Var root =
+          planner.ForwardStep(plan::MakeKey(4), nullptr, [&]() -> ag::Var {
+            return head.Forward(ag::Constant(x));
+          });
+      if (step == 0) {
+        planner.BackwardStep(
+            [&] { ag::BackwardWithGrad(root, Matrix(4, 2, 1.0f)); });
+      } else {
+        // The replayed forward is followed by an unseeded backward.
+        EXPECT_THROW(planner.BackwardStep([&] { ag::Backward(root); }),
+                     check::InvariantError);
+      }
+    }
+    EXPECT_EQ(planner.replays(), 0);
+    EXPECT_EQ(planner.invalidations(), 1);
+    EXPECT_EQ(planner.plan(plan::MakeKey(4)), nullptr);
   }
 }
 
