@@ -86,11 +86,12 @@ int main() {
   base_config.batch_size = 64;
   CldetModel cldet(base_config, 3);
   cldet.Train(data.train, embeddings);
-  auto cldet_preds = cldet.Predict(data.test);
+  auto cldet_scores = cldet.Score(data.test);
+  auto cldet_preds = cldet.Predict(cldet_scores);
   ConfusionCounts cc = Confusion(cldet_preds, truths);
   std::printf("CLDet  (CE on heuristic labels): F1 %.1f, FPR %.1f, AUC %.1f\n",
               F1Score(cc), FalsePositiveRate(cc),
-              AucRoc(cldet.Score(data.test), truths));
+              AucRoc(cldet_scores, truths));
   ReportPerScenario(data.test, cldet_preds, "CLDet");
 
   // CLFD: corrects the heuristic labels before supervised training.
@@ -99,11 +100,12 @@ int main() {
   config.batch_size = 64;
   ClfdModel clfd(config, 3);
   clfd.Train(data.train, embeddings);
-  auto clfd_preds = clfd.Predict(data.test);
+  auto clfd_scores = clfd.Score(data.test);
+  auto clfd_preds = clfd.Predict(clfd_scores);
   ConfusionCounts fc = Confusion(clfd_preds, truths);
   std::printf("\nCLFD   (label-corrected):        F1 %.1f, FPR %.1f, AUC %.1f\n",
               F1Score(fc), FalsePositiveRate(fc),
-              AucRoc(clfd.Score(data.test), truths));
+              AucRoc(clfd_scores, truths));
   ReportPerScenario(data.test, clfd_preds, "CLFD");
 
   // How much of the heuristic's damage did the corrector undo?

@@ -74,7 +74,7 @@ int main() {
   std::vector<int> truths = TrueLabels(data.test);
   {
     auto scores = model.Score(data.test);
-    ConfusionCounts c = Confusion(model.Predict(data.test), truths);
+    ConfusionCounts c = Confusion(model.Predict(scores), truths);
     std::printf("CLFD          : F1 %.1f, FPR %.1f, AUC %.1f\n", F1Score(c),
                 FalsePositiveRate(c), AucRoc(scores, truths));
   }
@@ -82,7 +82,7 @@ int main() {
     CoTeachingClfdModel co_model(config, 3);
     co_model.Train(data.train, embeddings);
     auto scores = co_model.Score(data.test);
-    ConfusionCounts c = Confusion(co_model.Predict(data.test), truths);
+    ConfusionCounts c = Confusion(co_model.Predict(scores), truths);
     std::printf("CLFD-CoTeach  : F1 %.1f, FPR %.1f, AUC %.1f\n", F1Score(c),
                 FalsePositiveRate(c), AucRoc(scores, truths));
     // How many corrections the fusion changed vs. corrector A alone.

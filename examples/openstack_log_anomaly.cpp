@@ -24,9 +24,11 @@ namespace {
 
 using namespace clfd;
 
-void Report(const char* name, const std::vector<double>& scores,
-            const std::vector<int>& preds, const std::vector<int>& truths) {
-  ConfusionCounts counts = Confusion(preds, truths);
+// Scores the test split once; the labels and the AUC read the same scores.
+void Report(const char* name, const DetectorModel& model,
+            const SessionDataset& test, const std::vector<int>& truths) {
+  std::vector<double> scores = model.Score(test);
+  ConfusionCounts counts = Confusion(model.Predict(scores), truths);
   std::printf("  %-8s F1 %6.2f   FPR %6.2f   AUC %6.2f\n", name,
               F1Score(counts), FalsePositiveRate(counts),
               AucRoc(scores, truths));
@@ -54,22 +56,20 @@ int main() {
 
   DeepLogModel deeplog(base, 3);
   deeplog.Train(data.train, embeddings);
-  Report("DeepLog", deeplog.Score(data.test), deeplog.Predict(data.test),
-         truths);
+  Report("DeepLog", deeplog, data.test, truths);
   std::printf("           (calibrated threshold: %.3f)\n",
               deeplog.threshold());
 
   LogBertModel logbert(base, 3);
   logbert.Train(data.train, embeddings);
-  Report("LogBert", logbert.Score(data.test), logbert.Predict(data.test),
-         truths);
+  Report("LogBert", logbert, data.test, truths);
 
   ClfdConfig config;
   config.budget = TrainingBudget::Fast();
   config.batch_size = 64;
   ClfdModel clfd(config, 3);
   clfd.Train(data.train, embeddings);
-  Report("CLFD", clfd.Score(data.test), clfd.Predict(data.test), truths);
+  Report("CLFD", clfd, data.test, truths);
 
   // Show the failure mode the paper describes: DeepLog/LogBert learn their
   // language model on the noisy-"normal" pool, which at eta = 0.3 contains

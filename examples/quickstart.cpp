@@ -67,7 +67,7 @@ int main() {
 
   // 6) Detect malicious sessions in the clean test split.
   std::vector<double> scores = model.Score(data.test);
-  std::vector<int> preds = model.Predict(data.test);
+  std::vector<int> preds = model.Predict(scores);
   std::vector<int> truths = TrueLabels(data.test);
   ConfusionCounts counts = Confusion(preds, truths);
   std::printf("\ntest results:\n");

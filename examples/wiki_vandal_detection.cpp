@@ -64,7 +64,7 @@ int main() {
   // Detection quality on held-out editors.
   std::vector<int> truths = TrueLabels(data.test);
   std::vector<double> scores = model.Score(data.test);
-  ConfusionCounts counts = Confusion(model.Predict(data.test), truths);
+  ConfusionCounts counts = Confusion(model.Predict(scores), truths);
   std::printf("\nheld-out detection: F1 %.1f, FPR %.1f, AUC %.1f\n",
               F1Score(counts), FalsePositiveRate(counts),
               AucRoc(scores, truths));

@@ -752,40 +752,6 @@ Var SliceRows(const Var& a, int begin, int end) {
 
 namespace {
 
-void FwdConcatCols(Node* out, Node* const* p, int np, const OpCall&) {
-  PtrArray<const Matrix> blocks(np);
-  for (int i = 0; i < np; ++i) blocks[i] = &p[i]->value;
-  clfd::ConcatColsInto(blocks.data(), np, &out->value);
-}
-
-}  // namespace
-
-Var ConcatCols(const std::vector<Var>& blocks) {
-  assert(!blocks.empty());
-  const int n = static_cast<int>(blocks.size());
-  PtrArray<const Var> ins(n);
-  for (int i = 0; i < n; ++i) ins[i] = &blocks[i];
-  return MakeOp(Desc("ag::ConcatCols", &FwdConcatCols, ins.data(), n),
-                [](Node* out) {
-                  int c0 = 0;
-                  for (const NodePtr& p : out->parents) {
-                    if (p->requires_grad) {
-                      p->EnsureGrad();
-                      for (int r = 0; r < p->value.rows(); ++r) {
-                        const float* grow = out->grad.row(r);
-                        float* prow = p->grad.row(r);
-                        for (int c = 0; c < p->value.cols(); ++c) {
-                          prow[c] += grow[c0 + c];
-                        }
-                      }
-                    }
-                    c0 += p->value.cols();
-                  }
-                });
-}
-
-namespace {
-
 void FwdSliceCols(Node* out, Node* const* p, int, const OpCall& call) {
   clfd::SliceColsInto(p[0]->value, call.i0, call.i1, &out->value);
 }

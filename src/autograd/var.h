@@ -134,11 +134,7 @@ Var SumRows(const Var& a);  // [R x C] -> [R x 1]
 Var ConcatRows(const std::vector<Var>& blocks);
 Var SliceRows(const Var& a, int begin, int end);
 
-// Column-wise concatenation/slicing; used to pack the LSTM gate weights
-// per forward pass while the per-gate matrices stay the canonical
-// parameters (optimizer state, clipping order and serialization format are
-// unchanged by the fused path).
-Var ConcatCols(const std::vector<Var>& blocks);
+// Columns [begin, end); the LSTM reads h out of its [h | c] state with it.
 Var SliceCols(const Var& a, int begin, int end);
 
 // ---- Fused LSTM ops (the nn/lstm.cc fused path; DESIGN.md §9). ----

@@ -124,13 +124,4 @@ std::vector<double> DeepLogModel::Score(const SessionDataset& data) const {
   return scores;
 }
 
-std::vector<int> DeepLogModel::Predict(const SessionDataset& data) const {
-  std::vector<double> scores = Score(data);
-  std::vector<int> preds(scores.size());
-  for (size_t i = 0; i < scores.size(); ++i) {
-    preds[i] = scores[i] > threshold_ ? kMalicious : kNormal;
-  }
-  return preds;
-}
-
 }  // namespace clfd

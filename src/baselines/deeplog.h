@@ -23,10 +23,8 @@ class DeepLogModel : public DetectorModel {
   std::string name() const override { return "DeepLog"; }
   void Train(const SessionDataset& train, const Matrix& embeddings) override;
   std::vector<double> Score(const SessionDataset& data) const override;
-  // Thresholds at the calibrated quantile of training-normal scores.
-  std::vector<int> Predict(const SessionDataset& data) const override;
-
-  double threshold() const { return threshold_; }
+  // The 90th percentile of training-normal scores.
+  double threshold() const override { return threshold_; }
 
  private:
   double ScoreSession(const Session& session) const;

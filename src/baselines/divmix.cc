@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "augment/augment.h"
-#include "baselines/gmm1d.h"
 #include "losses/mixup.h"
+#include "metrics/gmm1d.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
 

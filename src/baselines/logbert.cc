@@ -131,13 +131,4 @@ std::vector<double> LogBertModel::Score(const SessionDataset& data) const {
   return scores;
 }
 
-std::vector<int> LogBertModel::Predict(const SessionDataset& data) const {
-  std::vector<double> scores = Score(data);
-  std::vector<int> preds(scores.size());
-  for (size_t i = 0; i < scores.size(); ++i) {
-    preds[i] = scores[i] > threshold_ ? kMalicious : kNormal;
-  }
-  return preds;
-}
-
 }  // namespace clfd

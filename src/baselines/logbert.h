@@ -22,10 +22,11 @@ class LogBertModel : public DetectorModel {
 
   std::string name() const override { return "LogBert"; }
   void Train(const SessionDataset& train, const Matrix& embeddings) override;
+  // Draws fresh masks from the model's Rng on every call, so two calls
+  // score the same sessions differently.
   std::vector<double> Score(const SessionDataset& data) const override;
-  std::vector<int> Predict(const SessionDataset& data) const override;
-
-  double threshold() const { return threshold_; }
+  // The 90th percentile of training-normal scores.
+  double threshold() const override { return threshold_; }
 
  private:
   // Masked forward: returns per-position vocab logits [T x V] with the

@@ -8,11 +8,12 @@ void RequireTrainingSessions(const SessionDataset& train) {
   if (train.size() == 0) throw std::invalid_argument("empty training split");
 }
 
-std::vector<int> DetectorModel::Predict(const SessionDataset& data) const {
-  std::vector<double> scores = Score(data);
+std::vector<int> DetectorModel::Predict(
+    const std::vector<double>& scores) const {
+  const double cut = threshold();
   std::vector<int> preds(scores.size());
   for (size_t i = 0; i < scores.size(); ++i) {
-    preds[i] = scores[i] > 0.5 ? kMalicious : kNormal;
+    preds[i] = scores[i] > cut ? kMalicious : kNormal;
   }
   return preds;
 }

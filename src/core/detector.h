@@ -15,9 +15,9 @@ class RunCheckpointer;
 //
 // A detector is trained once on a noisy-labeled training set (with the
 // dataset's frozen word2vec activity embeddings) and then scores sessions:
-// higher score = more likely malicious. Predict() defaults to thresholding
-// the score at 0.5, which matches models whose score is a malicious-class
-// probability; rank-based models override it.
+// higher score = more likely malicious. Predict() thresholds scores at
+// threshold(), 0.5 by default, which matches models whose score is a
+// malicious-class probability; rank-based models calibrate their own.
 class DetectorModel {
  public:
   virtual ~DetectorModel() = default;
@@ -43,8 +43,14 @@ class DetectorModel {
   // Malicious scores for every session in `data`.
   virtual std::vector<double> Score(const SessionDataset& data) const = 0;
 
-  // Hard labels; default thresholds Score() at 0.5.
-  virtual std::vector<int> Predict(const SessionDataset& data) const;
+  // Scores above this are malicious; 0.5 unless the model calibrates it.
+  virtual double threshold() const { return 0.5; }
+
+  // Hard labels for `scores`, a Score() result: kMalicious above
+  // threshold(). Takes the scores rather than the sessions, so an
+  // evaluation scores each split once and its labels and AUC read the
+  // same scores, even for a model whose scoring draws random masks.
+  std::vector<int> Predict(const std::vector<double>& scores) const;
 };
 
 // Throws std::invalid_argument("empty training split") when `train` holds

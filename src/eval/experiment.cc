@@ -186,8 +186,7 @@ RunMetrics TrainAndEvaluate(DetectorModel* model,
   CLFD_PROF_SPAN("evaluate");
   std::vector<int> truths = TrueLabels(context.test());
   std::vector<double> scores = model->Score(context.test());
-  std::vector<int> preds = model->Predict(context.test());
-  ConfusionCounts counts = Confusion(preds, truths);
+  ConfusionCounts counts = Confusion(model->Predict(scores), truths);
   metrics.f1 = F1Score(counts);
   metrics.fpr = FalsePositiveRate(counts);
   metrics.auc = AucRoc(scores, truths);

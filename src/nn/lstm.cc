@@ -4,30 +4,19 @@ namespace clfd {
 namespace nn {
 
 LstmCell::LstmCell(int in_dim, int hidden_dim, Rng* rng) {
+  std::vector<Matrix> wx, wh;
   for (int g = 0; g < 4; ++g) {
-    wx_[g] = ag::Param(Matrix::Xavier(in_dim, hidden_dim, rng));
-    wh_[g] = ag::Param(Matrix::Xavier(hidden_dim, hidden_dim, rng));
-    Matrix bias(1, hidden_dim);
-    if (g == 1) bias.Fill(1.0f);  // forget gate bias = 1
-    b_[g] = ag::Param(bias);
+    wx.push_back(Matrix::Xavier(in_dim, hidden_dim, rng));
+    wh.push_back(Matrix::Xavier(hidden_dim, hidden_dim, rng));
   }
+  Matrix bias(1, 4 * hidden_dim);
+  for (int c = hidden_dim; c < 2 * hidden_dim; ++c) bias[c] = 1.0f;
+  wx_ = ag::Param(clfd::ConcatCols(wx));
+  wh_ = ag::Param(clfd::ConcatCols(wh));
+  b_ = ag::Param(std::move(bias));
 }
 
-LstmCell::Packed LstmCell::Pack() const {
-  return {ag::ConcatCols({wx_[0], wx_[1], wx_[2], wx_[3]}),
-          ag::ConcatCols({wh_[0], wh_[1], wh_[2], wh_[3]}),
-          ag::ConcatCols({b_[0], b_[1], b_[2], b_[3]})};
-}
-
-std::vector<ag::Var> LstmCell::Parameters() const {
-  std::vector<ag::Var> params;
-  for (int g = 0; g < 4; ++g) {
-    params.push_back(wx_[g]);
-    params.push_back(wh_[g]);
-    params.push_back(b_[g]);
-  }
-  return params;
-}
+std::vector<ag::Var> LstmCell::Parameters() const { return {wx_, wh_, b_}; }
 
 Lstm::Lstm(int in_dim, int hidden_dim, int num_layers, Rng* rng) {
   layers_.reserve(num_layers);
@@ -38,20 +27,19 @@ Lstm::Lstm(int in_dim, int hidden_dim, int num_layers, Rng* rng) {
 
 std::vector<ag::Var> Lstm::Forward(const std::vector<ag::Var>& steps) const {
   if (steps.empty()) return {};
-  // Per layer: pack the gate weights once, project all T input steps with
-  // a single [T*B x 4H] matmul when the inputs carry no gradient (layer
-  // 0's constant embeddings — big enough to clear the parallel-dispatch
-  // threshold), then run one recurrent matmul plus one fused gate op per
-  // step. State threads through as one [B x 2H] = [h|c] Var; the h read
-  // for step t+1 and for the layer output is the same SliceCols node,
-  // which keeps the gradient accumulation order identical to the per-gate
-  // tape (recurrent contributions first, then consumers).
+  // Per layer: project all T input steps with a single [T*B x 4H] matmul
+  // when the inputs carry no gradient (layer 0's constant embeddings — big
+  // enough to clear the parallel-dispatch threshold), then run one
+  // recurrent matmul plus one fused gate op per step. State threads
+  // through as one [B x 2H] = [h|c] Var; the h read for step t+1 and for
+  // the layer output is the same SliceCols node, which keeps the gradient
+  // accumulation order identical to the per-gate tape (recurrent
+  // contributions first, then consumers).
   const int batch = steps[0].rows();
   const int T = static_cast<int>(steps.size());
   std::vector<ag::Var> current = steps;
   for (const LstmCell& layer : layers_) {
     const int h_dim = layer.hidden_dim();
-    LstmCell::Packed packed = layer.Pack();
     bool const_input = true;
     for (const ag::Var& x_t : current) {
       const_input = const_input && !x_t.requires_grad();
@@ -61,7 +49,7 @@ std::vector<ag::Var> Lstm::Forward(const std::vector<ag::Var>& steps) const {
       std::vector<Matrix> xvals;
       xvals.reserve(T);
       for (const ag::Var& x_t : current) xvals.push_back(x_t.value());
-      xp_all = ag::LstmInputProjection(clfd::ConcatRows(xvals), packed.wx,
+      xp_all = ag::LstmInputProjection(clfd::ConcatRows(xvals), layer.wx(),
                                        batch);
     }
     ag::Var hc = ag::Constant(Matrix(batch, 2 * h_dim));
@@ -72,9 +60,10 @@ std::vector<ag::Var> Lstm::Forward(const std::vector<ag::Var>& steps) const {
       ag::Var xproj =
           const_input
               ? ag::SliceRows(xp_all, t * batch, (t + 1) * batch)
-              : ag::LstmPackedMatMul(current[t], packed.wx);
+              : ag::LstmPackedMatMul(current[t], layer.wx());
       ag::Var pre = ag::AddRowBroadcast(
-          ag::Add(xproj, ag::LstmPackedMatMul(h_prev, packed.wh)), packed.b);
+          ag::Add(xproj, ag::LstmPackedMatMul(h_prev, layer.wh())),
+          layer.b());
       hc = ag::LstmGates(pre, hc);
       next.push_back(ag::SliceCols(hc, 0, h_dim));
     }

@@ -13,38 +13,32 @@ namespace nn {
 // kernels. Kept only for the end-to-end benchmark's settings record.
 inline bool LstmFusedEnabled() { return true; }
 
-// A single LSTM layer with per-gate weight matrices.
-//
-// Gates (i, f, g, o) each have input weights Wx [in x h], recurrent weights
-// Wh [h x h] and a bias [1 x h]. The forget-gate bias is initialized to 1,
-// the standard trick for gradient flow through time.
+// A single LSTM layer whose parameters are the packed gate matrices the
+// kernels read: input weights wx [in x 4H], recurrent weights wh [H x 4H]
+// and bias b [1 x 4H], gate blocks in index order (i, f, g, o). The
+// constructor draws one Xavier block at a time: for each gate in index
+// order, its wx block, then its wh block. That order fixes the initial
+// weights every committed fingerprint was generated with. The forget-gate
+// bias block starts at 1, the standard trick for gradient flow through
+// time.
 class LstmCell : public Module {
  public:
   LstmCell(int in_dim, int hidden_dim, Rng* rng);
 
-  // Column-packed views of the gate parameters: wx [in x 4H], wh [H x 4H],
-  // b [1 x 4H], gate blocks in index order (i, f, g, o). Built per forward
-  // pass via ag::ConcatCols, so the per-gate matrices remain the canonical
-  // parameters — Parameters() order, optimizer state, gradient clipping
-  // and serialization are untouched by packing — and the packed gradient
-  // flows back into the per-gate gradients exactly.
-  struct Packed {
-    ag::Var wx;
-    ag::Var wh;
-    ag::Var b;
-  };
-  Packed Pack() const;
+  const ag::Var& wx() const { return wx_; }
+  const ag::Var& wh() const { return wh_; }
+  const ag::Var& b() const { return b_; }
 
+  // {wx, wh, b}.
   std::vector<ag::Var> Parameters() const override;
 
-  int in_dim() const { return wx_[0].rows(); }
-  int hidden_dim() const { return wx_[0].cols(); }
+  int in_dim() const { return wx_.rows(); }
+  int hidden_dim() const { return wh_.rows(); }
 
  private:
-  // Index order: 0 = input gate, 1 = forget, 2 = candidate, 3 = output.
-  ag::Var wx_[4];
-  ag::Var wh_[4];
-  ag::Var b_[4];
+  ag::Var wx_;
+  ag::Var wh_;
+  ag::Var b_;
 };
 
 // Multi-layer LSTM over a padded batch of sequences.

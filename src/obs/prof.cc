@@ -319,43 +319,47 @@ ScopedContext::~ScopedContext() {
                                       ctx.str());
 }
 
-namespace {
-
-void WriteExitReports() {
-  auto write = [](const std::string& path, const std::string& body,
-                  const char* what) {
+bool WriteReports(const std::string& json_path,
+                  const std::string& collapsed_path,
+                  const std::string& roofline_path) {
+  if (json_path.empty() && collapsed_path.empty() && roofline_path.empty()) {
+    return true;
+  }
+  bool all_ok = true;
+  auto write = [&all_ok](const std::string& path, const std::string& body,
+                         const char* what) {
     if (path.empty()) return;
     if (path == "-") {
-      std::fprintf(stderr, "%s", body.c_str());
+      std::fwrite(body.data(), 1, body.size(), stderr);
       return;
     }
     std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "obs: cannot write %s file %s\n", what,
-                   path.c_str());
-      return;
-    }
-    bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    ok = std::fclose(f) == 0 && ok;
+    bool ok = f != nullptr &&
+              std::fwrite(body.data(), 1, body.size(), f) == body.size();
+    if (f != nullptr) ok = std::fclose(f) == 0 && ok;
     if (ok) {
       std::fprintf(stderr, "obs: wrote %s to %s\n", what, path.c_str());
     } else {
-      std::fprintf(stderr, "obs: short write to %s file %s\n", what,
+      std::fprintf(stderr, "obs: cannot write %s file %s\n", what,
                    path.c_str());
+      all_ok = false;
     }
   };
-  std::string json_path = GetEnvString("CLFD_PROF_OUT", "");
-  std::string collapsed_path = GetEnvString("CLFD_PROF_COLLAPSED", "");
-  std::string roofline_path = GetEnvString("CLFD_PROF_ROOFLINE", "");
-  if (json_path.empty() && collapsed_path.empty() && roofline_path.empty()) {
-    return;
-  }
   ReportNode root = Snapshot();
   write(json_path, ToJson(root, /*include_timing=*/true), "profile");
   write(collapsed_path, ToCollapsed(root), "collapsed stacks");
   write(roofline_path,
         RooflineReport(root, GetEnvDouble("CLFD_PEAK_GFLOPS", 0.0)),
         "roofline report");
+  return all_ok;
+}
+
+namespace {
+
+void WriteExitReports() {
+  WriteReports(GetEnvString("CLFD_PROF_OUT", ""),
+               GetEnvString("CLFD_PROF_COLLAPSED", ""),
+               GetEnvString("CLFD_PROF_ROOFLINE", ""));
 }
 
 }  // namespace

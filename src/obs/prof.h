@@ -248,6 +248,16 @@ std::string RooflineReport(const ReportNode& root, double peak_gflops = 0.0);
 // children at `depth` (1 = phases). Used by the ≥95% attribution test.
 double AttributedFraction(const ReportNode& node);
 
+// Writes the reports of one Snapshot(): ToJson with timing to `json_path`,
+// ToCollapsed to `collapsed_path` and RooflineReport (peak from
+// CLFD_PEAK_GFLOPS) to `roofline_path`. An empty path skips its report and
+// "-" writes it to stderr. Each file written or not written is reported on
+// stderr; returns false when any write failed. The exit hook calls it with
+// the CLFD_PROF_* paths and clfd_cli with its --prof-* flags.
+bool WriteReports(const std::string& json_path,
+                  const std::string& collapsed_path,
+                  const std::string& roofline_path);
+
 }  // namespace prof
 }  // namespace obs
 }  // namespace clfd

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
-#include "baselines/gmm1d.h"
 #include "baselines/knn.h"
 #include "baselines/registry.h"
 #include "core/detector.h"
 #include "data/noise.h"
 #include "data/simulators.h"
 #include "embedding/word2vec.h"
+#include "metrics/gmm1d.h"
 #include "metrics/metrics.h"
 
 namespace clfd {
@@ -108,25 +113,82 @@ TEST_P(BaselineSmokeTest, TrainsAndScores) {
   // Scores must discriminate at least somewhat (not all identical).
   EXPECT_GT(distinct.size(), 1u);
 
-  auto preds = model->Predict(data.test);
+  auto preds = model->Predict(scores);
   ASSERT_EQ(preds.size(), scores.size());
   for (int p : preds) {
     EXPECT_TRUE(p == kNormal || p == kMalicious);
   }
 }
 
+// A model name as a test name: "Sel-CL" -> "SelCL".
+std::string ModelTestName(const ::testing::TestParamInfo<std::string>& info) {
+  std::string out;
+  for (char c : info.param) {
+    if (c != '-') out += c;
+  }
+  return out;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBaselines, BaselineSmokeTest,
                          ::testing::Values("DivMix", "ULC", "Sel-CL", "CTRR",
                                            "Few-Shot", "CLDet", "DeepLog",
                                            "LogBert"),
-                         [](const auto& info) {
-                           std::string n = info.param;
-                           std::string out;
-                           for (char c : n) {
-                             if (c != '-') out += c;
-                           }
-                           return out;
-                         });
+                         ModelTestName);
+
+// FNV-1a over the bits of every score, byte order fixed, as the run
+// fingerprint (eval_test.cc) hashes a CLFD run.
+uint64_t ScoreFingerprint(const std::vector<double>& scores) {
+  uint64_t h = 14695981039346656037ull;
+  for (double score : scores) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &score, sizeof(bits));
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// Every baseline on one tiny fixed world: the bits of its first
+// Score(test) after training. DeepLog, CLDet, Sel-CL and the
+// LstmClassifier baselines (DivMix, ULC, CTRR) run the same nn::Lstm as
+// CLFD, whose run fingerprint pins only CLFD's use of it. A change to a
+// hash is a deliberate, reviewed event: the failure message prints the new
+// value.
+class BaselineFingerprintTest : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(BaselineFingerprintTest, FirstScoreMatchesCommittedHash) {
+  const std::map<std::string, uint64_t> kExpected = {
+      {"DivMix", 0x6c4166c49897e35aull},  {"ULC", 0x0615aeace05422b8ull},
+      {"Sel-CL", 0xe662f02fb843e585ull},  {"CTRR", 0xc0b7fd5d0ad3990bull},
+      {"Few-Shot", 0x97dac6c5bab020e5ull}, {"CLDet", 0x63c1094b5eeb250full},
+      {"DeepLog", 0xcadd9b0de396a458ull}, {"LogBert", 0xd18fa1ac17609c72ull}};
+  Rng rng(9);
+  SplitSpec split{40, 6, 20, 4};
+  SimulatedData data = MakeDataset(DatasetKind::kWiki, split, &rng);
+  NoiseSpec::Uniform(0.2).Apply(&data.train, &rng);
+
+  ClfdConfig config = ClfdConfig::Fast();
+  config.emb_dim = 8;
+  config.hidden_dim = 8;
+  config.batch_size = 16;
+  config.aux_batch_size = 4;
+  config.budget = {2, 10, 2};
+  Matrix embeddings = TrainActivityEmbeddings(data.train, config.emb_dim, &rng);
+
+  auto model = MakeModel(GetParam(), config, 11);
+  ASSERT_NE(model, nullptr);
+  model->Train(data.train, embeddings);
+  const uint64_t got = ScoreFingerprint(model->Score(data.test));
+  EXPECT_EQ(got, kExpected.at(GetParam()))
+      << GetParam() << ": got 0x" << std::hex << got;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBaselines, BaselineFingerprintTest,
+                         ::testing::ValuesIn(BaselineModelNames()),
+                         ModelTestName);
 
 TEST(CldetQualityTest, LearnsOnCleanLabels) {
   // With clean labels CLDet (SimCLR + CE classifier) must separate the

@@ -2,6 +2,8 @@
 #   cmake -DCLI=path/to/clfd_cli -DWORK_DIR=dir -P cli_recovery.cmake
 # - a run crashed by --fault-plan=run.epoch@7 exits 3, and rerunning it
 #   resumes from its checkpoint to the uninterrupted run's result line;
+# - rerunning it with another --dim finds a snapshot that does not fit the
+#   model and exits 2 with a one-line message and no result line;
 # - an injected allocation failure under --watchdog is rolled back once,
 #   counted in recovery.watchdog.rollbacks, and the run exits 0;
 # - sticky NaN poisoning under --watchdog exhausts the retry ladder and
@@ -61,6 +63,17 @@ result_line(resumed)
 if(NOT resumed STREQUAL uninterrupted)
   message(SEND_ERROR "resumed run printed '${resumed}', "
                      "uninterrupted run '${uninterrupted}'")
+endif()
+
+cli(${run} --checkpoint-dir=ck --dim 16)
+expect_exit(2 "run on a snapshot of another --dim")
+if(NOT err MATCHES "shape-mismatch")
+  message(SEND_ERROR "run on a snapshot of another --dim: stderr lacks "
+                     "'shape-mismatch': ${err}")
+endif()
+result_line(line)
+if(NOT line STREQUAL "")
+  message(SEND_ERROR "run on a snapshot of another --dim printed '${line}'")
 endif()
 
 cli(${run} --watchdog --fault-plan=arena.alloc@300

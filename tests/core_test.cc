@@ -145,7 +145,7 @@ TEST(ClfdEndToEndTest, SeparatesClassesUnderUniformNoise) {
   double auc = AucRoc(scores, TrueLabels(exp.data.test));
   // Tiny-scale smoke bound; the benchmark harness measures real quality.
   EXPECT_GT(auc, 60.0);
-  auto preds = model.Predict(exp.data.test);
+  auto preds = model.Predict(scores);
   EXPECT_EQ(preds.size(), static_cast<size_t>(exp.data.test.size()));
 }
 
@@ -205,21 +205,21 @@ TEST(ClfdEndToEndTest, DeterministicForSeed) {
   }
 }
 
-TEST(DetectorInterfaceTest, PredictThresholdsScore) {
+TEST(DetectorInterfaceTest, PredictThresholdsScoresAtThreshold) {
   struct FakeModel : DetectorModel {
     std::string name() const override { return "fake"; }
     void Train(const SessionDataset&, const Matrix&) override {}
     std::vector<double> Score(const SessionDataset& d) const override {
-      std::vector<double> s(d.size());
-      for (int i = 0; i < d.size(); ++i) s[i] = i % 2 == 0 ? 0.9 : 0.1;
-      return s;
+      return std::vector<double>(d.size(), 0.0);
     }
   };
-  SessionDataset ds;
-  ds.sessions.resize(4);
-  FakeModel m;
-  auto preds = m.Predict(ds);
-  EXPECT_EQ(preds, (std::vector<int>{1, 0, 1, 0}));
+  struct CalibratedModel : FakeModel {
+    double threshold() const override { return 0.7; }
+  };
+  const std::vector<double> scores = {0.9, 0.1, 0.5, 0.6};
+  EXPECT_EQ(FakeModel().Predict(scores), (std::vector<int>{1, 0, 0, 1}));
+  EXPECT_EQ(CalibratedModel().Predict(scores),
+            (std::vector<int>{1, 0, 0, 0}));
 }
 
 }  // namespace

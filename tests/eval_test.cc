@@ -71,6 +71,28 @@ TEST(RunSweepTest, AggregatesAcrossSeeds) {
   EXPECT_EQ(results[0].seeds[1].run.auc, m.auc.values()[1]);
 }
 
+TEST(TrainAndEvaluateTest, ScoresTheTestSplitOnce) {
+  // F1, FPR and AUC must read one scoring of the test split: a model whose
+  // scoring is random (LogBert draws its masks per call) would otherwise
+  // get its labels and its AUC from two different scorings.
+  struct CountingModel : DetectorModel {
+    mutable int score_calls = 0;
+    std::string name() const override { return "counting"; }
+    void Train(const SessionDataset&, const Matrix&) override {}
+    std::vector<double> Score(const SessionDataset& d) const override {
+      ++score_calls;
+      std::vector<double> s(d.size());
+      for (int i = 0; i < d.size(); ++i) s[i] = (i % 3) / 2.0;
+      return s;
+    }
+  };
+  ExperimentContext context(DatasetKind::kWiki, SplitSpec{20, 4, 10, 4},
+                            NoiseSpec::Uniform(0.1), 8, 3);
+  CountingModel model;
+  TrainAndEvaluate(&model, context);
+  EXPECT_EQ(model.score_calls, 1);
+}
+
 TEST(RunSweepTest, RejectsBadSweepsBeforeAnyWork) {
   SplitSpec split{60, 6, 30, 6};
   SweepCell cell{"a", "CLDet", TinyConfig(), DatasetKind::kWiki, split,

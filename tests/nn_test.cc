@@ -96,26 +96,73 @@ bool SameBits(const Matrix& a, const Matrix& b) {
                      sizeof(float) * static_cast<size_t>(a.size())) == 0;
 }
 
+// Each layer's parameters are its packed gate matrices, drawn gate by gate:
+// for gates i, f, g, o in turn, a Matrix::Xavier block of wx, then one of
+// wh, from the one Rng the Lstm was built with.
+TEST(LstmTest, ParametersArePackedGateBlocks) {
+  const int in = 3;
+  const int h = 5;
+  Rng rng(42);
+  Lstm lstm(in, h, 2, &rng);
+  const std::vector<ag::Var> params = lstm.Parameters();
+  ASSERT_EQ(params.size(), 6u);
+  Rng draws(42);
+  for (int l = 0; l < 2; ++l) {
+    const int layer_in = l == 0 ? in : h;
+    const Matrix& wx = params[3 * l].value();
+    const Matrix& wh = params[3 * l + 1].value();
+    const Matrix& b = params[3 * l + 2].value();
+    ASSERT_EQ(wx.rows(), layer_in);
+    ASSERT_EQ(wx.cols(), 4 * h);
+    ASSERT_EQ(wh.rows(), h);
+    ASSERT_EQ(wh.cols(), 4 * h);
+    ASSERT_EQ(b.rows(), 1);
+    ASSERT_EQ(b.cols(), 4 * h);
+    for (int g = 0; g < 4; ++g) {
+      Matrix wx_g = Matrix::Xavier(layer_in, h, &draws);
+      Matrix wh_g = Matrix::Xavier(h, h, &draws);
+      EXPECT_TRUE(SameBits(SliceCols(wx, g * h, (g + 1) * h), wx_g))
+          << "layer " << l << " wx gate " << g;
+      EXPECT_TRUE(SameBits(SliceCols(wh, g * h, (g + 1) * h), wh_g))
+          << "layer " << l << " wh gate " << g;
+      for (int c = g * h; c < (g + 1) * h; ++c) {
+        EXPECT_EQ(b.at(0, c), g == 1 ? 1.0f : 0.0f)
+            << "layer " << l << " bias column " << c;
+      }
+    }
+  }
+}
+
 // The textbook per-gate LSTM tape, rebuilt from lstm.Parameters() with the
 // same ag ops in the same order as the unroll nn::Lstm ran before its
 // packed-gate kernels: per gate, two matmuls, an add and a bias broadcast,
-// then the elementwise cell update. Reference for the two tests below.
+// then the elementwise cell update. Each gate's blocks are sliced out of
+// the packed parameters once per layer, so a packed parameter's gradient
+// is the per-gate gradients side by side. Reference for the two tests
+// below.
 std::vector<ag::Var> PerGateForward(const Lstm& lstm,
                                     const std::vector<ag::Var>& steps) {
   const std::vector<ag::Var> params = lstm.Parameters();
   const int batch = steps[0].rows();
+  const int h_dim = lstm.hidden_dim();
   std::vector<ag::Var> current = steps;
   for (int l = 0; l < lstm.num_layers(); ++l) {
-    // Parameters() lists each layer's gates i, f, g, o as (wx, wh, b).
-    const ag::Var* p = &params[12 * l];
-    ag::Var h = ag::Constant(Matrix(batch, lstm.hidden_dim()));
-    ag::Var c = ag::Constant(Matrix(batch, lstm.hidden_dim()));
+    // Parameters() lists each layer's packed (wx, wh, b); gate k's block is
+    // columns [k * H, (k + 1) * H) of each.
+    ag::Var w[4][3];
+    for (int k = 0; k < 4; ++k) {
+      for (int j = 0; j < 3; ++j) {
+        w[k][j] = ag::SliceCols(params[3 * l + j], k * h_dim, (k + 1) * h_dim);
+      }
+    }
+    ag::Var h = ag::Constant(Matrix(batch, h_dim));
+    ag::Var c = ag::Constant(Matrix(batch, h_dim));
     std::vector<ag::Var> next;
     for (const ag::Var& x_t : current) {
-      auto gate = [&](int g) {
+      auto gate = [&](int k) {
         return ag::AddRowBroadcast(
-            ag::Add(ag::MatMul(x_t, p[3 * g]), ag::MatMul(h, p[3 * g + 1])),
-            p[3 * g + 2]);
+            ag::Add(ag::MatMul(x_t, w[k][0]), ag::MatMul(h, w[k][1])),
+            w[k][2]);
       };
       ag::Var i = ag::Sigmoid(gate(0));
       ag::Var f = ag::Sigmoid(gate(1));

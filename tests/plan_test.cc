@@ -626,8 +626,6 @@ std::vector<OpCase> OpCases() {
        [](In in, const Matrix&) { return ag::ConcatRows(in); }},
       {"ag::SliceRows", {{5, 3}},
        [](In in, const Matrix&) { return ag::SliceRows(in[0], 1, 4); }},
-      {"ag::ConcatCols", {{3, 2}, {3, 1}, {3, 3}},
-       [](In in, const Matrix&) { return ag::ConcatCols(in); }},
       {"ag::SliceCols", {{3, 5}},
        [](In in, const Matrix&) { return ag::SliceCols(in[0], 1, 4); }},
       {"ag::LstmPackedMatMul", {{3, 4}, {4, 8}},
@@ -708,7 +706,7 @@ TEST(PlanTest, EveryOpKindReplaysBitwise) {
       }
     }
   }
-  EXPECT_EQ(kinds.size(), 27u);
+  EXPECT_EQ(kinds.size(), 26u);
 }
 
 }  // namespace

@@ -98,7 +98,7 @@ TEST(RobustnessTest, EmptyTestSet) {
   SessionDataset empty;
   empty.vocab = train.vocab;
   EXPECT_TRUE(model.Score(empty).empty());
-  EXPECT_TRUE(model.Predict(empty).empty());
+  EXPECT_TRUE(model.Predict(model.Score(empty)).empty());
 }
 
 TEST(RobustnessTest, EmptyTrainingSplitThrows) {

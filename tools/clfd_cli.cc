@@ -31,7 +31,10 @@
 //                             "run.epoch@3;ckpt.io@2" (see recovery/fault_plan.h)
 //   --fault-seed=N            seed for probabilistic fault triggers
 // Exit codes: 2 = bad input (usage, a malformed or out-of-range flag
-//                 value, an empty training split),
+//                 value, an empty training split, a snapshot under
+//                 --checkpoint-dir that does not fit the model, such as
+//                 one written with another --dim or by a build with
+//                 another parameter layout),
 //             3 = simulated crash (resume with the same command),
 //             4 = training failed: it diverged, violated an invariant or
 //                 ran out of memory, and either no watchdog retried it or
@@ -259,7 +262,7 @@ int Run(const Args& args) {
 
   std::vector<int> truths = TrueLabels(test);
   auto scores = model->Score(test);
-  ConfusionCounts counts = Confusion(model->Predict(test), truths);
+  ConfusionCounts counts = Confusion(model->Predict(scores), truths);
   std::printf("%s: F1 %.2f  FPR %.2f  AUC-ROC %.2f  (tp=%d fp=%d tn=%d "
               "fn=%d)\n",
               model_name.c_str(), F1Score(counts),
@@ -370,6 +373,10 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "watchdog abort: %s\n",
                  e.report().Summary().c_str());
     rc = 4;
+  } catch (const recovery::CheckpointError& e) {
+    // A snapshot this run cannot use is bad input, never retried over.
+    std::fprintf(stderr, "%s\n", e.what());
+    rc = 2;
   }
 
   if (!trace_path.empty() && !obs::TraceRecorder::Get().Stop() && rc == 0) {
@@ -392,38 +399,11 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::string prof_json = args.Get("prof-out", "");
-  std::string prof_collapsed = args.Get("prof-collapsed", "");
-  std::string prof_roofline = args.Get("prof-roofline", "");
-  if (!prof_json.empty() || !prof_collapsed.empty() ||
-      !prof_roofline.empty()) {
-    obs::prof::ReportNode root = obs::prof::Snapshot();
-    auto write_report = [&rc](const std::string& path,
-                              const std::string& body, const char* what) {
-      if (path.empty()) return;
-      if (path == "-") {
-        std::fwrite(body.data(), 1, body.size(), stderr);
-        return;
-      }
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      bool ok = f != nullptr &&
-                std::fwrite(body.data(), 1, body.size(), f) == body.size();
-      if (f != nullptr) ok = std::fclose(f) == 0 && ok;
-      if (ok) {
-        std::fprintf(stderr, "obs: wrote %s to %s\n", what, path.c_str());
-      } else {
-        std::fprintf(stderr, "obs: cannot write %s file %s\n", what,
-                     path.c_str());
-        if (rc == 0) rc = 1;
-      }
-    };
-    write_report(prof_json, obs::prof::ToJson(root), "profile");
-    write_report(prof_collapsed, obs::prof::ToCollapsed(root),
-                 "collapsed stacks");
-    write_report(prof_roofline,
-                 obs::prof::RooflineReport(
-                     root, GetEnvDouble("CLFD_PEAK_GFLOPS", 0.0)),
-                 "roofline report");
+  if (!obs::prof::WriteReports(args.Get("prof-out", ""),
+                               args.Get("prof-collapsed", ""),
+                               args.Get("prof-roofline", "")) &&
+      rc == 0) {
+    rc = 1;
   }
   return rc;
 }
