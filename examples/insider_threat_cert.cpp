@@ -13,9 +13,10 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 
-#include "baselines/cldet.h"
+#include "baselines/registry.h"
 #include "common/rng.h"
 #include "core/clfd.h"
 #include "data/simulators.h"
@@ -80,14 +81,15 @@ int main() {
   Matrix embeddings = TrainActivityEmbeddings(data.train, 50, &rng);
   std::vector<int> truths = TrueLabels(data.test);
 
+  ClfdConfig config;
+  config.budget = TrainingBudget::Fast();
+  config.batch_size = 64;
+
   // CLDet: no noise-robust mechanism (cross-entropy on heuristic labels).
-  BaselineConfig base_config;
-  base_config.budget = TrainingBudget::Fast();
-  base_config.batch_size = 64;
-  CldetModel cldet(base_config, 3);
-  cldet.Train(data.train, embeddings);
-  auto cldet_scores = cldet.Score(data.test);
-  auto cldet_preds = cldet.Predict(cldet_scores);
+  std::unique_ptr<DetectorModel> cldet = MakeModel("CLDet", config, 3);
+  cldet->Train(data.train, embeddings);
+  auto cldet_scores = cldet->Score(data.test);
+  auto cldet_preds = cldet->Predict(cldet_scores);
   ConfusionCounts cc = Confusion(cldet_preds, truths);
   std::printf("CLDet  (CE on heuristic labels): F1 %.1f, FPR %.1f, AUC %.1f\n",
               F1Score(cc), FalsePositiveRate(cc),
@@ -95,9 +97,6 @@ int main() {
   ReportPerScenario(data.test, cldet_preds, "CLDet");
 
   // CLFD: corrects the heuristic labels before supervised training.
-  ClfdConfig config;
-  config.budget = TrainingBudget::Fast();
-  config.batch_size = 64;
   ClfdModel clfd(config, 3);
   clfd.Train(data.train, embeddings);
   auto clfd_scores = clfd.Score(data.test);

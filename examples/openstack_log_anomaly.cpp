@@ -48,25 +48,22 @@ int main() {
   Matrix embeddings = TrainActivityEmbeddings(data.train, 50, &rng);
   std::vector<int> truths = TrueLabels(data.test);
 
-  BaselineConfig base;
-  base.budget = TrainingBudget::Fast();
-  base.batch_size = 64;
+  ClfdConfig config;
+  config.budget = TrainingBudget::Fast();
+  config.batch_size = 64;
 
   std::printf("detection quality at uniform eta = 0.3:\n");
 
-  DeepLogModel deeplog(base, 3);
+  DeepLogModel deeplog(config, 3);
   deeplog.Train(data.train, embeddings);
   Report("DeepLog", deeplog, data.test, truths);
   std::printf("           (calibrated threshold: %.3f)\n",
               deeplog.threshold());
 
-  LogBertModel logbert(base, 3);
+  LogBertModel logbert(config, 3);
   logbert.Train(data.train, embeddings);
   Report("LogBert", logbert, data.test, truths);
 
-  ClfdConfig config;
-  config.budget = TrainingBudget::Fast();
-  config.batch_size = 64;
   ClfdModel clfd(config, 3);
   clfd.Train(data.train, embeddings);
   Report("CLFD", clfd, data.test, truths);

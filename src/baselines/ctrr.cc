@@ -4,12 +4,13 @@
 
 #include "losses/contrastive.h"
 #include "losses/mixup.h"
+#include "losses/robust_losses.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
 
 namespace clfd {
 
-CtrrModel::CtrrModel(const BaselineConfig& config, uint64_t seed,
+CtrrModel::CtrrModel(const ClfdConfig& config, uint64_t seed,
                      double reg_weight, double confidence_threshold)
     : config_(config), rng_(seed), reg_weight_(reg_weight),
       confidence_threshold_(confidence_threshold) {}
@@ -19,10 +20,7 @@ void CtrrModel::Train(const SessionDataset& train, const Matrix& embeddings) {
   embeddings_ = embeddings;
   net_ = std::make_unique<LstmClassifier>(config_, &rng_);
 
-  std::vector<int> noisy(train.size());
-  for (int i = 0; i < train.size(); ++i) {
-    noisy[i] = train.sessions[i].noisy_label;
-  }
+  std::vector<int> noisy = NoisyLabels(train);
 
   auto params = net_->Parameters();
   nn::Adam optimizer(params, config_.learning_rate);
@@ -53,10 +51,7 @@ void CtrrModel::Train(const SessionDataset& train, const Matrix& embeddings) {
         confidences[i] = p >= confidence_threshold_ ? p : 0.0;
       }
 
-      ag::Var ce = ag::Scale(
-          ag::SumAll(ag::Mul(ag::Constant(OneHot(batch_labels)),
-                             ag::Log(probs))),
-          -1.0f / static_cast<float>(b));
+      ag::Var ce = CceLoss(probs, OneHot(batch_labels));
       ag::Var reg = SupConLoss(reps, batch_labels, confidences, b, 1.0f,
                                SupConVariant::kWeighted);
       ag::Var loss =

@@ -3,8 +3,8 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/baseline_config.h"
 #include "baselines/lstm_classifier.h"
+#include "core/config.h"
 #include "core/detector.h"
 
 namespace clfd {
@@ -18,15 +18,14 @@ namespace clfd {
 // learning. Confidence is the model's own running prediction.
 class CtrrModel : public DetectorModel {
  public:
-  CtrrModel(const BaselineConfig& config, uint64_t seed,
+  CtrrModel(const ClfdConfig& config, uint64_t seed,
             double reg_weight = 1.0, double confidence_threshold = 0.7);
 
-  std::string name() const override { return "CTRR"; }
   void Train(const SessionDataset& train, const Matrix& embeddings) override;
   std::vector<double> Score(const SessionDataset& data) const override;
 
  private:
-  BaselineConfig config_;
+  ClfdConfig config_;
   mutable Rng rng_;
   double reg_weight_;
   double confidence_threshold_;

@@ -1,6 +1,6 @@
 #include "baselines/deeplog.h"
 
-#include <algorithm>
+#include <utility>
 #include <cmath>
 
 #include "encoders/session_encoder.h"
@@ -9,7 +9,7 @@
 
 namespace clfd {
 
-DeepLogModel::DeepLogModel(const BaselineConfig& config, uint64_t seed,
+DeepLogModel::DeepLogModel(const ClfdConfig& config, uint64_t seed,
                            int top_g)
     : config_(config), rng_(seed), top_g_(top_g) {}
 
@@ -84,12 +84,7 @@ void DeepLogModel::Train(const SessionDataset& train,
   for (int i = 0; i < normals.size(); ++i) {
     normal_scores[i] = ScoreSession(normals.sessions[i].session);
   }
-  std::sort(normal_scores.begin(), normal_scores.end());
-  size_t q90 = static_cast<size_t>(normal_scores.size() * 0.9);
-  threshold_ = normal_scores.empty()
-                   ? 0.5
-                   : normal_scores[std::min(q90, normal_scores.size() - 1)] +
-                         1e-6;
+  threshold_ = NormalScoreThreshold(std::move(normal_scores));
 }
 
 double DeepLogModel::ScoreSession(const Session& session) const {

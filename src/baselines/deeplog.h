@@ -3,7 +3,7 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/baseline_config.h"
+#include "core/config.h"
 #include "core/detector.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
@@ -18,9 +18,8 @@ namespace clfd {
 // which is exactly the failure mode Table I exposes.
 class DeepLogModel : public DetectorModel {
  public:
-  DeepLogModel(const BaselineConfig& config, uint64_t seed, int top_g = 3);
+  DeepLogModel(const ClfdConfig& config, uint64_t seed, int top_g = 3);
 
-  std::string name() const override { return "DeepLog"; }
   void Train(const SessionDataset& train, const Matrix& embeddings) override;
   std::vector<double> Score(const SessionDataset& data) const override;
   // The 90th percentile of training-normal scores.
@@ -29,7 +28,7 @@ class DeepLogModel : public DetectorModel {
  private:
   double ScoreSession(const Session& session) const;
 
-  BaselineConfig config_;
+  ClfdConfig config_;
   mutable Rng rng_;
   int top_g_;
   std::unique_ptr<nn::Lstm> lstm_;

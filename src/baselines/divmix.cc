@@ -5,6 +5,7 @@
 
 #include "augment/augment.h"
 #include "losses/mixup.h"
+#include "losses/robust_losses.h"
 #include "metrics/gmm1d.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
@@ -28,7 +29,7 @@ void SharpenRow(Matrix* m, int row) {
 
 }  // namespace
 
-DivMixModel::DivMixModel(const BaselineConfig& config, uint64_t seed,
+DivMixModel::DivMixModel(const ClfdConfig& config, uint64_t seed,
                          int warmup_epochs, double clean_threshold)
     : config_(config), rng_(seed), warmup_epochs_(warmup_epochs),
       clean_threshold_(clean_threshold) {}
@@ -74,10 +75,7 @@ void DivMixModel::Train(const SessionDataset& train,
   net_a_ = std::make_unique<LstmClassifier>(config_, &rng_);
   net_b_ = std::make_unique<LstmClassifier>(config_, &rng_);
 
-  std::vector<int> noisy(train.size());
-  for (int i = 0; i < train.size(); ++i) {
-    noisy[i] = train.sessions[i].noisy_label;
-  }
+  std::vector<int> noisy = NoisyLabels(train);
   Matrix noisy_onehot = OneHot(noisy);
 
   nn::Adam opt_a(net_a_->Parameters(), config_.learning_rate);
@@ -134,10 +132,7 @@ void DivMixModel::Train(const SessionDataset& train,
       ag::Var permuted = ag::MatMul(ag::Constant(perm_matrix), reps);
       ag::Var mixed = ag::Add(ag::RowScaleConst(reps, lambda_col),
                               ag::RowScaleConst(permuted, inv_lambda));
-      ag::Var probs = learner->HeadProbs(mixed);
-      ag::Var loss = ag::Scale(
-          ag::SumAll(ag::Mul(ag::Constant(mixed_targets), ag::Log(probs))),
-          -1.0f / static_cast<float>(b));
+      ag::Var loss = CceLoss(learner->HeadProbs(mixed), mixed_targets);
       ag::Backward(loss);
       nn::ClipGradNorm(params, config_.grad_clip);
       optimizer->Step();
@@ -151,13 +146,7 @@ void DivMixModel::Train(const SessionDataset& train,
 }
 
 std::vector<double> DivMixModel::Score(const SessionDataset& data) const {
-  Matrix pa = net_a_->PredictProbs(data, embeddings_);
-  Matrix pb = net_b_->PredictProbs(data, embeddings_);
-  std::vector<double> scores(data.size());
-  for (int i = 0; i < data.size(); ++i) {
-    scores[i] = 0.5 * (pa.at(i, kMalicious) + pb.at(i, kMalicious));
-  }
-  return scores;
+  return TwoNetworkScores(*net_a_, *net_b_, data, embeddings_);
 }
 
 }  // namespace clfd

@@ -3,8 +3,8 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/baseline_config.h"
 #include "baselines/lstm_classifier.h"
+#include "core/config.h"
 #include "core/detector.h"
 
 namespace clfd {
@@ -20,10 +20,9 @@ namespace clfd {
 // targets with mixup.
 class DivMixModel : public DetectorModel {
  public:
-  DivMixModel(const BaselineConfig& config, uint64_t seed,
+  DivMixModel(const ClfdConfig& config, uint64_t seed,
               int warmup_epochs = 2, double clean_threshold = 0.5);
 
-  std::string name() const override { return "DivMix"; }
   void Train(const SessionDataset& train, const Matrix& embeddings) override;
   std::vector<double> Score(const SessionDataset& data) const override;
 
@@ -35,7 +34,7 @@ class DivMixModel : public DetectorModel {
                       const LstmClassifier& learner,
                       const std::vector<int>& noisy_labels) const;
 
-  BaselineConfig config_;
+  ClfdConfig config_;
   mutable Rng rng_;
   int warmup_epochs_;
   double clean_threshold_;

@@ -3,12 +3,13 @@
 #include <algorithm>
 
 #include "losses/mixup.h"
+#include "losses/robust_losses.h"
 #include "nn/module.h"
 #include "nn/optimizer.h"
 
 namespace clfd {
 
-FewShotModel::FewShotModel(const BaselineConfig& config, uint64_t seed)
+FewShotModel::FewShotModel(const ClfdConfig& config, uint64_t seed)
     : config_(config), rng_(seed) {}
 
 ag::Var FewShotModel::PooledBatch(
@@ -38,11 +39,7 @@ void FewShotModel::Train(const SessionDataset& train,
   params.insert(params.end(), hp.begin(), hp.end());
   nn::Adam optimizer(params, config_.learning_rate);
 
-  std::vector<int> noisy(train.size());
-  for (int i = 0; i < train.size(); ++i) {
-    noisy[i] = train.sessions[i].noisy_label;
-  }
-  Matrix targets = OneHot(noisy);
+  Matrix targets = OneHot(NoisyLabels(train));
 
   for (int epoch = 0; epoch < config_.budget.sequence_epochs; ++epoch) {
     for (const auto& batch : train.MakeBatches(config_.batch_size, &rng_)) {
@@ -53,9 +50,7 @@ void FewShotModel::Train(const SessionDataset& train,
         batch_targets.CopyRowFrom(targets, batch[i], static_cast<int>(i));
       }
       ag::Var probs = ag::SoftmaxRows(head_->Forward(PooledBatch(sessions)));
-      ag::Var loss = ag::Scale(
-          ag::SumAll(ag::Mul(ag::Constant(batch_targets), ag::Log(probs))),
-          -1.0f / static_cast<float>(batch.size()));
+      ag::Var loss = CceLoss(probs, batch_targets);
       ag::Backward(loss);
       nn::ClipGradNorm(params, config_.grad_clip);
       optimizer.Step();

@@ -3,7 +3,7 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/baseline_config.h"
+#include "core/config.h"
 #include "core/detector.h"
 #include "nn/attention.h"
 #include "nn/linear.h"
@@ -17,16 +17,15 @@ namespace clfd {
 // mechanism, which Table I exploits.
 class FewShotModel : public DetectorModel {
  public:
-  FewShotModel(const BaselineConfig& config, uint64_t seed);
+  FewShotModel(const ClfdConfig& config, uint64_t seed);
 
-  std::string name() const override { return "Few-Shot"; }
   void Train(const SessionDataset& train, const Matrix& embeddings) override;
   std::vector<double> Score(const SessionDataset& data) const override;
 
  private:
   ag::Var PooledBatch(const std::vector<const Session*>& sessions) const;
 
-  BaselineConfig config_;
+  ClfdConfig config_;
   mutable Rng rng_;
   std::unique_ptr<nn::SelfAttentionEncoder> encoder_;
   std::unique_ptr<nn::Linear> head_;

@@ -1,13 +1,13 @@
 #include "baselines/logbert.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "nn/module.h"
 #include "nn/optimizer.h"
 
 namespace clfd {
 
-LogBertModel::LogBertModel(const BaselineConfig& config, uint64_t seed,
+LogBertModel::LogBertModel(const ClfdConfig& config, uint64_t seed,
                            int top_g, double mask_prob)
     : config_(config), rng_(seed), top_g_(top_g), mask_prob_(mask_prob) {}
 
@@ -94,10 +94,7 @@ void LogBertModel::Train(const SessionDataset& train,
   for (int idx : normals) {
     scores.push_back(ScoreSession(train.sessions[idx].session));
   }
-  std::sort(scores.begin(), scores.end());
-  size_t q90 = static_cast<size_t>(scores.size() * 0.9);
-  threshold_ =
-      scores.empty() ? 0.5 : scores[std::min(q90, scores.size() - 1)] + 1e-6;
+  threshold_ = NormalScoreThreshold(std::move(scores));
 }
 
 double LogBertModel::ScoreSession(const Session& session) const {

@@ -3,7 +3,7 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/baseline_config.h"
+#include "core/config.h"
 #include "core/detector.h"
 #include "nn/attention.h"
 #include "nn/linear.h"
@@ -17,10 +17,9 @@ namespace clfd {
 // the compact single-block self-attention encoder (see nn/attention.h).
 class LogBertModel : public DetectorModel {
  public:
-  LogBertModel(const BaselineConfig& config, uint64_t seed, int top_g = 3,
+  LogBertModel(const ClfdConfig& config, uint64_t seed, int top_g = 3,
                double mask_prob = 0.3);
 
-  std::string name() const override { return "LogBert"; }
   void Train(const SessionDataset& train, const Matrix& embeddings) override;
   // Draws fresh masks from the model's Rng on every call, so two calls
   // score the same sessions differently.
@@ -35,7 +34,7 @@ class LogBertModel : public DetectorModel {
                        const std::vector<int>& masked_positions) const;
   double ScoreSession(const Session& session) const;
 
-  BaselineConfig config_;
+  ClfdConfig config_;
   mutable Rng rng_;
   int top_g_;
   double mask_prob_;

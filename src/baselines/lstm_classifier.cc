@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "losses/robust_losses.h"
 #include "nn/optimizer.h"
 #include "tensor/arena.h"
 
 namespace clfd {
 
-LstmClassifier::LstmClassifier(const BaselineConfig& config, Rng* rng)
+LstmClassifier::LstmClassifier(const ClfdConfig& config, Rng* rng)
     : encoder_(config.emb_dim, config.hidden_dim, config.num_layers, rng),
       head_(config.hidden_dim, 2, rng) {}
 
@@ -29,24 +30,9 @@ ag::Var LstmClassifier::ForwardProbs(
 }
 
 Matrix LstmClassifier::PredictProbs(const SessionDataset& data,
-                                    const Matrix& embeddings,
-                                    int chunk) const {
-  // `out` is allocated before the arena scope (heap-backed, survives the
-  // resets); each chunk's forward tape is bump-allocated and recycled.
-  Matrix out(data.size(), 2);
-  arena::Arena chunk_arena;
-  for (int start = 0; start < data.size(); start += chunk) {
-    chunk_arena.Reset();
-    arena::ScopedArena scope(&chunk_arena);
-    int end = std::min(start + chunk, data.size());
-    std::vector<const Session*> batch;
-    for (int i = start; i < end; ++i) {
-      batch.push_back(&data.sessions[i].session);
-    }
-    Matrix probs = ForwardProbs(batch, embeddings).value();
-    for (int i = start; i < end; ++i) out.CopyRowFrom(probs, i - start, i);
-  }
-  return out;
+                                    const Matrix& embeddings) const {
+  return HeadProbs(ag::Constant(encoder_.EncodeDataset(data, embeddings)))
+      .value();
 }
 
 std::vector<double> LstmClassifier::PerSampleCce(
@@ -62,8 +48,7 @@ std::vector<double> LstmClassifier::PerSampleCce(
 
 void TrainCeEpoch(LstmClassifier* model, const SessionDataset& train,
                   const Matrix& targets, const Matrix& embeddings,
-                  const BaselineConfig& config, nn::Adam* optimizer,
-                  Rng* rng) {
+                  const ClfdConfig& config, nn::Adam* optimizer, Rng* rng) {
   auto params = model->Parameters();
   // Heap-allocate any missing parameter gradients before the arena scopes
   // open (the optimizer normally did this at construction; this covers
@@ -79,10 +64,8 @@ void TrainCeEpoch(LstmClassifier* model, const SessionDataset& train,
       sessions.push_back(&train.sessions[batch[i]].session);
       batch_targets.CopyRowFrom(targets, batch[i], static_cast<int>(i));
     }
-    ag::Var probs = model->ForwardProbs(sessions, embeddings);
-    ag::Var loss = ag::Scale(
-        ag::SumAll(ag::Mul(ag::Constant(batch_targets), ag::Log(probs))),
-        -1.0f / static_cast<float>(batch.size()));
+    ag::Var loss =
+        CceLoss(model->ForwardProbs(sessions, embeddings), batch_targets);
     ag::Backward(loss);
     nn::ClipGradNorm(params, config.grad_clip);
     optimizer->Step();
@@ -94,6 +77,19 @@ std::vector<ag::Var> LstmClassifier::Parameters() const {
   auto hp = head_.Parameters();
   params.insert(params.end(), hp.begin(), hp.end());
   return params;
+}
+
+std::vector<double> TwoNetworkScores(const LstmClassifier& a,
+                                     const LstmClassifier& b,
+                                     const SessionDataset& data,
+                                     const Matrix& embeddings) {
+  Matrix pa = a.PredictProbs(data, embeddings);
+  Matrix pb = b.PredictProbs(data, embeddings);
+  std::vector<double> scores(data.size());
+  for (int i = 0; i < data.size(); ++i) {
+    scores[i] = 0.5 * (pa.at(i, kMalicious) + pb.at(i, kMalicious));
+  }
+  return scores;
 }
 
 }  // namespace clfd

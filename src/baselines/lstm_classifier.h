@@ -3,8 +3,8 @@
 #include <vector>
 
 #include "autograd/var.h"
-#include "baselines/baseline_config.h"
 #include "common/rng.h"
+#include "core/config.h"
 #include "data/session.h"
 #include "encoders/session_encoder.h"
 #include "nn/linear.h"
@@ -19,7 +19,7 @@ namespace clfd {
 // whole stack trains jointly.
 class LstmClassifier : public nn::Module {
  public:
-  LstmClassifier(const BaselineConfig& config, Rng* rng);
+  LstmClassifier(const ClfdConfig& config, Rng* rng);
 
   // Graph-building forward over a batch of sessions -> probabilities [B x 2].
   ag::Var ForwardProbs(const std::vector<const Session*>& sessions,
@@ -31,9 +31,10 @@ class LstmClassifier : public nn::Module {
                                  const Matrix& embeddings) const;
   ag::Var HeadProbs(const ag::Var& reps) const;
 
-  // Inference over a whole dataset (chunked, no graph retained) -> [N x 2].
-  Matrix PredictProbs(const SessionDataset& data, const Matrix& embeddings,
-                      int chunk = 128) const;
+  // Inference over a whole dataset -> [N x 2]: the head over
+  // SessionEncoder::EncodeDataset's parallel chunked forward.
+  Matrix PredictProbs(const SessionDataset& data,
+                      const Matrix& embeddings) const;
 
   // Per-sample cross-entropy of `labels` under the current model; the
   // signal DivideMix fits its loss-GMM to.
@@ -52,8 +53,14 @@ class LstmClassifier : public nn::Module {
 // rows indexed consistently with `train`. Returns nothing; updates in place.
 void TrainCeEpoch(LstmClassifier* model, const SessionDataset& train,
                   const Matrix& targets, const Matrix& embeddings,
-                  const BaselineConfig& config, nn::Adam* optimizer,
-                  Rng* rng);
+                  const ClfdConfig& config, nn::Adam* optimizer, Rng* rng);
+
+// Scores of a two-network model (DivMix, ULC): the mean of the two
+// classifiers' malicious-class probabilities.
+std::vector<double> TwoNetworkScores(const LstmClassifier& a,
+                                     const LstmClassifier& b,
+                                     const SessionDataset& data,
+                                     const Matrix& embeddings);
 
 }  // namespace clfd
 

@@ -1,6 +1,5 @@
 #include "baselines/registry.h"
 
-#include "baselines/cldet.h"
 #include "baselines/ctrr.h"
 #include "baselines/deeplog.h"
 #include "baselines/divmix.h"
@@ -13,18 +12,25 @@
 namespace clfd {
 
 std::unique_ptr<DetectorModel> MakeModel(const std::string& name,
-                                         const ClfdConfig& clfd_config,
+                                         const ClfdConfig& config,
                                          uint64_t seed) {
-  BaselineConfig base = BaselineConfig::FromClfd(clfd_config);
-  if (name == "CLFD") return std::make_unique<ClfdModel>(clfd_config, seed);
-  if (name == "DivMix") return std::make_unique<DivMixModel>(base, seed);
-  if (name == "ULC") return std::make_unique<UlcModel>(base, seed);
-  if (name == "Sel-CL") return std::make_unique<SelClModel>(base, seed);
-  if (name == "CTRR") return std::make_unique<CtrrModel>(base, seed);
-  if (name == "Few-Shot") return std::make_unique<FewShotModel>(base, seed);
-  if (name == "CLDet") return std::make_unique<CldetModel>(base, seed);
-  if (name == "DeepLog") return std::make_unique<DeepLogModel>(base, seed);
-  if (name == "LogBert") return std::make_unique<LogBertModel>(base, seed);
+  if (name == "CLFD") return std::make_unique<ClfdModel>(config, seed);
+  if (name == "DivMix") return std::make_unique<DivMixModel>(config, seed);
+  if (name == "ULC") return std::make_unique<UlcModel>(config, seed);
+  if (name == "Sel-CL") return std::make_unique<SelClModel>(config, seed);
+  if (name == "CTRR") return std::make_unique<CtrrModel>(config, seed);
+  if (name == "Few-Shot") return std::make_unique<FewShotModel>(config, seed);
+  if (name == "CLDet") {
+    // CLDet [3] is CLFD's label corrector deployed alone, its classifier
+    // trained with plain cross entropy instead of mixup GCE.
+    ClfdConfig cldet = config;
+    cldet.use_label_corrector = true;
+    cldet.use_fraud_detector = false;
+    cldet.classifier_loss = ClassifierLoss::kCce;
+    return std::make_unique<ClfdModel>(cldet, seed);
+  }
+  if (name == "DeepLog") return std::make_unique<DeepLogModel>(config, seed);
+  if (name == "LogBert") return std::make_unique<LogBertModel>(config, seed);
   return nullptr;
 }
 

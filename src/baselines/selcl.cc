@@ -12,7 +12,7 @@
 
 namespace clfd {
 
-SelClModel::SelClModel(const BaselineConfig& config, uint64_t seed, int knn_k)
+SelClModel::SelClModel(const ClfdConfig& config, uint64_t seed, int knn_k)
     : config_(config),
       rng_(seed),
       knn_k_(knn_k),
@@ -34,10 +34,7 @@ void SelClModel::Train(const SessionDataset& train, const Matrix& embeddings) {
 
   // 2) kNN label correction in the representation space.
   Matrix reps = encoder_.EncodeDataset(train, embeddings_);
-  std::vector<int> noisy(train.size());
-  for (int i = 0; i < train.size(); ++i) {
-    noisy[i] = train.sessions[i].noisy_label;
-  }
+  std::vector<int> noisy = NoisyLabels(train);
   std::vector<int> corrected = KnnCorrectLabels(reps, noisy, knn_k_);
 
   // 3) Confident samples: corrected label agrees with the given label.
@@ -88,11 +85,8 @@ void SelClModel::Train(const SessionDataset& train, const Matrix& embeddings) {
     confident_labels.push_back(corrected[idx]);
   }
   Matrix features = encoder_.EncodeDataset(confident_set, embeddings_);
-  ClfdConfig trainer_config;
+  ClfdConfig trainer_config = config_;
   trainer_config.classifier_loss = ClassifierLoss::kCce;
-  trainer_config.batch_size = config_.batch_size;
-  trainer_config.learning_rate = config_.learning_rate;
-  trainer_config.budget = config_.budget;
   TrainClassifierOnFeatures(&classifier_, features, confident_labels,
                             trainer_config, &rng_);
 }

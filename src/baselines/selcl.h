@@ -3,7 +3,7 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/baseline_config.h"
+#include "core/config.h"
 #include "core/detector.h"
 #include "encoders/session_encoder.h"
 #include "nn/classifier.h"
@@ -19,9 +19,8 @@ namespace clfd {
 // classifier on the resulting representations.
 class SelClModel : public DetectorModel {
  public:
-  SelClModel(const BaselineConfig& config, uint64_t seed, int knn_k = 10);
+  SelClModel(const ClfdConfig& config, uint64_t seed, int knn_k = 10);
 
-  std::string name() const override { return "Sel-CL"; }
   void Train(const SessionDataset& train, const Matrix& embeddings) override;
   std::vector<double> Score(const SessionDataset& data) const override;
 
@@ -29,7 +28,7 @@ class SelClModel : public DetectorModel {
   const std::vector<int>& confident_indices() const { return confident_; }
 
  private:
-  BaselineConfig config_;
+  ClfdConfig config_;
   mutable Rng rng_;
   int knn_k_;
   SessionEncoder encoder_;

@@ -8,7 +8,7 @@
 
 namespace clfd {
 
-UlcModel::UlcModel(const BaselineConfig& config, uint64_t seed,
+UlcModel::UlcModel(const ClfdConfig& config, uint64_t seed,
                    int warmup_epochs, double relabel_confidence)
     : config_(config), rng_(seed), warmup_epochs_(warmup_epochs),
       relabel_confidence_(relabel_confidence) {}
@@ -19,10 +19,7 @@ void UlcModel::Train(const SessionDataset& train, const Matrix& embeddings) {
   net_a_ = std::make_unique<LstmClassifier>(config_, &rng_);
   net_b_ = std::make_unique<LstmClassifier>(config_, &rng_);
 
-  std::vector<int> labels(train.size());
-  for (int i = 0; i < train.size(); ++i) {
-    labels[i] = train.sessions[i].noisy_label;
-  }
+  std::vector<int> labels = NoisyLabels(train);
 
   nn::Adam opt_a(net_a_->Parameters(), config_.learning_rate);
   nn::Adam opt_b(net_b_->Parameters(), config_.learning_rate);
@@ -79,13 +76,7 @@ void UlcModel::Train(const SessionDataset& train, const Matrix& embeddings) {
 }
 
 std::vector<double> UlcModel::Score(const SessionDataset& data) const {
-  Matrix pa = net_a_->PredictProbs(data, embeddings_);
-  Matrix pb = net_b_->PredictProbs(data, embeddings_);
-  std::vector<double> scores(data.size());
-  for (int i = 0; i < data.size(); ++i) {
-    scores[i] = 0.5 * (pa.at(i, kMalicious) + pb.at(i, kMalicious));
-  }
-  return scores;
+  return TwoNetworkScores(*net_a_, *net_b_, data, embeddings_);
 }
 
 }  // namespace clfd

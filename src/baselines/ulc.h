@@ -3,8 +3,8 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/baseline_config.h"
 #include "baselines/lstm_classifier.h"
+#include "core/config.h"
 #include "core/detector.h"
 
 namespace clfd {
@@ -19,15 +19,14 @@ namespace clfd {
 // down-weighting uncertain samples.
 class UlcModel : public DetectorModel {
  public:
-  UlcModel(const BaselineConfig& config, uint64_t seed, int warmup_epochs = 2,
+  UlcModel(const ClfdConfig& config, uint64_t seed, int warmup_epochs = 2,
            double relabel_confidence = 0.8);
 
-  std::string name() const override { return "ULC"; }
   void Train(const SessionDataset& train, const Matrix& embeddings) override;
   std::vector<double> Score(const SessionDataset& data) const override;
 
  private:
-  BaselineConfig config_;
+  ClfdConfig config_;
   mutable Rng rng_;
   int warmup_epochs_;
   double relabel_confidence_;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/config.h"
@@ -26,8 +25,6 @@ namespace clfd {
 class ClfdModel : public DetectorModel {
  public:
   ClfdModel(const ClfdConfig& config, uint64_t seed);
-
-  std::string name() const override { return "CLFD"; }
 
   void Train(const SessionDataset& train, const Matrix& embeddings) override;
 

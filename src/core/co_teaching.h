@@ -27,7 +27,6 @@ class CoTeachingClfdModel : public DetectorModel {
  public:
   CoTeachingClfdModel(const ClfdConfig& config, uint64_t seed);
 
-  std::string name() const override { return "CLFD-CoTeach"; }
   void Train(const SessionDataset& train, const Matrix& embeddings) override;
   std::vector<double> Score(const SessionDataset& data) const override;
 

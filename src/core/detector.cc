@@ -1,5 +1,7 @@
 #include "core/detector.h"
 
+#include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace clfd {
@@ -24,6 +26,21 @@ std::vector<int> TrueLabels(const SessionDataset& data) {
     labels[i] = data.sessions[i].true_label;
   }
   return labels;
+}
+
+std::vector<int> NoisyLabels(const SessionDataset& data) {
+  std::vector<int> labels(data.size());
+  for (int i = 0; i < data.size(); ++i) {
+    labels[i] = data.sessions[i].noisy_label;
+  }
+  return labels;
+}
+
+double NormalScoreThreshold(std::vector<double> normal_scores) {
+  assert(!normal_scores.empty());
+  std::sort(normal_scores.begin(), normal_scores.end());
+  size_t q90 = static_cast<size_t>(normal_scores.size() * 0.9);
+  return normal_scores[std::min(q90, normal_scores.size() - 1)] + 1e-6;
 }
 
 }  // namespace clfd

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "data/session.h"
@@ -22,17 +21,16 @@ class DetectorModel {
  public:
   virtual ~DetectorModel() = default;
 
-  virtual std::string name() const = 0;
-
   // Trains on the noisy labels of `train`. `embeddings` is the
   // [vocab x emb_dim] activity embedding table for this dataset.
   virtual void Train(const SessionDataset& train, const Matrix& embeddings) = 0;
 
   // Train with checkpoint/resume and watchdog hooks; a null `rc` is the
-  // plain run. Models that support fault-tolerant training (CLFD) override
-  // this; the default ignores `rc` and runs a plain Train, so baselines
-  // keep working unchanged under a recovery-enabled harness (they simply
-  // restart from scratch on retry).
+  // plain run. ClfdModel overrides this, so CLFD, its ablations and CLDet
+  // (CLFD's label corrector trained with cross entropy) checkpoint and
+  // resume; the default ignores `rc` and runs a plain Train, so the other
+  // baselines keep working unchanged under a recovery-enabled harness
+  // (they simply restart from scratch on retry).
   virtual void TrainWithRecovery(const SessionDataset& train,
                                  const Matrix& embeddings,
                                  recovery::RunCheckpointer* rc) {
@@ -61,6 +59,14 @@ void RequireTrainingSessions(const SessionDataset& train);
 
 // Ground-truth label vector of a dataset (evaluation helper).
 std::vector<int> TrueLabels(const SessionDataset& data);
+
+// Noisy (given) label vector of a dataset: what every model trains on.
+std::vector<int> NoisyLabels(const SessionDataset& data);
+
+// The threshold a rank-based model (DeepLog, LogBert) calibrates on the
+// scores of its training-normal sessions: just above their 90th
+// percentile. `normal_scores` must not be empty.
+double NormalScoreThreshold(std::vector<double> normal_scores);
 
 }  // namespace clfd
 

@@ -41,12 +41,8 @@ void LabelCorrector::Train(const SessionDataset& train,
   // restored encoder parameters.
   CLFD_PROF_SPAN("corrector");
   Matrix features = encoder_.EncodeDataset(train, embeddings_);
-  std::vector<int> noisy_labels(train.size());
-  for (int i = 0; i < train.size(); ++i) {
-    noisy_labels[i] = train.sessions[i].noisy_label;
-  }
-  TrainClassifierOnFeatures(&classifier_, features, noisy_labels, config_,
-                            &rng_, "corrector.classifier", rc,
+  TrainClassifierOnFeatures(&classifier_, features, NoisyLabels(train),
+                            config_, &rng_, "corrector.classifier", rc,
                             recovery::kPhaseCorrector);
   CLFD_LOG(INFO) << "label corrector trained"
                  << obs::Kv("sessions", train.size());

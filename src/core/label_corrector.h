@@ -29,7 +29,8 @@ struct Correction {
 // session-reordering augmented views (label-free, hence immune to label
 // noise), and a classifier is trained on the frozen representations v_i
 // with the paper's noise-robust mixup GCE loss (the modification CLFD makes
-// to CLDet, which trained this classifier with plain cross entropy).
+// to CLDet, which trained this classifier with plain cross entropy; under
+// ClassifierLoss::kCce this corrector is the CLDet baseline).
 class LabelCorrector {
  public:
   LabelCorrector(const ClfdConfig& config, uint64_t seed);

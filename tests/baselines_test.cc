@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ios>
 #include <map>
 #include <set>
 #include <string>
@@ -72,7 +73,6 @@ TEST(RegistryTest, AllModelsConstruct) {
   for (const auto& name : AllModelNames()) {
     auto model = MakeModel(name, config, 1);
     ASSERT_NE(model, nullptr) << name;
-    EXPECT_EQ(model->name(), name);
   }
   EXPECT_EQ(MakeModel("NoSuchModel", config, 1), nullptr);
   EXPECT_EQ(AllModelNames().size(), 9u);
@@ -151,20 +151,29 @@ uint64_t ScoreFingerprint(const std::vector<double>& scores) {
 }
 
 // Every baseline on one tiny fixed world: the bits of its first
-// Score(test) after training. DeepLog, CLDet, Sel-CL and the
-// LstmClassifier baselines (DivMix, ULC, CTRR) run the same nn::Lstm as
-// CLFD, whose run fingerprint pins only CLFD's use of it. A change to a
-// hash is a deliberate, reviewed event: the failure message prints the new
-// value.
+// Score(test) after training, and of its threshold(). DeepLog, CLDet,
+// Sel-CL and the LstmClassifier baselines (DivMix, ULC, CTRR) run the same
+// nn::Lstm as CLFD, whose run fingerprint pins only CLFD's use of it;
+// DeepLog and LogBert calibrate their thresholds, the rest keep 0.5. A
+// change to a hash or a threshold is a deliberate, reviewed event: the
+// failure message prints the new value.
 class BaselineFingerprintTest : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(BaselineFingerprintTest, FirstScoreMatchesCommittedHash) {
-  const std::map<std::string, uint64_t> kExpected = {
-      {"DivMix", 0x6c4166c49897e35aull},  {"ULC", 0x0615aeace05422b8ull},
-      {"Sel-CL", 0xe662f02fb843e585ull},  {"CTRR", 0xc0b7fd5d0ad3990bull},
-      {"Few-Shot", 0x97dac6c5bab020e5ull}, {"CLDet", 0x63c1094b5eeb250full},
-      {"DeepLog", 0xcadd9b0de396a458ull}, {"LogBert", 0xd18fa1ac17609c72ull}};
+  struct Expected {
+    uint64_t scores;
+    double threshold;
+  };
+  const std::map<std::string, Expected> kExpected = {
+      {"DivMix", {0x6c4166c49897e35aull, 0.5}},
+      {"ULC", {0x0615aeace05422b8ull, 0.5}},
+      {"Sel-CL", {0xe662f02fb843e585ull, 0.5}},
+      {"CTRR", {0xc0b7fd5d0ad3990bull, 0.5}},
+      {"Few-Shot", {0x97dac6c5bab020e5ull, 0.5}},
+      {"CLDet", {0x63c1094b5eeb250full, 0.5}},
+      {"DeepLog", {0xcadd9b0de396a458ull, 0x1.db6dd8695cf85p-1}},
+      {"LogBert", {0xd18fa1ac17609c72ull, 0x1.000010c6f7a0bp+0}}};
   Rng rng(9);
   SplitSpec split{40, 6, 20, 4};
   SimulatedData data = MakeDataset(DatasetKind::kWiki, split, &rng);
@@ -181,9 +190,11 @@ TEST_P(BaselineFingerprintTest, FirstScoreMatchesCommittedHash) {
   auto model = MakeModel(GetParam(), config, 11);
   ASSERT_NE(model, nullptr);
   model->Train(data.train, embeddings);
+  const Expected& want = kExpected.at(GetParam());
   const uint64_t got = ScoreFingerprint(model->Score(data.test));
-  EXPECT_EQ(got, kExpected.at(GetParam()))
-      << GetParam() << ": got 0x" << std::hex << got;
+  EXPECT_EQ(got, want.scores) << GetParam() << ": got 0x" << std::hex << got;
+  EXPECT_EQ(model->threshold(), want.threshold)
+      << GetParam() << ": got " << std::hexfloat << model->threshold();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBaselines, BaselineFingerprintTest,

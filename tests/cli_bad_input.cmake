@@ -52,3 +52,16 @@ expect_rejected("empty training split"
 if(EXISTS "${unused}")
   message(SEND_ERROR "a rejected generate wrote ${unused}")
 endif()
+
+# A test file over another activity vocabulary than the training file's:
+# the embeddings only cover the training file's activity ids, so `run`
+# refuses it before training.
+file(WRITE "${WORK_DIR}/vocab_train.txt"
+     "clfd-dataset v1\nvocab 2\nlogon\nlogoff\nsessions 4\n"
+     "0 0 2 0 1\n0 0 3 0 0 1\n1 1 2 1 0\n0 1 2 0 1\n")
+file(WRITE "${WORK_DIR}/vocab_test.txt"
+     "clfd-dataset v1\nvocab 3\nlogon\nlogoff\nusb\nsessions 2\n"
+     "0 0 3 0 2 1\n1 1 2 2 2\n")
+expect_rejected("activity vocabulary differs"
+                run --model CLFD --train "${WORK_DIR}/vocab_train.txt"
+                --test "${WORK_DIR}/vocab_test.txt" --budget fast)

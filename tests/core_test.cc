@@ -207,7 +207,6 @@ TEST(ClfdEndToEndTest, DeterministicForSeed) {
 
 TEST(DetectorInterfaceTest, PredictThresholdsScoresAtThreshold) {
   struct FakeModel : DetectorModel {
-    std::string name() const override { return "fake"; }
     void Train(const SessionDataset&, const Matrix&) override {}
     std::vector<double> Score(const SessionDataset& d) const override {
       return std::vector<double>(d.size(), 0.0);

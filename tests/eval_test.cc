@@ -77,7 +77,6 @@ TEST(TrainAndEvaluateTest, ScoresTheTestSplitOnce) {
   // get its labels and its AUC from two different scorings.
   struct CountingModel : DetectorModel {
     mutable int score_calls = 0;
-    std::string name() const override { return "counting"; }
     void Train(const SessionDataset&, const Matrix&) override {}
     std::vector<double> Score(const SessionDataset& d) const override {
       ++score_calls;

@@ -467,12 +467,14 @@ TEST(WatchdogTest, EpochOfOnlySkippedBatchesIsDivergence) {
 
 // ---- End-to-end: crash/resume and fault recovery ----
 
-// A one-cell, one-seed sweep of CLFD. Its run stem, which names its
-// checkpoint file, is "CLFD.100".
-RunMetrics RunOne(const recovery::RecoveryOptions& options) {
+// A one-cell, one-seed sweep of `model` (a MakeModel name), labelled by
+// the model name. Its run stem, which names its checkpoint file, is
+// "<model>.100".
+RunMetrics RunOne(const recovery::RecoveryOptions& options,
+                  const std::string& model = "CLFD") {
   SplitSpec split{40, 6, 20, 4};
   std::vector<CellResult> results =
-      RunSweep({{"CLFD", "CLFD", TinyConfig(), DatasetKind::kWiki, split,
+      RunSweep({{model, model, TinyConfig(), DatasetKind::kWiki, split,
                  NoiseSpec::Uniform(0.3)}},
                /*seeds=*/1, options);
   return results[0].seeds[0].run;
@@ -511,20 +513,25 @@ TEST(CrashResumeTest, ResumeRecapturesExecutionPlansBitwiseIdentical) {
   // so a resumed process starts with empty plan caches and re-captures from
   // its first step. Killing a run at an epoch boundary and resuming must
   // land on the same bits as an uninterrupted run, whose plans were
-  // captured once at the start.
-  RunMetrics baseline = RunOne(recovery::RecoveryOptions{});
+  // captured once at the start. CLDet is CLFD's label corrector alone, so
+  // it checkpoints and resumes the same way; its 20th epoch boundary falls
+  // in the corrector's classifier phase too.
+  for (const std::string model : {"CLFD", "CLDet"}) {
+    SCOPED_TRACE(model);
+    RunMetrics baseline = RunOne(recovery::RecoveryOptions{}, model);
 
-  recovery::RecoveryOptions options;
-  options.dir = ScratchDir("plan_resume");
-  options.interval_epochs = 4;
-  {
-    recovery::ScopedFaultPlan crash("run.epoch@20", 1);
-    EXPECT_THROW(RunOne(options), recovery::SimulatedCrash);
+    recovery::RecoveryOptions options;
+    options.dir = ScratchDir("plan_resume_" + model);
+    options.interval_epochs = 4;
+    {
+      recovery::ScopedFaultPlan crash("run.epoch@20", 1);
+      EXPECT_THROW(RunOne(options, model), recovery::SimulatedCrash);
+    }
+    RunMetrics resumed = RunOne(options, model);
+    EXPECT_EQ(resumed.f1, baseline.f1);
+    EXPECT_EQ(resumed.fpr, baseline.fpr);
+    EXPECT_EQ(resumed.auc, baseline.auc);
   }
-  RunMetrics resumed = RunOne(options);
-  EXPECT_EQ(resumed.f1, baseline.f1);
-  EXPECT_EQ(resumed.fpr, baseline.fpr);
-  EXPECT_EQ(resumed.auc, baseline.auc);
 }
 
 TEST(CrashResumeTest, CheckpointingItselfDoesNotChangeResults) {

@@ -24,7 +24,8 @@
 #
 # When the default preset is in the run, the seven table benches run once
 # at a tiny scale (CLFD_SCALE=0.01 CLFD_SEEDS=1 CLFD_EPOCH_SCALE=0.05), so a
-# sweep that crashes or exits non-zero fails the gate; the end-to-end
+# sweep that crashes or exits non-zero fails the gate; each of the five
+# examples/ binaries runs once and must exit 0 too; the end-to-end
 # benchmark's own tests run too (e2ebench/test_benchlib.py: its metric logic, plus a smoke
 # run of every workload, which fails when a single-session score is not
 # bitwise the score the full-pool pass gave that session), and the
@@ -92,6 +93,11 @@ for preset in "${presets[@]}"; do
              bench_loss_variants; do
       CLFD_SCALE=0.01 CLFD_SEEDS=1 CLFD_EPOCH_SCALE=0.05 \
           CLFD_METRICS_SIDECAR=0 "./build/bench/${b}"
+    done
+    echo "==== [default] examples"
+    for e in quickstart insider_threat_cert wiki_vandal_detection \
+             openstack_log_anomaly noise_rate_estimation; do
+      "./build/examples/${e}"
     done
     echo "==== [default] e2ebench self-tests (logic + smoke runs)"
     python3 e2ebench/test_benchlib.py

@@ -31,10 +31,11 @@
 //                             "run.epoch@3;ckpt.io@2" (see recovery/fault_plan.h)
 //   --fault-seed=N            seed for probabilistic fault triggers
 // Exit codes: 2 = bad input (usage, a malformed or out-of-range flag
-//                 value, an empty training split, a snapshot under
-//                 --checkpoint-dir that does not fit the model, such as
-//                 one written with another --dim or by a build with
-//                 another parameter layout),
+//                 value, an empty training split, a --test file whose
+//                 activity vocabulary differs from the --train file's, a
+//                 snapshot under --checkpoint-dir that does not fit the
+//                 model, such as one written with another --dim or by a
+//                 build with another parameter layout),
 //             3 = simulated crash (resume with the same command),
 //             4 = training failed: it diverged, violated an invariant or
 //                 ran out of memory, and either no watchdog retried it or
@@ -238,6 +239,14 @@ int Run(const Args& args) {
       !LoadDataset(args.Get("test", ""), &test)) {
     std::fprintf(stderr, "cannot load --train/--test dataset files\n");
     return 1;
+  }
+  // The embeddings are trained on the training file's activity ids; test
+  // sessions scored against another vocabulary would index past them or
+  // read the wrong activities.
+  if (train.vocab != test.vocab) {
+    std::fprintf(stderr, "the --test file's activity vocabulary differs "
+                         "from the --train file's\n");
+    return 2;
   }
   Rng rng(seed);
   Matrix embeddings = TrainActivityEmbeddings(train, config.emb_dim, &rng);
